@@ -21,7 +21,7 @@ from .errors import (
     RankDeficient,
     RateOutOfRange,
 )
-from .padic import PadicMatrix, PadicScalar, hermite_form, smith_profile
+from .padic import PadicMatrix, hermite_form, smith_profile
 from .lattice import (
     Lattice,
     Levels,
@@ -96,7 +96,6 @@ __all__ = [
     "EnumerationTooLarge",
     "InvalidShape",
     # padic
-    "PadicScalar",
     "PadicMatrix",
     "hermite_form",
     "smith_profile",

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .errors import InvalidShape
 from .gmodule import GroupAction
 from .lattice import Lattice
+from .padic import mat_mul
 
 __all__ = [
     "ExampleBundle",
@@ -58,11 +59,11 @@ def _companion(b: int, p: int):
     return rows
 
 
-def _mat_pow(M, a: int):
-    n = len(M)
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _mat_pow(M, a: int, m: int):
+    """M^a reduced mod m; the action reduces its generators mod p^N anyway."""
+    R = _identity(len(M))
     for _ in range(a):
-        R = [[sum(R[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        R = mat_mul(R, M, m)
     return R
 
 
@@ -151,20 +152,21 @@ def build_remark_module(p: int = 2, N: int = 66) -> ExampleBundle:
     standard basis and the common fixed space is exactly blocks 1 and 3.
     """
     d = 16
+    lattice = Lattice.standard(p, N, d)  # validates p before any arithmetic mod p^N
     Pi = _companion(4, p)
     g1 = _identity(d)
     _place_block(g1, Pi, 0, 0, add=True)
     g2 = _identity(d)
     _place_block(g2, _identity(4), 0, 4, add=True)
     g3 = _identity(d)
-    _place_block(g3, _mat_pow(Pi, 2), 8, 8, add=True)
+    _place_block(g3, _mat_pow(Pi, 2, p**N), 8, 8, add=True)
     g4 = _identity(d)
     _place_block(g4, _identity(4), 8, 12, add=True)
     rates = (Fraction(1, 4),) * 8 + (Fraction(1, 2),) * 8
     return ExampleBundle(
         name="remark27",
         description="four degree-4 ramified blocks, two unit couplings, dimension 16",
-        lattice=Lattice.standard(p, N, d),
+        lattice=lattice,
         action=GroupAction.build(p, N, [g1, g2, g3, g4]),
         expected_rates=rates,
         expected_cycle=None,
@@ -188,6 +190,7 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,
     d = sum(sizes)
     if d > 8:
         raise InvalidShape(f"total dimension {d} exceeds the supported cap of 8")
+    lattice = Lattice.standard(p, N, d)  # validates p before any arithmetic mod p^N
     rng = random.Random(seed)
     n_gen = max(1, n_generators)
     plans = []
@@ -230,7 +233,7 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,
             b, o = laid[pos], offsets[pos]
             it = gplan[j]
             if it[0] == "power":
-                _place_block(g, _mat_pow(_companion(b, p), it[1]), o, o, add=True)
+                _place_block(g, _mat_pow(_companion(b, p), it[1], p**N), o, o, add=True)
             elif it[0] == "shear":
                 _, r, s, amt = it
                 g[o + r][o + s] += amt
@@ -244,7 +247,7 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,
     return ExampleBundle(
         name=f"random-{seed}",
         description=f"seeded random block action, blocks {list(laid)}, p={p}",
-        lattice=Lattice.standard(p, N, d),
+        lattice=lattice,
         action=GroupAction.build(p, N, grids),
     )
 

@@ -116,6 +116,15 @@ def _random_sizes(rng: random.Random):
     return tuple(sizes)
 
 
+def _bundle(name: str, args, N: int):
+    """A catalog entry, or the seeded random instance for name 'random'."""
+    p = args.p if args.p is not None else 2
+    if name == "random":
+        sizes = _random_sizes(random.Random(args.seed))
+        return random_block_action(sizes, args.seed, p=p, N=N)
+    return get_bundle(name, p=p, N=N)
+
+
 def _load_instance(args):
     """Returns (lattice, action, extra_weights, source_label)."""
     N = args.precision if args.precision is not None else args.imax + 2
@@ -142,13 +151,7 @@ def _load_instance(args):
             lat = Lattice.standard(p, n, action.d)
         extras = tuple(Fraction(str(w)) for w in obj.get("extra_weights", ()))
         return lat, action, extras, args.input
-    name = args.catalog or "trivial"
-    p = args.p if args.p is not None else 2
-    if name == "random":
-        rng = random.Random(args.seed)
-        bundle = random_block_action(_random_sizes(rng), args.seed, p=p, N=N)
-    else:
-        bundle = get_bundle(name, p=p, N=N)
+    bundle = _bundle(args.catalog or "trivial", args, N)
     return bundle.lattice, bundle.action, bundle.extra_weights, bundle.name
 
 
@@ -237,11 +240,17 @@ def _envelope_check(trace, strat) -> dict:
     return {"max_deviation": worst, "bound": bound, "ok": worst <= bound}
 
 
-def _stratify(args):
+def _stratified(args):
+    """(lattice, action, extra_weights, source, trace, strat, cert) of the instance."""
     lat, action, extras, source = _load_instance(args)
     trace = lower_p_series(lat, action, args.imax)
     bound = _denom_bound(args, lat.d)
     strat, cert = run_stratification(trace, denom_bound=bound)
+    return lat, action, extras, source, trace, strat, cert
+
+
+def _stratify(args):
+    lat, action, extras, source, trace, strat, cert = _stratified(args)
     payload = {
         "provenance": _provenance(args, source, action),
         "instance": _instance_block(lat, action, extras),
@@ -280,12 +289,9 @@ def _load_subgroup(path: str, p: int, N: int, strat):
 
 
 def _hdim(args):
-    lat, action, extras, source = _load_instance(args)
+    lat, action, extras, source, trace, strat, _ = _stratified(args)
     if args.lattice_only:
         extras = ()
-    trace = lower_p_series(lat, action, args.imax)
-    bound = _denom_bound(args, lat.d)
-    strat, _ = run_stratification(trace, denom_bound=bound)
     H = _load_subgroup(args.subgroup, lat.p, lat.N, strat)
     tol = Fraction(str(args.tolerance))
     report = dimension_report(H, trace, strat, extras, tol)
@@ -306,12 +312,9 @@ def _hdim(args):
 
 
 def _spectrum(args):
-    lat, action, extras, source = _load_instance(args)
+    _, action, extras, source, _, strat, _ = _stratified(args)
     if args.lattice_only:
         extras = ()
-    trace = lower_p_series(lat, action, args.imax)
-    bound = _denom_bound(args, lat.d)
-    strat, _ = run_stratification(trace, denom_bound=bound)
     values = spectrum(strat.rates, extras)
     payload = {
         "provenance": _provenance(args, source, action),
@@ -329,13 +332,8 @@ def _spectrum(args):
 
 def _catalog(args):
     if args.catalog:
-        p = args.p if args.p is not None else 2
         N = args.precision if args.precision is not None else args.imax + 2
-        if args.catalog == "random":
-            rng = random.Random(args.seed)
-            bundle = random_block_action(_random_sizes(rng), args.seed, p=p, N=N)
-        else:
-            bundle = get_bundle(args.catalog, p=p, N=N)
+        bundle = _bundle(args.catalog, args, N)
         payload = {
             "name": bundle.name,
             "description": bundle.description,

@@ -9,10 +9,11 @@ action being pro-p on the ambient lattice.
 The series step sends an invariant lattice M to p*M + sum_t M*(g_t - 1).
 That single pass already equals M times the p-augmentation ideal: the ideal
 is the maximal ideal of the completed group algebra, so any term the pass
-misses lies in (result)*(ideal) and Nakayama closes the gap.  The step
-nevertheless re-checks invariance of its output and falls back to a
-saturation loop with a diagnostic if the check ever fails, so a broken
-input (an action that is not actually a group) cannot corrupt the series.
+misses lies in (result)*(ideal) and Nakayama closes the gap.  The output
+M' is invariant whenever M is: M'(g_s - 1) lies in M(g_s - 1), which lies
+in M', so M' g_s is inside M', and equal to it because g_s is invertible.
+The step still re-checks invariance of its output and raises PstrataError
+if the check fails, so a broken input cannot corrupt the series.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
-from .padic import PadicMatrix, det_valuation_is_zero
+from .padic import PadicMatrix, det_valuation_is_zero, mat_mul
 
 __all__ = [
     "GroupAction",
@@ -40,28 +40,12 @@ __all__ = [
 ]
 
 
-def _mat_mul_mod(a, b, m):
-    n = len(b)
-    cols = len(b[0])
-    out = []
-    for arow in a:
-        acc = [0] * cols
-        for k in range(n):
-            x = arow[k]
-            if x:
-                brow = b[k]
-                for j in range(cols):
-                    acc[j] += x * brow[j]
-        out.append([v % m for v in acc])
-    return out
-
-
 def _is_unipotent_mod_p(grid, p: int) -> bool:
     d = len(grid)
     B = [[(grid[i][j] - (1 if i == j else 0)) % p for j in range(d)] for i in range(d)]
     k = 1
     while k < d:
-        B = _mat_mul_mod(B, B, p)
+        B = mat_mul(B, B, p)
         k *= 2
     return all(x == 0 for row in B for x in row)
 
@@ -74,7 +58,6 @@ class GroupAction:
     N: int
     d: int
     generators: tuple
-    unipotent_verified: bool = field(default=False, compare=False)
     deltas: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
@@ -100,23 +83,7 @@ class GroupAction:
             )
             for g in gens
         )
-        return cls(p=p, N=N, d=d, generators=gens, unipotent_verified=True, deltas=deltas)
-
-
-def _image_rows(basis, delta, pN):
-    """Rows of basis @ delta reduced mod p^N."""
-    d = len(delta)
-    out = []
-    for brow in basis:
-        acc = [0] * d
-        for k in range(d):
-            x = brow[k]
-            if x:
-                drow = delta[k]
-                for j in range(d):
-                    acc[j] += x * drow[j]
-        out.append([v % pN for v in acc])
-    return out
+        return cls(p=p, N=N, d=d, generators=gens, deltas=deltas)
 
 
 def check_invariance(M: Lattice, action: GroupAction) -> bool:
@@ -128,19 +95,11 @@ def check_invariance(M: Lattice, action: GroupAction) -> bool:
     if (M.p, M.N, M.d) != (action.p, action.N, action.d):
         raise ValueError("lattice and action contexts differ")
     pN = M.p**M.N
-    for g in action.generators:
-        gg = g.grid
-        for brow in M.basis:
-            img = [0] * M.d
-            for k in range(M.d):
-                x = brow[k]
-                if x:
-                    grow = gg[k]
-                    for j in range(M.d):
-                        img[j] += x * grow[j]
-            if M.solve([v % pN for v in img]) is None:
-                return False
-    return True
+    return all(
+        M.solve(img) is not None
+        for g in action.generators
+        for img in mat_mul(M.basis, g.grid, pN)
+    )
 
 
 def _step_rows(M: Lattice, action: GroupAction):
@@ -148,30 +107,17 @@ def _step_rows(M: Lattice, action: GroupAction):
     pN = p**M.N
     rows = [[p * x for x in brow] for brow in M.basis]
     for delta in action.deltas:
-        rows.extend(_image_rows(M.basis, delta, pN))
+        rows.extend(mat_mul(M.basis, delta, pN))
     return rows
 
 
 def _lambda_step_unchecked(M: Lattice, action: GroupAction) -> Lattice:
     result = Lattice.from_rows(M.p, M.N, M.d, _step_rows(M, action))
     if not check_invariance(result, action):
-        warnings.warn(
-            "series step produced a non-invariant lattice; saturating "
-            "(the generators may not describe a group action)",
-            RuntimeWarning,
-            stacklevel=3,
+        raise PstrataError(
+            "series step produced a non-invariant lattice; "
+            "the generators do not describe a group action"
         )
-        pN = M.p**M.N
-        for _ in range(M.N * M.d + 2):
-            extra = []
-            for delta in action.deltas:
-                extra.extend(_image_rows(result.basis, delta, pN))
-            grown = Lattice.from_rows(M.p, M.N, M.d, list(result.basis) + extra)
-            if grown == result:
-                break
-            result = grown
-        else:
-            raise PstrataError("saturation loop failed to stabilize")
     return result
 
 
@@ -263,20 +209,9 @@ def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:
     pN = action.p**action.N
     grids = []
     for g in action.generators:
-        gg = g.grid
-        rows = []
-        for brow in sub.basis:
-            img = [0] * sub.d
-            for k in range(sub.d):
-                x = brow[k]
-                if x:
-                    grow = gg[k]
-                    for j in range(sub.d):
-                        img[j] += x * grow[j]
-            c = sub.solve([v % pN for v in img])
-            if c is None:
-                raise NotInvariant("restrict_action requires an invariant lattice")
-            rows.append(c)
+        rows = [sub.solve(img) for img in mat_mul(sub.basis, g.grid, pN)]
+        if None in rows:
+            raise NotInvariant("restrict_action requires an invariant lattice")
         grids.append(rows)
     return GroupAction.build(action.p, new_N, grids)
 

@@ -18,14 +18,16 @@ sums in the spectrum).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EnumerationTooLarge, RankDeficient
 from .gmodule import SeriesTrace
 from .lattice import Lattice, log_index
-from .padic import int_valuation
-from .strata import RateVector, Stratification, _invert_unimodular, _row_image
+from .padic import int_valuation, mat_mul, unimodular_inverse
+from .strata import RateVector, Stratification
 
 __all__ = [
     "SubgroupSpec",
@@ -58,13 +60,11 @@ class SubgroupSpec:
     @classmethod
     def from_ambient(cls, p: int, N: int, rows, strat: Stratification) -> "SubgroupSpec":
         """Convert ambient row vectors into the coordinates of a frame."""
-        inv = _invert_unimodular([list(r) for r in strat.frame], p, N)
-        pN = p**N
-        return cls(p, N, tuple(tuple(_row_image(list(r), inv, pN)) for r in rows))
+        inv = unimodular_inverse(strat.frame, p, N)
+        return cls(p, N, tuple(map(tuple, mat_mul(rows, inv, p**N))))
 
     def ambient_rows(self, strat: Stratification) -> list:
-        pN = self.p**self.N
-        return [_row_image(list(r), [list(f) for f in strat.frame], pN) for r in self.rows]
+        return mat_mul(self.rows, strat.frame, self.p**self.N)
 
 
 @dataclass(frozen=True)
@@ -167,47 +167,35 @@ def dimension_report(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     )
 
 
-def _subset_sums(weights, limit: int):
-    sums = {Fraction(0)}
-    for w in weights:
-        sums |= {s + w for s in sums}
-        if len(sums) > limit:
-            raise EnumerationTooLarge(
-                f"subset sums exceeded {limit} distinct values; "
-                "the rate multiset is too rich to enumerate"
-            )
-    return sums
-
-
-def spectrum(rates: RateVector, extra_weights=(), enumeration_cap: int = 24) -> tuple:
+def spectrum(rates: RateVector, extra_weights=()) -> tuple:
     """All dimensions of straight subgroups: subset sums over total mass.
 
     Every subset of the weighted coordinates (stratum rates plus extra
     weights) is a pivot set of some closed subgroup, so the spectrum is
-    the set of subset sums divided by the total.  Up to enumeration_cap
-    weights are accumulated directly; up to 40 the multiset is split in
-    half and the halves cross-combined; beyond that EnumerationTooLarge.
-    The result always contains 0 and 1.
+    the set of subset sums divided by the total.  A sum only depends on
+    how many copies of each distinct weight it takes, so the sums are
+    enumerated as multiplicity choices, in integers scaled by the common
+    denominator.  More than 1,500,000 choices (the product of multiplicity
+    plus one) raise EnumerationTooLarge.  The result contains 0 and 1.
     """
     weights = list(rates.rates) + [Fraction(w) for w in extra_weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    n = len(weights)
-    if n > 40:
-        raise EnumerationTooLarge(f"{n} weighted coordinates exceed the hard cap of 40")
     total = sum(weights, Fraction(0))
     if total == 0:
         raise ValueError("total weight must be positive")
+    counts = Counter(weights)
+    choices = math.prod(c + 1 for c in counts.values())
     limit = 1_500_000
-    if n <= enumeration_cap:
-        sums = _subset_sums(weights, limit)
-    else:
-        half = n // 2
-        left = _subset_sums(weights[:half], limit)
-        right = _subset_sums(weights[half:], limit)
-        if len(left) * len(right) > 4 * limit:
-            raise EnumerationTooLarge(
-                f"{len(left)} x {len(right)} combined subset sums exceed the budget"
-            )
-        sums = {a + b for a in left for b in right}
-    return tuple(sorted(s / total for s in sums))
+    if choices > limit:
+        raise EnumerationTooLarge(
+            f"{choices} multiplicity choices over {len(counts)} distinct weights "
+            f"exceed the limit of {limit}"
+        )
+    scale = math.lcm(*(w.denominator for w in counts))
+    sums = {0}
+    for w, c in counts.items():
+        step = int(w * scale)
+        sums = {s + k * step for s in sums for k in range(c + 1)}
+    den = int(total * scale)
+    return tuple(sorted(Fraction(s, den) for s in sums))

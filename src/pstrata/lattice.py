@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotContained, PrecisionExhausted
-from .padic import hermite_rows, int_valuation, left_kernel_rows, smith_rows
+from .padic import _is_prime, hermite_rows, int_valuation, left_kernel_rows, mat_mul, smith_rows
 
 __all__ = [
     "Lattice",
@@ -46,6 +46,8 @@ class Lattice:
     basis: tuple
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         b = self.basis
         if len(b) != self.d or any(len(r) != self.d for r in b):
             raise ValueError(f"basis must be {self.d}x{self.d}")
@@ -182,17 +184,8 @@ def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
     A._compat(B)
     d = A.d
     stacked = [list(r) for r in A.basis] + [list(r) for r in B.basis]
-    pN = A.p**A.N
-    gens = []
-    for y in left_kernel_rows(stacked, A.p, A.N):
-        row = [0] * d
-        for j in range(d):
-            c = y[j]
-            if c:
-                bj = A.basis[j]
-                for t in range(d):
-                    row[t] += c * bj[t]
-        gens.append([x % pN for x in row])
+    kernel = left_kernel_rows(stacked, A.p, A.N)
+    gens = mat_mul([y[:d] for y in kernel], A.basis, A.p**A.N)
     return Lattice.from_rows(A.p, A.N, d, gens)
 
 

@@ -1,13 +1,14 @@
 """Exact arithmetic over Z/p^N and canonical triangular forms.
 
 Scalars are residues mod p^N with p prime; a residue of 0 means "zero at
-this precision" and its valuation is reported as N.  Matrices carry a
-shared (p, N) pair and store plain integers internally; the scalar wrapper
-is produced on access.  All reductions below use only three row operations,
-each invertible over Z_p: swapping rows, scaling a row by a unit, and
-adding an integer multiple of one row to another.  Consequently the row
-span mod p^N is preserved exactly, which is what the lattice layer relies
-on.
+this precision" and its valuation is reported as N.  Matrices are plain
+integer rows; PadicMatrix attaches a shared (p, N) pair to such a grid.
+All reductions below use only three row operations, each invertible over
+Z_p: swapping rows, scaling a row by a unit, and adding an integer
+multiple of one row to another.  Consequently the row span mod p^N is
+preserved exactly, which is what the lattice layer relies on.  `mat_mul`
+is the one row-times-matrix product; the mod-p rank test and the inverse
+of a unimodular matrix are read off `hermite_rows`.
 
 The triangularization (`hermite_rows`) picks, per column, the entry of
 minimal valuation among the remaining rows (ties: lowest row index), makes
@@ -27,9 +28,9 @@ from functools import lru_cache
 from .errors import PrecisionExhausted
 
 __all__ = [
-    "PadicScalar",
     "PadicMatrix",
-    "valuation",
+    "mat_mul",
+    "unimodular_inverse",
     "hermite_form",
     "smith_profile",
 ]
@@ -65,65 +66,6 @@ def int_valuation(x: int, p: int, cap: int) -> int:
     return v if v < cap else cap
 
 
-@dataclass(frozen=True, slots=True)
-class PadicScalar:
-    """An element of Z_p known modulo p^N."""
-
-    p: int
-    N: int
-    residue: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.N < 1:
-            raise ValueError(f"precision must be >= 1, got {self.N}")
-        object.__setattr__(self, "residue", self.residue % self.p**self.N)
-
-    def _compat(self, other: "PadicScalar") -> None:
-        if self.p != other.p or self.N != other.N:
-            raise ValueError(
-                f"mixed precision contexts: ({self.p},{self.N}) vs ({other.p},{other.N})"
-            )
-
-    @property
-    def valuation(self) -> int:
-        return int_valuation(self.residue, self.p, self.N)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._compat(other)
-        return PadicScalar(self.p, self.N, self.residue + other.residue)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        self._compat(other)
-        return PadicScalar(self.p, self.N, self.residue - other.residue)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._compat(other)
-        return PadicScalar(self.p, self.N, self.residue * other.residue)
-
-    def __neg__(self) -> "PadicScalar":
-        return PadicScalar(self.p, self.N, -self.residue)
-
-    def inverse(self) -> "PadicScalar":
-        if not self.is_unit:
-            raise ValueError(f"residue {self.residue} is not a unit mod {self.p}")
-        return PadicScalar(self.p, self.N, pow(self.residue, -1, self.p**self.N))
-
-
-def valuation(x: PadicScalar) -> int:
-    """p-adic valuation of a scalar; N stands in for 'at least N'."""
-    return x.valuation
-
-
 def _freeze(rows) -> tuple:
     return tuple(tuple(int(e) for e in row) for row in rows)
 
@@ -132,8 +74,8 @@ def _freeze(rows) -> tuple:
 class PadicMatrix:
     """A rows x cols grid over Z/p^N.
 
-    The grid holds raw residues; entry() wraps one in a PadicScalar.
-    Construction normalizes every entry into [0, p^N).
+    The grid holds raw residues; construction normalizes every entry into
+    [0, p^N).
     """
 
     p: int
@@ -167,48 +109,30 @@ class PadicMatrix:
     def cols(self) -> int:
         return len(self.grid[0]) if self.grid else 0
 
-    def entry(self, i: int, j: int) -> PadicScalar:
-        return PadicScalar(self.p, self.N, self.grid[i][j])
-
-    def row(self, i: int) -> tuple:
-        return self.grid[i]
-
     def _compat(self, other: "PadicMatrix") -> None:
         if self.p != other.p or self.N != other.N:
             raise ValueError("mixed precision contexts")
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._compat(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        pN = self.p**self.N
-        og = other.grid
-        out = []
-        for arow in self.grid:
-            acc = [0] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = og[k]
-                    for j, b in enumerate(brow):
-                        acc[j] += a * b
-            out.append(tuple(v % pN for v in acc))
-        return PadicMatrix(self.p, self.N, tuple(out))
+        return PadicMatrix(self.p, self.N, mat_mul(self.grid, other.grid, self.p**self.N))
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._compat(other)
-        return PadicMatrix(
-            self.p,
-            self.N,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.grid, other.grid)),
-        )
 
-    def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._compat(other)
-        return PadicMatrix(
-            self.p,
-            self.N,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.grid, other.grid)),
-        )
+def mat_mul(a, b, m: int) -> list[list[int]]:
+    """The rows of a @ b reduced mod m: the images of the rows of a under b."""
+    n = len(b)
+    cols = range(len(b[0]) if n else 0)
+    out = []
+    for arow in a:
+        if len(arow) != n:
+            raise ValueError(f"row of length {len(arow)} cannot multiply {n} rows")
+        acc = [0] * len(cols)
+        for x, brow in zip(arow, b):
+            if x:
+                for j in cols:
+                    acc[j] += x * brow[j]
+        out.append([v % m for v in acc])
+    return out
 
 
 def hermite_rows(rows, p: int, N: int, want_transform: bool = False):
@@ -393,25 +317,26 @@ def left_kernel_rows(rows, p: int, N: int) -> list[list[int]]:
 
 
 def det_valuation_is_zero(grid, p: int) -> bool:
-    """True iff det(grid) is a p-adic unit, decided by elimination mod p."""
-    A = [[e % p for e in row] for row in grid]
-    n = len(A)
-    if n == 0:
-        return True
-    if any(len(r) != n for r in A):
+    """True iff det(grid) is a p-adic unit: full rank of the reduction mod p."""
+    n = len(grid)
+    if any(len(r) != n for r in grid):
         return False
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] % p), -1)
-        if piv < 0:
-            return False
-        A[c], A[piv] = A[piv], A[c]
-        inv = pow(A[c][c], -1, p)
-        A[c] = [(inv * x) % p for x in A[c]]
-        for i in range(c + 1, n):
-            f = A[i][c]
-            if f:
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[c])]
-    return True
+    return n == 0 or len(hermite_rows(grid, p, 1)[1]) == n
+
+
+def unimodular_inverse(grid, p: int, N: int) -> list[list[int]]:
+    """The inverse mod p^N of a square matrix invertible over Z_p.
+
+    Its Hermite form is the identity, so the transform is the inverse.
+    Raises ValueError unless all d pivots are 1 (det(grid) is a unit).
+    """
+    d = len(grid)
+    if any(len(r) != d for r in grid):
+        raise ValueError("only a square matrix can be inverted")
+    R, piv, T = hermite_rows(grid, p, N, want_transform=True)
+    if len(piv) != d or any(R[k][k] != 1 for k in range(d)):
+        raise ValueError("matrix is not invertible over Z_p")
+    return T
 
 
 def hermite_form(M: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .gmodule import GroupAction, SeriesTrace, check_invariance
 from .lattice import Lattice, coords_in
-from .padic import det_valuation_is_zero, hermite_rows, int_valuation, smith_rows
+from .padic import (det_valuation_is_zero, hermite_rows, int_valuation, mat_mul,
+                    smith_rows, unimodular_inverse)
 
 __all__ = [
     "RateVector",
@@ -99,8 +100,8 @@ class Stratification:
     frame holds d ambient row vectors forming a basis of Z_p^d; the model
     term at index i is the span of p^floor(i * rates[k]) * frame[k].  c is
     the certified two-sided containment constant over the window.  status
-    is one of "certified-window", "exact-cycle" (a cycle certificate
-    extends the window to all later indices) or "heuristic".
+    is "certified-window" or "exact-cycle" (a cycle certificate extends
+    the window to all later indices).
     """
 
     frame: tuple
@@ -338,25 +339,13 @@ def _in_span(vec, ech, piv, p: int, N: int) -> bool:
     return not any(rem)
 
 
-def _row_image(row, grid, pN):
-    d = len(grid)
-    acc = [0] * d
-    for k in range(d):
-        x = row[k]
-        if x:
-            grow = grid[k]
-            for j in range(d):
-                acc[j] += x * grow[j]
-    return [v % pN for v in acc]
-
-
 def _span_invariant(ech, piv, action: GroupAction) -> bool:
     pN = action.p**action.N
-    for g in action.generators:
-        for row in ech:
-            if not _in_span(_row_image(row, g.grid, pN), ech, piv, action.p, action.N):
-                return False
-    return True
+    return all(
+        _in_span(img, ech, piv, action.p, action.N)
+        for g in action.generators
+        for img in mat_mul(ech, g.grid, pN)
+    )
 
 
 def _g_closure(ech, piv, action: GroupAction, e: int):
@@ -367,8 +356,7 @@ def _g_closure(ech, piv, action: GroupAction, e: int):
     for _ in range(action.N * e + 2):
         stacked = [list(r) for r in cur]
         for g in action.generators:
-            for row in cur:
-                stacked.append(_row_image(row, g.grid, pN))
+            stacked.extend(mat_mul(cur, g.grid, pN))
         new, new_piv = _span_echelon(stacked, action.p, action.N)
         if len(new_piv) > e:
             return None
@@ -413,13 +401,7 @@ def _solve_row_system(rows, target, p: int, N: int, s_max: int = 6):
                     if rk[c]:
                         b[c] = (b[c] - coef * rk[c]) % pN
         if ok and not any(b):
-            u = [0] * len(rows)
-            for k, wk in enumerate(w):
-                if wk:
-                    tk = T[k]
-                    for c in range(len(rows)):
-                        u[c] = (u[c] + wk * tk[c]) % pN
-            return u, s
+            return mat_mul([w], T, pN)[0], s
     return None
 
 
@@ -441,7 +423,7 @@ def _graph_repair(frame, e: int, action: GroupAction):
     cur = [list(r) for r in frame]
     for _ in range(4):
         try:
-            inv = _invert_unimodular(cur, p, N)
+            inv = unimodular_inverse(cur, p, N)
         except ValueError:
             return None
         n_eq = len(action.generators) * nf
@@ -449,8 +431,7 @@ def _graph_repair(frame, e: int, action: GroupAction):
         rhs = [0] * n_eq
         defect = False
         for t, g in enumerate(action.generators):
-            img = [_row_image(row, g.grid, pN) for row in cur]
-            H = [_row_image(row, inv, pN) for row in img]
+            H = mat_mul(mat_mul(cur, g.grid, pN), inv, pN)
             base = t * nf
             for r in range(e):
                 for c in range(d - e):
@@ -484,7 +465,7 @@ def _graph_repair(frame, e: int, action: GroupAction):
             return None
         # W[:e] spans the saturated graph, W[e:] completes it; both are
         # expressed in current frame coordinates.
-        cur = [_row_image(list(W[k]), cur, pN) for k in range(d)]
+        cur = mat_mul(W, cur, pN)
     return None
 
 
@@ -575,7 +556,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     order = sorted(range(d), key=lambda k: (rates.rates[k], origin[k]))
     frame_L = [list(W[k]) for k in order]
     # to ambient coordinates
-    frame = [_row_image(row, L0.basis, pN) for row in frame_L]
+    frame = mat_mul(frame_L, L0.basis, pN)
     action = trace.action
     bounds = _boundaries(rates)
     for _ in range(2):
@@ -702,24 +683,6 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c
 # -- splitting along a stratum boundary ---------------------------------
 
 
-def _invert_unimodular(grid, p: int, N: int):
-    pN = p**N
-    d = len(grid)
-    A = [list(row) + [1 if i == j else 0 for j in range(d)] for i, row in enumerate(grid)]
-    for c in range(d):
-        piv = next((i for i in range(c, d) if A[i][c] % p), -1)
-        if piv < 0:
-            raise ValueError("matrix is not invertible over Z_p")
-        A[c], A[piv] = A[piv], A[c]
-        inv = pow(A[c][c], -1, pN)
-        A[c] = [(inv * x) % pN for x in A[c]]
-        for i in range(d):
-            if i != c and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % pN for x, y in zip(A[i], A[c])]
-    return [row[d:] for row in A]
-
-
 def strata_split(strat: Stratification, e: int, action: GroupAction) -> StrataSplit:
     """Split a certified stratification at a rate boundary.
 
@@ -735,12 +698,11 @@ def strata_split(strat: Stratification, e: int, action: GroupAction) -> StrataSp
     p, N = action.p, action.N
     pN = p**N
     frame = [list(r) for r in strat.frame]
-    inv = _invert_unimodular(frame, p, N)
+    inv = unimodular_inverse(frame, p, N)
     sub_grids = []
     quo_grids = []
     for g in action.generators:
-        img = [_row_image(row, g.grid, pN) for row in frame]
-        conj = [_row_image(row, inv, pN) for row in img]
+        conj = mat_mul(mat_mul(frame, g.grid, pN), inv, pN)
         for k in range(e):
             if any(conj[k][j] for j in range(e, d)):
                 raise NotInvariant(
@@ -762,8 +724,8 @@ def fixed_space_rows(action: GroupAction):
     """Saturated span of the common fixed vectors of all generators.
 
     Best-effort: the kernel is certified only modulo p^N.  Useful as a
-    seed for invariant chains; any stratification built from it should be
-    labelled heuristic unless it passes certification.
+    seed for invariant chains; a stratification built from it still has
+    to pass certification.
     """
     d = action.d
     wide = [[0] * 0 for _ in range(d)]

@@ -165,6 +165,9 @@ def test_exit_invalid_input(tmp_path, capsys):
                  "--denom-bound", "3"]) == 3
     missing = tmp_path / "missing.json"
     assert main(["series", "--input", str(missing), "--imax", "6"]) == 3
+    # p = 1 used to hang in the valuation loop, p = 0 to divide by zero
+    assert main(["series", "--catalog", "trivial", "--imax", "6", "--p", "1"]) == 3
+    assert main(["series", "--catalog", "trivial", "--imax", "6", "--p", "0"]) == 3
     capsys.readouterr()
 
 
@@ -173,7 +176,7 @@ def test_exit_domain_failure(tmp_path, capsys):
     inst.write_text(json.dumps({
         "p": 2, "N": 12,
         "generators": [[[1, 0], [0, 1]]],
-        "extra_weights": ["1"] * 41,
+        "extra_weights": [f"1/{k}" for k in range(2, 43)],
     }))
     code = main(["spectrum", "--input", str(inst), "--imax", "10",
                  "--denom-bound", "4"])
@@ -184,6 +187,18 @@ def test_exit_domain_failure(tmp_path, capsys):
 def test_bad_subgroup_coordinates(tmp_path, capsys):
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"rows": [[1, 0]], "coordinates": "polar"}))
+    code = main(["hdim", "--catalog", "eisenstein2", "--imax", "12",
+                 "--denom-bound", "4", "--subgroup", str(sub)])
+    capsys.readouterr()
+    assert code == 3
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0]], [[1]]])
+def test_subgroup_rows_of_wrong_width(tmp_path, capsys, rows):
+    # ambient rows wider than d were silently truncated, narrower ones
+    # ended in an IndexError traceback
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"rows": rows}))
     code = main(["hdim", "--catalog", "eisenstein2", "--imax", "12",
                  "--denom-bound", "4", "--subgroup", str(sub)])
     capsys.readouterr()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pstrata.catalog import get_bundle, random_block_action
+from pstrata.catalog import build_Gm_lattice, get_bundle, random_block_action
 from pstrata.errors import EnumerationTooLarge, RankDeficient
 from pstrata.gmodule import lower_p_series
 from pstrata.hausdorff import (
@@ -140,10 +140,22 @@ class TestSpectrum:
             spectrum(rv, extra_weights=tuple(F(1, k) for k in range(1, 42)))
 
     def test_meet_in_the_middle_band(self):
-        # 30 coordinates exceed the direct cap of 24 but stay inside the
-        # split-and-combine band; equal weights keep the sum count tiny
+        # 30 equal weights are 31 multiplicity choices, not 2^30 subsets
         rv = RateVector((F(1),) * 30)
         assert spectrum(rv) == tuple(F(k, 30) for k in range(31))
+
+    def test_gm6_counts(self):
+        # 41 rates over 6 distinct values, 42 weights with the extra one;
+        # both counts agree with an uncapped subset-sum enumeration
+        b = build_Gm_lattice(6)
+        rv = RateVector(b.expected_rates)
+        lattice_only = spectrum(rv)
+        assert len(lattice_only) == 70_391
+        weighted = spectrum(rv, b.extra_weights)
+        assert len(weighted) == 100_421
+        assert weighted[0] == 0 and weighted[-1] == 1
+        # total mass 7: six blocks of mass 1 plus the extra weight alone
+        assert F(1, 7) in weighted
 
 
 class TestCoordinates:

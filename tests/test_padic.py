@@ -1,4 +1,4 @@
-"""Normal forms and scalar arithmetic against hand computations and oracles."""
+"""Normal forms and matrix kernels against hand computations and oracles."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +7,15 @@ import oracles
 from pstrata.errors import PrecisionExhausted
 from pstrata.padic import (
     PadicMatrix,
-    PadicScalar,
     det_valuation_is_zero,
     hermite_form,
     hermite_rows,
     int_valuation,
     left_kernel_rows,
+    mat_mul,
     smith_profile,
     smith_rows,
+    unimodular_inverse,
 )
 
 
@@ -156,19 +157,64 @@ def test_det_valuation_is_zero():
     assert not det_valuation_is_zero([[1, 1], [1, 1]], 5)
 
 
-def test_scalar_arithmetic():
-    a = PadicScalar(2, 5, 6)
-    b = PadicScalar(2, 5, 10)
-    assert (a + b).residue == 16
-    assert (a * b).residue == 60 % 32
-    assert a.valuation == 1
-    assert not a.is_unit
-    u = PadicScalar(2, 5, 3)
-    assert (u.inverse() * u).residue == 1
+grids_3x3 = st.lists(
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3),
+    min_size=3,
+    max_size=3,
+)
+
+
+@settings(max_examples=100)
+@given(grids_3x3, st.sampled_from([2, 3, 5]))
+def test_det_valuation_is_zero_matches_determinant(rows, p):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert det_valuation_is_zero(rows, p) == (det % p != 0)
+
+
+@st.composite
+def unimodular(draw):
+    """(A, p): P @ Lo @ Up mod p^6, Lo unitriangular and Up with a unit diagonal."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-30, max_value=30)
+    unit = entry.filter(lambda x: x % p != 0)
+    lo = [[1 if i == j else (draw(entry) if j < i else 0) for j in range(d)] for i in range(d)]
+    up = [[draw(unit) if i == j else (draw(entry) if j > i else 0) for j in range(d)]
+          for i in range(d)]
+    perm = draw(st.permutations(range(d)))
+    P = [[1 if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    pN = p**6
+    return mat_mul(P, mat_mul(lo, up, pN), pN), p
+
+
+@settings(max_examples=100)
+@given(unimodular())
+def test_unimodular_inverse_is_the_inverse(case):
+    A, p = case
+    N = 6
+    d = len(A)
+    inv = unimodular_inverse(A, p, N)
+    identity = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    assert mat_mul(inv, A, p**N) == identity
+    assert mat_mul(A, inv, p**N) == identity
+
+
+def test_unimodular_inverse_rejects_non_units():
     with pytest.raises(ValueError):
-        a.inverse()
+        unimodular_inverse([[2, 0], [0, 1]], 2, 6)
     with pytest.raises(ValueError):
-        a + PadicScalar(3, 5, 1)
+        unimodular_inverse([[1, 1], [1, 1]], 3, 6)
+    with pytest.raises(ValueError):
+        unimodular_inverse([[1, 0, 0], [0, 1, 0]], 2, 6)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    assert mat_mul([[1, 2]], [[3], [4]], 5) == [[1]]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2, 3]], [[3], [4]], 5)
+    with pytest.raises(ValueError):
+        mat_mul([[1]], [[3], [4]], 5)
 
 
 def test_matrix_matmul_identity():
