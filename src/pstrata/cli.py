@@ -135,9 +135,11 @@ def _load_instance(args):
     if args.input:
         with open(args.input) as fh:
             obj = json.load(fh)
-        if "instance" in obj:
+        if isinstance(obj, dict) and "instance" in obj:
             # a previously emitted report; reuse its embedded instance
             obj = obj["instance"]
+        if not isinstance(obj, dict):
+            raise ValueError(f"{args.input} does not hold a JSON object")
         p = int(obj.get("p", args.p or 2))
         n = int(obj.get("N", N))
         if n < args.imax + 2:
@@ -197,15 +199,12 @@ def _frac(f: Fraction):
     return {"fraction": f"{f.numerator}/{f.denominator}", "value": float(f)}
 
 
-def _denom_bound(args, d: int) -> int:
+def _denom_bound(args) -> int:
     bound = args.denom_bound
     if bound is None:
         bound = min(64, (args.imax - 2) // 2)
-    if bound < d:
-        raise ValueError(
-            f"denominator bound {bound} is below the dimension {d}; "
-            "rates as small as 1/d would be unrepresentable"
-        )
+    if bound < 1:
+        raise ValueError(f"denominator bound {bound} is below 1")
     return bound
 
 
@@ -242,9 +241,9 @@ def _envelope_check(trace, strat) -> dict:
 
 def _stratified(args):
     """(lattice, action, extra_weights, source, trace, strat, cert) of the instance."""
+    bound = _denom_bound(args)
     lat, action, extras, source = _load_instance(args)
     trace = lower_p_series(lat, action, args.imax)
-    bound = _denom_bound(args, lat.d)
     strat, cert = run_stratification(trace, denom_bound=bound)
     return lat, action, extras, source, trace, strat, cert
 

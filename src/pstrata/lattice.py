@@ -77,6 +77,8 @@ class Lattice:
 
         The result's lower level must stay below N - 1 (operation guard).
         """
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         if not rows:
             raise ValueError("empty generating set")
         if any(len(r) != d for r in rows):

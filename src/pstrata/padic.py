@@ -22,6 +22,7 @@ exponents.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -67,7 +68,11 @@ def int_valuation(x: int, p: int, cap: int) -> int:
 
 
 def _freeze(rows) -> tuple:
-    return tuple(tuple(int(e) for e in row) for row in rows)
+    """Rows of integers as tuples; a float entry such as 1.5 is refused, not truncated."""
+    try:
+        return tuple(tuple(operator.index(e) for e in row) for row in rows)
+    except TypeError:
+        raise ValueError("a matrix must be a list of rows of integers") from None
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,19 @@ def _floor_mul(i: int, q: Fraction) -> int:
 
 
 def _fit_candidates(slope: Fraction, denom_bound: int, radius: Fraction) -> list:
-    cands = {Fraction(0), Fraction(1), slope if slope.denominator <= denom_bound else None}
-    cands.discard(None)
-    # continued-fraction convergents and semiconvergents of the slope
+    """Reduced pairs (n, m), m > 0, of the fractions n/m a fit tries.
+
+    They are 0, 1, the slope when its denominator is within the bound, its
+    convergents and semiconvergents, and every fraction in slope +- radius.
+    Nearest the slope comes first, so the fitter's pruning bound tightens
+    early; the order affects nothing else.
+    """
     a, b = slope.numerator, slope.denominator
+    cands = {(0, 1), (1, 1)}
+    if b <= denom_bound:
+        cands.add((a, b))
+    # continued-fraction convergents and semiconvergents of the slope; each
+    # pair is a column of a unimodular matrix, hence already reduced
     h0, k0, h1, k1 = 0, 1, 1, 0
     while b:
         q, r = divmod(a, b)
@@ -143,27 +152,53 @@ def _fit_candidates(slope: Fraction, denom_bound: int, radius: Fraction) -> list
             den = k0 + t * k1
             if den > denom_bound:
                 break
-            cands.add(Fraction(h0 + t * h1, den))
+            cands.add((h0 + t * h1, den))
         h0, h1 = h1, q * h1 + h0
         k0, k1 = k1, q * k1 + k0
         a, b = b, r
     # every fraction with bounded denominator in a bracket around the slope
-    lo = slope - radius
-    hi = slope + radius
+    lo, hi = slope - radius, slope + radius
     for m in range(1, denom_bound + 1):
-        n0 = max(0, math.ceil(lo * m))
-        n1 = math.floor(hi * m)
-        for n in range(n0, n1 + 1):
-            cands.add(Fraction(n, m))
-    return sorted(cands)
+        n0 = max(0, -(-lo.numerator * m // lo.denominator))
+        for n in range(n0, hi.numerator * m // hi.denominator + 1):
+            g = math.gcd(n, m)
+            cands.add((n // g, m // g))
+    a, b = slope.numerator, slope.denominator
+    return sorted(cands, key=lambda c: abs(c[0] * b - a * c[1]) / c[1])
+
+
+def _best_fit(pts, cands, half_spread: bool) -> tuple:
+    """Least key (residual, m, n) over the candidate fractions n/m.
+
+    The residual is max_i |m_i - floor(i*n/m)|, or with half_spread the
+    half-spread ceil((max - min) / 2) of those deviations.  A candidate is
+    dropped once its running residual strictly exceeds the best residual so
+    far; that never drops the least key, so the scan order does not matter.
+    """
+    best = (math.inf,)
+    for n, m in cands:
+        lo, hi = math.inf, -math.inf
+        for i, mi in pts:
+            dv = mi - i * n // m
+            if lo <= dv <= hi:
+                continue
+            lo, hi = min(lo, dv), max(hi, dv)
+            r = (hi - lo + 1) // 2 if half_spread else max(hi, -lo)
+            if r > best[0]:
+                break
+        else:
+            best = min(best, (r, m, n))
+    return best
 
 
 def fit_rational(samples, denom_bound: int, residual_cap: int | None = None):
     """Best fraction q with bounded denominator for samples (i, m_i).
 
     Minimizes max_i |m_i - floor(i*q)|; ties prefer the smaller denominator,
-    then the smaller value.  Requires at least 2*denom_bound + 2 samples so
-    distinct candidates are actually distinguishable on the window.  Raises
+    then the smaller value.  The result is the least (residual, denominator,
+    value) over the candidate set, whatever the order the candidates are
+    scanned in.  Requires at least 2*denom_bound + 2 samples so distinct
+    candidates are actually distinguishable on the window.  Raises
     NoStableFit when the best residual exceeds the cap (default: a quarter
     of the window length).
     """
@@ -179,31 +214,12 @@ def fit_rational(samples, denom_bound: int, residual_cap: int | None = None):
     i_last, m_last = pts[-1]
     slope = Fraction(m_last, i_last)
     radius = max(Fraction(cap + 2, i_last), Fraction(1, 8))
-    best_q = None
-    best_r = None
-    for q in _fit_candidates(slope, denom_bound, radius):
-        r = 0
-        ok = True
-        for i, mi in pts:
-            dv = mi - _floor_mul(i, q)
-            if dv < 0:
-                dv = -dv
-            if dv > r:
-                r = dv
-                if best_r is not None and r > best_r:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if best_r is None or r < best_r or (
-            r == best_r and (q.denominator, q) < (best_q.denominator, best_q)
-        ):
-            best_q, best_r = q, r
-    if best_r is None or best_r > cap:
+    r, m, n = _best_fit(pts, _fit_candidates(slope, denom_bound, radius), False)
+    if r > cap:
         raise NoStableFit(
-            f"best residual {best_r} exceeds cap {cap} on a window of {len(pts)} samples"
+            f"best residual {r} exceeds cap {cap} on a window of {len(pts)} samples"
         )
-    return best_q, best_r
+    return Fraction(n, m), r
 
 
 def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> RateVector:
@@ -235,20 +251,12 @@ def _fit_offset(samples, denom_bound: int, residual_cap: int | None = None):
     (i0, m0), (i1, m1) = pts[0], pts[-1]
     slope = Fraction(max(0, m1 - m0), i1 - i0)
     radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
-    best_q = None
-    best_r = None
-    for q in _fit_candidates(slope, denom_bound, radius):
-        devs = [mi - _floor_mul(i, q) for i, mi in pts]
-        r = -(-(max(devs) - min(devs)) // 2)
-        if best_r is None or r < best_r or (
-            r == best_r and (q.denominator, q) < (best_q.denominator, best_q)
-        ):
-            best_q, best_r = q, r
-    if best_r is None or best_r > cap:
+    r, m, n = _best_fit(pts, _fit_candidates(slope, denom_bound, radius), True)
+    if r > cap:
         raise NoStableFit(
-            f"best offset-free residual {best_r} exceeds cap {cap}"
+            f"best offset-free residual {r} exceeds cap {cap}"
         )
-    return best_q, best_r
+    return Fraction(n, m), r
 
 
 def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -> RateVector:
@@ -259,15 +267,17 @@ def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -
     d_eff = min(denom_bound, (n_samples - 2) // 2)
     if d_eff < 1:
         raise NoStableFit(f"window of {n_samples} samples is too short to fit anything")
-    d = trace.ambient.d
+    idx = range(i_lo, i_hi + 1)
+    fits = {}  # equal profile columns have equal fits
     fitted = []
-    for k in range(d):
-        samples = [(i, trace.profiles[i][k]) for i in range(i_lo, i_hi + 1)]
-        try:
-            q, _ = fitter(samples, d_eff)
-        except NoStableFit as err:
-            raise NoStableFit(f"coordinate {k}: {err}", coordinate=k) from err
-        fitted.append(q)
+    for k in range(trace.ambient.d):
+        col = tuple(trace.profiles[i][k] for i in idx)
+        if col not in fits:
+            try:
+                fits[col], _ = fitter(list(zip(idx, col)), d_eff)
+            except NoStableFit as err:
+                raise NoStableFit(f"coordinate {k}: {err}", coordinate=k) from err
+        fitted.append(fits[col])
     fitted.sort()
     return RateVector(tuple(fitted))
 

@@ -1,10 +1,12 @@
 """Independent brute-force reference implementations for small cases.
 
-Everything here works by explicit enumeration over (Z/p^N)^d, so it is
-slow and only usable for tiny dimensions, but it shares no code with the
-library and serves as ground truth.
+Everything here works by explicit enumeration over (Z/p^N)^d, or over
+every candidate fraction, so it is slow and only usable for small cases,
+but it shares no code with the library and serves as ground truth.
 """
 
+import math
+from fractions import Fraction
 from itertools import product
 
 
@@ -76,3 +78,74 @@ def brute_intersect(rows_a, rows_b, p, N):
 
 def brute_sum(rows_a, rows_b, p, N):
     return span_set(list(rows_a) + list(rows_b), p, N)
+
+
+class NoFit(Exception):
+    """brute_fit found no candidate within the residual cap."""
+
+
+def brute_fit_candidates(slope, denom_bound, radius):
+    """The fractions a rate fit tries, as a sorted list of Fractions: 0, 1,
+    the slope if its denominator is within the bound, its convergents and
+    semiconvergents, and every fraction in the bracket slope +- radius."""
+    cands = {Fraction(0), Fraction(1)}
+    if slope.denominator <= denom_bound:
+        cands.add(slope)
+    a, b = slope.numerator, slope.denominator
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while b:
+        q, r = divmod(a, b)
+        for t in range(1, min(q, 4 * denom_bound + 4) + 1):
+            den = k0 + t * k1
+            if den > denom_bound:
+                break
+            cands.add(Fraction(h0 + t * h1, den))
+        h0, h1 = h1, q * h1 + h0
+        k0, k1 = k1, q * k1 + k0
+        a, b = b, r
+    lo, hi = slope - radius, slope + radius
+    for m in range(1, denom_bound + 1):
+        for n in range(max(0, math.ceil(lo * m)), math.floor(hi * m) + 1):
+            cands.add(Fraction(n, m))
+    return sorted(cands)
+
+
+def brute_fit(samples, denom_bound, residual_cap=None, offset=False):
+    """Reference for strata.fit_rational, or strata._fit_offset when offset.
+
+    Scores every candidate in full, in Fraction arithmetic, and keeps the
+    least (residual, denominator, value).  The residual is the worst
+    |m_i - floor(i q)|, or for offset the half-spread ceil((max - min)/2)
+    of the deviations.  Raises what the library raises, with its messages.
+    """
+    pts = sorted((int(i), int(m)) for i, m in samples)
+    if not offset and any(i <= 0 for i, _ in pts):
+        raise ValueError("sample indices must be positive")
+    if len(pts) < 2 * denom_bound + 2:
+        raise ValueError(
+            f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}"
+            + ("" if offset else f"; need at least {2 * denom_bound + 2}")
+        )
+    cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
+    (i0, m0), (i1, m1) = pts[0], pts[-1]
+    if offset:
+        slope = Fraction(max(0, m1 - m0), i1 - i0)
+        radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
+    else:
+        slope = Fraction(m1, i1)
+        radius = max(Fraction(cap + 2, i1), Fraction(1, 8))
+    best = None
+    for q in brute_fit_candidates(slope, denom_bound, radius):
+        devs = [mi - math.floor(i * q) for i, mi in pts]
+        if offset:
+            r = math.ceil(Fraction(max(devs) - min(devs), 2))
+        else:
+            r = max(abs(x) for x in devs)
+        if best is None or (r, q.denominator, q) < best:
+            best = (r, q.denominator, q)
+    r, _, q = best
+    if r > cap:
+        what = "offset-free residual" if offset else "residual"
+        tail = "" if offset else f" on a window of {len(pts)} samples"
+        raise NoFit(f"best {what} {r} exceeds cap {cap}{tail}")
+    return q, r

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -162,12 +163,51 @@ def test_exit_invalid_input(tmp_path, capsys):
     assert main(["series", "--catalog", "trivial", "--imax", "6",
                  "--precision", "4"]) == 3
     assert main(["stratify", "--catalog", "Gm2", "--imax", "24",
-                 "--denom-bound", "3"]) == 3
+                 "--denom-bound", "0"]) == 3
     missing = tmp_path / "missing.json"
     assert main(["series", "--input", str(missing), "--imax", "6"]) == 3
     # p = 1 used to hang in the valuation loop, p = 0 to divide by zero
     assert main(["series", "--catalog", "trivial", "--imax", "6", "--p", "1"]) == 3
     assert main(["series", "--catalog", "trivial", "--imax", "6", "--p", "0"]) == 3
+    # a top-level array used to end in an AttributeError traceback, and a
+    # float generator entry was truncated to an integer
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    assert main(["series", "--input", str(array), "--imax", "6"]) == 3
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"p": 2, "N": 10, "generators": [[[1, 1.5], [0, 1]]]}))
+    assert main(["series", "--input", str(fractional), "--imax", "6"]) == 3
+    capsys.readouterr()
+
+
+def test_denom_bound_is_checked_before_the_series(monkeypatch, capsys):
+    def no_series(*args):
+        raise AssertionError("the series ran before the bound was checked")
+
+    monkeypatch.setattr("pstrata.cli.lower_p_series", no_series)
+    assert main(["stratify", "--catalog", "remark27", "--imax", "128",
+                 "--denom-bound", "0"]) == 3
+    capsys.readouterr()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    return [line.split("#")[0].split()[1:]
+            for line in README.read_text().splitlines() if line.startswith("pstrata ")]
+
+
+def _readme_subgroup_file():
+    block = README.read_text().split("Subgroup files for `hdim`:")[1].split("```json")[1]
+    return block.split("```")[0]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub.json").write_text(_readme_subgroup_file())
+    assert main(argv) == 0
     capsys.readouterr()
 
 

@@ -37,6 +37,14 @@ def test_from_rows_rank_deficient():
         Lattice.from_rows(2, 6, 2, [[2, 4], [1, 2]])
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_from_rows_checks_p_first(p):
+    # p 0 used to divide by zero in the Hermite reduction, p 1 to report
+    # a misleading PrecisionExhausted
+    with pytest.raises(ValueError, match="p must be prime"):
+        Lattice.from_rows(p, 8, 2, [[1, 0], [0, 1]])
+
+
 def test_lower_level_is_not_the_diagonal():
     # basis (p,1),(0,p): triangular diagonal says 1 everywhere, but the
     # quotient is cyclic of order p^2, so p^1 Z^2 is not contained yet

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from pstrata import strata
 from pstrata.catalog import get_bundle
 from pstrata.errors import (
     FrameRejected,
@@ -21,6 +24,7 @@ from pstrata.strata import (
     detect_cycle,
     estimate_rates,
     extract_frame,
+    _fit_offset,
     fit_rational,
     fixed_space_rows,
     run_stratification,
@@ -61,6 +65,70 @@ class TestFitRational:
         # candidate with equal residual may win
         xi, res = fit_rational(seq(lambda i: i // 2, 22), 10)
         assert (xi, res) == (F(1, 2), 0)
+
+
+@st.composite
+def fit_inputs(draw):
+    """Samples (i, m_i) with a residual cap and a denominator bound."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    start = draw(st.integers(min_value=1, max_value=4))
+    idx = range(start, start + n)
+    kind = draw(st.sampled_from(["line", "blocks", "noise"]))
+    if kind == "line":
+        # a random slope, a constant offset, and optionally bounded noise
+        num = draw(st.integers(min_value=0, max_value=12))
+        den = draw(st.integers(min_value=1, max_value=12))
+        off = draw(st.integers(min_value=-3, max_value=3))
+        noise = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+                     | st.just([0] * n))
+        ms = [i * num // den + off + e for i, e in zip(idx, noise)]
+    elif kind == "blocks":
+        # one order statistic of interleaved block transients (i + k) // q
+        qs = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3))
+        j = draw(st.integers(min_value=0, max_value=sum(qs) - 1))
+        ms = [sorted((i + k) // q for q in qs for k in range(q))[j] for i in idx]
+    else:
+        ms = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=n, max_size=n))
+    bound = draw(st.integers(min_value=0, max_value=(n - 2) // 2 + 1))
+    cap = draw(st.sampled_from([None, 0, 1, 3]))
+    return list(zip(idx, ms)), bound, cap
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args)
+    except (NoStableFit, oracles.NoFit) as err:
+        return "NoStableFit", str(err)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs(), st.booleans())
+def test_fitters_match_the_brute_force_oracle(case, offset):
+    # the pruned integer fitter returns the least (residual, denominator,
+    # value) over the full candidate set, or raises the same error
+    samples, bound, cap = case
+    fit = _fit_offset if offset else fit_rational
+    expected = _outcome(lambda *a: oracles.brute_fit(*a, offset=offset), samples, bound, cap)
+    assert _outcome(fit, samples, bound, cap) == expected
+
+
+def test_one_fit_per_distinct_profile_column(monkeypatch):
+    b = get_bundle("remark27")
+    tr = lower_p_series(b.lattice, b.action, 24)
+    fitted = []
+
+    def counting(samples, denom_bound, residual_cap=None):
+        fitted.append(tuple(m for _, m in samples))
+        return fit_rational(samples, denom_bound, residual_cap)
+
+    monkeypatch.setattr(strata, "fit_rational", counting)
+    rates = estimate_rates(tr, denom_bound=8).rates
+    assert rates == (F(1, 4),) * 8 + (F(1, 2),) * 8
+    columns = {tuple(tr.profiles[i][k] for i in range(1, 25)) for k in range(16)}
+    assert len(columns) == 9
+    assert sorted(fitted) == sorted(columns)
 
 
 class TestRateVector:
