@@ -5,9 +5,9 @@ from the built-in catalog (--catalog NAME, with "random" drawing a seeded
 instance) or from a JSON file (--input).  Reports go to stdout or --out,
 as JSON (default) or CSV.
 
-Exit codes: 0 success, 2 precision exhausted, 3 invalid input,
-4 domain failure (no stable fit, rejected frame, out-of-range rates,
-enumeration too large).
+Exit codes: 0 success, 2 precision exhausted (or a usage error), 3
+invalid input, 4 domain failure (no stable fit, rejected frame,
+out-of-range rates, enumeration too large).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
 from .gmodule import GroupAction, lower_p_series, trace_to_csv
 from .hausdorff import SubgroupSpec, dimension_report, spectrum
 from .lattice import Lattice
+from .padic import _freeze, _integer
 from .strata import run_stratification
 
 _EXIT_PRECISION = 2
@@ -140,15 +141,18 @@ def _load_instance(args):
             obj = obj["instance"]
         if not isinstance(obj, dict):
             raise ValueError(f"{args.input} does not hold a JSON object")
-        p = int(obj.get("p", args.p or 2))
-        n = int(obj.get("N", N))
+        p = _integer(obj.get("p", args.p or 2), "p")
+        n = _integer(obj.get("N", N), "N")
         if n < args.imax + 2:
             raise ValueError(
                 f"instance precision {n} is too small for imax {args.imax}"
             )
+        for key in ("generators", "extra_weights"):
+            if not isinstance(obj.get(key, []), list):
+                raise ValueError(f"{key} must be a JSON list")
         action = GroupAction.build(p, n, obj["generators"])
         if "lattice" in obj:
-            lat = Lattice.from_rows(p, n, action.d, obj["lattice"])
+            lat = Lattice.from_rows(p, n, action.d, _freeze(obj["lattice"]))
         else:
             lat = Lattice.standard(p, n, action.d)
         extras = tuple(Fraction(str(w)) for w in obj.get("extra_weights", ()))
@@ -278,10 +282,12 @@ def _stratify(args):
 def _load_subgroup(path: str, p: int, N: int, strat):
     with open(path) as fh:
         obj = json.load(fh)
-    rows = obj["rows"]
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    rows = _freeze(obj["rows"])
     coords = obj.get("coordinates", "ambient")
     if coords == "frame":
-        return SubgroupSpec(p, N, tuple(tuple(int(x) for x in r) for r in rows))
+        return SubgroupSpec(p, N, rows)
     if coords == "ambient":
         return SubgroupSpec.from_ambient(p, N, rows, strat)
     raise ValueError(f"unknown coordinate convention {coords!r}")
@@ -370,7 +376,11 @@ _VERBS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    for flag in ("imax", "tolerance"):
+        if not getattr(args, flag) >= 0:  # NaN fails too
+            ap.error(f"--{flag} must be at least 0")
     try:
         return _VERBS[args.verb](args)
     except PrecisionExhausted as err:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
-from .padic import PadicMatrix, det_valuation_is_zero, mat_mul
+from .padic import PadicMatrix, _integer, det_valuation_is_zero, mat_mul
 
 __all__ = [
     "GroupAction",
@@ -233,7 +233,7 @@ def action_to_json(action: GroupAction) -> str:
 
 def action_from_json(text: str) -> GroupAction:
     obj = json.loads(text)
-    return GroupAction.build(int(obj["p"]), int(obj["N"]), obj["generators"])
+    return GroupAction.build(_integer(obj["p"], "p"), _integer(obj["N"], "N"), obj["generators"])
 
 
 def trace_to_csv(trace: SeriesTrace) -> str:

@@ -23,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationTooLarge, RankDeficient
+from .errors import EnumerationTooLarge, NotContained, RankDeficient
 from .gmodule import SeriesTrace
-from .lattice import Lattice, log_index
+from .lattice import Lattice
 from .padic import int_valuation, mat_mul, unimodular_inverse
 from .strata import RateVector, Stratification
 
@@ -135,16 +135,25 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     ambient coordinates through the frame; no model term is involved.  The
     strong flag records whether the quotients settle: spread over the last
     third of the window at most the tolerance.
+
+    The re-solved containment term_i <= join gives lower_level(join) <=
+    lower_level(term_i), so the join is guarded only when term_i has no
+    cached level of at most N - 2 (lower_p_series caches one; a hand-built
+    trace may not).  The denominator trace.log_indices[i] was read off the
+    coordinates of term_i in L, which exist only when term_i lies inside L.
     """
     L = trace.ambient
     amb = H.ambient_rows(strat)
+    dens = trace.log_indices
     quotients = []
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
-        joined = Lattice.from_rows(L.p, L.N, L.d, amb + [list(r) for r in lam.basis])
-        num = log_index(joined, lam)
-        den = log_index(L, lam)
-        quotients.append(Fraction(num, den))
+        joined = Lattice.unguarded(L.p, L.N, L.d, amb + [list(r) for r in lam.basis])
+        if not joined.contains(lam):
+            raise NotContained("a series term is not inside its join with the subgroup")
+        if lam.__dict__.get("lower_level", L.N) > L.N - 2:
+            joined.guard()
+        quotients.append(Fraction(lam.log_det - joined.log_det, dens[i]))
     tail = quotients[-max(1, len(quotients) // 3):]
     strong = (max(tail) - min(tail)) <= Fraction(tolerance)
     return quotients, strong

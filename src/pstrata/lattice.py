@@ -10,17 +10,21 @@ an exact one because each lattice here contains p^N Z_p^d.
 Operations that build a new lattice enforce the precision guard: the
 result's lower level (largest elementary-divisor exponent over Z_p^d)
 must stay at most N - 2, one digit short of the budget, otherwise
-PrecisionExhausted is raised.
+PrecisionExhausted is raised.  The lower level is read off the triangular
+basis by back-substitution, with no Smith form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotContained, PrecisionExhausted
-from .padic import _is_prime, hermite_rows, int_valuation, left_kernel_rows, mat_mul, smith_rows
+from .padic import (
+    _freeze, _integer, _is_prime, hermite_rows, int_valuation, left_kernel_rows, mat_mul, smith_rows,
+)
 
 __all__ = [
     "Lattice",
@@ -83,18 +87,26 @@ class Lattice:
             raise ValueError("empty generating set")
         if any(len(r) != d for r in rows):
             raise ValueError(f"generators must have length {d}")
+        lat = cls.unguarded(p, N, d, rows)
+        lat.guard()
+        return lat
+
+    @classmethod
+    def unguarded(cls, p: int, N: int, d: int, rows) -> "Lattice":
+        """The span of rows of length d, full rank certified, no level guard."""
         red, piv, _ = hermite_rows(rows, p, N)
         if piv != list(range(d)):
             raise PrecisionExhausted(
                 f"full rank not certifiable at precision {N} (pivots in columns {piv})"
             )
-        basis = tuple(tuple(red[i]) for i in range(d))
-        lat = cls(p, N, d, basis)
-        if lat.lower_level > N - 2:
+        return cls(p, N, d, tuple(tuple(red[i]) for i in range(d)))
+
+    def guard(self) -> None:
+        """The operation guard: PrecisionExhausted unless lower_level <= N - 2."""
+        if self.lower_level > self.N - 2:
             raise PrecisionExhausted(
-                f"lower level {lat.lower_level} too close to precision {N}"
+                f"lower level {self.lower_level} too close to precision {self.N}"
             )
-        return lat
 
     # -- basic queries -------------------------------------------------
 
@@ -114,11 +126,28 @@ class Lattice:
         This is the largest elementary-divisor exponent of Z_p^d over the
         lattice, which can exceed the largest diagonal exponent of the
         triangular basis (the diagonal only bounds it from below).
+        Back-substitution solves x @ basis == p^(N-1) e_j for each j; p^k e_j
+        lies inside from k = N - 1 - min v_p(x) on.  An inexact division
+        means p^(N-1) Z_p^d is not inside, exactly when a Smith form mod p^N
+        cannot certify all d divisors.
         """
-        exps, _, _, _ = smith_rows([list(r) for r in self.basis], self.p, self.N)
-        if len(exps) != self.d:
-            raise PrecisionExhausted("lower level not certifiable at this precision")
-        return max(exps)
+        b, d, N = self.basis, self.d, self.N
+        above = [[(t, b[t][c]) for t in range(c) if b[t][c]] for c in range(d)]
+        top = least = self.p ** (N - 1)
+        for j in range(d):
+            x = [0] * d
+            # gcd(x) divides x_j = p^(N-1) / b[j][j], so it is a power of p
+            x[j] = g = top // b[j][j]
+            for c in range(j + 1, d):
+                s = sum(x[t] * v for t, v in above[c])
+                if s:
+                    q, r = divmod(-s, b[c][c])
+                    if r:
+                        raise PrecisionExhausted("lower level not certifiable at this precision")
+                    x[c] = q
+                    g = math.gcd(g, q)
+            least = min(least, g)
+        return N - 1 - int_valuation(least, self.p, N)
 
     def solve(self, vec) -> list | None:
         """Exact integer coordinates of vec in this basis, or None.
@@ -241,6 +270,6 @@ def lattice_to_json(L: Lattice) -> str:
 
 def lattice_from_json(text: str) -> Lattice:
     obj = json.loads(text)
-    p, N, d = int(obj["p"]), int(obj["N"]), int(obj["d"])
+    p, N, d = (_integer(obj[key], key) for key in ("p", "N", "d"))
     # canonical form enforced on load
-    return Lattice.from_rows(p, N, d, obj["basis"])
+    return Lattice.from_rows(p, N, d, _freeze(obj["basis"]))

@@ -75,6 +75,14 @@ def _freeze(rows) -> tuple:
         raise ValueError("a matrix must be a list of rows of integers") from None
 
 
+def _integer(value, name: str) -> int:
+    """An integer field of a JSON document; 2.5 or "2" is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PadicMatrix:
     """A rows x cols grid over Z/p^N.

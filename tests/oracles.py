@@ -2,7 +2,10 @@
 
 Everything here works by explicit enumeration over (Z/p^N)^d, or over
 every candidate fraction, so it is slow and only usable for small cases,
-but it shares no code with the library and serves as ground truth.
+but it shares no code with the library and serves as ground truth.  The
+one exception is `join_quotients`, the former implementation of
+hdim_numeric on top of the public lattice layer (itself checked against
+the enumerations here).
 """
 
 import math
@@ -149,3 +152,23 @@ def brute_fit(samples, denom_bound, residual_cap=None, offset=False):
         tail = "" if offset else f" on a window of {len(pts)} samples"
         raise NoFit(f"best {what} {r} exceeds cap {cap}{tail}")
     return q, r
+
+
+def join_quotients(H, trace, strat, tolerance=Fraction(1, 100)):
+    """Reference for hausdorff.hdim_numeric: (quotients, strong).
+
+    Builds every join H + term_i with Lattice.from_rows, precision guard
+    included, and takes both indexes from log_index, which re-solves both
+    containments.
+    """
+    from pstrata.lattice import Lattice, log_index
+
+    L = trace.ambient
+    amb = H.ambient_rows(strat)
+    quotients = []
+    for i in range(1, trace.i_max + 1):
+        lam = trace.terms[i]
+        joined = Lattice.from_rows(L.p, L.N, L.d, amb + [list(r) for r in lam.basis])
+        quotients.append(Fraction(log_index(joined, lam), log_index(L, lam)))
+    tail = quotients[-max(1, len(quotients) // 3):]
+    return quotients, (max(tail) - min(tail)) <= Fraction(tolerance)

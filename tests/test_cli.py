@@ -177,7 +177,26 @@ def test_exit_invalid_input(tmp_path, capsys):
     fractional = tmp_path / "fractional.json"
     fractional.write_text(json.dumps({"p": 2, "N": 10, "generators": [[[1, 1.5], [0, 1]]]}))
     assert main(["series", "--input", str(fractional), "--imax", "6"]) == 3
+    # a float lattice entry, and generators or extra_weights that are not
+    # lists, ended in TypeError tracebacks; a float p or N was truncated
+    for bad_fields in ({"lattice": [[1.5, 0], [0, 1]]}, {"generators": 5},
+                       {"p": 2.5}, {"N": 10.0}, {"extra_weights": 5}):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(
+            {"p": 2, "N": 10, "generators": [[[1, 2], [0, 1]]], **bad_fields}))
+        assert main(["series", "--input", str(inst), "--imax", "6"]) == 3, bad_fields
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["--imax", "-3"], ["--tolerance", "-1"],
+                                   ["--tolerance", "nan"]])
+def test_usage_errors(flags, capsys):
+    # a negative --imax used to exit 3 with a lattice error, and a negative
+    # --tolerance was accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["hdim", "--catalog", "eisenstein2", "--subgroup", "sub.json", *flags])
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
 
 
 def test_denom_bound_is_checked_before_the_series(monkeypatch, capsys):
@@ -227,6 +246,23 @@ def test_exit_domain_failure(tmp_path, capsys):
 def test_bad_subgroup_coordinates(tmp_path, capsys):
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"rows": [[1, 0]], "coordinates": "polar"}))
+    code = main(["hdim", "--catalog", "eisenstein2", "--imax", "12",
+                 "--denom-bound", "4", "--subgroup", str(sub)])
+    capsys.readouterr()
+    assert code == 3
+
+
+@pytest.mark.parametrize("doc", [
+    # a float entry was truncated to an integer with exit 0; rows that are
+    # not a list and a top-level array ended in TypeError tracebacks
+    {"rows": [[1.5, 0]], "coordinates": "frame"},
+    {"rows": [[1.5, 0]]},
+    {"rows": 5},
+    [1],
+])
+def test_bad_subgroup_file(tmp_path, capsys, doc):
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps(doc))
     code = main(["hdim", "--catalog", "eisenstein2", "--imax", "12",
                  "--denom-bound", "4", "--subgroup", str(sub)])
     capsys.readouterr()

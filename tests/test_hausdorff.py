@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+import oracles
 from pstrata.catalog import build_Gm_lattice, get_bundle, random_block_action
-from pstrata.errors import EnumerationTooLarge, RankDeficient
-from pstrata.gmodule import lower_p_series
+from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficient
+from pstrata.gmodule import SeriesTrace, lower_p_series
+from pstrata.lattice import Lattice
 from pstrata.hausdorff import (
     SubgroupSpec,
     dimension_report,
@@ -16,7 +20,7 @@ from pstrata.hausdorff import (
     hdim_numeric,
     spectrum,
 )
-from pstrata.strata import RateVector, run_stratification
+from pstrata.strata import RateVector, Stratification, run_stratification
 
 F = Fraction
 
@@ -106,6 +110,68 @@ class TestNumeric:
         # they approach sigma-normalised mass 7/12, not 7/18
         assert abs(rep.quotients[-1] - F(7, 12)) < F(1, 20)
         assert len(rep.quotients) == tr.i_max
+
+
+@lru_cache(maxsize=None)
+def _random_instance(sizes, seed, p):
+    b = random_block_action(sizes, seed, p=p, N=26)
+    tr = lower_p_series(b.lattice, b.action, 24)
+    st, _ = run_stratification(tr, denom_bound=max(sizes + (2,)))
+    return tr, st
+
+
+block_sizes = hst.lists(hst.integers(1, 3), min_size=1, max_size=3).map(tuple).filter(
+    lambda s: sum(s) <= 6)
+
+
+class TestNumericAgainstJoinReference:
+    """hdim_numeric returns what the from_rows + log_index loop returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_sizes, hst.integers(0, 9), hst.sampled_from([2, 3]), hst.data())
+    def test_random_actions_and_subgroups(self, sizes, seed, p, data):
+        tr, st = _random_instance(sizes, seed, p)
+        d, pN = sum(sizes), p**tr.precision
+        entry = hst.one_of(hst.integers(0, p**2), hst.integers(0, pN - 1))
+        rows = data.draw(hst.lists(hst.lists(entry, min_size=d, max_size=d), max_size=d + 1))
+        H = SubgroupSpec(p, tr.precision, tuple(map(tuple, rows)))
+        tol = data.draw(hst.sampled_from([F(0), F(1, 100), F(1, 3)]))
+        assert hdim_numeric(H, tr, st, tol) == oracles.join_quotients(H, tr, st, tol)
+
+    @pytest.mark.parametrize("sizes,seed", [((2, 1), 0), ((3, 2), 4), ((1, 1, 2), 7)])
+    def test_subgroup_inside_every_term(self, sizes, seed):
+        tr, st = _random_instance(sizes, seed, 2)
+        d, deep = sum(sizes), 2 ** tr.terms[-1].lower_level
+        rows = [[deep if j == k else 0 for j in range(d)] for k in range(d)]
+        H = SubgroupSpec.from_ambient(2, tr.precision, rows, st)
+        q, strong = hdim_numeric(H, tr, st)
+        assert set(q) == {F(0)} and strong
+        assert (q, strong) == oracles.join_quotients(H, tr, st)
+
+    @pytest.mark.parametrize("sizes,seed", [((2, 1), 0), ((3, 2), 4), ((1, 1, 2), 7)])
+    def test_full_lattice(self, sizes, seed):
+        tr, st = _random_instance(sizes, seed, 2)
+        rows = [list(r) for r in tr.ambient.basis]
+        H = SubgroupSpec.from_ambient(2, tr.precision, rows, st)
+        q, strong = hdim_numeric(H, tr, st)
+        assert set(q) == {F(1)} and strong
+        assert (q, strong) == oracles.join_quotients(H, tr, st)
+
+    def test_guard_still_fires_on_a_hand_built_trace(self):
+        # the term's level 5 exceeds N - 2 = 4 and nothing cached it, so the
+        # join is guarded as Lattice.from_rows guards it
+        L = Lattice.standard(2, 6, 2)
+        deep = Lattice(2, 6, 2, ((1, 0), (0, 32)))
+        tr = SeriesTrace(L, None, (L, deep), ((0, 0), (0, 5)), 1)
+        st = Stratification(((1, 0), (0, 1)), RateVector((F(1), F(1))), 0, (1, 1), "")
+        for rows in [(), ((2, 0),)]:
+            H = SubgroupSpec(2, 6, rows)
+            with pytest.raises(PrecisionExhausted):
+                oracles.join_quotients(H, tr, st)
+            with pytest.raises(PrecisionExhausted):
+                hdim_numeric(H, tr, st)
+        H = SubgroupSpec(2, 6, ((0, 1),))
+        assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st) == ([F(1)], True)
 
 
 class TestSpectrum:

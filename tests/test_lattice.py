@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pstrata.errors import NotContained, PrecisionExhausted
+from pstrata.padic import smith_rows
 from pstrata.lattice import (
     Lattice,
     coords_in,
@@ -61,6 +62,38 @@ def test_from_rows_depth_guard():
     # the same lattice is fine at higher precision
     L = Lattice.from_rows(2, 8, 2, [[2**5, 0], [0, 1]])
     assert L.lower_level == 5
+
+
+def _smith_lower_level(L):
+    """Reference: the largest Smith exponent of the basis mod p^N."""
+    exps, _, _, _ = smith_rows([list(r) for r in L.basis], L.p, L.N)
+    if len(exps) != L.d:
+        raise PrecisionExhausted("lower level not certifiable at this precision")
+    return max(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_lower_level_matches_smith(p, d, data):
+    # draw a lattice at precision 8, then re-read its canonical basis at
+    # every precision N its diagonal allows: the level matches the Smith
+    # reference from N = level + 1 on, and both raise at N = level and below
+    entry = st.integers(0, p**4)
+    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d + 2))
+    try:
+        M = Lattice.from_rows(p, 8, d, rows)
+    except PrecisionExhausted:
+        return
+    top = max(M.diag_exponents)
+    for N in range(top + 1, 9):
+        L = Lattice(p, N, d, M.basis)
+        if N > M.lower_level:
+            assert L.lower_level == _smith_lower_level(L) == M.lower_level
+        else:
+            with pytest.raises(PrecisionExhausted):
+                _smith_lower_level(L)
+            with pytest.raises(PrecisionExhausted):
+                L.lower_level
 
 
 def test_solve_and_contains():
