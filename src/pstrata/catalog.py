@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InvalidShape
 from .gmodule import GroupAction
 from .lattice import Lattice
-from .padic import mat_mul
+from .padic import identity, mat_mul
 
 __all__ = [
     "ExampleBundle",
@@ -61,14 +61,10 @@ def _companion(b: int, p: int):
 
 def _mat_pow(M, a: int, m: int):
     """M^a reduced mod m; the action reduces its generators mod p^N anyway."""
-    R = _identity(len(M))
+    R = identity(len(M))
     for _ in range(a):
         R = mat_mul(R, M, m)
     return R
-
-
-def _identity(d: int):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
 
 def _place_block(G, block, r0: int, c0: int, add: bool = False):
@@ -86,7 +82,7 @@ def build_trivial(d: int = 3, p: int = 2, N: int = 66) -> ExampleBundle:
         name="trivial",
         description=f"identity action on Z_{p}^{d}; every rate is 1",
         lattice=Lattice.standard(p, N, d),
-        action=GroupAction.build(p, N, [_identity(d)]),
+        action=GroupAction.build(p, N, [identity(d)]),
         expected_rates=(Fraction(1),) * d,
         expected_cycle=(0, 1, 1),
     )
@@ -100,7 +96,7 @@ def build_eisenstein(e: int, p: int = 2, N: int = 66) -> ExampleBundle:
     """
     if e < 1:
         raise ValueError("block size must be positive")
-    g = _identity(e)
+    g = identity(e)
     _place_block(g, _companion(e, p), 0, 0, add=True)
     return ExampleBundle(
         name=f"eisenstein{e}",
@@ -125,7 +121,7 @@ def build_Gm_lattice(m: int, p: int = 2, N: int = 66) -> ExampleBundle:
         raise ValueError(f"m must be between 1 and {len(_PRIMES)}")
     sizes = _PRIMES[:m]
     d = sum(sizes)
-    g = _identity(d)
+    g = identity(d)
     off = 0
     for q in sizes:
         _place_block(g, _companion(q, p), off, off, add=True)
@@ -154,14 +150,14 @@ def build_remark_module(p: int = 2, N: int = 66) -> ExampleBundle:
     d = 16
     lattice = Lattice.standard(p, N, d)  # validates p before any arithmetic mod p^N
     Pi = _companion(4, p)
-    g1 = _identity(d)
+    g1 = identity(d)
     _place_block(g1, Pi, 0, 0, add=True)
-    g2 = _identity(d)
-    _place_block(g2, _identity(4), 0, 4, add=True)
-    g3 = _identity(d)
+    g2 = identity(d)
+    _place_block(g2, identity(4), 0, 4, add=True)
+    g3 = identity(d)
     _place_block(g3, _mat_pow(Pi, 2, p**N), 8, 8, add=True)
-    g4 = _identity(d)
-    _place_block(g4, _identity(4), 8, 12, add=True)
+    g4 = identity(d)
+    _place_block(g4, identity(4), 8, 12, add=True)
     rates = (Fraction(1, 4),) * 8 + (Fraction(1, 2),) * 8
     return ExampleBundle(
         name="remark27",
@@ -228,7 +224,7 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,
         off += b
     grids = []
     for gplan in plans:
-        g = _identity(d)
+        g = identity(d)
         for pos, j in enumerate(order):
             b, o = laid[pos], offsets[pos]
             it = gplan[j]

@@ -147,9 +147,8 @@ def _load_instance(args):
             raise ValueError(
                 f"instance precision {n} is too small for imax {args.imax}"
             )
-        for key in ("generators", "extra_weights"):
-            if not isinstance(obj.get(key, []), list):
-                raise ValueError(f"{key} must be a JSON list")
+        if not isinstance(obj.get("extra_weights", []), list):
+            raise ValueError("extra_weights must be a JSON list")
         action = GroupAction.build(p, n, obj["generators"])
         if "lattice" in obj:
             lat = Lattice.from_rows(p, n, action.d, _freeze(obj["lattice"]))
@@ -166,7 +165,7 @@ def _instance_block(lat: Lattice, action: GroupAction, extras) -> dict:
     return {
         "p": action.p,
         "N": action.N,
-        "generators": [[list(row) for row in g.grid] for g in action.generators],
+        "generators": [[list(row) for row in g] for g in action.generators],
         "lattice": [list(row) for row in lat.basis],
         "extra_weights": [str(Fraction(w)) for w in extras],
     }
@@ -344,7 +343,7 @@ def _catalog(args):
             "description": bundle.description,
             "p": bundle.action.p,
             "N": bundle.action.N,
-            "generators": [[list(row) for row in g.grid] for g in bundle.action.generators],
+            "generators": [[list(row) for row in g] for g in bundle.action.generators],
             "extra_weights": [str(w) for w in bundle.extra_weights],
             "expected_rates": None
             if bundle.expected_rates is None

@@ -1,19 +1,21 @@
 """Pro-p actions on lattices and the lower p-series.
 
 A GroupAction holds the topological generators of a pro-p subgroup of
-GL_d(Z_p) as matrices acting on row vectors from the right.  Construction
-verifies that every generator is invertible and unipotent mod p (some power
-of the reduction of g - 1 vanishes), which is the fail-fast test for the
-action being pro-p on the ambient lattice.
+GL_d(Z_p) as d x d integer grids reduced mod p^N, acting on row vectors
+from the right.  Every construction checks that each generator is
+unipotent mod p (g - 1 is nilpotent mod p), the fail-fast test for the
+action being pro-p; it makes g invertible over Z_p, as det g = 1 mod p.
 
-The series step sends an invariant lattice M to p*M + sum_t M*(g_t - 1).
+The series step sends an invariant lattice M to M' = p*M + sum_t M*(g_t - 1).
 That single pass already equals M times the p-augmentation ideal: the ideal
 is the maximal ideal of the completed group algebra, so any term the pass
-misses lies in (result)*(ideal) and Nakayama closes the gap.  The output
-M' is invariant whenever M is: M'(g_s - 1) lies in M(g_s - 1), which lies
-in M', so M' g_s is inside M', and equal to it because g_s is invertible.
-The step still re-checks invariance of its output and raises PstrataError
-if the check fails, so a broken input cannot corrupt the series.
+misses lies in (result)*(ideal) and Nakayama closes the gap.  M' contains
+pM, a summand, and lies in M, as every summand does; so M'(g_s - 1) lies in
+M(g_s - 1), which lies in M', and M' is invariant.  Neither invertibility
+nor the precision enters (p^N Z_p^d is invariant), so none of this is
+re-checked.  The series checks its input only: an invariant start, the
+precision guard on every term, and index growth of a digit per step,
+which fails when unipotent generators generate a group that is not pro-p.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
-from .padic import PadicMatrix, _integer, det_valuation_is_zero, mat_mul
+from .padic import _freeze, _integer, _is_prime, identity, mat_mul
 
 __all__ = [
     "GroupAction",
@@ -40,50 +42,67 @@ __all__ = [
 ]
 
 
-def _is_unipotent_mod_p(grid, p: int) -> bool:
-    d = len(grid)
-    B = [[(grid[i][j] - (1 if i == j else 0)) % p for j in range(d)] for i in range(d)]
+def _is_unipotent_mod_p(delta, p: int) -> bool:
+    """True iff delta = g - 1 is nilpotent mod p."""
+    B = [[x % p for x in row] for row in delta]
     k = 1
-    while k < d:
+    while k < len(B):
         B = mat_mul(B, B, p)
         k *= 2
     return all(x == 0 for row in B for x in row)
 
 
+def _grids(generators) -> tuple:
+    """Generator matrices as tuples of integer rows; anything else is refused."""
+    try:
+        return tuple(_freeze(g) for g in generators)
+    except TypeError:
+        raise ValueError("generators must be a list of integer matrices") from None
+
+
 @dataclass(frozen=True)
 class GroupAction:
-    """Topological generators of a pro-p group acting on Z_p^d row vectors."""
+    """Topological generators of a pro-p group acting on Z_p^d row vectors.
+
+    generators and deltas (each g - 1) are integer grids with entries in [0, p^N).
+    """
 
     p: int
     N: int
     d: int
     generators: tuple
-    deltas: tuple = field(default=(), compare=False, repr=False)
+    deltas: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        p, N, d = self.p, self.N, self.d
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if N < 1:
+            raise ValueError(f"precision must be >= 1, got {N}")
+        pN = p**N
+        gens = tuple(tuple(tuple(x % pN for x in row) for row in g)
+                     for g in _grids(self.generators))
+        if not gens:
+            raise ValueError("an action needs at least one generator")
+        if d < 1 or any(len(g) != d or any(len(row) != d for row in g) for g in gens):
+            raise ValueError("generators must be square matrices of one dimension")
+        deltas = tuple(tuple(tuple((x - e) % pN for x, e in zip(row, erow))
+                             for row, erow in zip(g, identity(d))) for g in gens)
+        if not all(_is_unipotent_mod_p(delta, p) for delta in deltas):
+            raise ValueError("generator is not unipotent mod p; the action would not be pro-p")
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "deltas", deltas)
 
     @classmethod
     def build(cls, p: int, N: int, generator_grids) -> "GroupAction":
-        gens = tuple(PadicMatrix.from_rows(p, N, g) for g in generator_grids)
-        if not gens:
-            raise ValueError("an action needs at least one generator")
-        d = gens[0].rows
-        pN = p**N
-        for g in gens:
-            if g.rows != d or g.cols != d:
-                raise ValueError("generators must be square matrices of one dimension")
-            if not det_valuation_is_zero(g.grid, p):
-                raise ValueError("generator is not invertible over Z_p")
-            if not _is_unipotent_mod_p(g.grid, p):
-                raise ValueError(
-                    "generator is not unipotent mod p; the action would not be pro-p"
-                )
-        deltas = tuple(
-            tuple(
-                tuple((g.grid[i][j] - (1 if i == j else 0)) % pN for j in range(d))
-                for i in range(d)
-            )
-            for g in gens
-        )
-        return cls(p=p, N=N, d=d, generators=gens, deltas=deltas)
+        """The action of the given grids; d is read off the first one."""
+        gens = _grids(generator_grids)
+        return cls(p, N, len(gens[0]) if gens else 0, gens)
+
+
+def _check_context(M: Lattice, action: GroupAction) -> None:
+    if (M.p, M.N, M.d) != (action.p, action.N, action.d):
+        raise ValueError("lattice and action contexts differ")
 
 
 def check_invariance(M: Lattice, action: GroupAction) -> bool:
@@ -92,40 +111,30 @@ def check_invariance(M: Lattice, action: GroupAction) -> bool:
     Containment of the basis images suffices for equality: each generator
     is invertible over Z_p, so M*g and M have equal index in the ambient.
     """
-    if (M.p, M.N, M.d) != (action.p, action.N, action.d):
-        raise ValueError("lattice and action contexts differ")
+    _check_context(M, action)
     pN = M.p**M.N
     return all(
         M.solve(img) is not None
         for g in action.generators
-        for img in mat_mul(M.basis, g.grid, pN)
+        for img in mat_mul(M.basis, g, pN)
     )
 
 
-def _step_rows(M: Lattice, action: GroupAction):
+def _step(M: Lattice, action: GroupAction) -> Lattice:
+    """p*M + sum_t M*(g_t - 1): invariant and between pM and M if M is invariant."""
     p = M.p
     pN = p**M.N
     rows = [[p * x for x in brow] for brow in M.basis]
     for delta in action.deltas:
         rows.extend(mat_mul(M.basis, delta, pN))
-    return rows
-
-
-def _lambda_step_unchecked(M: Lattice, action: GroupAction) -> Lattice:
-    result = Lattice.from_rows(M.p, M.N, M.d, _step_rows(M, action))
-    if not check_invariance(result, action):
-        raise PstrataError(
-            "series step produced a non-invariant lattice; "
-            "the generators do not describe a group action"
-        )
-    return result
+    return Lattice.from_rows(p, M.N, M.d, rows)
 
 
 def lambda_step(M: Lattice, action: GroupAction) -> Lattice:
     """One step of the lower p-series: p*M + sum of M*(g - 1) over generators."""
     if not check_invariance(M, action):
         raise NotInvariant("lambda_step requires an invariant lattice")
-    return _lambda_step_unchecked(M, action)
+    return _step(M, action)
 
 
 @dataclass(frozen=True)
@@ -150,13 +159,13 @@ class SeriesTrace:
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     """Terms 0..i_max of the lower p-series of L under the action.
 
-    Requires N >= i_max + 2 so every term stays representable.  Each step
-    asserts strict descent, containment of p times the previous term, and
-    the trivial index bound log_p |L : term_i| >= i; a violation means the
-    input was not a pro-p action and raises immediately with the index.
+    Requires N >= i_max + 2 so every term stays representable, and an
+    invariant L, so that each term is invariant and lies between p times
+    the previous term and the previous term (module docstring).  Each step
+    asserts the trivial index bound log_p |L : term_i| >= i; a violation
+    means the group is not pro-p and raises PstrataError with the index.
     """
-    if (L.p, L.N, L.d) != (action.p, action.N, action.d):
-        raise ValueError("lattice and action contexts differ")
+    _check_context(L, action)
     if L.N < i_max + 2:
         raise PrecisionExhausted(
             f"precision {L.N} cannot certify {i_max} steps; need at least {i_max + 2}"
@@ -168,22 +177,16 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     cur = L
     for i in range(1, i_max + 1):
         try:
-            nxt = _lambda_step_unchecked(cur, action)
+            cur = _step(cur, action)
         except PstrataError as err:
             raise type(err)(f"series step {i} failed: {err}") from err
-        if not cur.contains(nxt):
-            raise PstrataError(f"series term {i} is not contained in term {i - 1}")
-        # p * previous term must survive; row check avoids scaling past the guard
-        if any(nxt.solve([L.p * x for x in row]) is None for row in cur.basis):
-            raise PstrataError(f"series term {i} does not contain p times term {i - 1}")
-        prof = divisor_profile(nxt, L)
+        prof = divisor_profile(cur, L)
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
-        terms.append(nxt)
+        terms.append(cur)
         profiles.append(prof)
-        cur = nxt
     return SeriesTrace(
         ambient=L,
         action=action,
@@ -198,21 +201,19 @@ def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:
 
     The returned generators are exact in the coordinates of ``sub`` but the
     conjugation divides by basis pivots, so the certified precision drops
-    to N - lower_level(sub).
+    to N - lower_level(sub).  Solving the images in ``sub`` checks invariance.
     """
-    if not check_invariance(sub, action):
-        raise NotInvariant("restrict_action requires an invariant lattice")
-    ell = sub.lower_level
-    new_N = action.N - ell
-    if new_N < 1:
-        raise PrecisionExhausted("no digits left after dividing out the sublattice basis")
+    _check_context(sub, action)
     pN = action.p**action.N
     grids = []
     for g in action.generators:
-        rows = [sub.solve(img) for img in mat_mul(sub.basis, g.grid, pN)]
+        rows = [sub.solve(img) for img in mat_mul(sub.basis, g, pN)]
         if None in rows:
             raise NotInvariant("restrict_action requires an invariant lattice")
         grids.append(rows)
+    new_N = action.N - sub.lower_level
+    if new_N < 1:
+        raise PrecisionExhausted("no digits left after dividing out the sublattice basis")
     return GroupAction.build(action.p, new_N, grids)
 
 
@@ -225,7 +226,7 @@ def action_to_json(action: GroupAction) -> str:
             "p": action.p,
             "N": action.N,
             "d": action.d,
-            "generators": [[list(row) for row in g.grid] for g in action.generators],
+            "generators": [[list(row) for row in g] for g in action.generators],
         },
         indent=2,
     )
@@ -233,6 +234,8 @@ def action_to_json(action: GroupAction) -> str:
 
 def action_from_json(text: str) -> GroupAction:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("an action must be a JSON object")
     return GroupAction.build(_integer(obj["p"], "p"), _integer(obj["N"], "N"), obj["generators"])
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import EnumerationTooLarge, NotContained, RankDeficient
 from .gmodule import SeriesTrace
 from .lattice import Lattice
-from .padic import int_valuation, mat_mul, unimodular_inverse
+from .padic import _freeze, int_valuation, mat_mul, unimodular_inverse
 from .strata import RateVector, Stratification
 
 __all__ = [
@@ -52,7 +52,7 @@ class SubgroupSpec:
     rows: tuple
 
     def __post_init__(self):
-        frozen = tuple(tuple(int(x) for x in r) for r in self.rows)
+        frozen = _freeze(self.rows)
         if frozen and len({len(r) for r in frozen}) != 1:
             raise ValueError("generator rows must share one length")
         object.__setattr__(self, "rows", frozen)

@@ -23,7 +23,8 @@ from functools import cached_property
 
 from .errors import NotContained, PrecisionExhausted
 from .padic import (
-    _freeze, _integer, _is_prime, hermite_rows, int_valuation, left_kernel_rows, mat_mul, smith_rows,
+    _freeze, _integer, _is_prime, hermite_rows, identity, int_valuation, left_kernel_rows, mat_mul,
+    smith_rows,
 )
 
 __all__ = [
@@ -73,7 +74,7 @@ class Lattice:
 
     @classmethod
     def standard(cls, p: int, N: int, d: int) -> "Lattice":
-        return cls(p, N, d, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
+        return cls(p, N, d, _freeze(identity(d)))
 
     @classmethod
     def from_rows(cls, p: int, N: int, d: int, rows) -> "Lattice":
@@ -270,6 +271,8 @@ def lattice_to_json(L: Lattice) -> str:
 
 def lattice_from_json(text: str) -> Lattice:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a lattice must be a JSON object")
     p, N, d = (_integer(obj[key], key) for key in ("p", "N", "d"))
     # canonical form enforced on load
     return Lattice.from_rows(p, N, d, _freeze(obj["basis"]))

@@ -30,6 +30,7 @@ from .errors import PrecisionExhausted
 
 __all__ = [
     "PadicMatrix",
+    "identity",
     "mat_mul",
     "unimodular_inverse",
     "hermite_form",
@@ -112,7 +113,7 @@ class PadicMatrix:
 
     @classmethod
     def identity(cls, p: int, N: int, d: int) -> "PadicMatrix":
-        return cls(p, N, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
+        return cls(p, N, identity(d))
 
     @property
     def rows(self) -> int:
@@ -129,6 +130,11 @@ class PadicMatrix:
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._compat(other)
         return PadicMatrix(self.p, self.N, mat_mul(self.grid, other.grid, self.p**self.N))
+
+
+def identity(d: int) -> list[list[int]]:
+    """The d x d identity matrix as fresh rows the caller may modify."""
+    return [[int(i == j) for j in range(d)] for i in range(d)]
 
 
 def mat_mul(a, b, m: int) -> list[list[int]]:
@@ -161,7 +167,7 @@ def hermite_rows(rows, p: int, N: int, want_transform: bool = False):
     R = [[e % pN for e in row] for row in rows]
     nr = len(R)
     nc = len(R[0]) if nr else 0
-    T = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if want_transform else None
+    T = identity(nr) if want_transform else None
     piv_rows: list[int] = []
     piv_cols: list[int] = []
     pr = 0
@@ -240,8 +246,8 @@ def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bo
     A = [[e % pN for e in row] for row in rows]
     nr = len(A)
     nc = len(A[0]) if nr else 0
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if want_left else None
-    W = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)] if want_right_inv else None
+    U = identity(nr) if want_left else None
+    W = identity(nc) if want_right_inv else None
     colmap = list(range(nc))
     exps: list[int] = []
     origin: list[int] = []

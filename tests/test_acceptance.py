@@ -236,7 +236,7 @@ def test_criterion_8_structural_suite():
                 pN = p**b.action.N
                 for row in prev.basis:
                     img = [
-                        (sum(row[k] * g.grid[k][j] for k in range(len(row))) - row[j]) % pN
+                        (sum(row[k] * g[k][j] for k in range(len(row))) - row[j]) % pN
                         for j in range(len(row))
                     ]
                     ok = ok and cur.solve(img) is not None

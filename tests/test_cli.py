@@ -230,6 +230,26 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_readme_python_block(capsys):
+    # every print in the quick start prints what its comment says
+    block = README.read_text().split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line.split("#", 1)[1].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_exit_non_pro_p_action(tmp_path, capsys):
+    # unipotent generators of SL_2(F_2): the series stalls at step 1
+    inst = tmp_path / "sl2.json"
+    inst.write_text(json.dumps({
+        "p": 2, "N": 12,
+        "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]],
+    }))
+    assert main(["series", "--input", str(inst), "--imax", "10"]) == 4
+    assert "grew too slowly" in capsys.readouterr().err
+
+
 def test_exit_domain_failure(tmp_path, capsys):
     inst = tmp_path / "wide.json"
     inst.write_text(json.dumps({

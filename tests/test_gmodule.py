@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from pstrata.errors import NotInvariant, PrecisionExhausted
+from pstrata.errors import NotInvariant, PrecisionExhausted, PstrataError
 from pstrata.gmodule import (
     GroupAction,
     action_from_json,
@@ -28,6 +28,43 @@ def test_build_validates_generators():
         GroupAction.build(4, 8, [[[1, 0], [0, 1]]])  # p must be prime
     a = GroupAction.build(2, 8, [[[1, 1], [0, 1]]])
     assert a.d == 2
+
+
+def test_plain_constructor_validates_and_derives_deltas():
+    # the plain constructor used to skip validation and leave deltas empty,
+    # so the series silently became p^i L, with log indices (0, 2, 4, ...)
+    direct = GroupAction(2, 10, 2, (((1, 1), (2, 1)),))
+    built = GroupAction.build(2, 10, [[[1, 1], [2, 1]]])
+    assert direct == built and direct.deltas == built.deltas
+    assert direct.deltas == (((0, 1), (2, 0)),)
+    tr = lower_p_series(Lattice.standard(2, 10, 2), direct, 8)
+    assert tr.log_indices == tuple(range(9))
+    # generators are stored reduced mod p^N
+    assert GroupAction(2, 4, 1, (((17,),),)).generators == (((1,),),)
+
+
+@pytest.mark.parametrize("p,N,d,gens", [
+    (2, 10, 2, (((0, 0), (0, 0)),)),  # all zero: not invertible
+    (2, 10, 3, (((1, 1), (0, 1)),)),  # d disagrees with the grid
+    (2, 10, 2, (((1, 1), (0,)),)),  # ragged
+    (2, 10, 2, (((1, 1.5), (0, 1)),)),  # float entry
+    (2, 10, 2, 5),  # not a list of matrices
+    (2, 10, 2, ()),  # no generator
+    (4, 10, 2, (((1, 0), (0, 1)),)),  # p not prime
+    (2, 0, 2, (((1, 0), (0, 1)),)),  # no digits
+])
+def test_plain_constructor_rejects(p, N, d, gens):
+    with pytest.raises(ValueError):
+        GroupAction(p, N, d, gens)
+
+
+def test_generators_of_a_non_pro_p_group_stall():
+    # each generator is unipotent mod 2, but together they generate
+    # SL_2(F_2), of order 6: the first step gives back L, and the growth
+    # check is what refuses the action
+    act = GroupAction.build(2, 12, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+    with pytest.raises(PstrataError, match="grew too slowly at step 1"):
+        lower_p_series(Lattice.standard(2, 12, 2), act, 10)
 
 
 def test_trivial_action_series():
@@ -88,7 +125,7 @@ def test_restrict_action_frozen_example():
     sub = Lattice.from_rows(p, N, 2, [[1, 0], [0, p]])
     res = restrict_action(sub, act)
     assert res.N == N - 1
-    assert [list(r) for r in res.generators[0].grid] == [[1, 1], [0, 1]]
+    assert [list(r) for r in res.generators[0]] == [[1, 1], [0, 1]]
 
 
 def test_restrict_action_requires_invariance():
@@ -118,7 +155,20 @@ def test_action_json_round_trip():
     act = GroupAction.build(3, 9, [[[1, 3], [0, 1]], [[1, 0], [3, 1]]])
     again = action_from_json(action_to_json(act))
     assert again.p == act.p and again.N == act.N
-    assert [g.grid for g in again.generators] == [g.grid for g in act.generators]
+    assert again.generators == act.generators
+
+
+@pytest.mark.parametrize("text", [
+    '{"p": 2, "N": 8, "generators": 5}',
+    '{"p": 2, "N": 8, "generators": [5]}',
+    '{"p": 2, "N": 8, "generators": [[[1, 0.5], [0, 1]]]}',
+    "[1]",
+], ids=["generators-int", "generator-int", "float-entry", "array"])
+def test_action_from_json_refuses_bad_input(text):
+    # a generators value that is not a list of matrices, and a top-level
+    # array, ended in TypeError
+    with pytest.raises(ValueError):
+        action_from_json(text)
 
 
 def test_trace_csv_shape():

@@ -236,6 +236,11 @@ class TestCoordinates:
         with pytest.raises(ValueError):
             SubgroupSpec(2, 8, ((1, 0), (1, 0, 0)))
 
+    def test_float_rows_rejected(self):
+        # a float entry used to be truncated: 1.5 became 1
+        with pytest.raises(ValueError):
+            SubgroupSpec(2, 8, ((1.5, 0),))
+
 
 def test_sampled_subgroups_convergence():
     # generic saturated subgroups on a seeded instance: the quotient after a

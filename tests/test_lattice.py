@@ -190,6 +190,12 @@ def test_serialization_round_trip():
     assert again == M
 
 
+def test_lattice_from_json_refuses_a_non_object():
+    # a top-level array ended in TypeError
+    with pytest.raises(ValueError):
+        lattice_from_json("[1]")
+
+
 def test_incompatible_ambients_rejected():
     A = Lattice.standard(2, 6, 2)
     B = Lattice.standard(3, 6, 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pstrata import strata
-from pstrata.catalog import get_bundle
+from pstrata.catalog import get_bundle, random_block_action
 from pstrata.errors import (
     FrameRejected,
     NoStableFit,
@@ -221,6 +221,30 @@ class TestFrames:
             estimate_rates(full, denom_bound=8).rates
             == estimate_rates(short, denom_bound=8).rates
         )
+
+
+block_sizes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple).filter(
+    lambda s: sum(s) <= 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sizes, st.integers(0, 10**6), st.sampled_from([2, 3]), st.integers(4, 32))
+def test_what_the_construction_guarantees(sizes, seed, p, i_max):
+    """The facts the library proves instead of re-checking at run time."""
+    b = random_block_action(sizes, seed, p=p, N=i_max + 2)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    for prev, term in zip(tr.terms, tr.terms[1:]):
+        assert check_invariance(term, b.action)
+        assert prev.contains(term)
+        assert all(term.solve([p * x for x in row]) is not None for row in prev.basis)
+    try:
+        strat, _ = run_stratification(tr)
+    except (FrameRejected, NoStableFit, RateOutOfRange):
+        return
+    for i in range(1, i_max + 1):
+        model = approximate_term(strat.frame, strat.rates, i, p, tr.precision)
+        assert check_invariance(model, b.action)
+    assert certify_equivalence(tr, strat) == strat.c
 
 
 class TestGraphRepair:
