@@ -21,17 +21,14 @@ from .errors import (
     RankDeficient,
     RateOutOfRange,
 )
-from .padic import PadicMatrix, hermite_form, smith_profile
 from .lattice import (
     Lattice,
-    Levels,
     coords_in,
     divisor_profile,
     lattice_from_json,
     lattice_intersect,
     lattice_sum,
     lattice_to_json,
-    levels,
     log_index,
 )
 from .gmodule import (
@@ -95,17 +92,11 @@ __all__ = [
     "RankDeficient",
     "EnumerationTooLarge",
     "InvalidShape",
-    # padic
-    "PadicMatrix",
-    "hermite_form",
-    "smith_profile",
     # lattice
     "Lattice",
-    "Levels",
     "lattice_sum",
     "lattice_intersect",
     "log_index",
-    "levels",
     "divisor_profile",
     "coords_in",
     "lattice_to_json",

@@ -11,7 +11,10 @@ row enters the filtration).
 hdim_exact evaluates the closed formula sum of pivot rates over the total
 mass.  hdim_numeric forgets the model and measures the same quantity from
 the computed series itself as index quotients, giving an independent
-cross-check.  Extra weights account for direct factors carrying mass but
+cross-check.  It inserts the subgroup's rows into the triangular basis of
+each series term (`padic.hermite_insert`) rather than reducing the whole
+stack again, and reads the index of the term in the join off the pivot
+exponents.  Extra weights account for direct factors carrying mass but
 no lattice coordinates (they enlarge the denominator, and enter subset
 sums in the spectrum).
 """
@@ -23,10 +26,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationTooLarge, NotContained, RankDeficient
+from .errors import EnumerationTooLarge, RankDeficient
 from .gmodule import SeriesTrace
 from .lattice import Lattice
-from .padic import _freeze, int_valuation, mat_mul, unimodular_inverse
+from .padic import _freeze, hermite_insert, int_valuation, mat_mul, unimodular_inverse
 from .strata import RateVector, Stratification
 
 __all__ = [
@@ -136,24 +139,33 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     strong flag records whether the quotients settle: spread over the last
     third of the window at most the tolerance.
 
-    The re-solved containment term_i <= join gives lower_level(join) <=
-    lower_level(term_i), so the join is guarded only when term_i has no
-    cached level of at most N - 2 (lower_p_series caches one; a hand-built
-    trace may not).  The denominator trace.log_indices[i] was read off the
-    coordinates of term_i in L, which exist only when term_i lies inside L.
+    The subgroup's rows are inserted into the triangular basis of term_i
+    (`hermite_insert`).  Let J be the span of term_i and H plus p^N Z_p^d;
+    J contains term_i by construction.  Only invertible row operations mod
+    p^N are applied to [term_i; H], so the triangular rows T returned, with
+    pivot exponents e_k, span J together with p^N Z_p^d.  When term_i has
+    lower level l <= N - 2, p^N Z_p^d = p^(N-l) p^l Z_p^d lies in p^2 J, so
+    J = span(T) + pJ and span(T) = J by Nakayama's lemma.  Hence
+    sum(e_k) = log|Z_p^d : J|, the numerator log|J : term_i| is
+    log_det(term_i) - sum(e_k), and lower_level(J) <= l passes the guard.
+    The join is therefore guarded only when term_i has no cached level of
+    at most N - 2 (lower_p_series caches one; a hand-built trace may not);
+    a join that passes the guard contains p^(N-2) Z_p^d, and the same
+    argument applies to it.  The denominator trace.log_indices[i] was read
+    off the coordinates of term_i in L, which exist only when term_i lies
+    inside L.
     """
     L = trace.ambient
+    p, N, d = L.p, L.N, L.d
     amb = H.ambient_rows(strat)
     dens = trace.log_indices
     quotients = []
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
-        joined = Lattice.unguarded(L.p, L.N, L.d, amb + [list(r) for r in lam.basis])
-        if not joined.contains(lam):
-            raise NotContained("a series term is not inside its join with the subgroup")
-        if lam.__dict__.get("lower_level", L.N) > L.N - 2:
-            joined.guard()
-        quotients.append(Fraction(lam.log_det - joined.log_det, dens[i]))
+        tri, exps = hermite_insert(lam.basis, amb, p, N)
+        if lam.__dict__.get("lower_level", N) > N - 2:
+            Lattice.unguarded(p, N, d, tri).guard()
+        quotients.append(Fraction(lam.log_det - sum(exps), dens[i]))
     tail = quotients[-max(1, len(quotients) // 3):]
     strong = (max(tail) - min(tail)) <= Fraction(tolerance)
     return quotients, strong

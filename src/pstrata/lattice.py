@@ -29,16 +29,17 @@ from .padic import (
 
 __all__ = [
     "Lattice",
-    "Levels",
     "lattice_sum",
     "lattice_intersect",
     "log_index",
-    "levels",
     "divisor_profile",
     "coords_in",
     "lattice_to_json",
     "lattice_from_json",
 ]
+
+
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,19 @@ class Lattice:
         b = self.basis
         if len(b) != self.d or any(len(r) != self.d for r in b):
             raise ValueError(f"basis must be {self.d}x{self.d}")
-        for i in range(self.d):
-            piv = b[i][i]
+        for i, row in enumerate(b):
+            if not _INT.issuperset(map(type, row)):
+                raise ValueError(f"basis row {i} holds a non-integer entry")
+            piv = row[i]
             v = int_valuation(piv, self.p, self.N)
             if piv == 0 or self.p**v != piv:
                 raise ValueError(f"diagonal entry {piv} at {i} is not an exact p-power")
             if v >= self.N:
                 raise PrecisionExhausted(f"diagonal exponent {v} reaches precision {self.N}")
-            for j in range(i):
-                if b[i][j] != 0:
-                    raise ValueError("basis is not upper triangular")
+            if any(row[:i]):
+                raise ValueError("basis is not upper triangular")
             for j in range(i + 1, self.d):
-                if not 0 <= b[i][j] < b[j][j]:
+                if not 0 <= row[j] < b[j][j]:
                     raise ValueError(f"entry ({i},{j}) not reduced modulo the column pivot")
 
     # -- constructors --------------------------------------------------
@@ -193,14 +195,6 @@ class Lattice:
             raise ValueError("lattices live in different ambient contexts")
 
 
-@dataclass(frozen=True)
-class Levels:
-    """u = largest k with M inside p^k L; ell = least k with p^k L inside M."""
-
-    u: int
-    ell: int
-
-
 def lattice_sum(A: Lattice, B: Lattice) -> Lattice:
     A._compat(B)
     return Lattice.from_rows(A.p, A.N, A.d, list(A.basis) + list(B.basis))
@@ -248,16 +242,6 @@ def divisor_profile(M: Lattice, L: Lattice) -> tuple:
     if len(exps) != M.d:
         raise PrecisionExhausted("divisor profile not certifiable at this precision")
     return tuple(exps)
-
-
-def levels(M: Lattice, L: Lattice) -> Levels:
-    """Depth bracket of M inside L, computed from exact coordinates."""
-    C = coords_in(M, L)
-    u = min(
-        int_valuation(abs(x), M.p, M.N) if x else M.N for row in C for x in row
-    )
-    ell = max(divisor_profile(M, L))
-    return Levels(u=u, ell=ell)
 
 
 # -- serialization -----------------------------------------------------

@@ -2,19 +2,20 @@
 
 Scalars are residues mod p^N with p prime; a residue of 0 means "zero at
 this precision" and its valuation is reported as N.  Matrices are plain
-integer rows; PadicMatrix attaches a shared (p, N) pair to such a grid.
-All reductions below use only three row operations, each invertible over
-Z_p: swapping rows, scaling a row by a unit, and adding an integer
-multiple of one row to another.  Consequently the row span mod p^N is
-preserved exactly, which is what the lattice layer relies on.  `mat_mul`
-is the one row-times-matrix product; the mod-p rank test and the inverse
-of a unimodular matrix are read off `hermite_rows`.
+integer rows.  All reductions below use only three row operations, each
+invertible over Z_p: swapping rows, scaling a row by a unit, and adding
+an integer multiple of one row to another.  Consequently the row span mod
+p^N is preserved exactly, which is what the lattice layer relies on.
+`mat_mul` is the one row-times-matrix product; the mod-p rank test and
+the inverse of a unimodular matrix are read off `hermite_rows`.
 
 The triangularization (`hermite_rows`) picks, per column, the entry of
 minimal valuation among the remaining rows (ties: lowest row index), makes
 it an exact power of p by a unit scaling, clears below, and finally reduces
 entries above each pivot modulo that pivot's p-power.  The resulting form
 is the unique canonical basis of the row span plus p^N times the ambient.
+`hermite_insert` adds rows to a triangular basis that is already there,
+eliminating only the new rows and skipping the reduction above the pivots.
 The diagonalization (`smith_rows`) repeats the same idea with a global
 pivot search and column operations, yielding ascending elementary-divisor
 exponents.
@@ -23,18 +24,13 @@ exponents.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import PrecisionExhausted
-
 __all__ = [
-    "PadicMatrix",
     "identity",
     "mat_mul",
+    "hermite_insert",
     "unimodular_inverse",
-    "hermite_form",
-    "smith_profile",
 ]
 
 
@@ -82,54 +78,6 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-@dataclass(frozen=True)
-class PadicMatrix:
-    """A rows x cols grid over Z/p^N.
-
-    The grid holds raw residues; construction normalizes every entry into
-    [0, p^N).
-    """
-
-    p: int
-    N: int
-    grid: tuple = field()
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.N < 1:
-            raise ValueError(f"precision must be >= 1, got {self.N}")
-        pN = self.p**self.N
-        norm = tuple(tuple(int(e) % pN for e in row) for row in self.grid)
-        if norm and any(len(r) != len(norm[0]) for r in norm):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "grid", norm)
-
-    @classmethod
-    def from_rows(cls, p: int, N: int, rows) -> "PadicMatrix":
-        return cls(p, N, _freeze(rows))
-
-    @classmethod
-    def identity(cls, p: int, N: int, d: int) -> "PadicMatrix":
-        return cls(p, N, identity(d))
-
-    @property
-    def rows(self) -> int:
-        return len(self.grid)
-
-    @property
-    def cols(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
-
-    def _compat(self, other: "PadicMatrix") -> None:
-        if self.p != other.p or self.N != other.N:
-            raise ValueError("mixed precision contexts")
-
-    def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._compat(other)
-        return PadicMatrix(self.p, self.N, mat_mul(self.grid, other.grid, self.p**self.N))
 
 
 def identity(d: int) -> list[list[int]]:
@@ -230,6 +178,43 @@ def hermite_rows(rows, p: int, N: int, want_transform: bool = False):
                     tp = T[r]
                     T[i] = [(xi - q * pi) % pN for xi, pi in zip(ti, tp)]
     return R, piv_cols, T
+
+
+def hermite_insert(basis, rows, p: int, N: int):
+    """Eliminate new rows against an upper-triangular basis mod p^N.
+
+    basis is d x d, upper triangular, with exact p-power pivots p^e_k,
+    e_k < N (a Lattice basis).  Returns (triangular_rows, diag_exponents):
+    an upper-triangular basis with p-power pivots whose span plus p^N Z^d
+    is that of basis and rows together.  Each new row is reduced column by
+    column; where it has the smaller valuation it is scaled to an exact
+    p-power and swapped with the basis row, and the displaced row is
+    reduced and carried on.  A row reduced to zero is dropped.  Entries
+    above the pivots are left unreduced, so the rows are not the canonical
+    form of `hermite_rows`.
+    """
+    pN = p**N
+    tri = list(basis)
+    exps = [int_valuation(row[k], p, N) for k, row in enumerate(tri)]
+    for row in rows:
+        x = [e % pN for e in row]
+        for k, a in enumerate(exps):
+            xk = x[k]
+            if not xk:
+                continue
+            v = int_valuation(xk, p, N)
+            if v < a:
+                u = xk // p**v
+                if u != 1:
+                    inv = pow(u, -1, pN)
+                    x = [(inv * e) % pN for e in x]
+                tri[k], x = x, tri[k]
+                exps[k] = v
+            piv = tri[k]
+            # exact: the pivot's p-power divides x[k]
+            q = x[k] // piv[k]
+            x = [(e - q * t) % pN for e, t in zip(x, piv)]
+    return tri, exps
 
 
 def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bool = False):
@@ -356,34 +341,3 @@ def unimodular_inverse(grid, p: int, N: int) -> list[list[int]]:
     if len(piv) != d or any(R[k][k] != 1 for k in range(d)):
         raise ValueError("matrix is not invertible over Z_p")
     return T
-
-
-def hermite_form(M: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
-    """Canonical form H and transform U with H = U @ M, U invertible over Z_p.
-
-    Requires full row rank certifiable at precision N; a column that cannot
-    produce a pivot for some row raises PrecisionExhausted.
-    """
-    R, piv, T = hermite_rows(M.grid, M.p, M.N, want_transform=True)
-    if len(piv) != M.rows:
-        raise PrecisionExhausted(
-            f"rank {len(piv)} certified for {M.rows} rows at precision {M.N}"
-        )
-    return PadicMatrix.from_rows(M.p, M.N, R), PadicMatrix.from_rows(M.p, M.N, T)
-
-
-def smith_profile(M: PadicMatrix) -> tuple[int, ...]:
-    """Ascending elementary-divisor exponents of a square full-rank matrix.
-
-    The exponents describe coker(Z_p^d -> Z_p^d) of the map given by M; their
-    sum equals the valuation of det M.  Raises PrecisionExhausted when full
-    rank cannot be certified at precision N.
-    """
-    if M.rows != M.cols:
-        raise ValueError(f"smith_profile needs a square matrix, got {M.rows}x{M.cols}")
-    exps, _, _, _ = smith_rows(M.grid, M.p, M.N)
-    if len(exps) != M.rows:
-        raise PrecisionExhausted(
-            f"rank {len(exps)} certified for dimension {M.rows} at precision {M.N}"
-        )
-    return tuple(exps)

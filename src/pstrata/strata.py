@@ -587,10 +587,12 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
             dirty = True
         if not dirty:
             break
-    for e in bounds:
-        ech, piv = _span_echelon(frame[:e], p, N)
-        if len(piv) != e or not _span_invariant(ech, piv, action):
-            return None, f"anchor {i2}: prefix of size {e} is not invariant"
+    else:
+        # both passes changed the frame; a clean pass has checked every prefix
+        for e in bounds:
+            ech, piv = _span_echelon(frame[:e], p, N)
+            if len(piv) != e or not _span_invariant(ech, piv, action):
+                return None, f"anchor {i2}: prefix of size {e} is not invariant"
     if not det_valuation_is_zero(frame, p):
         return None, f"anchor {i2}: frame is not invertible over Z_p"
     c = _window_constant(trace, frame, rates)

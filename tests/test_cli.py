@@ -1,9 +1,12 @@
 """End-to-end checks of the command line front end."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pstrata.cli import main
 
@@ -317,3 +320,89 @@ def test_random_catalog_instance(capsys):
                        "--imax", "32")
     assert payload["status"] in ("exact-cycle", "certified-window")
     assert payload["envelope"]["ok"]
+
+
+# -- fuzzing -----------------------------------------------------------
+
+json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.floats(width=16),
+                        st.text(max_size=3))
+json_value = st.recursive(
+    json_scalar,
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=10,
+)
+entry = st.one_of(st.integers(-2, 9), json_scalar)
+matrix = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+instance = st.fixed_dictionaries(
+    {"generators": st.one_of(st.lists(matrix, max_size=2), json_value)},
+    optional={
+        "p": st.one_of(st.integers(-1, 6), json_scalar),
+        "N": st.one_of(st.integers(-1, 14), json_scalar),
+        "lattice": st.one_of(matrix, json_value),
+        "extra_weights": st.one_of(st.lists(st.one_of(st.integers(0, 3), st.sampled_from(
+            ["1/2", "1e-3", "x", "inf"]), json_scalar), max_size=2), json_value),
+    },
+)
+
+
+@st.composite
+def near_valid_instance(draw):
+    """Pro-2 generators (identity plus 2 times small entries) of one size."""
+    d = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+
+    def unipotent():
+        return [[int(i == j) + 2 * draw(small) for j in range(d)] for i in range(d)]
+
+    obj = {"generators": [unipotent() for _ in range(draw(st.integers(1, 2)))]}
+    if draw(st.booleans()):
+        obj["p"] = 2
+    if draw(st.booleans()):
+        obj["N"] = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        obj["lattice"] = draw(st.sampled_from([unipotent(), [[2 * int(i == j) for j in range(d)]
+                                                           for i in range(d)]]))
+    if draw(st.booleans()):
+        obj["extra_weights"] = draw(st.lists(st.sampled_from([0, 1, "1/2"]), max_size=2))
+    return obj
+
+
+subgroup = st.fixed_dictionaries(
+    {"rows": st.one_of(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-3, 9), min_size=d, max_size=d), max_size=d + 1)),
+        st.lists(st.lists(entry, max_size=3), max_size=3), json_value)},
+    optional={"coordinates": st.sampled_from(["frame", "ambient", "x"])},
+)
+flag = st.one_of(st.none(), st.integers(-2, 12))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    verb=st.sampled_from(["series", "stratify", "hdim", "spectrum"]),
+    inst=st.one_of(near_valid_instance(), near_valid_instance().map(lambda i: {"instance": i}),
+                   instance, json_value),
+    sub=st.one_of(subgroup, json_value),
+    # the default --denom-bound refuses imax below 4
+    p=flag, imax=st.one_of(st.integers(4, 8), st.integers(-2, 8)), precision=flag,
+)
+def test_fuzz_main_exit_codes(tmp_path_factory, verb, inst, sub, p, imax, precision):
+    # whatever the files and flags hold, main() ends in a documented exit
+    # code, never in a traceback
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "inst.json").write_text(json.dumps(inst))
+    (root / "sub.json").write_text(json.dumps(sub))
+    argv = [verb, "--input", str(root / "inst.json"), "--imax", str(imax)]
+    if verb == "hdim":
+        argv += ["--subgroup", str(root / "sub.json")]
+    if p is not None:
+        argv += ["--p", str(p)]
+    if precision is not None:
+        argv += ["--precision", str(precision)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv

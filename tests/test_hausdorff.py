@@ -11,6 +11,7 @@ import oracles
 from pstrata.catalog import build_Gm_lattice, get_bundle, random_block_action
 from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficient
 from pstrata.gmodule import SeriesTrace, lower_p_series
+from pstrata import hausdorff
 from pstrata.lattice import Lattice
 from pstrata.hausdorff import (
     SubgroupSpec,
@@ -156,6 +157,15 @@ class TestNumericAgainstJoinReference:
         q, strong = hdim_numeric(H, tr, st)
         assert set(q) == {F(1)} and strong
         assert (q, strong) == oracles.join_quotients(H, tr, st)
+
+    def test_no_lattice_is_built_when_every_term_has_a_level(self, monkeypatch):
+        # lower_p_series caches each term's level, so no join is guarded:
+        # hdim_numeric builds no Lattice, its only way to reach hermite_rows
+        tr, st = _random_instance((2, 1), 0, 2)
+        H = SubgroupSpec(2, tr.precision, ((1, 0, 0), (0, 2, 1)))
+        expected = oracles.join_quotients(H, tr, st)
+        monkeypatch.setattr(hausdorff, "Lattice", None)
+        assert hdim_numeric(H, tr, st) == expected
 
     def test_guard_still_fires_on_a_hand_built_trace(self):
         # the term's level 5 exceeds N - 2 = 4 and nothing cached it, so the

@@ -14,7 +14,6 @@ from pstrata.lattice import (
     lattice_intersect,
     lattice_sum,
     lattice_to_json,
-    levels,
     log_index,
 )
 
@@ -44,6 +43,13 @@ def test_from_rows_checks_p_first(p):
     # a misleading PrecisionExhausted
     with pytest.raises(ValueError, match="p must be prime"):
         Lattice.from_rows(p, 8, 2, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("basis", [((1.5, 0), (0, 1)), ((1, 0.5), (0, 1))])
+def test_non_integer_basis_refused(basis):
+    # a float pivot ended in a TypeError, a float above the pivot was accepted
+    with pytest.raises(ValueError, match="non-integer"):
+        Lattice(2, 8, 2, basis)
 
 
 def test_lower_level_is_not_the_diagonal():
@@ -171,17 +177,6 @@ def test_coords_in_round_trip():
             sum(crow[k] * L.basis[k][j] for k in range(2)) % pN for j in range(2)
         ]
         assert rebuilt == [x % pN for x in mrow]
-
-
-def test_levels():
-    L = Lattice.standard(2, 8, 2)
-    M = L.scale(3)
-    lv = levels(M, L)
-    assert (lv.u, lv.ell) == (3, 3)
-    skew = Lattice.from_rows(2, 8, 2, [[4, 1], [0, 8]])
-    lv2 = levels(skew, L)
-    assert lv2.u == 0  # contains (4,1), a vector outside 2*L
-    assert lv2.ell == 5  # quotient has a Z/32 part
 
 
 def test_serialization_round_trip():

@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pstrata.errors import PrecisionExhausted
+from pstrata.lattice import Lattice
 from pstrata.padic import (
-    PadicMatrix,
     det_valuation_is_zero,
-    hermite_form,
+    hermite_insert,
     hermite_rows,
     int_valuation,
     left_kernel_rows,
     mat_mul,
-    smith_profile,
     smith_rows,
     unimodular_inverse,
 )
@@ -217,22 +216,47 @@ def test_mat_mul_rejects_mismatched_shapes():
         mat_mul([[1]], [[3], [4]], 5)
 
 
-def test_matrix_matmul_identity():
-    M = PadicMatrix.from_rows(2, 4, [[1, 2], [3, 4]])
-    I = PadicMatrix.identity(2, 4, 2)
-    assert (M @ I).grid == M.grid
-    assert (I @ M).grid == M.grid
+def test_hermite_insert_frozen_example():
+    # (1, 0) has the smaller valuation in column 0 and takes the place of
+    # (2, 2); the displaced row, carried on as (0, 2), displaces (0, 4) in
+    # turn, which then reduces to zero
+    tri, exps = hermite_insert(((2, 2), (0, 4)), [[1, 0]], 2, 4)
+    assert tri == [[1, 0], [0, 2]]
+    assert exps == [0, 1]
+    # a row of larger valuation is eliminated and leaves the basis alone
+    tri, exps = hermite_insert(((2, 2), (0, 4)), [[4, 0], [0, 0]], 2, 4)
+    assert [list(r) for r in tri] == [[2, 2], [0, 4]]
+    assert exps == [1, 2]
 
 
-def test_hermite_form_full_rank_required():
-    M = PadicMatrix.from_rows(2, 3, [[2, 4], [4, 8]])
-    with pytest.raises(PrecisionExhausted):
-        hermite_form(M)
-
-
-def test_smith_profile_square_only():
-    M = PadicMatrix.from_rows(2, 4, [[1, 2, 3], [0, 1, 0]])
-    with pytest.raises(ValueError):
-        smith_profile(M)
-    D = PadicMatrix.from_rows(2, 6, [[4, 0], [0, 2]])
-    assert smith_profile(D) == (1, 2)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
+def test_hermite_insert_matches_hermite_rows(p, d, data):
+    # insertion into the basis of a guarded lattice spans what the stacked
+    # rows span: the same pivot exponents and the same canonical lattice.
+    # Scaling column j of the generators by p^c_j gives deep pivots, so new
+    # rows of smaller valuation swap in and displace basis rows.
+    N = 8
+    pN = p**N
+    entry = st.one_of(
+        st.integers(0, p**2),
+        st.integers(pN - p**2, pN - 1),
+        st.builds(lambda k, u: p**k * u % pN, st.integers(0, 4), st.integers(0, pN - 1)),
+    )
+    vec = st.lists(entry, min_size=d, max_size=d)
+    cols = data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    gens = [[p**c * x % pN for c, x in zip(cols, row)]
+            for row in data.draw(st.lists(vec, min_size=d, max_size=d + 2))]
+    try:
+        lam = Lattice.from_rows(p, N, d, gens)
+    except PrecisionExhausted:
+        return
+    extra = data.draw(st.lists(st.one_of(st.just([0] * d), vec), max_size=d + 1))
+    stack = [list(r) for r in lam.basis] + extra
+    tri, exps = hermite_insert(lam.basis, extra, p, N)
+    R, piv, _ = hermite_rows(stack, p, N)
+    assert piv == list(range(d))
+    assert all(tri[k][j] == 0 for k in range(d) for j in range(k))
+    assert all(tri[k][k] == p ** exps[k] for k in range(d))
+    assert exps == [int_valuation(R[k][k], p, N) for k in range(d)]
+    assert Lattice.unguarded(p, N, d, tri) == Lattice.unguarded(p, N, d, stack)
