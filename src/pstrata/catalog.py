@@ -30,6 +30,7 @@ __all__ = [
     "build_Gm_lattice",
     "build_remark_module",
     "random_block_action",
+    "random_sizes",
     "get_bundle",
     "catalog_names",
 ]
@@ -167,6 +168,15 @@ def build_remark_module(p: int = 2, N: int = 66) -> ExampleBundle:
         expected_rates=rates,
         expected_cycle=None,
     )
+
+
+def random_sizes(rng: random.Random) -> tuple:
+    """Block sizes of at most 4 and a total dimension from 2 to 6, drawn from rng."""
+    sizes, left = [], rng.randint(2, 6)
+    while left:
+        sizes.append(rng.randint(1, min(4, left)))
+        left -= sizes[-1]
+    return tuple(sizes)
 
 
 def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .catalog import catalog_names, get_bundle, random_block_action
+from .catalog import catalog_names, get_bundle, random_block_action, random_sizes
 from .errors import (
     EnumerationTooLarge,
     FrameRejected,
@@ -106,22 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _random_sizes(rng: random.Random):
-    d = rng.randint(2, 6)
-    sizes = []
-    left = d
-    while left:
-        b = rng.randint(1, min(4, left))
-        sizes.append(b)
-        left -= b
-    return tuple(sizes)
-
-
 def _bundle(name: str, args, N: int):
     """A catalog entry, or the seeded random instance for name 'random'."""
     p = args.p if args.p is not None else 2
     if name == "random":
-        sizes = _random_sizes(random.Random(args.seed))
+        sizes = random_sizes(random.Random(args.seed))
         return random_block_action(sizes, args.seed, p=p, N=N)
     return get_bundle(name, p=p, N=N)
 

@@ -84,8 +84,6 @@ class Lattice:
 
         The result's lower level must stay below N - 1 (operation guard).
         """
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         if not rows:
             raise ValueError("empty generating set")
         if any(len(r) != d for r in rows):
@@ -96,13 +94,24 @@ class Lattice:
 
     @classmethod
     def unguarded(cls, p: int, N: int, d: int, rows) -> "Lattice":
-        """The span of rows of length d, full rank certified, no level guard."""
+        """The span of integer rows of length d, full rank certified, no level guard.
+
+        A full-rank Hermite form is canonical by construction, so it is not
+        validated again; only a non-integer entry, which survives the
+        reduction, is refused, by the type of the sum of the entries.
+        """
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         red, piv, _ = hermite_rows(rows, p, N)
         if piv != list(range(d)):
             raise PrecisionExhausted(
                 f"full rank not certifiable at precision {N} (pivots in columns {piv})"
             )
-        return cls(p, N, d, tuple(tuple(red[i]) for i in range(d)))
+        lat = object.__new__(cls)  # skips __post_init__
+        lat.__dict__.update(p=p, N=N, d=d, basis=tuple(tuple(red[i]) for i in range(d)))
+        if type(sum(map(sum, lat.basis))) is not int:
+            raise ValueError("generating set holds a non-integer entry")
+        return lat
 
     def guard(self) -> None:
         """The operation guard: PrecisionExhausted unless lower_level <= N - 2."""

@@ -7,11 +7,11 @@ that the series and the split model series p^floor(i*rate_k) * x_k contain
 each other up to p^c across the whole window.
 
 Everything here is exact.  Rates are fractions, the frame is an integer
-matrix invertible over Z_p, and the certificate c is found by solving
-containments in integer arithmetic.  The only non-rigorous ingredient is
-the choice of candidate rates and frames; every candidate must then pass
-invariance checks and the window-wide equivalence test, and failures fall
-back to alternative anchors before giving up.
+matrix invertible over Z_p, and c is read off in frame coordinates, with
+no model lattice built (tests/oracles.py keeps the definition by model
+lattices).  The only non-rigorous ingredient is the choice of candidate
+rates and frames; every candidate must pass invariance checks and the
+window-wide equivalence test, and failures fall back to other anchors.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "certify_equivalence",
     "strata_split",
     "run_stratification",
-    "approximate_term",
     "fixed_space_rows",
 ]
 
@@ -481,51 +480,43 @@ def _graph_repair(frame, e: int, action: GroupAction):
 # -- frames and certification -------------------------------------------
 
 
-def approximate_term(strat_frame, rates: RateVector, i: int, p: int, N: int) -> Lattice:
-    """The split-model lattice at index i: span of p^floor(i*rate_k) x_k."""
-    rows = []
-    for k, xi in enumerate(rates.rates):
-        f = p ** _floor_mul(i, xi)
-        rows.append([f * x for x in strat_frame[k]])
-    return Lattice.from_rows(p, N, len(strat_frame), rows)
-
-
-def _scale_exponent_into(rows, M: Lattice) -> int:
-    """Least c >= 0 with p^c * row in M for every row."""
-    ell = M.lower_level
-    f = M.p**ell
-    worst = 0
-    for row in rows:
-        coords = M.solve([f * x for x in row])  # never None: p^ell Z_p^d lies in M
-        deficit = ell - min(
-            int_valuation(abs(c), M.p, M.N + ell) if c else M.N + ell for c in coords
-        )
-        if deficit > worst:
-            worst = deficit
-    return max(0, worst)
-
-
 def _window_constant(trace: SeriesTrace, frame, rates: RateVector) -> int:
-    """Minimal two-sided containment constant over the whole window."""
+    """Least c >= 0 with p^c lambda_i in model_i and p^c model_i in lambda_i, all i >= 1.
+
+    model_i spans the p^a_k x_k, x_k the frame rows and a_k = floor(i rate_k)
+    <= i_max <= N - 2; both lattices contain p^N Z_p^d.  The frame F is a
+    Z_p-basis, so p^c v lies in model_i iff c + v_p(y_k) >= a_k for all k,
+    y = v F^-1 mod p^N (capping v_p at N > a_k is harmless).  p^c model_i
+    lies in lambda_i iff c >= e_k - a_k for the least e_k with p^e_k x_k in
+    lambda_i: e_k = l - min v_p(z) <= l, z the coordinates of p^l x_k and l
+    the term's lower level.  A least valuation is that of a gcd.
+    tests/oracles.py keeps the lattice definition.
+    """
     p, N = trace.ambient.p, trace.ambient.N
+    pN = p**N
+    inv = unimodular_inverse(frame, p, N)
     c = 0
     for i in range(1, trace.i_max + 1):
-        model = approximate_term(frame, rates, i, p, N)
         lam = trace.terms[i]
-        c_i = max(
-            _scale_exponent_into(model.basis, lam),
-            _scale_exponent_into(lam.basis, model),
-        )
-        if c_i > c:
-            c = c_i
+        a = [_floor_mul(i, xi) for xi in rates.rates]
+        for ak, col in zip(a, zip(*mat_mul(lam.basis, inv, pN))):
+            if ak > c:
+                c = max(c, ak - int_valuation(math.gcd(*col), p, N))
+        ell = lam.lower_level
+        f = p**ell
+        for ak, x in zip(a, frame):
+            if ell - ak > c:
+                z = lam.solve([f * t for t in x])  # never None: p^ell Z_p^d lies in lambda_i
+                c = max(c, ell - ak - int_valuation(math.gcd(*z), p, N + ell))
     return c
 
 
 def certify_equivalence(trace: SeriesTrace, strat: Stratification, c_cap: int | None = None):
     """The window constant of a stratification's frame and rates; None above the cap.
 
-    Every containment is solved afresh.  For a hand-built Stratification:
-    run_stratification's c already is this constant, from extract_frame.
+    Computed in frame coordinates by _window_constant; the tests check it
+    against the model-lattice definition in tests/oracles.py.  The frame must
+    be a Z_p-basis (ValueError otherwise).  run_stratification's c is this.
     """
     cap = c_cap if c_cap is not None else max(1, trace.i_max // 4)
     c = _window_constant(trace, strat.frame, strat.rates)

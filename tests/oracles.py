@@ -3,9 +3,10 @@
 Everything here works by explicit enumeration over (Z/p^N)^d, or over
 every candidate fraction, so it is slow and only usable for small cases,
 but it shares no code with the library and serves as ground truth.  The
-one exception is `join_quotients`, the former implementation of
-hdim_numeric on top of the public lattice layer (itself checked against
-the enumerations here).
+exceptions are `join_quotients` and `window_constant_by_lattices`, the
+former implementations of hdim_numeric and of the window constant on top
+of the public lattice layer (itself checked against the enumerations
+here), and `approximate_term`, the model lattice the latter builds.
 """
 
 import math
@@ -172,3 +173,43 @@ def join_quotients(H, trace, strat, tolerance=Fraction(1, 100)):
         quotients.append(Fraction(log_index(joined, lam), log_index(L, lam)))
     tail = quotients[-max(1, len(quotients) // 3):]
     return quotients, (max(tail) - min(tail)) <= Fraction(tolerance)
+
+
+def approximate_term(frame, rates, i, p, N):
+    """The split-model lattice at index i: span of p^floor(i*rate_k) x_k."""
+    from pstrata.lattice import Lattice
+
+    rows = []
+    for xi, x in zip(rates.rates, frame):
+        f = p ** math.floor(i * xi)
+        rows.append([f * t for t in x])
+    return Lattice.from_rows(p, N, len(frame), rows)
+
+
+def _scale_exponent_into(rows, M):
+    """Least c >= 0 with p^c * row in M for every row."""
+    ell = M.lower_level
+    f = M.p**ell
+    worst = 0
+    for row in rows:
+        coords = M.solve([f * x for x in row])  # never None: p^ell Z_p^d lies in M
+        least = min(_val(c, M.p, M.N + ell) for c in coords)
+        worst = max(worst, ell - least)
+    return worst
+
+
+def window_constant_by_lattices(trace, frame, rates):
+    """Reference for strata._window_constant: build model_i, solve both ways.
+
+    For every i >= 1 the model term is a full Lattice.from_rows, and each
+    basis row of either lattice is solved in the other; c is the largest
+    scale exponent needed.
+    """
+    p, N = trace.ambient.p, trace.ambient.N
+    c = 0
+    for i in range(1, trace.i_max + 1):
+        model = approximate_term(frame, rates, i, p, N)
+        lam = trace.terms[i]
+        c = max(c, _scale_exponent_into(model.basis, lam),
+                _scale_exponent_into(lam.basis, model))
+    return c

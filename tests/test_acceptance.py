@@ -11,14 +11,14 @@ import time
 from fractions import Fraction
 
 import oracles
-from pstrata.catalog import build_eisenstein, catalog_names, get_bundle, random_block_action
+from pstrata.catalog import (build_eisenstein, catalog_names, get_bundle, random_block_action,
+                             random_sizes)
 from pstrata.gmodule import check_invariance, lower_p_series, restrict_action
 from pstrata.hausdorff import SubgroupSpec, hdim_exact, hdim_numeric, spectrum
 from pstrata.lattice import Lattice
 from pstrata.padic import hermite_rows, smith_rows
 from pstrata.strata import (
     CycleCertificate,
-    approximate_term,
     detect_cycle,
     estimate_rates,
     run_stratification,
@@ -147,16 +147,6 @@ def test_criterion_6_cycle_certificates():
     )
 
 
-def _random_sizes(rng):
-    d = rng.randint(2, 6)
-    sizes, left = [], d
-    while left:
-        b = rng.randint(1, min(4, left))
-        sizes.append(b)
-        left -= b
-    return tuple(sizes)
-
-
 def _invertible_mod_p(rows, p):
     m = [list(r) for r in rows]
     n = len(m)
@@ -195,7 +185,7 @@ def test_criterion_7_numeric_oracle_battery():
     ok = True
     for seed in range(200):
         rng = random.Random(seed * 7919 + 13)
-        sizes = _random_sizes(rng)
+        sizes = random_sizes(rng)
         bundle = random_block_action(sizes, seed=seed, p=2, N=66)
         tr = lower_p_series(bundle.lattice, bundle.action, 64)
         strat, _ = run_stratification(tr, denom_bound=max(sizes + (2,)))
@@ -241,7 +231,7 @@ def test_criterion_8_structural_suite():
                     ]
                     ok = ok and cur.solve(img) is not None
             ok = ok and check_invariance(cur, b.action)  # G-invariance
-            term = approximate_term(strat.frame, strat.rates, i, p, tr.precision)
+            term = oracles.approximate_term(strat.frame, strat.rates, i, p, tr.precision)
             ok = ok and check_invariance(term, b.action)  # model terms too
         for e in range(1, len(rates)):  # prefix spans at every rate boundary
             if rates[e - 1] < rates[e]:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pstrata.errors import NotContained, PrecisionExhausted
-from pstrata.padic import smith_rows
+from pstrata.padic import hermite_rows, smith_rows
 from pstrata.lattice import (
     Lattice,
     coords_in,
@@ -50,6 +50,37 @@ def test_non_integer_basis_refused(basis):
     # a float pivot ended in a TypeError, a float above the pivot was accepted
     with pytest.raises(ValueError, match="non-integer"):
         Lattice(2, 8, 2, basis)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_from_rows_refuses_non_integer_rows(p):
+    # the reduction carries 0.5 along; the basis is not re-validated
+    with pytest.raises(ValueError, match="non-integer"):
+        Lattice.from_rows(p, 8, 2, [[1, 0.5], [0, 1]])
+
+
+@st.composite
+def generating_sets(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d, 2 * d))
+    entry = st.integers(-(p**N) * 3, p**N * 3) | st.sampled_from([0, 1, p, p * p])
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+    return p, N, d, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(generating_sets())
+def test_full_rank_hermite_output_passes_validation(case):
+    # Lattice.unguarded skips __post_init__ on a full-rank Hermite form;
+    # this is the claim that lets it
+    p, N, d, rows = case
+    red, piv, _ = hermite_rows(rows, p, N)
+    if piv != list(range(d)):
+        return
+    basis = tuple(tuple(red[i]) for i in range(d))
+    assert Lattice(p, N, d, basis) == Lattice.unguarded(p, N, d, rows)
 
 
 def test_lower_level_is_not_the_diagonal():

@@ -1,5 +1,6 @@
 """Rate fitting, frames, certification, splitting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,10 @@ from pstrata.errors import (
 )
 from pstrata.gmodule import GroupAction, check_invariance, lower_p_series
 from pstrata.lattice import Lattice
+from pstrata.padic import det_valuation_is_zero
 from pstrata.strata import (
     CycleCertificate,
     RateVector,
-    approximate_term,
     certify_equivalence,
     detect_cycle,
     estimate_rates,
@@ -191,9 +192,12 @@ class TestFrames:
             extract_frame(tr, RateVector((F(1), F(1))))
 
     def test_certification_is_independent(self):
+        # run_stratification and certify_equivalence share _window_constant,
+        # so c is checked against the definition by model lattices
         b = get_bundle("Gm2")
         tr = lower_p_series(b.lattice, b.action, 24)
         strat, _ = run_stratification(tr, denom_bound=8)
+        assert oracles.window_constant_by_lattices(tr, strat.frame, strat.rates) == strat.c
         assert certify_equivalence(tr, strat) == strat.c
         # a tight cap refuses rather than stretching the constant
         assert certify_equivalence(tr, strat, c_cap=0) is None
@@ -203,7 +207,7 @@ class TestFrames:
         tr = lower_p_series(b.lattice, b.action, 24)
         strat, _ = run_stratification(tr, denom_bound=8)
         for i in (1, 5, 12, 24):
-            t = approximate_term(strat.frame, strat.rates, i, 2, tr.precision)
+            t = oracles.approximate_term(strat.frame, strat.rates, i, 2, tr.precision)
             assert check_invariance(t, b.action)
 
     def test_estimate_rates_matches_run(self):
@@ -242,9 +246,45 @@ def test_what_the_construction_guarantees(sizes, seed, p, i_max):
     except (FrameRejected, NoStableFit, RateOutOfRange):
         return
     for i in range(1, i_max + 1):
-        model = approximate_term(strat.frame, strat.rates, i, p, tr.precision)
+        model = oracles.approximate_term(strat.frame, strat.rates, i, p, tr.precision)
         assert check_invariance(model, b.action)
-    assert certify_equivalence(tr, strat) == strat.c
+    assert oracles.window_constant_by_lattices(tr, strat.frame, strat.rates) == strat.c
+
+
+def _unimodular(rng, d, p, N):
+    """A random d x d integer matrix invertible over Z_p."""
+    while True:
+        grid = [[rng.randrange(p**N) for _ in range(d)] for _ in range(d)]
+        if det_valuation_is_zero(grid, p):
+            return grid
+
+
+def _constants_agree(tr, frame, rates):
+    got = strata._window_constant(tr, frame, rates)
+    assert got == oracles.window_constant_by_lattices(tr, frame, rates)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_sizes, st.integers(0, 10**6), st.sampled_from([2, 3]), st.integers(4, 24))
+def test_window_constant_matches_the_lattice_definition(sizes, seed, p, i_max):
+    """c in frame coordinates equals c from model lattices, for right and wrong rates."""
+    b = random_block_action(sizes, seed, p=p, N=i_max + 2)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    d = b.action.d
+    frames = [_unimodular(random.Random(seed), d, p, tr.precision)]
+    rate_vectors = [RateVector((F(1, d),) * d), RateVector((F(1),) * d)]
+    try:
+        rate_vectors.append(estimate_rates(tr))
+        strat, _ = run_stratification(tr)
+    except (FrameRejected, NoStableFit, RateOutOfRange):
+        pass
+    else:
+        frames.append(strat.frame)
+        rate_vectors.append(strat.rates)
+    for frame in frames:
+        for rates in rate_vectors:
+            _constants_agree(tr, frame, rates)
 
 
 class TestGraphRepair:
@@ -262,6 +302,11 @@ class TestGraphRepair:
         tau = [strat.frame[r][3] - pN for r in range(3)]
         assert tau == [-3, -6, -6]
         assert strat.frame[3] == (0, 0, 0, 1)
+        # the constant for the fitted rates and for two wrong ones, each
+        # equal to the one from model lattices
+        assert _constants_agree(tr, strat.frame, strat.rates) == 1
+        assert _constants_agree(tr, strat.frame, RateVector((F(1, 4),) * 4)) == 36
+        assert _constants_agree(tr, strat.frame, RateVector((F(1),) * 4)) == 16
 
 
 class TestSplit:
