@@ -235,12 +235,11 @@ def log_index(A: Lattice, B: Lattice) -> int:
 def coords_in(M: Lattice, L: Lattice) -> list:
     """Exact integer coordinate matrix C with C @ L.basis == M.basis."""
     M._compat(L)
-    out = []
-    for row in M.basis:
-        c = L.solve(row)
-        if c is None:
-            raise NotContained("lattice is not contained in the reference lattice")
-        out.append(c)
+    if L.log_det == 0:  # L is Z_p^d, whose canonical basis is the identity
+        return [list(row) for row in M.basis]
+    out = [L.solve(row) for row in M.basis]
+    if None in out:
+        raise NotContained("lattice is not contained in the reference lattice")
     return out
 
 

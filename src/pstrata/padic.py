@@ -320,14 +320,6 @@ def left_kernel_rows(rows, p: int, N: int) -> list[list[int]]:
     return gens
 
 
-def det_valuation_is_zero(grid, p: int) -> bool:
-    """True iff det(grid) is a p-adic unit: full rank of the reduction mod p."""
-    n = len(grid)
-    if any(len(r) != n for r in grid):
-        return False
-    return n == 0 or len(hermite_rows(grid, p, 1)[1]) == n
-
-
 def unimodular_inverse(grid, p: int, N: int) -> list[list[int]]:
     """The inverse mod p^N of a square matrix invertible over Z_p.
 

@@ -12,6 +12,8 @@ no model lattice built (tests/oracles.py keeps the definition by model
 lattices).  The only non-rigorous ingredient is the choice of candidate
 rates and frames; every candidate must pass invariance checks and the
 window-wide equivalence test, and failures fall back to other anchors.
+run_stratification computes each rate candidate only once the one before
+it is rejected; detect_cycle keys a term by its canonical basis over its content.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .errors import (
 )
 from .gmodule import GroupAction, SeriesTrace
 from .lattice import Lattice, coords_in
-from .padic import (det_valuation_is_zero, hermite_rows, int_valuation, mat_mul,
-                    smith_rows, unimodular_inverse)
+from .padic import hermite_rows, int_valuation, mat_mul, smith_rows, unimodular_inverse
 
 __all__ = [
     "RateVector",
@@ -171,12 +172,16 @@ def _best_fit(pts, cands, half_spread: bool) -> tuple:
     The residual is max_i |m_i - floor(i*n/m)|, or with half_spread the
     half-spread ceil((max - min) / 2) of those deviations.  A candidate is
     dropped once its running residual strictly exceeds the best residual so
-    far; that never drops the least key, so the scan order does not matter.
+    far.  The running residual is a lower bound in any order, so that never
+    drops the least key; the points are scanned ends first (last, first,
+    second-to-last, ...), where a wrong slope deviates most.
     """
+    n_pts = len(pts)
+    scan = [pts[k // 2] if k % 2 else pts[n_pts - 1 - k // 2] for k in range(n_pts)]
     best = (math.inf,)
     for n, m in cands:
         lo, hi = math.inf, -math.inf
-        for i, mi in pts:
+        for i, mi in scan:
             dv = mi - i * n // m
             if lo <= dv <= hi:
                 continue
@@ -228,7 +233,7 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> Ra
     fit escapes [1/d, 1] and NoStableFit (with the coordinate) when no
     bounded fraction fits.
     """
-    return _rates_from_profiles(trace, denom_bound, window, fit_rational)
+    return _rates_from_profiles(trace, denom_bound, _window(trace, window), fit_rational)
 
 
 def _fit_offset(samples, denom_bound: int, residual_cap: int | None = None):
@@ -257,10 +262,16 @@ def _fit_offset(samples, denom_bound: int, residual_cap: int | None = None):
     return Fraction(n, m), r
 
 
-def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -> RateVector:
+def _window(trace: SeriesTrace, window) -> tuple:
+    """The fit window (i_lo, i_hi), all of 1..i_max by default; ValueError if bad."""
     i_lo, i_hi = window if window is not None else (1, trace.i_max)
     if not 1 <= i_lo < i_hi <= trace.i_max:
         raise ValueError(f"bad window ({i_lo}, {i_hi}) for a trace of length {trace.i_max}")
+    return i_lo, i_hi
+
+
+def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -> RateVector:
+    i_lo, i_hi = window
     n_samples = i_hi - i_lo + 1
     d_eff = min(denom_bound, (n_samples - 2) // 2)
     if d_eff < 1:
@@ -286,25 +297,21 @@ def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     """Search for an exact p-power repetition of normalized term shapes.
 
-    Each term is divided by its depth p^u_i and canonicalized; a hash hit
-    at indices j < j+m is only accepted after the exact verification
-    term(j + m) == p^n term(j) with n = u_{j+m} - u_j <= m.
+    The key of term i is its canonical basis B_i over its content p^u_i,
+    the gcd of the entries (a p-power, as the diagonal is).  Canonical
+    bases are unique and p^n B_j is canonical with B_j, so term_i == p^n
+    term_j iff B_i == p^n B_j, and then u_i = u_j + n: keys agree exactly
+    when such an n exists (n >= 0, as the terms descend).  So does the
+    Hermite form of the coordinates in any reference lattice, so the hits
+    do not depend on it.  A hit (j, j+m) is accepted only after the exact
+    verification term(j + m) == p^n term(j) with n <= m.
     """
-    L0 = trace.ambient
-    p, N = L0.p, L0.N
-    d = L0.d
     seen: dict = {}
     depths: list[int] = []
     for i, term in enumerate(trace.terms):
-        C = coords_in(term, L0)
-        u = min(int_valuation(abs(x), p, N) if x else N for row in C for x in row)
-        depths.append(u)
-        pu = p**u
-        shape = [[x // pu for x in row] for row in C]
-        red, piv, _ = hermite_rows(shape, p, N)
-        if len(piv) != d:
-            continue
-        key = tuple(tuple(r) for r in red)
+        g = math.gcd(*(x for row in term.basis for x in row))
+        depths.append(int_valuation(g, term.p, term.N))
+        key = tuple(tuple(x // g for x in row) for row in term.basis)
         j = seen.get(key)
         if j is None:
             seen[key] = i
@@ -584,9 +591,10 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
             ech, piv = _span_echelon(frame[:e], p, N)
             if len(piv) != e or not _span_invariant(ech, piv, action):
                 return None, f"anchor {i2}: prefix of size {e} is not invariant"
-    if not det_valuation_is_zero(frame, p):
+    try:
+        c = _window_constant(trace, frame, rates)
+    except ValueError:  # F^-1 exists exactly when the frame is a Z_p-basis
         return None, f"anchor {i2}: frame is not invertible over Z_p"
-    c = _window_constant(trace, frame, rates)
     if c > cap:
         return None, f"anchor {i2}: window constant {c} exceeds cap {cap}"
     strat = Stratification(
@@ -620,10 +628,8 @@ def extract_frame(trace: SeriesTrace, rates, anchors=None, c_cap: int | None = N
     else:
         lcm_den = math.lcm(*[xi.denominator for xi in rv.rates])
         aligned = (trace.i_max // lcm_den) * lcm_den
-        attempt_list = []
-        for i2 in (aligned, aligned - lcm_den, trace.i_max, trace.i_max - 1):
-            if i2 >= 1 and i2 <= trace.i_max and i2 not in attempt_list:
-                attempt_list.append(i2)
+        near_end = (aligned, aligned - lcm_den, trace.i_max, trace.i_max - 1)
+        attempt_list = [i2 for i2 in dict.fromkeys(near_end) if 1 <= i2 <= trace.i_max]
     reasons = []
     for i2 in attempt_list:
         strat, why = _try_frame(trace, rv, i2, cap)
@@ -633,6 +639,17 @@ def extract_frame(trace: SeriesTrace, rates, anchors=None, c_cap: int | None = N
     raise FrameRejected("; ".join(reasons))
 
 
+def _rate_candidates(trace: SeriesTrace, cert, denom_bound: int, window, errors: list):
+    """Cycle rates, anchored fit, offset fit, each computed on demand; fit errors go to errors."""
+    if cert is not None:
+        yield RateVector((cert.rate,) * trace.ambient.d)
+    for fitter in (fit_rational, _fit_offset):
+        try:
+            yield _rates_from_profiles(trace, denom_bound, window, fitter)
+        except (NoStableFit, RateOutOfRange) as err:
+            errors.append(err)
+
+
 def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c_cap=None):
     """Full pipeline: cycle detection, rate fitting, frame, certification.
 
@@ -640,38 +657,30 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c
     vectors are tried in order of trustworthiness: a verified cycle pins
     every rate to n/m exactly and goes first; then the anchored fit; then
     an offset-tolerant refit, which rescues series whose terms are shifted
-    against the model by a constant.  Whatever candidate wins must still
-    pass frame extraction, which certifies c over the whole window, so the
-    fallbacks add no unsoundness.  A cycle upgrades the status, since the
-    exact self-similarity extends the window to every later index.
+    against the model by a constant.  Each is computed only once the one
+    before it is rejected, so a certified cycle runs no fit.  Whatever
+    candidate wins must still pass frame extraction, which certifies c over
+    the whole window, so the fallbacks add no unsoundness.  A cycle
+    upgrades the status: exact self-similarity extends the window to every
+    later index.  With no candidate the first fit error is raised.
     """
+    window = _window(trace, window)
     cert = detect_cycle(trace)
-    d = trace.ambient.d
-    candidates = []
-    if cert is not None:
-        candidates.append(RateVector((cert.rate,) * d))
-    fit_error = None
-    for fitter in (fit_rational, _fit_offset):
-        try:
-            rv = _rates_from_profiles(trace, denom_bound, window, fitter)
-        except (NoStableFit, RateOutOfRange) as err:
-            if fit_error is None:
-                fit_error = err
+    tried, fit_errors, reject_reasons = [], [], []
+    for rv in _rate_candidates(trace, cert, denom_bound, window, fit_errors):
+        if rv in tried:
             continue
-        if rv not in candidates:
-            candidates.append(rv)
-    if not candidates:
-        raise fit_error
-    reject_reasons = []
-    for rv in candidates:
+        tried.append(rv)
         try:
             strat = extract_frame(trace, rv, c_cap=c_cap)
         except FrameRejected as err:
             reject_reasons.append(str(err))
             continue
-        if cert is not None and rv.rates == (cert.rate,) * d:
+        if cert is not None and rv.rates == (cert.rate,) * trace.ambient.d:
             strat = replace(strat, status="exact-cycle")
         return strat, cert
+    if not tried:
+        raise fit_errors[0]
     raise FrameRejected(" | ".join(reject_reasons))
 
 

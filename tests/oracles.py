@@ -6,7 +6,11 @@ but it shares no code with the library and serves as ground truth.  The
 exceptions are `join_quotients` and `window_constant_by_lattices`, the
 former implementations of hdim_numeric and of the window constant on top
 of the public lattice layer (itself checked against the enumerations
-here), and `approximate_term`, the model lattice the latter builds.
+here), and `approximate_term`, the model lattice the latter builds; and
+the former library code kept to pin its faster replacement:
+`det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
+(the cycle key by coordinates) and `run_stratification_eager` (the
+candidate loop that computed every rate candidate up front).
 """
 
 import math
@@ -213,3 +217,90 @@ def window_constant_by_lattices(trace, frame, rates):
         c = max(c, _scale_exponent_into(model.basis, lam),
                 _scale_exponent_into(lam.basis, model))
     return c
+
+
+def det_valuation_is_zero(grid, p):
+    """True iff det(grid) is a p-adic unit: full rank of the reduction mod p."""
+    from pstrata.padic import hermite_rows
+
+    n = len(grid)
+    if any(len(r) != n for r in grid):
+        return False
+    return n == 0 or len(hermite_rows(grid, p, 1)[1]) == n
+
+
+def detect_cycle_by_coordinates(trace):
+    """Reference for strata.detect_cycle: key each term by coordinates.
+
+    Solves the term's coordinates in the series start L0, divides them by
+    their least p-power and keys by the Hermite form of the result; a hit is
+    verified exactly as in the library.
+    """
+    from pstrata.lattice import coords_in
+    from pstrata.padic import hermite_rows, int_valuation
+    from pstrata.strata import CycleCertificate, _is_scaled_copy
+
+    L0 = trace.ambient
+    p, N, d = L0.p, L0.N, L0.d
+    seen = {}
+    depths = []
+    for i, term in enumerate(trace.terms):
+        C = coords_in(term, L0)
+        u = min(int_valuation(abs(x), p, N) if x else N for row in C for x in row)
+        depths.append(u)
+        shape = [[x // p**u for x in row] for row in C]
+        red, piv, _ = hermite_rows(shape, p, N)
+        if len(piv) != d:
+            continue
+        key = tuple(tuple(r) for r in red)
+        j = seen.get(key)
+        if j is None:
+            seen[key] = i
+            continue
+        m, n = i - j, depths[i] - depths[j]
+        if 0 <= n <= m and _is_scaled_copy(trace.terms[j], n, trace.terms[i]):
+            return CycleCertificate(j=j, m=m, n=n)
+    return None
+
+
+def run_stratification_eager(trace, denom_bound=64, window=None, c_cap=None):
+    """Reference for strata.run_stratification: every candidate up front.
+
+    Detects the cycle and runs both rate fits before any frame is tried,
+    then tries the distinct candidates in order (cycle, anchored fit,
+    offset fit).  With no candidate the first fit error is raised; with all
+    rejected, one FrameRejected joins the reasons.
+    """
+    from dataclasses import replace
+
+    from pstrata import strata
+    from pstrata.errors import FrameRejected, NoStableFit, RateOutOfRange
+
+    cert = strata.detect_cycle(trace)
+    d = trace.ambient.d
+    candidates = []
+    if cert is not None:
+        candidates.append(strata.RateVector((cert.rate,) * d))
+    fit_error = None
+    for fitter in (strata.fit_rational, strata._fit_offset):
+        try:
+            rv = strata._rates_from_profiles(
+                trace, denom_bound, strata._window(trace, window), fitter)
+        except (NoStableFit, RateOutOfRange) as err:
+            fit_error = fit_error or err
+            continue
+        if rv not in candidates:
+            candidates.append(rv)
+    if not candidates:
+        raise fit_error
+    reasons = []
+    for rv in candidates:
+        try:
+            strat = strata.extract_frame(trace, rv, c_cap=c_cap)
+        except FrameRejected as err:
+            reasons.append(str(err))
+            continue
+        if cert is not None and rv.rates == (cert.rate,) * d:
+            strat = replace(strat, status="exact-cycle")
+        return strat, cert
+    raise FrameRejected(" | ".join(reasons))

@@ -210,6 +210,19 @@ def test_coords_in_round_trip():
         assert rebuilt == [x % pN for x in mrow]
 
 
+@settings(max_examples=100, deadline=None)
+@given(generating_sets())
+def test_coords_in_the_standard_lattice_are_the_basis(case):
+    # coords_in returns M's basis when L is Z_p^d instead of solving it
+    p, N, d, rows = case
+    red, piv, _ = hermite_rows(rows, p, N)
+    if piv != list(range(d)):
+        return
+    M = Lattice.unguarded(p, N, d, rows)
+    L = Lattice.standard(p, N, d)
+    assert coords_in(M, L) == [L.solve(row) for row in M.basis]
+
+
 def test_serialization_round_trip():
     M = Lattice.from_rows(3, 6, 2, [[3, 2], [0, 9]])
     again = lattice_from_json(lattice_to_json(M))

@@ -17,7 +17,6 @@ from pstrata.errors import (
 )
 from pstrata.gmodule import GroupAction, check_invariance, lower_p_series
 from pstrata.lattice import Lattice
-from pstrata.padic import det_valuation_is_zero
 from pstrata.strata import (
     CycleCertificate,
     RateVector,
@@ -255,8 +254,25 @@ def _unimodular(rng, d, p, N):
     """A random d x d integer matrix invertible over Z_p."""
     while True:
         grid = [[rng.randrange(p**N) for _ in range(d)] for _ in range(d)]
-        if det_valuation_is_zero(grid, p):
+        if oracles.det_valuation_is_zero(grid, p):
             return grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_window_constant_refuses_exactly_the_frames_that_are_not_bases(p, data):
+    # _try_frame relies on this instead of a separate rank test mod p
+    b = get_bundle("Gm2", p=p, N=10)
+    tr = lower_p_series(b.lattice, b.action, 8)
+    d = tr.ambient.d
+    row = st.lists(st.integers(0, p**3 - 1), min_size=d, max_size=d)
+    frame = data.draw(st.lists(row, min_size=d, max_size=d))
+    rates = RateVector((F(1, d),) * d)
+    if oracles.det_valuation_is_zero(frame, p):
+        strata._window_constant(tr, frame, rates)
+    else:
+        with pytest.raises(ValueError):
+            strata._window_constant(tr, frame, rates)
 
 
 def _constants_agree(tr, frame, rates):
@@ -285,6 +301,86 @@ def test_window_constant_matches_the_lattice_definition(sizes, seed, p, i_max):
     for frame in frames:
         for rates in rate_vectors:
             _constants_agree(tr, frame, rates)
+
+
+# random block actions, the ramified entries (whose series cycle) and Gm2
+catalog_entries = [f"eisenstein{e}" for e in (1, 2, 3, 4)] + ["Gm2"]
+instances = st.one_of(
+    st.tuples(st.just("random"), block_sizes, st.integers(0, 10**6)),
+    st.sampled_from([("catalog", name, 0) for name in catalog_entries]),
+)
+
+
+def _series(instance, p, i_max, start=0):
+    """The series of an instance, restarted at term `start` when it is nonzero."""
+    kind, what, seed = instance
+    N = i_max + 2
+    if kind == "catalog":
+        b = get_bundle(what, p=p, N=N)
+    else:
+        b = random_block_action(what, seed, p=p, N=N)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    return lower_p_series(tr.terms[start], b.action, i_max - start) if start else tr
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.sampled_from([0, 1, 3]))
+def test_cycle_key_matches_the_coordinate_key(instance, p, i_max, start):
+    """The content key finds the certificate the coordinate key finds, from any start."""
+    tr = _series(instance, p, i_max, start)
+    assert detect_cycle(tr) == oracles.detect_cycle_by_coordinates(tr)
+
+
+def _pipeline(run, tr, **kwargs):
+    try:
+        return run(tr, **kwargs)
+    except (FrameRejected, NoStableFit, RateOutOfRange, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.data())
+def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, data):
+    """Same result or same error as computing every candidate up front."""
+    tr = _series(instance, p, i_max)
+    good = st.integers(1, i_max - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, i_max)))
+    any_pair = st.tuples(st.integers(0, i_max + 1), st.integers(0, i_max + 1))
+    kwargs = dict(
+        denom_bound=data.draw(st.sampled_from([1, 2, 3, 8, 64])),
+        window=data.draw(st.none() | good | any_pair),
+        c_cap=data.draw(st.sampled_from([None, 0, 1])),
+    )
+    expected = _pipeline(oracles.run_stratification_eager, tr, **kwargs)
+    assert _pipeline(run_stratification, tr, **kwargs) == expected
+
+
+def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
+    calls = {"fit_rational": 0, "_fit_offset": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(strata, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(strata, name, counting)
+    b = get_bundle("eisenstein2")
+    strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 16), denom_bound=8)
+    assert strat.status == "exact-cycle"
+    assert calls == {"fit_rational": 0, "_fit_offset": 0}
+    b = get_bundle("Gm3")
+    strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 40), denom_bound=8)
+    assert cert is None
+    assert strat.rates.rates == (F(1, 5),) * 5 + (F(1, 3),) * 3 + (F(1, 2),) * 2
+    assert calls["fit_rational"] > 0
+    assert calls["_fit_offset"] == 0
+
+
+def test_bad_window_is_refused_when_a_cycle_certifies():
+    b = get_bundle("eisenstein2")
+    tr = lower_p_series(b.lattice, b.action, 16)
+    assert run_stratification(tr, denom_bound=8)[0].status == "exact-cycle"
+    for window in ((0, 16), (8, 8), (1, 17)):
+        with pytest.raises(ValueError, match="bad window"):
+            run_stratification(tr, denom_bound=8, window=window)
 
 
 class TestGraphRepair:
