@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InvalidShape
 from .gmodule import GroupAction
 from .lattice import Lattice
-from .padic import identity, mat_mul
+from .padic import identity, mul_entries, row_entries
 
 __all__ = [
     "ExampleBundle",
@@ -63,8 +63,9 @@ def _companion(b: int, p: int):
 def _mat_pow(M, a: int, m: int):
     """M^a reduced mod m; the action reduces its generators mod p^N anyway."""
     R = identity(len(M))
+    right = row_entries(M)
     for _ in range(a):
-        R = mat_mul(R, M, m)
+        R = mul_entries(R, right, m)
     return R
 
 

@@ -13,7 +13,11 @@ misses lies in (result)*(ideal) and Nakayama closes the gap.  M' contains
 pM, a summand, and lies in M, as every summand does; so M'(g_s - 1) lies in
 M(g_s - 1), which lies in M', and M' is invariant.  Neither invertibility
 nor the precision enters (p^N Z_p^d is invariant), so none of this is
-re-checked.  The series checks its input only: an invariant start, the
+re-checked.  The step multiplies by the nonzero entries of each g_t - 1,
+prepared once per action, and drops the images that vanish mod p^N
+before the Hermite form: a zero row adds nothing to the span, and the
+canonical basis of a span is unique, so every term is the one the full
+stack gives.  The series checks its input only: an invariant start, the
 precision guard on every term, and index growth of a digit per step,
 which fails when unipotent generators generate a group that is not pro-p.
 """
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
-from .padic import _freeze, _integer, _is_prime, identity, mat_mul
+from .padic import _freeze, _integer, _is_prime, identity, mat_mul, mul_entries, row_entries
 
 __all__ = [
     "GroupAction",
@@ -64,7 +68,8 @@ def _grids(generators) -> tuple:
 class GroupAction:
     """Topological generators of a pro-p group acting on Z_p^d row vectors.
 
-    generators and deltas (each g - 1) are integer grids with entries in [0, p^N).
+    generators and deltas (each g - 1) are integer grids with entries in [0, p^N);
+    delta_entries holds each delta prepared as a right factor (`row_entries`).
     """
 
     p: int
@@ -72,6 +77,7 @@ class GroupAction:
     d: int
     generators: tuple
     deltas: tuple = field(init=False, compare=False, repr=False)
+    delta_entries: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p, N, d = self.p, self.N, self.d
@@ -92,6 +98,7 @@ class GroupAction:
             raise ValueError("generator is not unipotent mod p; the action would not be pro-p")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "delta_entries", tuple(map(row_entries, deltas)))
 
     @classmethod
     def build(cls, p: int, N: int, generator_grids) -> "GroupAction":
@@ -121,12 +128,16 @@ def check_invariance(M: Lattice, action: GroupAction) -> bool:
 
 
 def _step(M: Lattice, action: GroupAction) -> Lattice:
-    """p*M + sum_t M*(g_t - 1): invariant and between pM and M if M is invariant."""
+    """p*M + sum_t M*(g_t - 1): invariant and between pM and M if M is invariant.
+
+    Images that vanish mod p^N are dropped; the canonical basis of the span
+    does not depend on them (module docstring).
+    """
     p = M.p
     pN = p**M.N
     rows = [[p * x for x in brow] for brow in M.basis]
-    for delta in action.deltas:
-        rows.extend(mat_mul(M.basis, delta, pN))
+    for delta in action.delta_entries:
+        rows.extend(img for img in mul_entries(M.basis, delta, pN) if any(img))
     return Lattice.from_rows(p, M.N, M.d, rows)
 
 

@@ -122,7 +122,7 @@ class Lattice:
 
     # -- basic queries -------------------------------------------------
 
-    @property
+    @cached_property
     def diag_exponents(self) -> tuple:
         return tuple(int_valuation(self.basis[i][i], self.p, self.N) for i in range(self.d))
 

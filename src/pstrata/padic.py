@@ -6,7 +6,11 @@ integer rows.  All reductions below use only three row operations, each
 invertible over Z_p: swapping rows, scaling a row by a unit, and adding
 an integer multiple of one row to another.  Consequently the row span mod
 p^N is preserved exactly, which is what the lattice layer relies on.
-`mat_mul` is the one row-times-matrix product; the mod-p rank test and
+`mat_mul` is the one row-times-matrix product.  Its loop walks only the
+nonzero (column, value) entries of each row of the right factor, so a
+sparse factor such as a generator's g - 1 costs its nonzeros, not its
+size; a right factor fixed for a whole loop is prepared once with
+`row_entries` and multiplied by `mul_entries`.  The mod-p rank test and
 the inverse of a unimodular matrix are read off `hermite_rows`.
 
 The triangularization (`hermite_rows`) picks, per column, the entry of
@@ -23,12 +27,15 @@ exponents.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
 
 __all__ = [
     "identity",
     "mat_mul",
+    "row_entries",
+    "mul_entries",
     "hermite_insert",
     "unimodular_inverse",
 ]
@@ -50,18 +57,30 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# odd p -> ([p^0, ..., p^cap], {p^k: k}) for the largest cap asked so far
+_POWERS: dict = {}
+
+
 def int_valuation(x: int, p: int, cap: int) -> int:
-    """Valuation of the residue x, capped at cap (used for x == 0)."""
+    """Valuation of the residue x, capped at cap (used for x == 0).
+
+    For odd p a multiple of p has v = log_p gcd(x, p^cap), capped already:
+    one gcd and a table lookup instead of a division per digit.
+    """
     if x == 0:
         return cap
     if p == 2:
         v = (x & -x).bit_length() - 1
-    else:
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-    return v if v < cap else cap
+        return v if v < cap else cap
+    if x % p:
+        return 0
+    table = _POWERS.get(p)
+    if table is None or cap >= len(table[0]):
+        # a larger cap replaces the table whole, so a reader never sees it half built
+        pows = [p**k for k in range(cap + 1)]
+        table = _POWERS[p] = pows, {q: k for k, q in enumerate(pows)}
+    pows, logs = table
+    return logs[math.gcd(x, pows[cap])]
 
 
 def _freeze(rows) -> tuple:
@@ -85,21 +104,31 @@ def identity(d: int) -> list[list[int]]:
     return [[int(i == j) for j in range(d)] for i in range(d)]
 
 
-def mat_mul(a, b, m: int) -> list[list[int]]:
-    """The rows of a @ b reduced mod m: the images of the rows of a under b."""
-    n = len(b)
-    cols = range(len(b[0]) if n else 0)
+def row_entries(b) -> tuple:
+    """b prepared as a right factor: its width and each row's nonzero (column, value) entries."""
+    return len(b[0]) if b else 0, [[(j, x) for j, x in enumerate(row) if x] for row in b]
+
+
+def mul_entries(a, prepared, m: int) -> list[list[int]]:
+    """The rows of a @ b reduced mod m, for b prepared by `row_entries`."""
+    width, entries = prepared
+    n = len(entries)
     out = []
     for arow in a:
         if len(arow) != n:
             raise ValueError(f"row of length {len(arow)} cannot multiply {n} rows")
-        acc = [0] * len(cols)
-        for x, brow in zip(arow, b):
+        acc = [0] * width
+        for x, brow in zip(arow, entries):
             if x:
-                for j in cols:
-                    acc[j] += x * brow[j]
+                for j, y in brow:
+                    acc[j] += x * y
         out.append([v % m for v in acc])
     return out
+
+
+def mat_mul(a, b, m: int) -> list[list[int]]:
+    """The rows of a @ b reduced mod m: the images of the rows of a under b."""
+    return mul_entries(a, row_entries(b), m)
 
 
 def hermite_rows(rows, p: int, N: int, want_transform: bool = False):

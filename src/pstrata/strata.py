@@ -30,8 +30,10 @@ from .errors import (
     RateOutOfRange,
 )
 from .gmodule import GroupAction, SeriesTrace
-from .lattice import Lattice, coords_in
-from .padic import hermite_rows, int_valuation, mat_mul, smith_rows, unimodular_inverse
+from .lattice import coords_in
+from .padic import (
+    hermite_rows, int_valuation, mat_mul, mul_entries, row_entries, smith_rows, unimodular_inverse,
+)
 
 __all__ = [
     "RateVector",
@@ -303,8 +305,8 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     term_j iff B_i == p^n B_j, and then u_i = u_j + n: keys agree exactly
     when such an n exists (n >= 0, as the terms descend).  So does the
     Hermite form of the coordinates in any reference lattice, so the hits
-    do not depend on it.  A hit (j, j+m) is accepted only after the exact
-    verification term(j + m) == p^n term(j) with n <= m.
+    do not depend on it.  A hit (j, j+m) with 0 <= n <= m is therefore the
+    certificate term(j + m) == p^n term(j) itself; the tests re-check it.
     """
     seen: dict = {}
     depths: list[int] = []
@@ -318,16 +320,9 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
             continue
         m = i - j
         n = depths[i] - depths[j]
-        if 0 <= n <= m and _is_scaled_copy(trace.terms[j], n, trace.terms[i]):
+        if 0 <= n <= m:
             return CycleCertificate(j=j, m=m, n=n)
     return None
-
-
-def _is_scaled_copy(A: Lattice, n: int, B: Lattice) -> bool:
-    f = A.p**n
-    return all(
-        f * a == b for arow, brow in zip(A.basis, B.basis) for a, b in zip(arow, brow)
-    )
 
 
 # -- row-span helpers (possibly non-full-rank) --------------------------
@@ -501,12 +496,12 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector) -> int:
     """
     p, N = trace.ambient.p, trace.ambient.N
     pN = p**N
-    inv = unimodular_inverse(frame, p, N)
+    inv = row_entries(unimodular_inverse(frame, p, N))
     c = 0
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
         a = [_floor_mul(i, xi) for xi in rates.rates]
-        for ak, col in zip(a, zip(*mat_mul(lam.basis, inv, pN))):
+        for ak, col in zip(a, zip(*mul_entries(lam.basis, inv, pN))):
             if ak > c:
                 c = max(c, ak - int_valuation(math.gcd(*col), p, N))
         ell = lam.lower_level

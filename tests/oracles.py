@@ -9,8 +9,10 @@ of the public lattice layer (itself checked against the enumerations
 here), and `approximate_term`, the model lattice the latter builds; and
 the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
-(the cycle key by coordinates) and `run_stratification_eager` (the
-candidate loop that computed every rate candidate up front).
+(the cycle key by coordinates), `run_stratification_eager` (the
+candidate loop that computed every rate candidate up front) and
+`step_by_full_stack` (the series step on every image, zero or not).  The
+definitions `valuation` and `mat_mul_dense` pin the kernels.
 """
 
 import math
@@ -33,7 +35,8 @@ def span_set(rows, p, N):
     return out
 
 
-def _val(x, p, N):
+def valuation(x, p, N):
+    """v_p(x) capped at N, by dividing out one p at a time from x mod p^N."""
     if x % p**N == 0:
         return N
     v = 0
@@ -42,6 +45,13 @@ def _val(x, p, N):
         x //= p
         v += 1
     return v
+
+
+def mat_mul_dense(a, b, m):
+    """The rows of a @ b mod m by the dense triple loop over every entry."""
+    width = len(b[0]) if b else 0
+    return [[sum(arow[t] * b[t][j] for t in range(len(b))) % m for j in range(width)]
+            for arow in a]
 
 
 def brute_smith_2x2(rows, p, N, span=None):
@@ -75,7 +85,7 @@ def echelon_span_size(rows, p, N):
     pN = p**N
     size = 1
     for k, row in enumerate(rows):
-        size *= pN // p ** _val(row[k], p, N)
+        size *= pN // p ** valuation(row[k], p, N)
     return size
 
 
@@ -197,7 +207,7 @@ def _scale_exponent_into(rows, M):
     worst = 0
     for row in rows:
         coords = M.solve([f * x for x in row])  # never None: p^ell Z_p^d lies in M
-        least = min(_val(c, M.p, M.N + ell) for c in coords)
+        least = min(valuation(c, M.p, M.N + ell) for c in coords)
         worst = max(worst, ell - least)
     return worst
 
@@ -229,6 +239,14 @@ def det_valuation_is_zero(grid, p):
     return n == 0 or len(hermite_rows(grid, p, 1)[1]) == n
 
 
+def is_scaled_copy(A, n, B):
+    """True iff B's canonical basis is p^n times A's, entry by entry."""
+    f = A.p**n
+    return all(
+        f * a == b for arow, brow in zip(A.basis, B.basis) for a, b in zip(arow, brow)
+    )
+
+
 def detect_cycle_by_coordinates(trace):
     """Reference for strata.detect_cycle: key each term by coordinates.
 
@@ -238,7 +256,7 @@ def detect_cycle_by_coordinates(trace):
     """
     from pstrata.lattice import coords_in
     from pstrata.padic import hermite_rows, int_valuation
-    from pstrata.strata import CycleCertificate, _is_scaled_copy
+    from pstrata.strata import CycleCertificate
 
     L0 = trace.ambient
     p, N, d = L0.p, L0.N, L0.d
@@ -258,7 +276,7 @@ def detect_cycle_by_coordinates(trace):
             seen[key] = i
             continue
         m, n = i - j, depths[i] - depths[j]
-        if 0 <= n <= m and _is_scaled_copy(trace.terms[j], n, trace.terms[i]):
+        if 0 <= n <= m and is_scaled_copy(trace.terms[j], n, trace.terms[i]):
             return CycleCertificate(j=j, m=m, n=n)
     return None
 
@@ -304,3 +322,14 @@ def run_stratification_eager(trace, denom_bound=64, window=None, c_cap=None):
             strat = replace(strat, status="exact-cycle")
         return strat, cert
     raise FrameRejected(" | ".join(reasons))
+
+
+def step_by_full_stack(M, action):
+    """Reference for gmodule._step: the canonical span of p*M and every M*(g - 1)."""
+    from pstrata.lattice import Lattice
+
+    p, N = M.p, M.N
+    rows = [[p * x for x in row] for row in M.basis]
+    for delta in action.deltas:
+        rows.extend(mat_mul_dense(M.basis, delta, p**N))
+    return Lattice.from_rows(p, N, M.d, rows)

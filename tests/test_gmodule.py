@@ -4,10 +4,14 @@ import csv
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from pstrata.catalog import random_block_action
 from pstrata.errors import NotInvariant, PrecisionExhausted, PstrataError
 from pstrata.gmodule import (
     GroupAction,
+    _step,
     action_from_json,
     action_to_json,
     check_invariance,
@@ -108,6 +112,17 @@ def test_series_descends_and_is_invariant():
         # p * previous term sits inside the next term (elementary sections)
         nxt, cur = tr.terms[i], tr.terms[i - 1]
         assert all(nxt.solve([2 * x for x in row]) is not None for row in cur.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda s: sum(s) <= 8),
+       st.integers(0, 10**6), st.sampled_from([2, 3]), st.integers(2, 16))
+def test_step_matches_the_full_stack(sizes, seed, p, i_max):
+    # dropping the zero images leaves every term the full stack spans
+    b = random_block_action(tuple(sizes), seed, p=p, N=i_max + 2)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    for term in tr.terms[:-1]:
+        assert _step(term, b.action) == oracles.step_by_full_stack(term, b.action)
 
 
 def test_series_needs_precision_margin():

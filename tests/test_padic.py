@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pstrata import padic
 from pstrata.errors import PrecisionExhausted
 from pstrata.lattice import Lattice
 from pstrata.padic import (
@@ -12,6 +13,8 @@ from pstrata.padic import (
     int_valuation,
     left_kernel_rows,
     mat_mul,
+    mul_entries,
+    row_entries,
     smith_rows,
     unimodular_inverse,
 )
@@ -24,6 +27,22 @@ def test_int_valuation():
     # anything indistinguishable from zero at the working precision caps out
     assert int_valuation(0, 2, 10) == 10
     assert int_valuation(1024, 2, 5) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.booleans(), st.data())
+def test_int_valuation_matches_the_division_loop(p, rising, data):
+    # the odd-p power table starts empty and grows as caps are asked for,
+    # in rising or falling order; x covers 0, units, negatives and exact
+    # multiples of p^cap and beyond
+    padic._POWERS.pop(p, None)
+    drawn = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    caps = sorted({c + e for c in drawn for e in (0, 1)}, reverse=not rising)
+    for cap in caps:
+        k = data.draw(st.integers(0, cap + 3))
+        u = data.draw(st.integers(-(10**40), 10**40))
+        for x in (0, u, p**k * u, p**cap, -(p**cap) * (u * p + 1), p ** (cap + k)):
+            assert int_valuation(x, p, cap) == oracles.valuation(x, p, cap)
 
 
 def test_hermite_frozen_example():
@@ -213,6 +232,29 @@ def test_mat_mul_rejects_mismatched_shapes():
         mat_mul([[1, 2, 3]], [[3], [4]], 5)
     with pytest.raises(ValueError):
         mat_mul([[1]], [[3], [4]], 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5), st.integers(2, 10**6), st.data())
+def test_mat_mul_matches_the_dense_loop(n_rows, inner, width, m, data):
+    # non-square shapes, width 0, and rows and columns of zeros in both factors
+    entry = st.one_of(st.just(0), st.integers(-(10**9), 10**9))
+    a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                           min_size=n_rows, max_size=n_rows))
+    b = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                           min_size=inner, max_size=inner))
+    if a and data.draw(st.booleans()):
+        a[data.draw(st.integers(0, n_rows - 1))] = [0] * inner
+    if width and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, width - 1))
+        for row in b:
+            row[j] = 0
+    want = oracles.mat_mul_dense(a, b, m)
+    assert mat_mul(a, b, m) == want
+    assert mul_entries(a, row_entries(b), m) == want
+    for length in {inner + 1, max(inner - 1, 0)} - {inner}:
+        with pytest.raises(ValueError):
+            mat_mul(a + [[1] * length], b, m)
 
 
 def test_hermite_insert_frozen_example():

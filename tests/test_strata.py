@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pstrata import strata
-from pstrata.catalog import get_bundle, random_block_action
+from pstrata.catalog import catalog_names, get_bundle, random_block_action
 from pstrata.errors import (
     FrameRejected,
     NoStableFit,
@@ -329,6 +329,16 @@ def test_cycle_key_matches_the_coordinate_key(instance, p, i_max, start):
     """The content key finds the certificate the coordinate key finds, from any start."""
     tr = _series(instance, p, i_max, start)
     assert detect_cycle(tr) == oracles.detect_cycle_by_coordinates(tr)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_certificate_is_a_scaled_copy(name):
+    """detect_cycle does not re-check its hits; here each one is checked."""
+    for p in (2, 3):
+        tr = _series(("catalog", name, 0), p, 24)
+        cert = detect_cycle(tr)
+        if cert is not None:
+            assert oracles.is_scaled_copy(tr.terms[cert.j], cert.n, tr.terms[cert.j + cert.m])
 
 
 def _pipeline(run, tr, **kwargs):
