@@ -16,8 +16,12 @@ the inverse of a unimodular matrix are read off `hermite_rows`.
 The triangularization (`hermite_rows`) picks, per column, the entry of
 minimal valuation among the remaining rows (ties: lowest row index), makes
 it an exact power of p by a unit scaling, clears below, and finally reduces
-entries above each pivot modulo that pivot's p-power.  The resulting form
-is the unique canonical basis of the row span plus p^N times the ambient.
+entries above each pivot modulo that pivot's p-power.  When every column
+gets a pivot (a full-rank span), the resulting form is the unique
+canonical basis of the row span plus p^N times the ambient.  Below full
+rank it is not unique: mod 2^10 the rows (2, 1) and (-2, -1) span the same
+line but reduce to (2, 1) and (2, 513), since a pivot p^a leaves the rest
+of its row free modulo p^(N-a).
 `hermite_insert` adds rows to a triangular basis that is already there,
 eliminating only the new rows and skipping the reduction above the pivots.
 The diagonalization (`smith_rows`) repeats the same idea with a global
@@ -138,7 +142,9 @@ def hermite_rows(rows, p: int, N: int, want_transform: bool = False):
     unless requested; when present it satisfies transform @ input == output
     mod p^N and is invertible over Z_p.  Columns without any unit-certifiable
     entry (all residues 0 mod p^N) simply receive no pivot; callers that
-    need full rank must check pivot_columns themselves.
+    need full rank must check pivot_columns themselves.  Only a full-rank
+    result is canonical, one per span: span{(2, 1)} mod 2^10 reduces to
+    (2, 1) from (2, 1) and to (2, 513) from (-2, -1).
     """
     pN = p**N
     R = [[e % pN for e in row] for row in rows]
@@ -213,16 +219,19 @@ def hermite_insert(basis, rows, p: int, N: int):
     """Eliminate new rows against an upper-triangular basis mod p^N.
 
     basis is d x d, upper triangular, with exact p-power pivots p^e_k,
-    e_k < N (a Lattice basis).  Returns (triangular_rows, diag_exponents):
-    an upper-triangular basis with p-power pivots whose span plus p^N Z^d
-    is that of basis and rows together.  Each new row is reduced column by
-    column; where it has the smaller valuation it is scaled to an exact
-    p-power and swapped with the basis row, and the displaced row is
-    reduced and carried on.  A row reduced to zero is dropped.  Entries
-    above the pivots are left unreduced, so the rows are not the canonical
-    form of `hermite_rows`.
+    e_k < N, and entries in [0, p^N) (a Lattice basis).  Returns
+    (triangular_rows, diag_exponents): an upper-triangular basis with
+    p-power pivots whose span plus p^N Z^d is that of basis and rows
+    together.  Each new row is reduced column by column; where it has the
+    smaller valuation it is scaled to an exact p-power and swapped with the
+    basis row, and the displaced row is reduced and carried on.  A row
+    reduced to zero is dropped.  Entries above the pivots are left
+    unreduced, so the rows are not the canonical form of `hermite_rows`.
+    At column k the carried row and the pivot row are zero left of k, so
+    only columns k..d-1 are updated, and only where the pivot row is not 0.
     """
     pN = p**N
+    d = len(basis)
     tri = list(basis)
     exps = [int_valuation(row[k], p, N) for k, row in enumerate(tri)]
     for row in rows:
@@ -236,13 +245,16 @@ def hermite_insert(basis, rows, p: int, N: int):
                 u = xk // p**v
                 if u != 1:
                     inv = pow(u, -1, pN)
-                    x = [(inv * e) % pN for e in x]
-                tri[k], x = x, tri[k]
+                    x[k:] = [(inv * e) % pN for e in x[k:]]
+                tri[k], x = x, list(tri[k])
                 exps[k] = v
             piv = tri[k]
             # exact: the pivot's p-power divides x[k]
             q = x[k] // piv[k]
-            x = [(e - q * t) % pN for e, t in zip(x, piv)]
+            for j in range(k, d):
+                t = piv[j]
+                if t:
+                    x[j] = (x[j] - q * t) % pN
     return tri, exps
 
 

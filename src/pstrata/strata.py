@@ -9,9 +9,12 @@ each other up to p^c across the whole window.
 Everything here is exact.  Rates are fractions, the frame is an integer
 matrix invertible over Z_p, and c is read off in frame coordinates, with
 no model lattice built (tests/oracles.py keeps the definition by model
-lattices).  The only non-rigorous ingredient is the choice of candidate
-rates and frames; every candidate must pass invariance checks and the
-window-wide equivalence test, and failures fall back to other anchors.
+lattices).  So is the invariance of each rate-boundary prefix P_e of the
+frame F: P_e is invariant iff every block (F (g - 1) F^-1)[:e, e:] is 0
+mod p^N, and a prefix that is not is deformed by _graph_repair.  The
+only non-rigorous ingredient is the choice of candidate rates and frames;
+every candidate must pass invariance checks and the window-wide
+equivalence test, and failures fall back to other anchors.
 run_stratification computes each rate candidate only once the one before
 it is rejected; detect_cycle keys a term by its canonical basis over its content.
 """
@@ -325,61 +328,27 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     return None
 
 
-# -- row-span helpers (possibly non-full-rank) --------------------------
+# -- invariant prefixes -------------------------------------------------
 
 
-def _span_echelon(rows, p: int, N: int):
-    red, piv, _ = hermite_rows(rows, p, N)
-    return [list(red[k]) for k in range(len(piv))], piv
+def _prefix_invariant(frame, inv, e: int, action: GroupAction) -> bool:
+    """Whether the first e frame rows span an invariant sublattice P_e.
 
-
-def _in_span(vec, ech, piv, p: int, N: int) -> bool:
-    pN = p**N
-    rem = [int(x) % pN for x in vec]
-    nc = len(rem)
-    for k, c in enumerate(piv):
-        x = rem[c]
-        if x:
-            q, r = divmod(x, ech[k][c])
-            if r:
-                return False
-            row = ech[k]
-            for t in range(c, nc):
-                rem[t] = (rem[t] - q * row[t]) % pN
-    return not any(rem)
-
-
-def _span_invariant(ech, piv, action: GroupAction) -> bool:
+    The frame F is a Z_p-basis and inv is F^-1 mod p^N, so v lies in P_e
+    plus p^N Z_p^d iff the coordinates v F^-1 vanish mod p^N from position
+    e on; x_k g lies in P_e iff x_k (g - 1) does.  So P_e is invariant iff
+    every block (F (g - 1) F^-1)[:e, e:] is 0 mod p^N.  No basis of P_e
+    alone is needed: a triangular one is not unique (`padic.hermite_rows`),
+    so a membership test against it can miss a vector of the span.
+    """
     pN = action.p**action.N
-    return all(
-        _in_span(img, ech, piv, action.p, action.N)
-        for g in action.generators
-        for img in mat_mul(ech, g, pN)
+    head = frame[:e]
+    tail = row_entries([row[e:] for row in inv])
+    return not any(
+        any(row)
+        for delta in action.delta_entries
+        for row in mul_entries(mul_entries(head, delta, pN), tail, pN)
     )
-
-
-def _g_closure(ech, piv, action: GroupAction, e: int):
-    """Smallest action-stable span containing the rows, or None if its rank
-    exceeds e (the deformation was not confined to the intended subspace)."""
-    pN = action.p**action.N
-    cur, cur_piv = ech, piv
-    for _ in range(action.N * e + 2):
-        stacked = [list(r) for r in cur]
-        for g in action.generators:
-            stacked.extend(mat_mul(cur, g, pN))
-        new, new_piv = _span_echelon(stacked, action.p, action.N)
-        if len(new_piv) > e:
-            return None
-        if new == cur:
-            return cur
-        cur, cur_piv = new, new_piv
-    return None
-
-
-def _isolator_rows(rows, p: int, N: int):
-    """Basis of {x : p^k x in span(rows) for some k}, a saturated span."""
-    exps, _, _, W = smith_rows(rows, p, N, want_right_inv=True)
-    return [list(W[k]) for k in range(len(exps))]
 
 
 def _solve_row_system(rows, target, p: int, N: int, s_max: int = 6):
@@ -482,7 +451,7 @@ def _graph_repair(frame, e: int, action: GroupAction):
 # -- frames and certification -------------------------------------------
 
 
-def _window_constant(trace: SeriesTrace, frame, rates: RateVector) -> int:
+def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> int:
     """Least c >= 0 with p^c lambda_i in model_i and p^c model_i in lambda_i, all i >= 1.
 
     model_i spans the p^a_k x_k, x_k the frame rows and a_k = floor(i rate_k)
@@ -492,11 +461,12 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector) -> int:
     lies in lambda_i iff c >= e_k - a_k for the least e_k with p^e_k x_k in
     lambda_i: e_k = l - min v_p(z) <= l, z the coordinates of p^l x_k and l
     the term's lower level.  A least valuation is that of a gcd.
-    tests/oracles.py keeps the lattice definition.
+    tests/oracles.py keeps the lattice definition.  inv is F^-1 mod p^N,
+    computed here unless the caller already has it.
     """
     p, N = trace.ambient.p, trace.ambient.N
     pN = p**N
-    inv = row_entries(unimodular_inverse(frame, p, N))
+    inv = row_entries(inv if inv is not None else unimodular_inverse(frame, p, N))
     c = 0
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
@@ -539,6 +509,13 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     lies in P_e(k) (all of Z_p^d for the last stratum), and a_j <= a_k for
     j <= e(k), a_j = floor(i rate_j); so p^a_k x_k g lies in the span of
     the p^a_j x_j plus p^N Z_p^d, the model term at i.
+
+    A prefix that is not invariant goes to _graph_repair, which deforms it
+    onto a nearby invariant graph.  No other repair is tried: P_e is
+    saturated (the frame is a Z_p-basis), so the action-stable closure of
+    P_e has rank e only if it is P_e itself, and then P_e was invariant.
+    A repair can break a prefix fixed earlier, hence the second pass; if
+    that pass changed the frame as well, every prefix is checked once more.
     """
     L0 = trace.ambient
     p, N, d = L0.p, L0.N, L0.d
@@ -560,36 +537,27 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     frame = mat_mul(frame_L, L0.basis, pN)
     action = trace.action
     bounds = _boundaries(rates)
+    try:
+        inv = unimodular_inverse(frame, p, N)
+    except ValueError:  # F^-1 exists exactly when the frame is a Z_p-basis
+        return None, f"anchor {i2}: frame is not invertible over Z_p"
     for _ in range(2):
         dirty = False
         for e in bounds:
-            ech, piv = _span_echelon(frame[:e], p, N)
-            if len(piv) != e:
-                return None, f"anchor {i2}: prefix of size {e} lost rank"
-            if _span_invariant(ech, piv, action):
+            if _prefix_invariant(frame, inv, e, action):
                 continue
-            closed = _g_closure(ech, piv, action, e)
-            if closed is not None:
-                frame[:e] = _isolator_rows(closed, p, N)
-                dirty = True
-                continue
-            repaired = _graph_repair(frame, e, action)
-            if repaired is None:
+            frame = _graph_repair(frame, e, action)
+            if frame is None:
                 return None, f"anchor {i2}: prefix of size {e} is not repairable"
-            frame = repaired
+            inv = unimodular_inverse(frame, p, N)  # the repair keeps a Z_p-basis
             dirty = True
         if not dirty:
             break
     else:
-        # both passes changed the frame; a clean pass has checked every prefix
         for e in bounds:
-            ech, piv = _span_echelon(frame[:e], p, N)
-            if len(piv) != e or not _span_invariant(ech, piv, action):
+            if not _prefix_invariant(frame, inv, e, action):
                 return None, f"anchor {i2}: prefix of size {e} is not invariant"
-    try:
-        c = _window_constant(trace, frame, rates)
-    except ValueError:  # F^-1 exists exactly when the frame is a Z_p-basis
-        return None, f"anchor {i2}: frame is not invertible over Z_p"
+    c = _window_constant(trace, frame, rates, inv)
     if c > cap:
         return None, f"anchor {i2}: window constant {c} exceeds cap {cap}"
     strat = Stratification(
@@ -730,6 +698,5 @@ def fixed_space_rows(action: GroupAction):
     wide = [[x for delta in action.deltas for x in delta[i]] for i in range(d)]
     exps, _, U, _ = smith_rows(wide, action.p, action.N, want_left=True)
     rank = len(exps)
-    rows = [U[k] for k in range(rank, d)]
-    ech, _ = _span_echelon(rows, action.p, action.N) if rows else ([], [])
-    return [tuple(r) for r in ech]
+    red, piv, _ = hermite_rows(U[rank:], action.p, action.N)
+    return [tuple(r) for r in red[:len(piv)]]

@@ -17,6 +17,7 @@ from pstrata.errors import (
 )
 from pstrata.gmodule import GroupAction, check_invariance, lower_p_series
 from pstrata.lattice import Lattice
+from pstrata.padic import identity, mat_mul, unimodular_inverse
 from pstrata.strata import (
     CycleCertificate,
     RateVector,
@@ -183,6 +184,29 @@ class TestFrames:
         assert strat.status == "certified-window"
         assert strat.rates.rates == (F(1, 3),) * 3 + (F(1, 2),) * 2
         assert cert is None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gm2_in_conjugated_coordinates(self, p):
+        # g -> U^-1 g U moves the invariant strata off the coordinate axes;
+        # the Smith frame's slow prefix is still invariant, which a test
+        # against a triangular basis of it (not unique below full rank) misses
+        N = 26
+        pN = p**N
+        b = get_bundle("Gm2", p=p, N=N)
+        U = identity(5)
+        U[4][1] = -1
+        U_inv = unimodular_inverse(U, p, N)
+        gens = [mat_mul(mat_mul(U_inv, g, pN), U, pN) for g in b.action.generators]
+        act = GroupAction.build(p, N, gens)
+        tr = lower_p_series(b.lattice, act, 24)
+        strat, cert = run_stratification(tr, denom_bound=8)
+        assert cert is None
+        assert strat.rates.rates == (F(1, 3),) * 3 + (F(1, 2),) * 2
+        assert strat.c == 1
+        assert oracles.window_constant_by_lattices(tr, strat.frame, strat.rates) == 1
+        for i in (1, 7, 24):
+            t = oracles.approximate_term(strat.frame, strat.rates, i, p, tr.precision)
+            assert check_invariance(t, act)
 
     def test_wrong_rates_are_rejected(self):
         b = get_bundle("eisenstein2")
@@ -391,6 +415,61 @@ def test_bad_window_is_refused_when_a_cycle_certifies():
     for window in ((0, 16), (8, 8), (1, 17)):
         with pytest.raises(ValueError, match="bad window"):
             run_stratification(tr, denom_bound=8, window=window)
+
+
+def _unimodular_signed(data, d, entry, diagonal):
+    """Upper triangular times lower unitriangular, unit diagonal, entries unreduced.
+
+    In this order the leading entries of the rows are seldom units, so a
+    triangular basis of a prefix can have a pivot that is not a unit.
+    """
+    up = identity(d)
+    lo = identity(d)
+    for r in range(d):
+        up[r][r] = data.draw(diagonal)
+        for c in range(r + 1, d):
+            up[r][c] = data.draw(entry)
+        for c in range(r):
+            lo[r][c] = data.draw(entry)
+    return [[sum(up[r][k] * lo[k][c] for k in range(d)) for c in range(d)] for r in range(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(2, 6), st.data())
+def test_prefix_test_knows_an_invariant_prefix_in_any_coordinates(p, d, data):
+    """F (g' - 1) F^-1 = g - 1 for g' = U^-1 g U and F = U, so the truth is known.
+
+    Each g is 1 plus a strictly lower triangular part plus p times a matrix
+    whose coupling block g[:e, e:] is 0, so the first e unit rows span an
+    invariant sublattice and g - 1 is nilpotent mod p.
+    """
+    N = 12
+    pN = p**N
+    e = data.draw(st.integers(1, d - 1))
+    entry = st.integers(-(p**3), p**3)
+    U = _unimodular_signed(data, d, entry, st.sampled_from([-1, 1, 1 - p, p + 1]))
+    U_inv = unimodular_inverse(U, p, N)
+    grids = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = identity(d)
+        for r in range(d):
+            for c in range(d):
+                if c < r:
+                    g[r][c] += data.draw(entry)
+                elif r >= e or c < e:
+                    g[r][c] += p * data.draw(entry)
+        grids.append(g)
+
+    def prefix_invariant(grids):
+        act = GroupAction.build(p, N, [mat_mul(mat_mul(U_inv, g, pN), U, pN) for g in grids])
+        return strata._prefix_invariant(U, U_inv, e, act)
+
+    assert prefix_invariant(grids)
+    t = data.draw(st.integers(0, len(grids) - 1))
+    r = data.draw(st.integers(0, e - 1))
+    c = data.draw(st.integers(e, d - 1))
+    grids[t][r][c] = p * data.draw(entry.filter(bool))
+    assert not prefix_invariant(grids)
 
 
 class TestGraphRepair:
