@@ -37,7 +37,6 @@ from .gmodule import (
     action_from_json,
     action_to_json,
     check_invariance,
-    lambda_step,
     lower_p_series,
     restrict_action,
     trace_to_csv,
@@ -105,7 +104,6 @@ __all__ = [
     "GroupAction",
     "SeriesTrace",
     "check_invariance",
-    "lambda_step",
     "lower_p_series",
     "restrict_action",
     "action_to_json",

@@ -37,7 +37,6 @@ __all__ = [
     "GroupAction",
     "SeriesTrace",
     "check_invariance",
-    "lambda_step",
     "lower_p_series",
     "restrict_action",
     "action_to_json",
@@ -139,13 +138,6 @@ def _step(M: Lattice, action: GroupAction) -> Lattice:
     for delta in action.delta_entries:
         rows.extend(img for img in mul_entries(M.basis, delta, pN) if any(img))
     return Lattice.from_rows(p, M.N, M.d, rows)
-
-
-def lambda_step(M: Lattice, action: GroupAction) -> Lattice:
-    """One step of the lower p-series: p*M + sum of M*(g - 1) over generators."""
-    if not check_invariance(M, action):
-        raise NotInvariant("lambda_step requires an invariant lattice")
-    return _step(M, action)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ the computed series itself as index quotients, giving an independent
 cross-check.  It inserts the subgroup's rows into the triangular basis of
 each series term (`padic.hermite_insert`) rather than reducing the whole
 stack again, and reads the index of the term in the join off the pivot
-exponents.  Extra weights account for direct factors carrying mass but
-no lattice coordinates (they enlarge the denominator, and enter subset
-sums in the spectrum).
+exponents.  The terms descend, so the joins do too, and each contains
+H + p^N Z_p^d.  One Hermite form of H bounds the index of H + p^N Z_p^d
+from above; once a join's index reaches that bound, every later join is
+the same lattice and no further insertion is made.  Extra weights account
+for direct factors carrying mass but no lattice coordinates (they enlarge
+the denominator, and enter subset sums in the spectrum).
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from fractions import Fraction
 from .errors import EnumerationTooLarge, RankDeficient
 from .gmodule import SeriesTrace
 from .lattice import Lattice
-from .padic import _freeze, hermite_insert, int_valuation, mat_mul, unimodular_inverse
+from .padic import (
+    _freeze,
+    hermite_insert,
+    hermite_rows,
+    int_valuation,
+    mat_mul,
+    unimodular_inverse,
+)
 from .strata import RateVector, Stratification
 
 __all__ = [
@@ -118,8 +128,11 @@ def hdim_exact(H: SubgroupSpec, strat: Stratification, extra_weights=()) -> Frac
     denominator is the total rate mass including any extra weights from
     factors outside the lattice.
     """
+    return _pivot_dimension(echelon_pivots(H), strat, extra_weights)
+
+
+def _pivot_dimension(pivots, strat: Stratification, extra_weights) -> Fraction:
     rates = strat.rates.rates
-    pivots = echelon_pivots(H)
     if pivots and pivots[-1] >= len(rates):
         raise ValueError("subgroup rows are wider than the frame")
     extras = [Fraction(w) for w in extra_weights]
@@ -140,32 +153,51 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     third of the window at most the tolerance.
 
     The subgroup's rows are inserted into the triangular basis of term_i
-    (`hermite_insert`).  Let J be the span of term_i and H plus p^N Z_p^d;
-    J contains term_i by construction.  Only invertible row operations mod
-    p^N are applied to [term_i; H], so the triangular rows T returned, with
-    pivot exponents e_k, span J together with p^N Z_p^d.  When term_i has
-    lower level l <= N - 2, p^N Z_p^d = p^(N-l) p^l Z_p^d lies in p^2 J, so
-    J = span(T) + pJ and span(T) = J by Nakayama's lemma.  Hence
-    sum(e_k) = log|Z_p^d : J|, the numerator log|J : term_i| is
-    log_det(term_i) - sum(e_k), and lower_level(J) <= l passes the guard.
+    (`hermite_insert`).  Let J_i be the span of term_i and H plus p^N Z_p^d;
+    J_i contains term_i by construction.  Only invertible row operations
+    mod p^N are applied to [term_i; H], so the triangular rows T returned,
+    with pivot exponents e_k, span J_i together with p^N Z_p^d.  When term_i
+    has lower level l <= N - 2, p^N Z_p^d = p^(N-l) p^l Z_p^d lies in
+    p^2 J_i, so J_i = span(T) + pJ_i and span(T) = J_i by Nakayama's lemma.
+    Hence sum(e_k) = log|Z_p^d : J_i|, the numerator log|J_i : term_i| is
+    log_det(term_i) - sum(e_k), and lower_level(J_i) <= l passes the guard.
     The join is therefore guarded only when term_i has no cached level of
     at most N - 2 (lower_p_series caches one; a hand-built trace may not);
     a join that passes the guard contains p^(N-2) Z_p^d, and the same
     argument applies to it.  The denominator trace.log_indices[i] was read
     off the coordinates of term_i in L, which exist only when term_i lies
     inside L.
+
+    Stationary join.  Let F be the sum of the pivot exponents of
+    `hermite_rows(H)`, plus N for each column without a pivot.  Those rows,
+    with p^N e_j for each column without a pivot, are a triangular basis of
+    a sublattice of H + p^N Z_p^d, so F >= log|Z_p^d : H + p^N Z_p^d|.  The
+    terms descend (lower_p_series builds each inside the one before; a
+    hand-built SeriesTrace must descend too), so for j > i, H + p^N Z_p^d
+    lies in J_j and J_j in J_i.  Suppose the join J_i passed the guard and
+    sum(e_k) = F.  Then log|Z_p^d : J_i| = F >= log|Z_p^d : H + p^N Z_p^d|
+    while J_i contains H + p^N Z_p^d, so the two are equal, and so is every
+    later J_j.  From there each numerator is log_det(term_j) - F, with no
+    insertion and no guard: J_j is the join that already passed it.  Since
+    H + p^N Z_p^d then passes the guard, the exit fires only for a
+    full-rank H; for any other H every term is inserted.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
-    amb = H.ambient_rows(strat)
+    amb = H.ambient_rows(strat)  # residues mod p^N, as hermite_insert needs
+    red, piv, _ = hermite_rows(amb, p, N)
+    bound = sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) + N * (d - len(piv))
     dens = trace.log_indices
     quotients = []
+    joined = None
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
-        tri, exps = hermite_insert(lam.basis, amb, p, N)
-        if lam.__dict__.get("lower_level", N) > N - 2:
-            Lattice.unguarded(p, N, d, tri).guard()
-        quotients.append(Fraction(lam.log_det - sum(exps), dens[i]))
+        if joined != bound:
+            tri, exps = hermite_insert(lam.basis, amb, p, N, lam.diag_exponents)
+            if lam.__dict__.get("lower_level", N) > N - 2:
+                Lattice.unguarded(p, N, d, tri).guard()
+            joined = sum(exps)
+        quotients.append(Fraction(lam.log_det - joined, dens[i]))
     tail = quotients[-max(1, len(quotients) // 3):]
     strong = (max(tail) - min(tail)) <= Fraction(tolerance)
     return quotients, strong
@@ -180,8 +212,8 @@ def dimension_report(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     the heavier denominator and the quotients converge to the lattice-only
     dimension instead.
     """
-    exact = hdim_exact(H, strat, extra_weights)
     pivots = echelon_pivots(H)
+    exact = _pivot_dimension(pivots, strat, extra_weights)
     quotients, strong = hdim_numeric(H, trace, strat, tolerance)
     return DimensionReport(
         exact=exact, pivots=pivots, quotients=tuple(quotients), strong=strong

@@ -181,9 +181,6 @@ class Lattice:
                     rem[t] -= q * bj[t]
         return coords
 
-    def contains_vector(self, vec) -> bool:
-        return self.solve(vec) is not None
-
     def contains(self, other: "Lattice") -> bool:
         self._compat(other)
         return all(self.solve(row) is not None for row in other.basis)

@@ -24,6 +24,9 @@ line but reduce to (2, 1) and (2, 513), since a pivot p^a leaves the rest
 of its row free modulo p^(N-a).
 `hermite_insert` adds rows to a triangular basis that is already there,
 eliminating only the new rows and skipping the reduction above the pivots.
+Its pivots are exact powers of p, so "the new row has the smaller valuation
+and takes the pivot" is the divisibility test x[k] % p^e_k != 0; a
+valuation is computed only for a row that does take the pivot.
 The diagonalization (`smith_rows`) repeats the same idea with a global
 pivot search and column operations, yielding ascending elementary-divisor
 exponents.
@@ -215,40 +218,47 @@ def hermite_rows(rows, p: int, N: int, want_transform: bool = False):
     return R, piv_cols, T
 
 
-def hermite_insert(basis, rows, p: int, N: int):
+def hermite_insert(basis, rows, p: int, N: int, exps=None):
     """Eliminate new rows against an upper-triangular basis mod p^N.
 
     basis is d x d, upper triangular, with exact p-power pivots p^e_k,
-    e_k < N, and entries in [0, p^N) (a Lattice basis).  Returns
-    (triangular_rows, diag_exponents): an upper-triangular basis with
-    p-power pivots whose span plus p^N Z^d is that of basis and rows
-    together.  Each new row is reduced column by column; where it has the
-    smaller valuation it is scaled to an exact p-power and swapped with the
-    basis row, and the displaced row is reduced and carried on.  A row
-    reduced to zero is dropped.  Entries above the pivots are left
-    unreduced, so the rows are not the canonical form of `hermite_rows`.
-    At column k the carried row and the pivot row are zero left of k, so
-    only columns k..d-1 are updated, and only where the pivot row is not 0.
+    e_k < N, and entries in [0, p^N) (a Lattice basis); exps, when given,
+    are the e_k (a Lattice's cached `diag_exponents`).  The new rows are
+    residues in [0, p^N) too.  Returns (triangular_rows, diag_exponents):
+    an upper-triangular basis with p-power pivots whose span plus p^N Z^d
+    is that of basis and rows together.  Each new row is reduced column by
+    column; where it has the smaller valuation it is scaled to an exact
+    p-power and swapped with the basis row, and the displaced row is
+    reduced and carried on.  A row reduced to zero is dropped.  Entries
+    above the pivots are left unreduced, so the rows are not the canonical
+    form of `hermite_rows`.  At column k the carried row and the pivot row
+    are zero left of k, so only columns k..d-1 are updated, and only where
+    the pivot row is not 0.
     """
     pN = p**N
     d = len(basis)
     tri = list(basis)
-    exps = [int_valuation(row[k], p, N) for k, row in enumerate(tri)]
+    if exps is None:
+        exps = [int_valuation(row[k], p, N) for k, row in enumerate(tri)]
+    else:
+        exps = list(exps)
     for row in rows:
-        x = [e % pN for e in row]
-        for k, a in enumerate(exps):
+        x = list(row)
+        for k in range(d):
             xk = x[k]
             if not xk:
                 continue
-            v = int_valuation(xk, p, N)
-            if v < a:
+            piv = tri[k]
+            if xk % piv[k]:
+                # the pivot p^e_k does not divide x[k], so v(x[k]) < e_k
+                v = int_valuation(xk, p, N)
                 u = xk // p**v
                 if u != 1:
                     inv = pow(u, -1, pN)
                     x[k:] = [(inv * e) % pN for e in x[k:]]
-                tri[k], x = x, list(tri[k])
+                tri[k], x = x, list(piv)
                 exps[k] = v
-            piv = tri[k]
+                piv = tri[k]
             # exact: the pivot's p-power divides x[k]
             q = x[k] // piv[k]
             for j in range(k, d):

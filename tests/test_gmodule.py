@@ -15,7 +15,6 @@ from pstrata.gmodule import (
     action_from_json,
     action_to_json,
     check_invariance,
-    lambda_step,
     lower_p_series,
     restrict_action,
     trace_to_csv,
@@ -95,9 +94,11 @@ def test_pi_multiplication_step():
     L = Lattice.standard(2, 12, 2)
     g = [[1, 1], [2, 1]]  # 1 + pi in the basis (1, pi)
     act = GroupAction.build(2, 12, [g])
-    lam1 = lambda_step(L, act)
+    assert check_invariance(L, act)
+    lam1 = _step(L, act)
     assert lam1.basis == ((2, 0), (0, 1))  # = pi * L up to basis order
-    lam2 = lambda_step(lam1, act)
+    assert check_invariance(lam1, act)
+    lam2 = _step(lam1, act)
     assert lam2 == L.scale(1)
 
 

@@ -13,6 +13,7 @@ from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficien
 from pstrata.gmodule import SeriesTrace, lower_p_series
 from pstrata import hausdorff
 from pstrata.lattice import Lattice
+from pstrata.padic import mat_mul
 from pstrata.hausdorff import (
     SubgroupSpec,
     dimension_report,
@@ -138,6 +139,52 @@ class TestNumericAgainstJoinReference:
         H = SubgroupSpec(p, tr.precision, tuple(map(tuple, rows)))
         tol = data.draw(hst.sampled_from([F(0), F(1, 100), F(1, 3)]))
         assert hdim_numeric(H, tr, st, tol) == oracles.join_quotients(H, tr, st, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_sizes, hst.integers(0, 9), hst.sampled_from([2, 3]), hst.data())
+    def test_full_rank_subgroups(self, sizes, seed, p, data):
+        # full-rank H, whose joins stop moving once they reach H + p^N Z_p^d:
+        # Z_p^d, p^k Z_p^d, or a late term, each under a random basis; the
+        # joins reach the late term only at its own index
+        tr, st = _random_instance(sizes, seed, p)
+        d, N = sum(sizes), tr.precision
+        pN = p**N
+        entry = hst.integers(0, pN - 1)
+        lower = [[data.draw(entry) if j < i else int(j == i) for j in range(d)] for i in range(d)]
+        upper = [[data.draw(entry) if j > i else int(j == i) for j in range(d)] for i in range(d)]
+        unimodular = mat_mul(lower, upper, pN)
+        kind = data.draw(hst.sampled_from(["saturated", "scaled", "late term"]))
+        if kind == "saturated":
+            base = unit_rows(d, range(d))
+        elif kind == "scaled":
+            k = data.draw(hst.integers(1, 4))
+            base = [[p**k * x for x in row] for row in unit_rows(d, range(d))]
+        else:
+            base = tr.terms[data.draw(hst.integers(tr.i_max // 2, tr.i_max))].basis
+        H = SubgroupSpec.from_ambient(p, N, mat_mul(unimodular, base, pN), st)
+        assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+
+    def test_insertions_stop_at_the_stationary_join(self, monkeypatch):
+        tr, st = _random_instance((2, 1), 0, 2)
+        insert = hausdorff.hermite_insert
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return insert(*args)
+
+        monkeypatch.setattr(hausdorff, "hermite_insert", counted)
+        late = tr.i_max // 2
+        cases = [
+            (unit_rows(3, range(3)), 1),  # the first join is Z_p^d already
+            (unit_rows(3, (0, 2)), tr.i_max),  # rank deficient: never stationary
+            ([list(r) for r in tr.terms[late].basis], late),
+        ]
+        for rows, inserts in cases:
+            calls.clear()
+            H = SubgroupSpec.from_ambient(2, tr.precision, rows, st)
+            assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+            assert len(calls) == inserts
 
     @pytest.mark.parametrize("sizes,seed", [((2, 1), 0), ((3, 2), 4), ((1, 1, 2), 7)])
     def test_subgroup_inside_every_term(self, sizes, seed):

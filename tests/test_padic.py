@@ -268,6 +268,14 @@ def test_hermite_insert_frozen_example():
     tri, exps = hermite_insert(((2, 2), (0, 4)), [[4, 0], [0, 0]], 2, 4)
     assert [list(r) for r in tri] == [[2, 2], [0, 4]]
     assert exps == [1, 2]
+    # 8 is divisible by the pivot 2 but has the higher valuation 3: it is
+    # eliminated in column 0, not swapped in; the remainder (0, 9) then
+    # takes column 1's pivot as (0, 1), and (0, 4) reduces to zero
+    tri, exps = hermite_insert(((2, 2), (0, 4)), [[8, 1]], 2, 4)
+    assert [list(r) for r in tri] == [[2, 2], [0, 1]]
+    assert exps == [1, 0]
+    # the cached exponents of the basis give the same result
+    assert hermite_insert(((2, 2), (0, 4)), [[8, 1]], 2, 4, (1, 2)) == (tri, exps)
 
 
 @settings(max_examples=200, deadline=None)
