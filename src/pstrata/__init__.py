@@ -25,17 +25,11 @@ from .lattice import (
     Lattice,
     coords_in,
     divisor_profile,
-    lattice_from_json,
-    lattice_intersect,
-    lattice_sum,
-    lattice_to_json,
     log_index,
 )
 from .gmodule import (
     GroupAction,
     SeriesTrace,
-    action_from_json,
-    action_to_json,
     check_invariance,
     lower_p_series,
     restrict_action,
@@ -51,7 +45,6 @@ from .strata import (
     estimate_rates,
     extract_frame,
     fit_rational,
-    fixed_space_rows,
     run_stratification,
     strata_split,
 )
@@ -93,21 +86,15 @@ __all__ = [
     "InvalidShape",
     # lattice
     "Lattice",
-    "lattice_sum",
-    "lattice_intersect",
     "log_index",
     "divisor_profile",
     "coords_in",
-    "lattice_to_json",
-    "lattice_from_json",
     # gmodule
     "GroupAction",
     "SeriesTrace",
     "check_invariance",
     "lower_p_series",
     "restrict_action",
-    "action_to_json",
-    "action_from_json",
     "trace_to_csv",
     # strata
     "RateVector",
@@ -121,7 +108,6 @@ __all__ = [
     "certify_equivalence",
     "strata_split",
     "run_stratification",
-    "fixed_space_rows",
     # hausdorff
     "SubgroupSpec",
     "DimensionReport",

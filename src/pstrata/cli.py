@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
             src = sp.add_mutually_exclusive_group()
             src.add_argument("--catalog", help="built-in instance name, or 'random'")
             src.add_argument("--input", help="instance JSON file")
-        sp.add_argument("--p", type=int, default=None, help="prime (default 2)")
+        sp.add_argument("--p", type=int, default=2, help="prime (default 2)")
         sp.add_argument("--precision", type=int, default=None, help="digits p^N (default imax+2)")
         sp.add_argument("--imax", type=int, default=64, help="series window length")
         sp.add_argument("--denom-bound", type=int, default=None,
@@ -108,11 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _bundle(name: str, args, N: int):
     """A catalog entry, or the seeded random instance for name 'random'."""
-    p = args.p if args.p is not None else 2
     if name == "random":
         sizes = random_sizes(random.Random(args.seed))
-        return random_block_action(sizes, args.seed, p=p, N=N)
-    return get_bundle(name, p=p, N=N)
+        return random_block_action(sizes, args.seed, p=args.p, N=N)
+    return get_bundle(name, p=args.p, N=N)
 
 
 def _load_instance(args):
@@ -130,7 +129,7 @@ def _load_instance(args):
             obj = obj["instance"]
         if not isinstance(obj, dict):
             raise ValueError(f"{args.input} does not hold a JSON object")
-        p = _integer(obj.get("p", args.p or 2), "p")
+        p = _integer(obj.get("p", args.p), "p")
         n = _integer(obj.get("N", N), "N")
         if n < args.imax + 2:
             raise ValueError(
@@ -150,7 +149,7 @@ def _load_instance(args):
 
 
 def _instance_block(lat: Lattice, action: GroupAction, extras) -> dict:
-    """Self-contained instance description, re-ingestable via --input."""
+    """The one instance format: what --input reads, every report embeds and catalog exports."""
     return {
         "p": action.p,
         "N": action.N,
@@ -330,10 +329,7 @@ def _catalog(args):
         payload = {
             "name": bundle.name,
             "description": bundle.description,
-            "p": bundle.action.p,
-            "N": bundle.action.N,
-            "generators": [[list(row) for row in g] for g in bundle.action.generators],
-            "extra_weights": [str(w) for w in bundle.extra_weights],
+            **_instance_block(bundle.lattice, bundle.action, bundle.extra_weights),
             "expected_rates": None
             if bundle.expected_rates is None
             else [f"{Fraction(r).numerator}/{Fraction(r).denominator}"

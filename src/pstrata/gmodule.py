@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
-from .padic import _freeze, _integer, _is_prime, identity, mat_mul, mul_entries, row_entries
+from .padic import _freeze, _is_prime, identity, mat_mul, mul_entries, row_entries
 
 __all__ = [
     "GroupAction",
@@ -39,8 +38,6 @@ __all__ = [
     "check_invariance",
     "lower_p_series",
     "restrict_action",
-    "action_to_json",
-    "action_from_json",
     "trace_to_csv",
 ]
 
@@ -221,25 +218,6 @@ def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:
 
 
 # -- serialization -----------------------------------------------------
-
-
-def action_to_json(action: GroupAction) -> str:
-    return json.dumps(
-        {
-            "p": action.p,
-            "N": action.N,
-            "d": action.d,
-            "generators": [[list(row) for row in g] for g in action.generators],
-        },
-        indent=2,
-    )
-
-
-def action_from_json(text: str) -> GroupAction:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("an action must be a JSON object")
-    return GroupAction.build(_integer(obj["p"], "p"), _integer(obj["N"], "N"), obj["generators"])
 
 
 def trace_to_csv(trace: SeriesTrace) -> str:

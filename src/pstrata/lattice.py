@@ -16,26 +16,18 @@ basis by back-substitution, with no Smith form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotContained, PrecisionExhausted
-from .padic import (
-    _freeze, _integer, _is_prime, hermite_rows, identity, int_valuation, left_kernel_rows, mat_mul,
-    smith_rows,
-)
+from .padic import _freeze, _is_prime, hermite_rows, identity, int_valuation, smith_rows
 
 __all__ = [
     "Lattice",
-    "lattice_sum",
-    "lattice_intersect",
     "log_index",
     "divisor_profile",
     "coords_in",
-    "lattice_to_json",
-    "lattice_from_json",
 ]
 
 
@@ -185,40 +177,9 @@ class Lattice:
         self._compat(other)
         return all(self.solve(row) is not None for row in other.basis)
 
-    def scale(self, k: int) -> "Lattice":
-        """The lattice p^k * self (k >= 0)."""
-        if k < 0:
-            raise ValueError("scale exponent must be nonnegative")
-        if k == 0:
-            return self
-        f = self.p**k
-        return Lattice.from_rows(
-            self.p, self.N, self.d, [[f * x for x in row] for row in self.basis]
-        )
-
     def _compat(self, other: "Lattice") -> None:
         if (self.p, self.N, self.d) != (other.p, other.N, other.d):
             raise ValueError("lattices live in different ambient contexts")
-
-
-def lattice_sum(A: Lattice, B: Lattice) -> Lattice:
-    A._compat(B)
-    return Lattice.from_rows(A.p, A.N, A.d, list(A.basis) + list(B.basis))
-
-
-def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
-    """Intersection via the left kernel of the stacked bases.
-
-    A row (u | v) with u @ A.basis == v @ B.basis mod p^N names an exact
-    element of A n B, because both lattices absorb p^N Z_p^d; conversely
-    every element of the intersection gives such a kernel row.
-    """
-    A._compat(B)
-    d = A.d
-    stacked = [list(r) for r in A.basis] + [list(r) for r in B.basis]
-    kernel = left_kernel_rows(stacked, A.p, A.N)
-    gens = mat_mul([y[:d] for y in kernel], A.basis, A.p**A.N)
-    return Lattice.from_rows(A.p, A.N, d, gens)
 
 
 def log_index(A: Lattice, B: Lattice) -> int:
@@ -243,25 +204,8 @@ def coords_in(M: Lattice, L: Lattice) -> list:
 def divisor_profile(M: Lattice, L: Lattice) -> tuple:
     """Ascending elementary-divisor exponents of L/M (requires M inside L)."""
     C = coords_in(M, L)
-    exps, _, _, _ = smith_rows(C, M.p, M.N)
+    exps, _, _ = smith_rows(C, M.p, M.N)
     if len(exps) != M.d:
         raise PrecisionExhausted("divisor profile not certifiable at this precision")
     return tuple(exps)
 
-
-# -- serialization -----------------------------------------------------
-
-
-def lattice_to_json(L: Lattice) -> str:
-    return json.dumps(
-        {"p": L.p, "N": L.N, "d": L.d, "basis": [list(r) for r in L.basis]}, indent=2
-    )
-
-
-def lattice_from_json(text: str) -> Lattice:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("a lattice must be a JSON object")
-    p, N, d = (_integer(obj[key], key) for key in ("p", "N", "d"))
-    # canonical form enforced on load
-    return Lattice.from_rows(p, N, d, _freeze(obj["basis"]))

@@ -43,7 +43,9 @@ __all__ = [
     "mat_mul",
     "row_entries",
     "mul_entries",
+    "hermite_rows",
     "hermite_insert",
+    "smith_rows",
     "unimodular_inverse",
 ]
 
@@ -268,21 +270,20 @@ def hermite_insert(basis, rows, p: int, N: int, exps=None):
     return tri, exps
 
 
-def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bool = False):
+def smith_rows(rows, p: int, N: int, want_right_inv: bool = False):
     """Diagonalize integer rows mod p^N by unimodular row and column ops.
 
-    Returns (exponents, origin_cols, U, W) where the exponents are the
+    Returns (exponents, origin_cols, W) where the exponents are the
     ascending elementary-divisor exponents of the certifiable pivots,
-    origin_cols[k] is the input column the k-th pivot came from, U gathers
-    the row operations (U @ input == diagonal after the column ops), and W
-    is the inverse of the accumulated column transform.  U and W are None
+    origin_cols[k] is the input column the k-th pivot came from, and W is
+    the inverse of the accumulated column transform, so the input rows span
+    the same lattice mod p^N as the rows p^exponents[k] * W[k].  W is None
     unless requested.
     """
     pN = p**N
     A = [[e % pN for e in row] for row in rows]
     nr = len(A)
     nc = len(A[0]) if nr else 0
-    U = identity(nr) if want_left else None
     W = identity(nc) if want_right_inv else None
     colmap = list(range(nc))
     exps: list[int] = []
@@ -306,8 +307,6 @@ def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bo
             break
         if bi != k:
             A[k], A[bi] = A[bi], A[k]
-            if U is not None:
-                U[k], U[bi] = U[bi], U[k]
         if bj != k:
             for row in A:
                 row[k], row[bj] = row[bj], row[k]
@@ -320,8 +319,6 @@ def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bo
         if u != 1:
             inv = pow(u, -1, pN)
             A[k] = [(inv * x) % pN for x in A[k]]
-            if U is not None:
-                U[k] = [(inv * x) % pN for x in U[k]]
         prow = A[k]
         for i in range(k + 1, nr):
             x = A[i][k]
@@ -329,10 +326,6 @@ def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bo
                 t = x // pa
                 ai = A[i]
                 A[i] = [(xi - t * pi) % pN for xi, pi in zip(ai, prow)]
-                if U is not None:
-                    ui = U[i]
-                    uk = U[k]
-                    U[i] = [(xi - t * pi) % pN for xi, pi in zip(ui, uk)]
         # row k right of the pivot: plain column clears; only row k is
         # affected because the pivot column is zero elsewhere by now
         ak = A[k]
@@ -347,28 +340,7 @@ def smith_rows(rows, p: int, N: int, want_left: bool = False, want_right_inv: bo
                     W[k] = [(a0 + t * b0) % pN for a0, b0 in zip(wk, wj)]
         exps.append(a)
         origin.append(colmap[k])
-    return exps, origin, U, W
-
-
-def left_kernel_rows(rows, p: int, N: int) -> list[list[int]]:
-    """Generators of {y : y @ rows == 0 mod p^N} as row vectors.
-
-    Derived from the Smith form: with U @ M ~ diag(p^a_k), the kernel mod
-    p^N is spanned by p^(N - a_k) * U_k for the pivot rows and by the
-    remaining rows of U verbatim.  Scaled generators with a_k == 0 vanish
-    and are dropped.
-    """
-    exps, _, U, _ = smith_rows(rows, p, N, want_left=True)
-    pN = p**N
-    nr = len(rows)
-    gens: list[list[int]] = []
-    for k, a in enumerate(exps):
-        if a > 0:
-            f = p ** (N - a)
-            gens.append([(f * x) % pN for x in U[k]])
-    for k in range(len(exps), nr):
-        gens.append(U[k])
-    return gens
+    return exps, origin, W
 
 
 def unimodular_inverse(grid, p: int, N: int) -> list[list[int]]:

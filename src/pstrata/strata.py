@@ -50,7 +50,6 @@ __all__ = [
     "certify_equivalence",
     "strata_split",
     "run_stratification",
-    "fixed_space_rows",
 ]
 
 
@@ -439,7 +438,7 @@ def _graph_repair(frame, e: int, action: GroupAction):
             for c in range(d - e):
                 row[e + c] = u[r * (d - e) + c]
             graph.append(row)
-        exps, _, _, W = smith_rows(graph, p, N, want_right_inv=True)
+        exps, _, W = smith_rows(graph, p, N, want_right_inv=True)
         if len(exps) != e:
             return None
         # W[:e] spans the saturated graph, W[e:] completes it; both are
@@ -521,7 +520,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     p, N, d = L0.p, L0.N, L0.d
     pN = p**N
     C = coords_in(trace.terms[i2], L0)
-    exps, origin, _, W = smith_rows(C, p, N, want_right_inv=True)
+    exps, origin, W = smith_rows(C, p, N, want_right_inv=True)
     if len(exps) != d:
         return None, f"anchor {i2}: rank collapsed"
     targets = [_floor_mul(i2, xi) for xi in rates.rates]
@@ -683,20 +682,3 @@ def strata_split(strat: Stratification, e: int, action: GroupAction) -> StrataSp
         quotient_action=GroupAction.build(p, N, quo_grids),
     )
 
-
-# -- heuristic helpers ---------------------------------------------------
-
-
-def fixed_space_rows(action: GroupAction):
-    """Saturated span of the common fixed vectors of all generators.
-
-    Best-effort: the kernel is certified only modulo p^N.  Useful as a
-    seed for invariant chains; a stratification built from it still has
-    to pass certification.
-    """
-    d = action.d
-    wide = [[x for delta in action.deltas for x in delta[i]] for i in range(d)]
-    exps, _, U, _ = smith_rows(wide, action.p, action.N, want_left=True)
-    rank = len(exps)
-    red, piv, _ = hermite_rows(U[rank:], action.p, action.N)
-    return [tuple(r) for r in red[:len(piv)]]

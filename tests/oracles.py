@@ -80,24 +80,6 @@ def brute_smith_2x2(rows, p, N, span=None):
     return (total - a2, a2)
 
 
-def echelon_span_size(rows, p, N):
-    """Span size of an upper-triangular basis with p-power pivots."""
-    pN = p**N
-    size = 1
-    for k, row in enumerate(rows):
-        size *= pN // p ** valuation(row[k], p, N)
-    return size
-
-
-def brute_intersect(rows_a, rows_b, p, N):
-    """Intersection of two spans as a set, by enumerating both."""
-    return span_set(rows_a, p, N) & span_set(rows_b, p, N)
-
-
-def brute_sum(rows_a, rows_b, p, N):
-    return span_set(list(rows_a) + list(rows_b), p, N)
-
-
 class NoFit(Exception):
     """brute_fit found no candidate within the residual cap."""
 

@@ -32,6 +32,8 @@ def test_catalog_listing(capsys):
 
 def test_catalog_export(capsys):
     payload = run_json(capsys, "catalog", "--catalog", "Gm2")
+    assert set(payload) == {"name", "description", "p", "N", "generators", "lattice",
+                            "extra_weights", "expected_rates"}
     assert payload["name"] == "Gm2"
     assert payload["extra_weights"] == ["1"]
     assert len(payload["generators"]) == 1
@@ -89,20 +91,22 @@ def test_stratify_csv_has_predictions(capsys):
 
 
 def test_series_report_reingests(tmp_path, capsys):
-    f1 = tmp_path / "series.json"
-    f2 = tmp_path / "via_report.json"
-    f3 = tmp_path / "direct.json"
-    assert main(["series", "--catalog", "eisenstein2", "--imax", "12",
-                 "--out", str(f1)]) == 0
-    assert main(["stratify", "--input", str(f1), "--imax", "12",
-                 "--denom-bound", "4", "--out", str(f2)]) == 0
+    # a series report and a catalog export are both read back by --input
+    direct = tmp_path / "direct.json"
     assert main(["stratify", "--catalog", "eisenstein2", "--imax", "12",
-                 "--denom-bound", "4", "--out", str(f3)]) == 0
+                 "--denom-bound", "4", "--out", str(direct)]) == 0
+    b = json.loads(direct.read_text())
+    for verb in ("series", "catalog"):
+        f1 = tmp_path / f"{verb}.json"
+        f2 = tmp_path / f"via_{verb}.json"
+        assert main([verb, "--catalog", "eisenstein2", "--imax", "12",
+                     "--out", str(f1)]) == 0
+        assert main(["stratify", "--input", str(f1), "--imax", "12",
+                     "--denom-bound", "4", "--out", str(f2)]) == 0
+        a = json.loads(f2.read_text())
+        for key in ("rates", "frame", "c", "status", "cycle", "sigma"):
+            assert a[key] == b[key], (verb, key)
     capsys.readouterr()
-    a = json.loads(f2.read_text())
-    b = json.loads(f3.read_text())
-    for key in ("rates", "frame", "c", "status", "cycle", "sigma"):
-        assert a[key] == b[key]
 
 
 def test_hdim_full_and_trivial(tmp_path, capsys):
@@ -172,6 +176,10 @@ def test_exit_invalid_input(tmp_path, capsys):
     # p = 1 used to hang in the valuation loop, p = 0 to divide by zero
     assert main(["series", "--catalog", "trivial", "--imax", "6", "--p", "1"]) == 3
     assert main(["series", "--catalog", "trivial", "--imax", "6", "--p", "0"]) == 3
+    # --p 0 with a file that names no p used to run silently at p = 2
+    no_p = tmp_path / "no_p.json"
+    no_p.write_text(json.dumps({"N": 10, "generators": [[[1, 2], [0, 1]]]}))
+    assert main(["series", "--input", str(no_p), "--imax", "6", "--p", "0"]) == 3
     # a top-level array used to end in an AttributeError traceback, and a
     # float generator entry was truncated to an integer
     array = tmp_path / "array.json"
@@ -182,7 +190,7 @@ def test_exit_invalid_input(tmp_path, capsys):
     assert main(["series", "--input", str(fractional), "--imax", "6"]) == 3
     # a float lattice entry, and generators or extra_weights that are not
     # lists, ended in TypeError tracebacks; a float p or N was truncated
-    for bad_fields in ({"lattice": [[1.5, 0], [0, 1]]}, {"generators": 5},
+    for bad_fields in ({"lattice": [[1.5, 0], [0, 1]]}, {"generators": 5}, {"generators": [5]},
                        {"p": 2.5}, {"N": 10.0}, {"extra_weights": 5}):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(

@@ -1,19 +1,20 @@
-"""Lattice arithmetic: canonical bases, sums, intersections, levels, indexes."""
+"""Lattice arithmetic: canonical bases, levels, solves, indexes, coordinates."""
+
+import json
+from argparse import Namespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pstrata.cli import _instance_block, _load_instance
 from pstrata.errors import NotContained, PrecisionExhausted
+from pstrata.gmodule import GroupAction
 from pstrata.padic import hermite_rows, smith_rows
 from pstrata.lattice import (
     Lattice,
     coords_in,
     divisor_profile,
-    lattice_from_json,
-    lattice_intersect,
-    lattice_sum,
-    lattice_to_json,
     log_index,
 )
 
@@ -103,7 +104,7 @@ def test_from_rows_depth_guard():
 
 def _smith_lower_level(L):
     """Reference: the largest Smith exponent of the basis mod p^N."""
-    exps, _, _, _ = smith_rows([list(r) for r in L.basis], L.p, L.N)
+    exps, _, _ = smith_rows([list(r) for r in L.basis], L.p, L.N)
     if len(exps) != L.d:
         raise PrecisionExhausted("lower level not certifiable at this precision")
     return max(exps)
@@ -137,56 +138,10 @@ def test_solve_and_contains():
     M = Lattice.from_rows(2, 6, 2, [[2, 2], [0, 4]])
     assert M.solve([2, 6]) == [1, 1]
     assert M.solve([1, 1]) is None
-    assert M.contains(M.scale(1))
-    assert not M.scale(1).contains(M)
-
-
-def test_scale():
-    L = Lattice.standard(2, 8, 2)
-    M = L.scale(3)
-    assert M.basis == ((8, 0), (0, 8))
-    with pytest.raises(PrecisionExhausted):
-        L.scale(7)
-
-
-def test_intersect_frozen_example():
-    A = Lattice.from_rows(2, 6, 2, [[2, 0], [0, 1]])
-    B = Lattice.from_rows(2, 6, 2, [[1, 0], [0, 2]])
-    got = lattice_intersect(A, B)
-    assert got.basis == ((2, 0), (0, 2))
-
-
-def test_sum_and_intersect_against_bruteforce():
-    N = 4
-    A = Lattice.from_rows(2, N, 2, [[2, 1], [0, 2]])
-    B = Lattice.from_rows(2, N, 2, [[4, 1], [0, 1]])
-    S = lattice_sum(A, B)
-    I = lattice_intersect(A, B)
-    sa = oracles.span_set([list(r) for r in A.basis], 2, N)
-    sb = oracles.span_set([list(r) for r in B.basis], 2, N)
-    assert oracles.span_set([list(r) for r in S.basis], 2, N) == oracles.brute_sum(
-        [list(r) for r in A.basis], [list(r) for r in B.basis], 2, N
-    )
-    assert oracles.span_set([list(r) for r in I.basis], 2, N) == (sa & sb)
-
-
-small_exps = st.tuples(
-    st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)
-)
-
-
-@settings(max_examples=40)
-@given(small_exps, small_exps, st.integers(min_value=0, max_value=7))
-def test_second_isomorphism_indexes(ea, eb, mix):
-    # log |A+B : B| == log |A : A cap B| for arbitrary pairs
-    p, N = 2, 8
-    A = Lattice.from_rows(p, N, 2, [[p ** ea[0], mix], [0, p ** ea[1]]])
-    B = Lattice.from_rows(p, N, 2, [[p ** eb[0], 0], [0, p ** eb[1]]])
-    S = lattice_sum(A, B)
-    I = lattice_intersect(A, B)
-    assert log_index(S, B) == log_index(A, I)
-    assert S.contains(A) and S.contains(B)
-    assert A.contains(I) and B.contains(I)
+    pM = Lattice.from_rows(2, 6, 2, [[2 * x for x in row] for row in M.basis])
+    assert oracles.is_scaled_copy(M, 1, pM)
+    assert M.contains(pM)
+    assert not pM.contains(M)
 
 
 def test_log_index_and_profile():
@@ -223,20 +178,18 @@ def test_coords_in_the_standard_lattice_are_the_basis(case):
     assert coords_in(M, L) == [L.solve(row) for row in M.basis]
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
+    # the instance block, the one JSON form, carries a lattice exactly
     M = Lattice.from_rows(3, 6, 2, [[3, 2], [0, 9]])
-    again = lattice_from_json(lattice_to_json(M))
-    assert again == M
-
-
-def test_lattice_from_json_refuses_a_non_object():
-    # a top-level array ended in TypeError
-    with pytest.raises(ValueError):
-        lattice_from_json("[1]")
+    act = GroupAction.build(3, 6, [[[1, 0], [0, 1]]])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_instance_block(M, act, ())))
+    args = Namespace(input=str(path), catalog=None, p=2, precision=None, imax=0)
+    assert _load_instance(args)[0] == M
 
 
 def test_incompatible_ambients_rejected():
     A = Lattice.standard(2, 6, 2)
     B = Lattice.standard(3, 6, 2)
     with pytest.raises(ValueError):
-        lattice_sum(A, B)
+        log_index(A, B)

@@ -27,7 +27,6 @@ from pstrata.strata import (
     extract_frame,
     _fit_offset,
     fit_rational,
-    fixed_space_rows,
     run_stratification,
     strata_split,
 )
@@ -521,11 +520,3 @@ class TestSplit:
         strat, _ = run_stratification(tr, denom_bound=8)
         with pytest.raises(NotABoundary):
             strata_split(strat, 4, b.action)
-
-
-def test_fixed_space_remark27():
-    b = get_bundle("remark27")
-    rows = fixed_space_rows(b.action)
-    assert len(rows) == 8
-    supports = [tuple(i for i, x in enumerate(r) if x) for r in rows]
-    assert supports == [(4,), (5,), (6,), (7,), (12,), (13,), (14,), (15,)]
