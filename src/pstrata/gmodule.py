@@ -13,13 +13,30 @@ misses lies in (result)*(ideal) and Nakayama closes the gap.  M' contains
 pM, a summand, and lies in M, as every summand does; so M'(g_s - 1) lies in
 M(g_s - 1), which lies in M', and M' is invariant.  Neither invertibility
 nor the precision enters (p^N Z_p^d is invariant), so none of this is
-re-checked.  The step multiplies by the nonzero entries of each g_t - 1,
-prepared once per action, and drops the images that vanish mod p^N
-before the Hermite form: a zero row adds nothing to the span, and the
-canonical basis of a span is unique, so every term is the one the full
-stack gives.  The series checks its input only: an invariant start, the
-precision guard on every term, and index growth of a digit per step,
-which fails when unipotent generators generate a group that is not pro-p.
+re-checked.
+
+The step runs one product: the basis of M times [d_1 | ... | d_T], the
+deltas g_t - 1 side by side, prepared once per action.  Each product row
+is cut into T blocks of width d and the blocks that vanish mod p^N are
+dropped.  The images left are inserted (`padic.hermite_insert`) into the
+canonical basis of pM, which is p times that of M with exponents e_k + 1,
+and the entries above the pivots are reduced as `hermite_rows` ends.  This
+is exactly the canonical basis of M'.  The step first guards M, so
+lower_level(M) <= N - 2: then p^(N-1) Z_p^d lies in pM, inside M', and
+p^N Z_p^d lies in pM'.  The insertion gives triangular rows T whose span
+plus p^N Z_p^d is M', hence span(T) + pM' = M' and Nakayama gives
+span(T) = M'.  A full-rank canonical basis is unique, so every term is the
+one the Hermite form of the full stack gives, zero images included.
+
+For a standard start (log_det(L) = 0) the profile of a term is the Smith
+form of its own basis, and its last exponent is by definition the term's
+lower level; the series caches it, so the next step's guard costs nothing.
+That guard always holds there: term i contains p^i L = p^i Z_p^d, so its
+level is at most i <= N - 2.  Other starts guard each term as it is made
+and read the profile in L's coordinates.  The series checks its input
+only: an invariant start, the precision guard on every term, and index
+growth of a digit per step, which fails when unipotent generators
+generate a group that is not pro-p.
 """
 
 from __future__ import annotations
@@ -30,7 +47,9 @@ from dataclasses import dataclass, field
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
-from .padic import _freeze, _is_prime, identity, mat_mul, mul_entries, row_entries
+from .padic import (
+    _freeze, _is_prime, _reduce_above, hermite_insert, identity, mat_mul, mul_entries, row_entries,
+)
 
 __all__ = [
     "GroupAction",
@@ -65,7 +84,8 @@ class GroupAction:
     """Topological generators of a pro-p group acting on Z_p^d row vectors.
 
     generators and deltas (each g - 1) are integer grids with entries in [0, p^N);
-    delta_entries holds each delta prepared as a right factor (`row_entries`).
+    delta_entries is the d x dT matrix [delta_1 | ... | delta_T] prepared as
+    a right factor (`row_entries`): one product gives every image of a row.
     """
 
     p: int
@@ -94,7 +114,8 @@ class GroupAction:
             raise ValueError("generator is not unipotent mod p; the action would not be pro-p")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "delta_entries", tuple(map(row_entries, deltas)))
+        object.__setattr__(self, "delta_entries",
+                           row_entries([sum(rows, ()) for rows in zip(*deltas)]))
 
     @classmethod
     def build(cls, p: int, N: int, generator_grids) -> "GroupAction":
@@ -126,15 +147,21 @@ def check_invariance(M: Lattice, action: GroupAction) -> bool:
 def _step(M: Lattice, action: GroupAction) -> Lattice:
     """p*M + sum_t M*(g_t - 1): invariant and between pM and M if M is invariant.
 
-    Images that vanish mod p^N are dropped; the canonical basis of the span
-    does not depend on them (module docstring).
+    Guards M, then inserts the nonzero images into the canonical basis of
+    pM and reduces above the pivots (module docstring).
     """
-    p = M.p
-    pN = p**M.N
-    rows = [[p * x for x in brow] for brow in M.basis]
-    for delta in action.delta_entries:
-        rows.extend(img for img in mul_entries(M.basis, delta, pN) if any(img))
-    return Lattice.from_rows(p, M.N, M.d, rows)
+    M.guard()
+    p, N, d = M.p, M.N, M.d
+    pN = p**N
+    prod = mul_entries(M.basis, action.delta_entries, pN)
+    images = [blk for t in range(0, len(action.deltas) * d, d)
+              for row in prod if any(blk := row[t:t + d])]
+    tri, exps = hermite_insert([[p * x for x in row] for row in M.basis], images, p, N,
+                               [e + 1 for e in M.diag_exponents])
+    _reduce_above(tri, range(d), range(d), pN)
+    lat = Lattice._canonical(p, N, d, tuple(map(tuple, tri)))
+    lat.__dict__["diag_exponents"] = tuple(exps)  # the insertion's pivot exponents
+    return lat
 
 
 @dataclass(frozen=True)
@@ -172,15 +199,22 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
         )
     if not check_invariance(L, action):
         raise NotInvariant("series start must be an invariant lattice")
-    terms = [L]
-    profiles = [divisor_profile(L, L)]
+    standard = L.log_det == 0
+    terms = []
+    profiles = []
     cur = L
-    for i in range(1, i_max + 1):
-        try:
-            cur = _step(cur, action)
-        except PstrataError as err:
-            raise type(err)(f"series step {i} failed: {err}") from err
+    for i in range(i_max + 1):
+        if i:
+            try:
+                cur = _step(cur, action)
+                if not standard:
+                    cur.guard()
+            except PstrataError as err:
+                raise type(err)(f"series step {i} failed: {err}") from err
         prof = divisor_profile(cur, L)
+        if standard:
+            # the Smith exponents of the term's own basis: the last is its lower level
+            cur.__dict__["lower_level"] = prof[-1]
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"

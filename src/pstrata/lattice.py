@@ -11,7 +11,10 @@ Operations that build a new lattice enforce the precision guard: the
 result's lower level (largest elementary-divisor exponent over Z_p^d)
 must stay at most N - 2, one digit short of the budget, otherwise
 PrecisionExhausted is raised.  The lower level is read off the triangular
-basis by back-substitution, with no Smith form.
+basis by back-substitution, with no Smith form.  The series step is the
+exception: it guards the term it starts from, and from the standard start
+the series caches each term's level from the Smith profile it computes
+anyway (`gmodule`); from other starts it guards each term.
 """
 
 from __future__ import annotations
@@ -99,10 +102,16 @@ class Lattice:
             raise PrecisionExhausted(
                 f"full rank not certifiable at precision {N} (pivots in columns {piv})"
             )
-        lat = object.__new__(cls)  # skips __post_init__
-        lat.__dict__.update(p=p, N=N, d=d, basis=tuple(tuple(red[i]) for i in range(d)))
+        lat = cls._canonical(p, N, d, tuple(tuple(red[i]) for i in range(d)))
         if type(sum(map(sum, lat.basis))) is not int:
             raise ValueError("generating set holds a non-integer entry")
+        return lat
+
+    @classmethod
+    def _canonical(cls, p: int, N: int, d: int, basis: tuple) -> "Lattice":
+        """The lattice on a basis that is canonical by construction, not validated again."""
+        lat = object.__new__(cls)  # skips __post_init__
+        lat.__dict__.update(p=p, N=N, d=d, basis=basis)
         return lat
 
     def guard(self) -> None:

@@ -26,7 +26,11 @@ of its row free modulo p^(N-a).
 eliminating only the new rows and skipping the reduction above the pivots.
 Its pivots are exact powers of p, so "the new row has the smaller valuation
 and takes the pivot" is the divisibility test x[k] % p^e_k != 0; a
-valuation is computed only for a row that does take the pivot.
+valuation is computed only for a row that does take the pivot.  It serves
+two callers: `hausdorff.hdim_numeric` joins a subgroup to each series
+term, and the series step inserts a term's images into the canonical
+basis of p times the term, then runs the reduction above the pivots that
+ends `hermite_rows` (`_reduce_above`) to reach the canonical form.
 The diagonalization (`smith_rows`) repeats the same idea with a global
 pivot search and column operations, yielding ascending elementary-divisor
 exponents.
@@ -202,22 +206,27 @@ def hermite_rows(rows, p: int, N: int, want_transform: bool = False):
         piv_rows.append(pr)
         piv_cols.append(col)
         pr += 1
-    # reduce above each pivot modulo its p-power, left to right
-    for k, col in enumerate(piv_cols):
-        r = piv_rows[k]
-        pa = R[r][col]
-        prow = R[r]
-        for i in range(r):
-            x = R[i][col]
-            q = x // pa
-            if q:
-                ri = R[i]
-                R[i] = [(xi - q * pi) % pN for xi, pi in zip(ri, prow)]
-                if T is not None:
-                    ti = T[i]
-                    tp = T[r]
-                    T[i] = [(xi - q * pi) % pN for xi, pi in zip(ti, tp)]
+    _reduce_above(R, piv_rows, piv_cols, pN, T)
     return R, piv_cols, T
+
+
+def _reduce_above(R, piv_rows, piv_cols, pN: int, T=None) -> None:
+    """Reduce the entries above each pivot modulo its p-power, left to right, in place.
+
+    R holds exact p-power pivots R[piv_rows[k]][piv_cols[k]] with zeros
+    below and left of each; the same row operations are applied to T when
+    it is given.  A later pivot row is zero in every earlier pivot column,
+    so an entry once reduced stays reduced.
+    """
+    for r, col in zip(piv_rows, piv_cols):
+        prow = R[r]
+        pa = prow[col]
+        for i in range(r):
+            q = R[i][col] // pa
+            if q:
+                R[i] = [(xi - q * pi) % pN for xi, pi in zip(R[i], prow)]
+                if T is not None:
+                    T[i] = [(xi - q * pi) % pN for xi, pi in zip(T[i], T[r])]
 
 
 def hermite_insert(basis, rows, p: int, N: int, exps=None):

@@ -341,13 +341,11 @@ def _prefix_invariant(frame, inv, e: int, action: GroupAction) -> bool:
     so a membership test against it can miss a vector of the span.
     """
     pN = action.p**action.N
-    head = frame[:e]
+    d = action.d
     tail = row_entries([row[e:] for row in inv])
-    return not any(
-        any(row)
-        for delta in action.delta_entries
-        for row in mul_entries(mul_entries(head, delta, pN), tail, pN)
-    )
+    blocks = [row[t:t + d] for row in mul_entries(frame[:e], action.delta_entries, pN)
+              for t in range(0, len(action.deltas) * d, d)]
+    return not any(map(any, mul_entries(blocks, tail, pN)))
 
 
 def _solve_row_system(rows, target, p: int, N: int, s_max: int = 6):

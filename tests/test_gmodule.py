@@ -20,7 +20,7 @@ from pstrata.gmodule import (
     restrict_action,
     trace_to_csv,
 )
-from pstrata.lattice import Lattice, log_index
+from pstrata.lattice import Lattice, divisor_profile, log_index
 
 
 def test_build_validates_generators():
@@ -118,13 +118,40 @@ def test_series_descends_and_is_invariant():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda s: sum(s) <= 8),
-       st.integers(0, 10**6), st.sampled_from([2, 3]), st.integers(2, 16))
-def test_step_matches_the_full_stack(sizes, seed, p, i_max):
-    # dropping the zero images leaves every term the full stack spans
+       st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.integers(2, 16),
+       st.integers(0, 2))
+def test_step_matches_the_full_stack(sizes, seed, p, i_max, start):
+    # the inserted step gives the canonical basis that the full stack spans,
+    # from the standard start and from a series restarted at term 1 or 2;
+    # the cached pivots, levels and profiles are those of a fresh lattice
     b = random_block_action(tuple(sizes), seed, p=p, N=i_max + 2)
-    tr = lower_p_series(b.lattice, b.action, i_max)
+    L = lower_p_series(b.lattice, b.action, start).terms[start]
+    tr = lower_p_series(L, b.action, i_max - start)
+    for i, (term, prof) in enumerate(zip(tr.terms, tr.profiles)):
+        fresh = Lattice(p, term.N, term.d, term.basis)
+        if i:
+            assert "diag_exponents" in vars(term) and "lower_level" in vars(term)
+        assert term.diag_exponents == fresh.diag_exponents
+        assert term.lower_level == fresh.lower_level
+        assert prof == divisor_profile(term, L)
     for term in tr.terms[:-1]:
         assert _step(term, b.action) == oracles.step_by_full_stack(term, b.action)
+
+
+def test_start_beyond_the_precision_guard_is_refused():
+    # lower level 9 > N - 2 = 8: p*M would lose the pivot 2^9, so step 1
+    # must refuse instead of returning a term with pivot 2^N
+    L = Lattice(2, 10, 2, ((1, 0), (0, 512)))
+    act = GroupAction.build(2, 10, [[[1, 0], [0, 1]]])
+    assert lower_p_series(L, act, 0).terms == (L,)
+    for i_max in (1, 8):
+        with pytest.raises(PrecisionExhausted, match="series step 1 failed"):
+            lower_p_series(L, act, i_max)
+    # level 8 = N - 2 passes the step's guard on its input; the new term
+    # has level 9, so the guard on the new term must refuse it
+    M = Lattice(2, 10, 2, ((1, 0), (0, 256)))
+    with pytest.raises(PrecisionExhausted, match="series step 1 failed"):
+        lower_p_series(M, act, 1)
 
 
 def test_series_needs_precision_margin():
