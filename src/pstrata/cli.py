@@ -142,7 +142,10 @@ def _load_instance(args):
             lat = Lattice.from_rows(p, n, action.d, _freeze(obj["lattice"]))
         else:
             lat = Lattice.standard(p, n, action.d)
-        extras = tuple(Fraction(str(w)) for w in obj.get("extra_weights", ()))
+        try:
+            extras = tuple(Fraction(str(w)) for w in obj.get("extra_weights", ()))
+        except ZeroDivisionError:
+            raise ValueError("an extra weight has denominator 0") from None
         return lat, action, extras, args.input
     bundle = _bundle(args.catalog or "trivial", args, N)
     return bundle.lattice, bundle.action, bundle.extra_weights, bundle.name

@@ -28,9 +28,11 @@ plus p^N Z_p^d is M', hence span(T) + pM' = M' and Nakayama gives
 span(T) = M'.  A full-rank canonical basis is unique, so every term is the
 one the Hermite form of the full stack gives, zero images included.
 
-For a standard start (log_det(L) = 0) the profile of a term is the Smith
-form of its own basis, and its last exponent is by definition the term's
-lower level; the series caches it, so the next step's guard costs nothing.
+For a standard start (log_det(L) = 0) the profile of a term is the list of
+elementary divisors of its own basis, read off the diagonal when the basis
+splits as D U (`lattice.divisor_profile`), and its last exponent is by
+definition the term's lower level; the series caches it, so the next
+step's guard costs nothing.
 That guard always holds there: term i contains p^i L = p^i Z_p^d, so its
 level is at most i <= N - 2.  Other starts guard each term as it is made
 and read the profile in L's coordinates.  The series checks its input

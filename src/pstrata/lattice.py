@@ -13,8 +13,14 @@ must stay at most N - 2, one digit short of the budget, otherwise
 PrecisionExhausted is raised.  The lower level is read off the triangular
 basis by back-substitution, with no Smith form.  The series step is the
 exception: it guards the term it starts from, and from the standard start
-the series caches each term's level from the Smith profile it computes
+the series caches each term's level from the divisor profile it computes
 anyway (`gmodule`); from other starts it guards each term.
+
+`divisor_profile` reads the elementary divisors of L/M off the diagonal
+when M's coordinates in L split as D U, a diagonal of p-powers times a
+unit upper-triangular matrix.  The canonical bases of the catalog's
+series terms are diagonal, so they split; a conjugated action's terms
+often do not, and go through `smith_rows`.
 """
 
 from __future__ import annotations
@@ -211,8 +217,19 @@ def coords_in(M: Lattice, L: Lattice) -> list:
 
 
 def divisor_profile(M: Lattice, L: Lattice) -> tuple:
-    """Ascending elementary-divisor exponents of L/M (requires M inside L)."""
+    """Ascending elementary-divisor exponents of L/M (requires M inside L).
+
+    C = coords_in(M, L) is upper triangular with diagonal p^(e_k), e_k the
+    difference of the two lattices' diagonal exponents, since both bases
+    are canonical and the solve is exact.  When p^(e_k) divides row k of C
+    for every k, C = D U with D = diag(p^(e_k)) and U integer and unit
+    upper triangular, hence unimodular, so the profile is sorted(e) (each
+    e_k < N, so `smith_rows` would certify the same d exponents) and no
+    Smith form is needed; otherwise `smith_rows` diagonalizes C.
+    """
     C = coords_in(M, L)
+    if all(x % row[k] == 0 for k, row in enumerate(C) for x in row[k + 1:]):
+        return tuple(sorted(m - l for m, l in zip(M.diag_exponents, L.diag_exponents)))
     exps, _, _ = smith_rows(C, M.p, M.N)
     if len(exps) != M.d:
         raise PrecisionExhausted("divisor profile not certifiable at this precision")

@@ -17,21 +17,31 @@ definitions `valuation` and `mat_mul_dense` pin the kernels.
 
 import math
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 
 
 def span_set(rows, p, N):
-    """All Z-combinations of the rows inside (Z/p^N)^d, as a set of tuples."""
+    """All Z-combinations of the rows inside (Z/p^N)^d, as a frozenset of tuples.
+
+    The span is the sum of the cyclic subgroups <r> of the rows; both the
+    subgroups and their sums are memoized, since many matrices share them.
+    """
     pN = p**N
-    d = len(rows[0])
-    out = set()
-    for coeffs in product(range(pN), repeat=len(rows)):
-        v = [0] * d
-        for a, row in zip(coeffs, rows):
-            if a:
-                for j in range(d):
-                    v[j] += a * row[j]
-        out.add(tuple(x % pN for x in v))
+    return _sum_of_subgroups(tuple(_cyclic_subgroup(tuple(r), pN) for r in rows), pN)
+
+
+@lru_cache(maxsize=None)
+def _cyclic_subgroup(row, pN):
+    """<row> inside (Z/pN)^d: every multiple a*row for a in [0, pN)."""
+    return frozenset(tuple(a * x % pN for x in row) for a in range(pN))
+
+
+@lru_cache(maxsize=None)
+def _sum_of_subgroups(subgroups, pN):
+    """H_1 + ... + H_k inside (Z/pN)^d, element by element."""
+    out = subgroups[0]
+    for H in subgroups[1:]:
+        out = frozenset(tuple((x + y) % pN for x, y in zip(u, v)) for u in out for v in H)
     return out
 
 

@@ -189,9 +189,10 @@ def test_exit_invalid_input(tmp_path, capsys):
     fractional.write_text(json.dumps({"p": 2, "N": 10, "generators": [[[1, 1.5], [0, 1]]]}))
     assert main(["series", "--input", str(fractional), "--imax", "6"]) == 3
     # a float lattice entry, and generators or extra_weights that are not
-    # lists, ended in TypeError tracebacks; a float p or N was truncated
+    # lists, ended in TypeError tracebacks; a float p or N was truncated;
+    # a weight 1/0 ended in a ZeroDivisionError traceback
     for bad_fields in ({"lattice": [[1.5, 0], [0, 1]]}, {"generators": 5}, {"generators": [5]},
-                       {"p": 2.5}, {"N": 10.0}, {"extra_weights": 5}):
+                       {"p": 2.5}, {"N": 10.0}, {"extra_weights": 5}, {"extra_weights": ["1/0"]}):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(
             {"p": 2, "N": 10, "generators": [[[1, 2], [0, 1]]], **bad_fields}))
@@ -373,7 +374,7 @@ def near_valid_instance(draw):
         obj["lattice"] = draw(st.sampled_from([unipotent(), [[2 * int(i == j) for j in range(d)]
                                                            for i in range(d)]]))
     if draw(st.booleans()):
-        obj["extra_weights"] = draw(st.lists(st.sampled_from([0, 1, "1/2"]), max_size=2))
+        obj["extra_weights"] = draw(st.lists(st.sampled_from([0, 1, "1/2", "1/0"]), max_size=2))
     return obj
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from pstrata.catalog import random_block_action
+from pstrata import lattice
+from pstrata.catalog import get_bundle, random_block_action
 from pstrata.cli import _instance_block, _load_instance
 from pstrata.errors import NotInvariant, PrecisionExhausted, PstrataError
 from pstrata.gmodule import (
@@ -21,6 +22,7 @@ from pstrata.gmodule import (
     trace_to_csv,
 )
 from pstrata.lattice import Lattice, divisor_profile, log_index
+from pstrata.padic import smith_rows
 
 
 def test_build_validates_generators():
@@ -136,6 +138,17 @@ def test_step_matches_the_full_stack(sizes, seed, p, i_max, start):
         assert prof == divisor_profile(term, L)
     for term in tr.terms[:-1]:
         assert _step(term, b.action) == oracles.step_by_full_stack(term, b.action)
+
+
+def test_split_terms_need_no_smith_form(monkeypatch):
+    # every term of remark27's series splits as D U in its canonical basis,
+    # so its profile is read off the diagonal
+    calls = []
+    monkeypatch.setattr(lattice, "smith_rows", lambda *a: calls.append(1) or smith_rows(*a))
+    b = get_bundle("remark27", p=2, N=42)
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert tr.profiles[-1] == (9,) + (10,) * 7 + (19, 19) + (20,) * 6
+    assert calls == []
 
 
 def test_start_beyond_the_precision_guard_is_refused():

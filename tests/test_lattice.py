@@ -1,16 +1,20 @@
 """Lattice arithmetic: canonical bases, levels, solves, indexes, coordinates."""
 
 import json
+import random
 from argparse import Namespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pstrata import lattice
+from pstrata.catalog import get_bundle
 from pstrata.cli import _instance_block, _load_instance
 from pstrata.errors import NotContained, PrecisionExhausted
-from pstrata.gmodule import GroupAction
-from pstrata.padic import hermite_rows, smith_rows
+from pstrata.gmodule import GroupAction, lower_p_series
+from pstrata.padic import hermite_rows, mat_mul, smith_rows, unimodular_inverse
 from pstrata.lattice import (
     Lattice,
     coords_in,
@@ -163,6 +167,99 @@ def test_coords_in_round_trip():
             sum(crow[k] * L.basis[k][j] for k in range(2)) % pN for j in range(2)
         ]
         assert rebuilt == [x % pN for x in mrow]
+
+
+def _smith_profile(M, L):
+    """Reference: the Smith exponents of M's coordinates in L."""
+    return tuple(smith_rows(coords_in(M, L), M.p, M.N)[0])
+
+
+@st.composite
+def nested_lattices(draw):
+    """(M, L, split) with M spanned by C @ L.basis, C upper triangular with a p-power diagonal.
+
+    With split, C is D U, row k a multiple of its pivot p^(e_k); L is Z_p^d
+    or a triangular lattice of its own.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 4))
+    N = 32
+    entry = st.integers(-(p**4), p**4)
+
+    def triangular(top, split):
+        rows = []
+        for k, e in enumerate(draw(st.lists(st.integers(0, top), min_size=d, max_size=d))):
+            f = p**e if split else 1
+            rows.append([0] * k + [p**e] + [f * draw(entry) for _ in range(k + 1, d)])
+        return rows
+
+    L = Lattice.standard(p, N, d)
+    if draw(st.booleans()):
+        L = Lattice.from_rows(p, N, d, triangular(3, False))
+    split = draw(st.booleans())
+    C = triangular(4, split)
+    return Lattice.from_rows(p, N, d, mat_mul(C, L.basis, p**N)), L, split
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_lattices())
+def test_divisor_profile_matches_smith_rows(case):
+    # the profile read off a D U split must be what the Smith form gives;
+    # over Z_p^d a D U basis stays D U when canonicalized (reducing row k
+    # by row j subtracts a multiple of p^max(e_j, e_k)), so it is read off
+    # the diagonal, even where entries above the pivots are not 0
+    M, L, split = case
+    with mock.patch.object(lattice, "smith_rows", wraps=smith_rows) as smith:
+        assert divisor_profile(M, L) == _smith_profile(M, L)
+    if split and L.log_det == 0:
+        assert smith.call_count == 0
+
+
+def _conjugated(name, p, N, seed):
+    """(bundle, action): the bundle's generators conjugated to U^-1 g U.
+
+    U has entries in [-3, 3] and a unit determinant mod p, so Z_p^d U is
+    Z_p^d and the conjugated series has the bundle's profiles; many of its
+    terms are not D U splits.
+    """
+    b = get_bundle(name, p=p, N=N)
+    d, pN = b.action.d, p**N
+    rng = random.Random(seed)
+    while True:
+        U = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        try:
+            U_inv = unimodular_inverse(U, p, N)
+            break
+        except ValueError:
+            continue
+    gens = [mat_mul(mat_mul(U_inv, g, pN), U, pN) for g in b.action.generators]
+    return b, GroupAction.build(p, N, gens)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from([("Gm2", 24), ("remark27", 20)]), st.sampled_from([2, 3]),
+       st.integers(0, 10**6), st.integers(0, 2))
+def test_divisor_profile_on_conjugated_series(case, p, seed, start):
+    # conjugated terms from Z_p^d, and series restarted from term 1 or 2
+    # (a start that is not Z_p^d), against the Smith reference
+    name, i_max = case
+    N = i_max + 2
+    _, act = _conjugated(name, p, N, seed)
+    L = lower_p_series(Lattice.standard(p, N, act.d), act, start).terms[start]
+    tr = lower_p_series(L, act, i_max - start)
+    for term, prof in zip(tr.terms, tr.profiles):
+        assert prof == _smith_profile(term, L)
+
+
+@pytest.mark.parametrize("name,p,seed", [("Gm2", 2, 1), ("remark27", 2, 0), ("remark27", 3, 3)])
+def test_conjugated_series_take_both_sides_of_the_split(name, p, seed):
+    # some terms split as D U and some go to the Smith form, and both give
+    # the profiles of the series before conjugation
+    b, act = _conjugated(name, p, 26, seed)
+    with mock.patch.object(lattice, "smith_rows", wraps=smith_rows) as smith:
+        tr = lower_p_series(b.lattice, act, 24)
+    assert 0 < smith.call_count < len(tr.terms)
+    assert tr.profiles == lower_p_series(b.lattice, b.action, 24).profiles
 
 
 @settings(max_examples=100, deadline=None)
