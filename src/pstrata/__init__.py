@@ -23,7 +23,6 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
-    coords_in,
     divisor_profile,
     log_index,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "Lattice",
     "log_index",
     "divisor_profile",
-    "coords_in",
     # gmodule
     "GroupAction",
     "SeriesTrace",

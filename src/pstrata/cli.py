@@ -35,10 +35,10 @@ from .errors import (
     RankDeficient,
     RateOutOfRange,
 )
-from .gmodule import GroupAction, lower_p_series, trace_to_csv
+from .gmodule import GroupAction, lower_p_series, restrict_action, trace_to_csv
 from .hausdorff import SubgroupSpec, dimension_report, spectrum
 from .lattice import Lattice
-from .padic import _freeze, _integer
+from .padic import _freeze, _integer, mat_mul
 from .strata import run_stratification
 
 _EXIT_PRECISION = 2
@@ -202,9 +202,24 @@ def _denom_bound(args) -> int:
     return bound
 
 
-def _run_series(args):
+def _series(args):
+    """(lattice, action, extra_weights, source, trace): the series runs in the lattice's basis.
+
+    The action restricted to L (`restrict_action`) keeps N - lower_level(L) digits.
+    """
     lat, action, extras, source = _load_instance(args)
-    trace = lower_p_series(lat, action, args.imax)
+    need = args.imax + 2 + lat.lower_level
+    if lat.N < need:
+        raise PrecisionExhausted(f"restricting to the lattice costs its lower level "
+                                 f"{lat.lower_level} in digits; imax {args.imax} needs "
+                                 f"precision at least {need}")
+    inner = restrict_action(lat, action)
+    trace = lower_p_series(Lattice.standard(inner.p, inner.N, inner.d), inner, args.imax)
+    return lat, action, extras, source, trace
+
+
+def _run_series(args):
+    lat, action, extras, source, trace = _series(args)
     payload = {
         "provenance": _provenance(args, source, action),
         "instance": _instance_block(lat, action, extras),
@@ -236,8 +251,7 @@ def _envelope_check(trace, strat) -> dict:
 def _stratified(args):
     """(lattice, action, extra_weights, source, trace, strat, cert) of the instance."""
     bound = _denom_bound(args)
-    lat, action, extras, source = _load_instance(args)
-    trace = lower_p_series(lat, action, args.imax)
+    lat, action, extras, source, trace = _series(args)
     strat, cert = run_stratification(trace, denom_bound=bound)
     return lat, action, extras, source, trace, strat, cert
 
@@ -249,7 +263,7 @@ def _stratify(args):
         "instance": _instance_block(lat, action, extras),
         "rates": [_frac(r) for r in strat.rates.rates],
         "sigma": _frac(strat.rates.sigma),
-        "frame": [list(row) for row in strat.frame],
+        "frame": mat_mul(strat.frame, lat.basis, lat.p**lat.N),  # F B, in the ambient
         "c": strat.c,
         "window": list(strat.window),
         "status": strat.status,
@@ -269,7 +283,8 @@ def _stratify(args):
     return 0
 
 
-def _load_subgroup(path: str, p: int, N: int, strat):
+def _load_subgroup(path: str, lat: Lattice, N: int, strat):
+    """The subgroup at the series' precision N; ambient rows are solved in lat first."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -277,9 +292,14 @@ def _load_subgroup(path: str, p: int, N: int, strat):
     rows = _freeze(obj["rows"])
     coords = obj.get("coordinates", "ambient")
     if coords == "frame":
-        return SubgroupSpec(p, N, rows)
+        return SubgroupSpec(lat.p, N, rows)
     if coords == "ambient":
-        return SubgroupSpec.from_ambient(p, N, rows, strat)
+        if any(len(row) != lat.d for row in rows):
+            raise ValueError(f"ambient subgroup rows must have length {lat.d}")
+        solved = [lat.solve(row) for row in rows]
+        if None in solved:
+            raise NotContained("a subgroup row does not lie in the instance's lattice")
+        return SubgroupSpec.from_ambient(lat.p, N, solved, strat)
     raise ValueError(f"unknown coordinate convention {coords!r}")
 
 
@@ -287,7 +307,7 @@ def _hdim(args):
     lat, action, extras, source, trace, strat, _ = _stratified(args)
     if args.lattice_only:
         extras = ()
-    H = _load_subgroup(args.subgroup, lat.p, lat.N, strat)
+    H = _load_subgroup(args.subgroup, lat, trace.precision, strat)
     tol = Fraction(str(args.tolerance))
     report = dimension_report(H, trace, strat, extras, tol)
     payload = {

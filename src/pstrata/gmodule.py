@@ -28,17 +28,18 @@ plus p^N Z_p^d is M', hence span(T) + pM' = M' and Nakayama gives
 span(T) = M'.  A full-rank canonical basis is unique, so every term is the
 one the Hermite form of the full stack gives, zero images included.
 
-For a standard start (log_det(L) = 0) the profile of a term is the list of
+Every series starts at Z_p^d, which every generator, an integer matrix,
+leaves invariant.  A start L other than Z_p^d is a change of coordinates:
+`restrict_action` rewrites the action in L's basis, where L is Z_p^d, at
+N - lower_level(L) digits.  The profile of a term is the list of
 elementary divisors of its own basis, read off the diagonal when the basis
 splits as D U (`lattice.divisor_profile`), and its last exponent is by
 definition the term's lower level; the series caches it, so the next
-step's guard costs nothing.
-That guard always holds there: term i contains p^i L = p^i Z_p^d, so its
-level is at most i <= N - 2.  Other starts guard each term as it is made
-and read the profile in L's coordinates.  The series checks its input
-only: an invariant start, the precision guard on every term, and index
-growth of a digit per step, which fails when unipotent generators
-generate a group that is not pro-p.
+step's guard costs nothing.  That guard always holds: term i contains
+p^i Z_p^d, so its level is at most i <= N - 2.  The series checks its
+input only: the standard start, the precision, and index growth of a
+digit per step, which fails when unipotent generators generate a group
+that is not pro-p.
 """
 
 from __future__ import annotations
@@ -186,37 +187,31 @@ class SeriesTrace:
 
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
-    """Terms 0..i_max of the lower p-series of L under the action.
+    """Terms 0..i_max of the lower p-series of Z_p^d under the action.
 
-    Requires N >= i_max + 2 so every term stays representable, and an
-    invariant L, so that each term is invariant and lies between p times
-    the previous term and the previous term (module docstring).  Each step
+    L must be Z_p^d (ValueError otherwise; `restrict_action` moves another
+    invariant start there).  Requires N >= i_max + 2 so every term stays
+    representable; each term is invariant and lies between p times the
+    previous term and the previous term (module docstring).  Each step
     asserts the trivial index bound log_p |L : term_i| >= i; a violation
     means the group is not pro-p and raises PstrataError with the index.
     """
     _check_context(L, action)
+    if L.log_det:
+        raise ValueError("the series starts at Z_p^d; move another start there by restrict_action")
     if L.N < i_max + 2:
         raise PrecisionExhausted(
             f"precision {L.N} cannot certify {i_max} steps; need at least {i_max + 2}"
         )
-    if not check_invariance(L, action):
-        raise NotInvariant("series start must be an invariant lattice")
-    standard = L.log_det == 0
     terms = []
     profiles = []
     cur = L
     for i in range(i_max + 1):
         if i:
-            try:
-                cur = _step(cur, action)
-                if not standard:
-                    cur.guard()
-            except PstrataError as err:
-                raise type(err)(f"series step {i} failed: {err}") from err
-        prof = divisor_profile(cur, L)
-        if standard:
-            # the Smith exponents of the term's own basis: the last is its lower level
-            cur.__dict__["lower_level"] = prof[-1]
+            cur = _step(cur, action)
+        prof = divisor_profile(cur)
+        # the Smith exponents of the term's own basis: the last is its lower level
+        cur.__dict__["lower_level"] = prof[-1]
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"

@@ -19,7 +19,8 @@ H + p^N Z_p^d.  One Hermite form of H bounds the index of H + p^N Z_p^d
 from above; once a join's index reaches that bound, every later join is
 the same lattice and no further insertion is made.  Extra weights account
 for direct factors carrying mass but no lattice coordinates (they enlarge
-the denominator, and enter subset sums in the spectrum).
+the denominator, and enter subset sums in the spectrum).  Rows, frame
+and series share one coordinate system, that of the series' start Z_p^d.
 """
 
 from __future__ import annotations
@@ -164,9 +165,7 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     The join is therefore guarded only when term_i has no cached level of
     at most N - 2 (lower_p_series caches one; a hand-built trace may not);
     a join that passes the guard contains p^(N-2) Z_p^d, and the same
-    argument applies to it.  The denominator trace.log_indices[i] was read
-    off the coordinates of term_i in L, which exist only when term_i lies
-    inside L.
+    argument applies to it.
 
     Stationary join.  Let F be the sum of the pivot exponents of
     `hermite_rows(H)`, plus N for each column without a pivot.  Those rows,

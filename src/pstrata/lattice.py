@@ -12,12 +12,11 @@ result's lower level (largest elementary-divisor exponent over Z_p^d)
 must stay at most N - 2, one digit short of the budget, otherwise
 PrecisionExhausted is raised.  The lower level is read off the triangular
 basis by back-substitution, with no Smith form.  The series step is the
-exception: it guards the term it starts from, and from the standard start
-the series caches each term's level from the divisor profile it computes
-anyway (`gmodule`); from other starts it guards each term.
+exception: it guards the term it starts from, and the series caches each
+term's level from the divisor profile it computes anyway (`gmodule`).
 
-`divisor_profile` reads the elementary divisors of L/M off the diagonal
-when M's coordinates in L split as D U, a diagonal of p-powers times a
+`divisor_profile` reads the elementary divisors of Z_p^d/M off the
+diagonal when M's basis splits as D U, a diagonal of p-powers times a
 unit upper-triangular matrix.  The canonical bases of the catalog's
 series terms are diagonal, so they split; a conjugated action's terms
 often do not, and go through `smith_rows`.
@@ -36,7 +35,6 @@ __all__ = [
     "Lattice",
     "log_index",
     "divisor_profile",
-    "coords_in",
 ]
 
 
@@ -205,33 +203,20 @@ def log_index(A: Lattice, B: Lattice) -> int:
     return B.log_det - A.log_det
 
 
-def coords_in(M: Lattice, L: Lattice) -> list:
-    """Exact integer coordinate matrix C with C @ L.basis == M.basis."""
-    M._compat(L)
-    if L.log_det == 0:  # L is Z_p^d, whose canonical basis is the identity
-        return [list(row) for row in M.basis]
-    out = [L.solve(row) for row in M.basis]
-    if None in out:
-        raise NotContained("lattice is not contained in the reference lattice")
-    return out
+def divisor_profile(M: Lattice) -> tuple:
+    """Ascending elementary-divisor exponents of Z_p^d/M.
 
-
-def divisor_profile(M: Lattice, L: Lattice) -> tuple:
-    """Ascending elementary-divisor exponents of L/M (requires M inside L).
-
-    C = coords_in(M, L) is upper triangular with diagonal p^(e_k), e_k the
-    difference of the two lattices' diagonal exponents, since both bases
-    are canonical and the solve is exact.  When p^(e_k) divides row k of C
-    for every k, C = D U with D = diag(p^(e_k)) and U integer and unit
-    upper triangular, hence unimodular, so the profile is sorted(e) (each
-    e_k < N, so `smith_rows` would certify the same d exponents) and no
-    Smith form is needed; otherwise `smith_rows` diagonalizes C.
+    M's canonical basis is upper triangular with diagonal p^(e_k).  When
+    p^(e_k) divides row k for every k, the basis is D U with
+    D = diag(p^(e_k)) and U integer and unit upper triangular, hence
+    unimodular, so the profile is sorted(e) (each e_k < N, so `smith_rows`
+    would certify the same d exponents) and no Smith form is needed;
+    otherwise `smith_rows` diagonalizes the basis.
     """
-    C = coords_in(M, L)
-    if all(x % row[k] == 0 for k, row in enumerate(C) for x in row[k + 1:]):
-        return tuple(sorted(m - l for m, l in zip(M.diag_exponents, L.diag_exponents)))
-    exps, _, _ = smith_rows(C, M.p, M.N)
+    B = M.basis
+    if all(x % row[k] == 0 for k, row in enumerate(B) for x in row[k + 1:]):
+        return tuple(sorted(M.diag_exponents))
+    exps, _, _ = smith_rows(B, M.p, M.N)
     if len(exps) != M.d:
         raise PrecisionExhausted("divisor profile not certifiable at this precision")
     return tuple(exps)
-

@@ -33,7 +33,6 @@ from .errors import (
     RateOutOfRange,
 )
 from .gmodule import GroupAction, SeriesTrace
-from .lattice import coords_in
 from .padic import (
     hermite_rows, int_valuation, mat_mul, mul_entries, row_entries, smith_rows, unimodular_inverse,
 )
@@ -100,8 +99,9 @@ class CycleCertificate:
 class Stratification:
     """A certified split model for a series window.
 
-    frame holds d ambient row vectors forming a basis of Z_p^d; the model
-    term at index i is the span of p^floor(i * rates[k]) * frame[k].  c is
+    frame holds d row vectors forming a Z_p-basis of the series' start
+    Z_p^d (F B in an ambient where the start has basis B).  The model term
+    at index i is the span of p^floor(i * rates[k]) * frame[k].  c is
     the certified two-sided containment constant over the window.  status
     is "certified-window" or "exact-cycle" (a cycle certificate extends
     the window to all later indices).
@@ -305,10 +305,9 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     the gcd of the entries (a p-power, as the diagonal is).  Canonical
     bases are unique and p^n B_j is canonical with B_j, so term_i == p^n
     term_j iff B_i == p^n B_j, and then u_i = u_j + n: keys agree exactly
-    when such an n exists (n >= 0, as the terms descend).  So does the
-    Hermite form of the coordinates in any reference lattice, so the hits
-    do not depend on it.  A hit (j, j+m) with 0 <= n <= m is therefore the
-    certificate term(j + m) == p^n term(j) itself; the tests re-check it.
+    when such an n exists (n >= 0, as the terms descend).  A hit (j, j+m)
+    with 0 <= n <= m is therefore the certificate term(j + m) == p^n
+    term(j) itself; the tests re-check it.
     """
     seen: dict = {}
     depths: list[int] = []
@@ -514,11 +513,8 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     A repair can break a prefix fixed earlier, hence the second pass; if
     that pass changed the frame as well, every prefix is checked once more.
     """
-    L0 = trace.ambient
-    p, N, d = L0.p, L0.N, L0.d
-    pN = p**N
-    C = coords_in(trace.terms[i2], L0)
-    exps, origin, W = smith_rows(C, p, N, want_right_inv=True)
+    p, N, d = trace.ambient.p, trace.ambient.N, trace.ambient.d
+    exps, origin, W = smith_rows(trace.terms[i2].basis, p, N, want_right_inv=True)
     if len(exps) != d:
         return None, f"anchor {i2}: rank collapsed"
     targets = [_floor_mul(i2, xi) for xi in rates.rates]
@@ -529,9 +525,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
                 f"target {targets[k]} by more than the cap {cap}"
             )
     order = sorted(range(d), key=lambda k: (rates.rates[k], origin[k]))
-    frame_L = [list(W[k]) for k in order]
-    # to ambient coordinates
-    frame = mat_mul(frame_L, L0.basis, pN)
+    frame = [W[k] for k in order]
     action = trace.action
     bounds = _boundaries(rates)
     try:

@@ -9,7 +9,7 @@ of the public lattice layer (itself checked against the enumerations
 here), and `approximate_term`, the model lattice the latter builds; and
 the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
-(the cycle key by coordinates), `run_stratification_eager` (the
+(the cycle key by a Hermite form), `run_stratification_eager` (the
 candidate loop that computed every rate candidate up front) and
 `step_by_full_stack` (the series step on every image, zero or not).  The
 definitions `valuation` and `mat_mul_dense` pin the kernels.
@@ -240,22 +240,19 @@ def is_scaled_copy(A, n, B):
 
 
 def detect_cycle_by_coordinates(trace):
-    """Reference for strata.detect_cycle: key each term by coordinates.
+    """Reference for strata.detect_cycle: key each term by its own basis.
 
-    Solves the term's coordinates in the series start L0, divides them by
-    their least p-power and keys by the Hermite form of the result; a hit is
-    verified exactly as in the library.
+    Divides the term's basis by its least p-power and keys by the Hermite
+    form of the result; a hit is verified exactly as in the library.
     """
-    from pstrata.lattice import coords_in
     from pstrata.padic import hermite_rows, int_valuation
     from pstrata.strata import CycleCertificate
 
-    L0 = trace.ambient
-    p, N, d = L0.p, L0.N, L0.d
+    p, N, d = trace.ambient.p, trace.ambient.N, trace.ambient.d
     seen = {}
     depths = []
     for i, term in enumerate(trace.terms):
-        C = coords_in(term, L0)
+        C = term.basis
         u = min(int_valuation(abs(x), p, N) if x else N for row in C for x in row)
         depths.append(u)
         shape = [[x // p**u for x in row] for row in C]

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pstrata.cli import main
+from pstrata.catalog import get_bundle
+from pstrata.cli import _instance_block, main
+from pstrata.gmodule import lower_p_series
+from pstrata.lattice import Lattice
 
 
 def run(capsys, *argv):
@@ -311,6 +314,73 @@ def test_subgroup_rows_of_wrong_width(tmp_path, capsys, rows):
                  "--denom-bound", "4", "--subgroup", str(sub)])
     capsys.readouterr()
     assert code == 3
+
+
+def _restarted(tmp_path, name, start, N):
+    """(instance file, L): the catalog entry at p = 2 whose lattice L is its term `start`."""
+    b = get_bundle(name, p=2, N=N)
+    L = lower_p_series(b.lattice, b.action, start).terms[start]
+    path = tmp_path / f"{name}-{start}.json"
+    path.write_text(json.dumps(_instance_block(L, b.action, ())))
+    return path, L
+
+
+@pytest.mark.parametrize("name,start,status", [
+    ("eisenstein2", 2, "exact-cycle"),
+    ("Gm2", 1, "certified-window"),
+    ("remark27", 2, "certified-window"),
+])
+def test_stratify_a_restarted_series(tmp_path, capsys, name, start, status):
+    # every start other than Z_p^d ended in FrameRejected: the frame was
+    # mapped by L's basis before its window constant, out of Z_p^d
+    imax = 24
+    path, L = _restarted(tmp_path, name, start, imax + 2 + start)
+    payload = run_json(capsys, "stratify", "--input", str(path), "--imax", str(imax),
+                       "--denom-bound", "8")
+    assert (payload["status"], payload["c"]) == (status, 1)
+    # the frame is reported in the ambient, as F B: a basis of L
+    assert Lattice.from_rows(2, L.N, L.d, payload["frame"]) == L
+
+
+def test_a_restart_costs_its_lower_level_in_precision(tmp_path, monkeypatch, capsys):
+    imax = 24
+    path, L = _restarted(tmp_path, "Gm2", 1, imax + 2)
+    assert L.lower_level == 1
+    with monkeypatch.context() as m:
+        m.setattr("pstrata.cli.lower_p_series", None)  # checked before any series work
+        assert main(["series", "--input", str(path), "--imax", str(imax)]) == 2
+    err = capsys.readouterr().err
+    assert "lower level 1" in err and f"precision at least {imax + 3}" in err
+    path, L = _restarted(tmp_path, "Gm2", 1, imax + 3)
+    payload = run_json(capsys, "series", "--input", str(path), "--imax", str(imax))
+    assert payload["provenance"]["N"] == imax + 3
+    # the series of L is the tail of the series of Z_p^d, indexes counted from L
+    b = get_bundle("Gm2", p=2, N=imax + 3)
+    full = lower_p_series(b.lattice, b.action, imax + 1).log_indices
+    assert payload["log_indices"] == [x - full[1] for x in full[1:]]
+
+
+@pytest.mark.parametrize("rows,code,message", [
+    ([[2, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 0, ""),
+    ([[1, 0, 0, 0, 0]], 3, "does not lie in the instance's lattice"),
+    ([[2, 0, 0, 0, 0, 0]], 3, "must have length 5"),
+    ([[2]], 3, "must have length 5"),
+])
+def test_hdim_of_a_restarted_series(tmp_path, capsys, rows, code, message):
+    # ambient rows are solved in the lattice diag(2, 1, 2, 1, 1), width first
+    imax = 24
+    path, L = _restarted(tmp_path, "Gm2", 1, imax + 3)
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"rows": rows}))
+    argv = ["--imax", str(imax), "--denom-bound", "8", "--subgroup", str(sub)]
+    assert main(["hdim", "--input", str(path), *argv]) == code
+    out, err = capsys.readouterr()
+    assert message in err
+    if code == 0:
+        # a finite-index subgroup of the same rank as at the standard start
+        sub.write_text(json.dumps({"rows": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]}))
+        plain = run_json(capsys, "hdim", "--catalog", "Gm2", "--lattice-only", *argv)
+        assert json.loads(out)["exact"] == plain["exact"]
 
 
 def test_out_file_and_version(tmp_path, capsys):

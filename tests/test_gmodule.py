@@ -21,7 +21,7 @@ from pstrata.gmodule import (
     restrict_action,
     trace_to_csv,
 )
-from pstrata.lattice import Lattice, divisor_profile, log_index
+from pstrata.lattice import Lattice, divisor_profile
 from pstrata.padic import smith_rows
 
 
@@ -124,20 +124,26 @@ def test_series_descends_and_is_invariant():
        st.integers(0, 2))
 def test_step_matches_the_full_stack(sizes, seed, p, i_max, start):
     # the inserted step gives the canonical basis that the full stack spans,
-    # from the standard start and from a series restarted at term 1 or 2;
-    # the cached pivots, levels and profiles are those of a fresh lattice
+    # from the standard start and from a series restarted at term 1 or 2 in
+    # that term's coordinates; the cached pivots, levels and profiles are
+    # those of a fresh lattice
     b = random_block_action(tuple(sizes), seed, p=p, N=i_max + 2)
-    L = lower_p_series(b.lattice, b.action, start).terms[start]
-    tr = lower_p_series(L, b.action, i_max - start)
+    full = lower_p_series(b.lattice, b.action, i_max)
+    L = full.terms[start]
+    act = restrict_action(L, b.action)
+    assert act.N == b.action.N - L.lower_level
+    tr = lower_p_series(Lattice.standard(p, act.N, act.d), act, i_max - start)
+    # the restart is the tail of the full series: its indexes are counted from L
+    assert tr.log_indices == tuple(x - full.log_indices[start] for x in full.log_indices[start:])
     for i, (term, prof) in enumerate(zip(tr.terms, tr.profiles)):
         fresh = Lattice(p, term.N, term.d, term.basis)
         if i:
             assert "diag_exponents" in vars(term) and "lower_level" in vars(term)
         assert term.diag_exponents == fresh.diag_exponents
         assert term.lower_level == fresh.lower_level
-        assert prof == divisor_profile(term, L)
+        assert prof == divisor_profile(fresh)
     for term in tr.terms[:-1]:
-        assert _step(term, b.action) == oracles.step_by_full_stack(term, b.action)
+        assert _step(term, act) == oracles.step_by_full_stack(term, act)
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):
@@ -152,19 +158,19 @@ def test_split_terms_need_no_smith_form(monkeypatch):
 
 
 def test_start_beyond_the_precision_guard_is_refused():
-    # lower level 9 > N - 2 = 8: p*M would lose the pivot 2^9, so step 1
+    # lower level 9 > N - 2 = 8: p*M would lose the pivot 2^9, so the step
     # must refuse instead of returning a term with pivot 2^N
     L = Lattice(2, 10, 2, ((1, 0), (0, 512)))
     act = GroupAction.build(2, 10, [[[1, 0], [0, 1]]])
-    assert lower_p_series(L, act, 0).terms == (L,)
-    for i_max in (1, 8):
-        with pytest.raises(PrecisionExhausted, match="series step 1 failed"):
-            lower_p_series(L, act, i_max)
-    # level 8 = N - 2 passes the step's guard on its input; the new term
-    # has level 9, so the guard on the new term must refuse it
+    with pytest.raises(PrecisionExhausted, match="lower level 9"):
+        _step(L, act)
+    # level 8 = N - 2 passes the step's guard on its input
     M = Lattice(2, 10, 2, ((1, 0), (0, 256)))
-    with pytest.raises(PrecisionExhausted, match="series step 1 failed"):
-        lower_p_series(M, act, 1)
+    assert _step(M, act).basis == ((2, 0), (0, 512))
+    # the series itself starts at Z_p^d only
+    for start in (L, M):
+        with pytest.raises(ValueError, match="restrict_action"):
+            lower_p_series(start, act, 0)
 
 
 def test_series_needs_precision_margin():

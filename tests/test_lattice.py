@@ -1,4 +1,4 @@
-"""Lattice arithmetic: canonical bases, levels, solves, indexes, coordinates."""
+"""Lattice arithmetic: canonical bases, levels, solves, indexes, profiles."""
 
 import json
 import random
@@ -13,11 +13,10 @@ from pstrata import lattice
 from pstrata.catalog import get_bundle
 from pstrata.cli import _instance_block, _load_instance
 from pstrata.errors import NotContained, PrecisionExhausted
-from pstrata.gmodule import GroupAction, lower_p_series
+from pstrata.gmodule import GroupAction, lower_p_series, restrict_action
 from pstrata.padic import hermite_rows, mat_mul, smith_rows, unimodular_inverse
 from pstrata.lattice import (
     Lattice,
-    coords_in,
     divisor_profile,
     log_index,
 )
@@ -152,66 +151,44 @@ def test_log_index_and_profile():
     L = Lattice.standard(2, 8, 2)
     M = Lattice.from_rows(2, 8, 2, [[2, 2], [0, 4]])
     assert log_index(L, M) == 3
-    assert divisor_profile(M, L) == (1, 2)
+    assert divisor_profile(M) == (1, 2)
     with pytest.raises(NotContained):
         log_index(M, L)
 
 
-def test_coords_in_round_trip():
-    L = Lattice.from_rows(2, 8, 2, [[2, 1], [0, 1]])
-    M = Lattice.from_rows(2, 8, 2, [[4, 2], [0, 2]])
-    C = coords_in(M, L)
-    pN = 2**8
-    for crow, mrow in zip(C, M.basis):
-        rebuilt = [
-            sum(crow[k] * L.basis[k][j] for k in range(2)) % pN for j in range(2)
-        ]
-        assert rebuilt == [x % pN for x in mrow]
-
-
-def _smith_profile(M, L):
-    """Reference: the Smith exponents of M's coordinates in L."""
-    return tuple(smith_rows(coords_in(M, L), M.p, M.N)[0])
+def _smith_profile(M):
+    """Reference: the Smith exponents of M's basis."""
+    return tuple(smith_rows(M.basis, M.p, M.N)[0])
 
 
 @st.composite
-def nested_lattices(draw):
-    """(M, L, split) with M spanned by C @ L.basis, C upper triangular with a p-power diagonal.
+def triangular_lattices(draw):
+    """(M, split): M spanned by upper-triangular rows with a p-power diagonal.
 
-    With split, C is D U, row k a multiple of its pivot p^(e_k); L is Z_p^d
-    or a triangular lattice of its own.
+    With split, the rows are D U, row k a multiple of its pivot p^(e_k).
     """
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.integers(1, 4))
-    N = 32
     entry = st.integers(-(p**4), p**4)
-
-    def triangular(top, split):
-        rows = []
-        for k, e in enumerate(draw(st.lists(st.integers(0, top), min_size=d, max_size=d))):
-            f = p**e if split else 1
-            rows.append([0] * k + [p**e] + [f * draw(entry) for _ in range(k + 1, d)])
-        return rows
-
-    L = Lattice.standard(p, N, d)
-    if draw(st.booleans()):
-        L = Lattice.from_rows(p, N, d, triangular(3, False))
     split = draw(st.booleans())
-    C = triangular(4, split)
-    return Lattice.from_rows(p, N, d, mat_mul(C, L.basis, p**N)), L, split
+    rows = []
+    for k, e in enumerate(draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))):
+        f = p**e if split else 1
+        rows.append([0] * k + [p**e] + [f * draw(entry) for _ in range(k + 1, d)])
+    return Lattice.from_rows(p, 32, d, rows), split
 
 
 @settings(max_examples=300, deadline=None)
-@given(nested_lattices())
+@given(triangular_lattices())
 def test_divisor_profile_matches_smith_rows(case):
     # the profile read off a D U split must be what the Smith form gives;
     # over Z_p^d a D U basis stays D U when canonicalized (reducing row k
     # by row j subtracts a multiple of p^max(e_j, e_k)), so it is read off
     # the diagonal, even where entries above the pivots are not 0
-    M, L, split = case
+    M, split = case
     with mock.patch.object(lattice, "smith_rows", wraps=smith_rows) as smith:
-        assert divisor_profile(M, L) == _smith_profile(M, L)
-    if split and L.log_det == 0:
+        assert divisor_profile(M) == _smith_profile(M)
+    if split:
         assert smith.call_count == 0
 
 
@@ -240,15 +217,21 @@ def _conjugated(name, p, N, seed):
 @given(st.sampled_from([("Gm2", 24), ("remark27", 20)]), st.sampled_from([2, 3]),
        st.integers(0, 10**6), st.integers(0, 2))
 def test_divisor_profile_on_conjugated_series(case, p, seed, start):
-    # conjugated terms from Z_p^d, and series restarted from term 1 or 2
-    # (a start that is not Z_p^d), against the Smith reference
+    # conjugated terms from Z_p^d, and series restarted at term 1 or 2 in
+    # that term's coordinates, against the Smith reference
     name, i_max = case
     N = i_max + 2
     _, act = _conjugated(name, p, N, seed)
-    L = lower_p_series(Lattice.standard(p, N, act.d), act, start).terms[start]
-    tr = lower_p_series(L, act, i_max - start)
-    for term, prof in zip(tr.terms, tr.profiles):
-        assert prof == _smith_profile(term, L)
+    full = lower_p_series(Lattice.standard(p, N, act.d), act, i_max)
+    L = full.terms[start]
+    inner = restrict_action(L, act)
+    assert inner.N == N - L.lower_level
+    tr = lower_p_series(Lattice.standard(p, inner.N, act.d), inner, i_max - start)
+    # the restart is the tail of the full series, read in L's coordinates
+    assert len(tr.terms) == i_max - start + 1
+    for term, prof, outer in zip(tr.terms, tr.profiles, full.terms[start:]):
+        assert prof == _smith_profile(term)
+        assert prof == tuple(smith_rows([L.solve(row) for row in outer.basis], p, N)[0])
 
 
 @pytest.mark.parametrize("name,p,seed", [("Gm2", 2, 1), ("remark27", 2, 0), ("remark27", 3, 3)])
@@ -260,19 +243,6 @@ def test_conjugated_series_take_both_sides_of_the_split(name, p, seed):
         tr = lower_p_series(b.lattice, act, 24)
     assert 0 < smith.call_count < len(tr.terms)
     assert tr.profiles == lower_p_series(b.lattice, b.action, 24).profiles
-
-
-@settings(max_examples=100, deadline=None)
-@given(generating_sets())
-def test_coords_in_the_standard_lattice_are_the_basis(case):
-    # coords_in returns M's basis when L is Z_p^d instead of solving it
-    p, N, d, rows = case
-    red, piv, _ = hermite_rows(rows, p, N)
-    if piv != list(range(d)):
-        return
-    M = Lattice.unguarded(p, N, d, rows)
-    L = Lattice.standard(p, N, d)
-    assert coords_in(M, L) == [L.solve(row) for row in M.basis]
 
 
 def test_serialization_round_trip(tmp_path):

@@ -15,7 +15,7 @@ from pstrata.errors import (
     NotABoundary,
     RateOutOfRange,
 )
-from pstrata.gmodule import GroupAction, check_invariance, lower_p_series
+from pstrata.gmodule import GroupAction, check_invariance, lower_p_series, restrict_action
 from pstrata.lattice import Lattice
 from pstrata.padic import identity, mat_mul, unimodular_inverse
 from pstrata.strata import (
@@ -335,7 +335,7 @@ instances = st.one_of(
 
 
 def _series(instance, p, i_max, start=0):
-    """The series of an instance, restarted at term `start` when it is nonzero."""
+    """The series of an instance, restarted at term `start` in that term's coordinates."""
     kind, what, seed = instance
     N = i_max + 2
     if kind == "catalog":
@@ -343,7 +343,14 @@ def _series(instance, p, i_max, start=0):
     else:
         b = random_block_action(what, seed, p=p, N=N)
     tr = lower_p_series(b.lattice, b.action, i_max)
-    return lower_p_series(tr.terms[start], b.action, i_max - start) if start else tr
+    if not start:
+        return tr
+    act = restrict_action(tr.terms[start], b.action)
+    restarted = lower_p_series(Lattice.standard(p, act.N, act.d), act, i_max - start)
+    # the restart is the tail of the series, its indexes counted from term `start`
+    assert restarted.log_indices == tuple(x - tr.log_indices[start]
+                                          for x in tr.log_indices[start:])
+    return restarted
 
 
 @settings(max_examples=120, deadline=None)
@@ -372,10 +379,12 @@ def _pipeline(run, tr, **kwargs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.data())
-def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, data):
-    """Same result or same error as computing every candidate up front."""
-    tr = _series(instance, p, i_max)
+@given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.sampled_from([0, 1, 2]),
+       st.data())
+def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
+    """Same result or same error as computing every candidate up front, from any start."""
+    tr = _series(instance, p, i_max, start)
+    i_max = tr.i_max
     good = st.integers(1, i_max - 1).flatmap(
         lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, i_max)))
     any_pair = st.tuples(st.integers(0, i_max + 1), st.integers(0, i_max + 1))
