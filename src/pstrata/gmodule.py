@@ -46,15 +46,20 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
 from .padic import (
-    _freeze, _is_prime, _reduce_above, hermite_insert, identity, mat_mul, mul_entries, row_entries,
+    _freeze, _is_prime, _reduce_above, hermite_insert, identity, int_valuation, mat_mul,
+    mul_entries, row_entries,
 )
 
 __all__ = [
+    "CycleCertificate",
     "GroupAction",
     "SeriesTrace",
     "check_invariance",
@@ -168,8 +173,28 @@ def _step(M: Lattice, action: GroupAction) -> Lattice:
 
 
 @dataclass(frozen=True)
+class CycleCertificate:
+    """Exact eventual self-similarity: term(j + m) == p^n * term(j).
+
+    The step is Z_p-linear, so the identity propagates to every index at or
+    beyond j and pins the growth rate of every coordinate to n/m.
+    """
+
+    j: int
+    m: int
+    n: int
+
+    @property
+    def rate(self) -> Fraction:
+        return Fraction(self.n, self.m)
+
+
+@dataclass(frozen=True)
 class SeriesTrace:
-    """The computed prefix of a lower p-series with divisor bookkeeping."""
+    """The computed prefix of a lower p-series with divisor bookkeeping.
+
+    log_indices and cycle are computed on first use and kept.
+    """
 
     ambient: Lattice
     action: GroupAction
@@ -181,9 +206,37 @@ class SeriesTrace:
     def precision(self) -> int:
         return self.ambient.N
 
-    @property
+    @cached_property
     def log_indices(self) -> tuple:
         return tuple(sum(prof) for prof in self.profiles)
+
+    @cached_property
+    def cycle(self) -> CycleCertificate | None:
+        """The first exact p-power repetition of the terms, or None.
+
+        The key of term i is its canonical basis B_i over its content p^u_i,
+        the gcd of the entries (a p-power, as the diagonal is).  Canonical
+        bases are unique and p^n B_j is canonical with B_j, so term_i == p^n
+        term_j iff B_i == p^n B_j, and then u_i = u_j + n: keys agree exactly
+        when such an n exists (n >= 0, as the terms descend).  A hit (j, j+m)
+        with 0 <= n <= m is therefore the certificate term(j + m) == p^n
+        term(j) itself; the tests re-check it.
+        """
+        seen: dict = {}
+        depths: list[int] = []
+        for i, term in enumerate(self.terms):
+            g = math.gcd(*(x for row in term.basis for x in row))
+            depths.append(int_valuation(g, term.p, term.N))
+            key = tuple(tuple(x // g for x in row) for row in term.basis)
+            j = seen.get(key)
+            if j is None:
+                seen[key] = i
+                continue
+            m = i - j
+            n = depths[i] - depths[j]
+            if 0 <= n <= m:
+                return CycleCertificate(j=j, m=m, n=n)
+        return None
 
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:

@@ -17,7 +17,11 @@ stack again, and reads the index of the term in the join off the pivot
 exponents.  The terms descend, so the joins do too, and each contains
 H + p^N Z_p^d.  One Hermite form of H bounds the index of H + p^N Z_p^d
 from above; once a join's index reaches that bound, every later join is
-the same lattice and no further insertion is made.  Extra weights account
+the same lattice and no further insertion is made.  When that form has
+only unit pivots (H + p^N Z_p^d is saturated, r pivots) and the series
+repeats, term(i + m) = p^n term(i) for i >= j, the numerator grows by
+exactly n r per cycle, so only terms 1 .. j + m - 1 are inserted; any
+other H, or a series with no cycle, inserts as before.  Extra weights account
 for direct factors carrying mass but no lattice coordinates (they enlarge
 the denominator, and enter subset sums in the spectrum).  Rows, frame
 and series share one coordinate system, that of the series' start Z_p^d.
@@ -30,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationTooLarge, RankDeficient
+from .errors import EnumerationTooLarge, PrecisionExhausted, RankDeficient
 from .gmodule import SeriesTrace
 from .lattice import Lattice
 from .padic import (
@@ -92,34 +96,39 @@ class DimensionReport:
 
 
 def echelon_pivots(spec: SubgroupSpec) -> tuple:
-    """Strictly increasing rightmost-pivot indices of an echelon basis.
+    """Strictly increasing rightmost-pivot indices of the subgroup's rows.
 
-    Rows are reduced from the right: when two rows share their rightmost
-    nonzero coordinate, the one with higher valuation there is cleared by
-    the other, pushing its pivot left.  A row that vanishes entirely makes
-    the generators dependent and raises RankDeficient.
+    The rows are residues mod p^N, and a residue does not fix its lift:
+    (1, 0) has its rightmost pivot at 0, its lift (1, p^N) at 1.  The
+    pivots are read off `hermite_rows` of the column-reversed rows, column
+    j mapped back to d - 1 - j: rows R_k, reached by invertible row
+    operations mod p^N, each ending in an exact power p^a_k at its pivot
+    with exact zeros after it.  They are the rightmost pivots of the
+    Z_p-span of the R_k as written; a lift can only move a row's pivot to
+    the right, onto an entry that is 0 mod p^N.
+
+    Below full rank that form depends on the row order (`padic`), and so
+    can its pivots: at p = 2, N = 6 the rows (3,4,-2,4,12), (0,1,0,0,2),
+    (2,4,4,-8,2) give (1,3,4) with exponents (1,2,0) in some orders and
+    (2,3,4) with exponents (1,2,5) in others.  So the pivots are certified
+    only when sum(a_k) < N, and the tests check that every order meeting
+    that rule gives the same pivots.  A larger sum raises
+    PrecisionExhausted; a larger N or another order of the rows may
+    certify them.  Fewer pivots than rows, generators dependent at this
+    precision, raise RankDeficient.
     """
     p, N = spec.p, spec.N
-    pN = p**N
-    queue = [[x % pN for x in row] for row in spec.rows]
-    owners: dict[int, list] = {}
-    while queue:
-        row = queue.pop()
-        t = next((j for j in range(len(row) - 1, -1, -1) if row[j]), -1)
-        if t < 0:
-            raise RankDeficient("generator rows are dependent at this precision")
-        cur = owners.get(t)
-        if cur is None:
-            owners[t] = row
-            continue
-        if int_valuation(row[t], p, N) < int_valuation(cur[t], p, N):
-            owners[t], row = row, cur
-            cur = owners[t]
-        a = int_valuation(cur[t], p, N)
-        pa = p**a
-        c = ((row[t] // pa) * pow(cur[t] // pa, -1, pN)) % pN
-        queue.append([(x - c * y) % pN for x, y in zip(row, cur)])
-    return tuple(sorted(owners))
+    reversed_rows = [row[::-1] for row in spec.rows]
+    red, piv, _ = hermite_rows(reversed_rows, p, N)
+    if len(piv) < len(reversed_rows):
+        raise RankDeficient("generator rows are dependent at this precision")
+    if sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) >= N:
+        raise PrecisionExhausted(
+            f"the pivot exponents of the generator rows reach the precision {N}; "
+            "their pivots are not certified"
+        )
+    d = len(reversed_rows[0]) if reversed_rows else 0
+    return tuple(sorted(d - 1 - c for c in piv))
 
 
 def hdim_exact(H: SubgroupSpec, strat: Stratification, extra_weights=()) -> Fraction:
@@ -170,33 +179,59 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     Stationary join.  Let F be the sum of the pivot exponents of
     `hermite_rows(H)`, plus N for each column without a pivot.  Those rows,
     with p^N e_j for each column without a pivot, are a triangular basis of
-    a sublattice of H + p^N Z_p^d, so F >= log|Z_p^d : H + p^N Z_p^d|.  The
+    a sublattice of Hbar = H + p^N Z_p^d, so F >= log|Z_p^d : Hbar|.  The
     terms descend (lower_p_series builds each inside the one before; a
-    hand-built SeriesTrace must descend too), so for j > i, H + p^N Z_p^d
-    lies in J_j and J_j in J_i.  Suppose the join J_i passed the guard and
-    sum(e_k) = F.  Then log|Z_p^d : J_i| = F >= log|Z_p^d : H + p^N Z_p^d|
-    while J_i contains H + p^N Z_p^d, so the two are equal, and so is every
-    later J_j.  From there each numerator is log_det(term_j) - F, with no
-    insertion and no guard: J_j is the join that already passed it.  Since
-    H + p^N Z_p^d then passes the guard, the exit fires only for a
-    full-rank H; for any other H every term is inserted.
+    hand-built SeriesTrace must descend too), so for j > i, Hbar lies in
+    J_j and J_j in J_i.  Suppose the join J_i passed the guard and
+    sum(e_k) = F.  Then log|Z_p^d : J_i| = F >= log|Z_p^d : Hbar| while
+    J_i contains Hbar, so the two are equal, and so is every later J_j.
+    From there each numerator is log_det(term_j) - F, with no insertion and
+    no guard: J_j is the join that already passed it.  Since Hbar then
+    passes the guard, the exit fires only for a full-rank H.
+
+    Cycle.  Call H saturated when every pivot of `hermite_rows(H)` is 1,
+    that is F = N (d - r) with r pivots.  Then Hbar = S + p^N C, a direct
+    sum, where S is the span of those rows and C that of the e_c over the
+    columns c without a pivot: the rows and these e_c are a unitriangular
+    basis of Z_p^d.  The numerator is log|J_i : term_i| = log|Hbar : Hbar
+    cap term_i|.  Lemma: if T' = p^n T has level <= N - 2, then
+    log|Hbar : Hbar cap T'| = n r + log|Hbar : Hbar cap T|.  Proof: T
+    contains p^(N-n) Z_p^d, as T' contains p^N Z_p^d, so p^N C lies in T
+    and in p^n T.  S is a direct summand, so S cap p^n T = p^n (S cap T),
+    and the modular law gives Hbar cap p^n T = p^n ((S cap T) + p^(N-n) C)
+    and Hbar cap T = (S cap T) + p^N C.  The first has index p^(n r) |S :
+    S cap T| in Hbar, the second |S : S cap T|.  When the trace has a cycle
+    (j, m, n) (`SeriesTrace.cycle`, shared with run_stratification),
+    term_i = p^n term_(i-m) for every i >= j + m (`strata.detect_cycle`),
+    so numerator_i = numerator_(i-m) + n r, with numerator_0 = 0 as every
+    series starts at Z_p^d.  Only terms 1 .. j + m - 1 are inserted; a
+    later term is inserted only when it has no cached level of at most
+    N - 2, which a trace from lower_p_series never lacks.  An H that is not
+    saturated, or a trace with no cycle, goes through the insertion loop
+    above, stationary exit and guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
     amb = H.ambient_rows(strat)  # residues mod p^N, as hermite_insert needs
     red, piv, _ = hermite_rows(amb, p, N)
-    bound = sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) + N * (d - len(piv))
-    dens = trace.log_indices
-    quotients = []
+    r = len(piv)
+    bound = sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) + N * (d - r)
+    cycle = trace.cycle if bound == N * (d - r) else None
+    numerators = [0]
     joined = None
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
+        level_cached = lam.__dict__.get("lower_level", N) <= N - 2
+        if cycle is not None and i >= cycle.j + cycle.m and level_cached:
+            numerators.append(numerators[i - cycle.m] + cycle.n * r)
+            continue
         if joined != bound:
             tri, exps = hermite_insert(lam.basis, amb, p, N, lam.diag_exponents)
-            if lam.__dict__.get("lower_level", N) > N - 2:
+            if not level_cached:
                 Lattice.unguarded(p, N, d, tri).guard()
             joined = sum(exps)
-        quotients.append(Fraction(lam.log_det - joined, dens[i]))
+        numerators.append(lam.log_det - joined)
+    quotients = [Fraction(num, den) for num, den in zip(numerators[1:], trace.log_indices[1:])]
     tail = quotients[-max(1, len(quotients) // 3):]
     strong = (max(tail) - min(tail)) <= Fraction(tolerance)
     return quotients, strong

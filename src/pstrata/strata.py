@@ -16,7 +16,7 @@ only non-rigorous ingredient is the choice of candidate rates and frames;
 every candidate must pass invariance checks and the window-wide
 equivalence test, and failures fall back to other anchors.
 run_stratification computes each rate candidate only once the one before
-it is rejected; detect_cycle keys a term by its canonical basis over its content.
+it is rejected; detect_cycle reads the trace's cycle, searched once per trace.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     NotInvariant,
     RateOutOfRange,
 )
-from .gmodule import GroupAction, SeriesTrace
+from .gmodule import CycleCertificate, GroupAction, SeriesTrace
 from .padic import (
     hermite_rows, int_valuation, mat_mul, mul_entries, row_entries, smith_rows, unimodular_inverse,
 )
@@ -76,23 +76,6 @@ class RateVector:
     @property
     def dimension(self) -> int:
         return len(self.rates)
-
-
-@dataclass(frozen=True)
-class CycleCertificate:
-    """Exact eventual self-similarity: term(j + m) == p^n * term(j).
-
-    The step is functorial, so the identity propagates to every index at or
-    beyond j and pins the growth rate of every coordinate to n/m.
-    """
-
-    j: int
-    m: int
-    n: int
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -299,31 +282,15 @@ def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -
 
 
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
-    """Search for an exact p-power repetition of normalized term shapes.
+    """The first exact repetition term(j + m) == p^n term(j), 0 <= n <= m, or None.
 
-    The key of term i is its canonical basis B_i over its content p^u_i,
-    the gcd of the entries (a p-power, as the diagonal is).  Canonical
-    bases are unique and p^n B_j is canonical with B_j, so term_i == p^n
-    term_j iff B_i == p^n B_j, and then u_i = u_j + n: keys agree exactly
-    when such an n exists (n >= 0, as the terms descend).  A hit (j, j+m)
-    with 0 <= n <= m is therefore the certificate term(j + m) == p^n
-    term(j) itself; the tests re-check it.
+    The search (`SeriesTrace.cycle`) runs once per trace; run_stratification
+    and `hausdorff.hdim_numeric` share its result.  One hit extends to every
+    i >= j: the step M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends
+    p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
+    i >= j by induction on i.
     """
-    seen: dict = {}
-    depths: list[int] = []
-    for i, term in enumerate(trace.terms):
-        g = math.gcd(*(x for row in term.basis for x in row))
-        depths.append(int_valuation(g, term.p, term.N))
-        key = tuple(tuple(x // g for x in row) for row in term.basis)
-        j = seen.get(key)
-        if j is None:
-            seen[key] = i
-            continue
-        m = i - j
-        n = depths[i] - depths[j]
-        if 0 <= n <= m:
-            return CycleCertificate(j=j, m=m, n=n)
-    return None
+    return trace.cycle
 
 
 # -- invariant prefixes -------------------------------------------------

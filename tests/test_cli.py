@@ -165,6 +165,16 @@ def test_exit_precision_exhausted(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_uncertified_subgroup_pivots(tmp_path, capsys):
+    # imax 12 runs at N = 14; pivot exponents 7 + 7 reach it
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"rows": [[128, 0], [0, 128]], "coordinates": "frame"}))
+    code = main(["hdim", "--catalog", "eisenstein2", "--imax", "12", "--denom-bound", "4",
+                 "--subgroup", str(sub)])
+    assert code == 2
+    assert "not certified" in capsys.readouterr().err
+
+
 def test_exit_invalid_input(tmp_path, capsys):
     assert main(["series", "--catalog", "nope", "--imax", "6"]) == 3
     bad = tmp_path / "bad.json"

@@ -1,11 +1,12 @@
 """Dimensions of closed subgroups and the spectrum of attainable values."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 import oracles
 from pstrata.catalog import build_Gm_lattice, get_bundle, random_block_action
@@ -22,7 +23,7 @@ from pstrata.hausdorff import (
     hdim_numeric,
     spectrum,
 )
-from pstrata.strata import RateVector, Stratification, run_stratification
+from pstrata.strata import CycleCertificate, RateVector, Stratification, run_stratification
 
 F = Fraction
 
@@ -62,6 +63,45 @@ class TestPivots:
         a = echelon_pivots(SubgroupSpec(2, 8, ((1, 0),)))
         b = echelon_pivots(SubgroupSpec(2, 8, ((4, 0),)))
         assert a == b == (0,)
+
+    def test_order_dependent_rows_are_refused(self):
+        # at N = 4 these rows admit pivots (1, 2, 3, 4) as well as
+        # (0, 2, 3, 4), depending on the order they are eliminated in; the
+        # pivot exponents sum to 7, so every order is refused below N = 8
+        rows = [(4, 0, 0, 2, 2), (1, -15, 4, 1, -9), (0, 0, 0, 2, 2), (0, 2, 0, -10, 2)]
+        for order in itertools.permutations(rows):
+            with pytest.raises(PrecisionExhausted):
+                echelon_pivots(SubgroupSpec(2, 4, order))
+            assert echelon_pivots(SubgroupSpec(2, 8, order)) == (0, 2, 3, 4)
+
+    def test_an_order_with_a_small_exponent_sum_is_certified(self):
+        # the Hermite form from the right has pivots (1, 3, 4), exponents
+        # (1, 2, 0), in three orders, and (2, 3, 4), exponents (1, 2, 5),
+        # in the other three, which are refused
+        rows = [(3, 4, -2, 4, 12), (0, 1, 0, 0, 2), (2, 4, 4, -8, 2)]
+        outcomes = []
+        for order in itertools.permutations(rows):
+            try:
+                outcomes.append(echelon_pivots(SubgroupSpec(2, 6, order)))
+            except PrecisionExhausted:
+                outcomes.append(None)
+        assert sorted(outcomes, key=str) == [(1, 3, 4)] * 3 + [None] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.sampled_from([2, 3, 5]), hst.integers(3, 10), hst.integers(2, 5), hst.data())
+    def test_certified_pivots_do_not_depend_on_the_row_order(self, p, N, d, data):
+        def entry(pN=p**N):
+            return hst.one_of(hst.sampled_from([0, 1, p, p**2, p**3, -p]), hst.integers(0, pN - 1))
+
+        rows = data.draw(hst.lists(hst.tuples(*[entry()] * d), min_size=1, max_size=d))
+        outcomes = set()
+        for _ in range(3):
+            order = data.draw(hst.permutations(rows))
+            try:
+                outcomes.add(echelon_pivots(SubgroupSpec(p, N, order)))
+            except (PrecisionExhausted, RankDeficient):
+                pass
+        assert len(outcomes) <= 1
 
 
 class TestExact:
@@ -165,19 +205,16 @@ class TestNumericAgainstJoinReference:
         assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
 
     def test_insertions_stop_at_the_stationary_join(self, monkeypatch):
+        # this trace has the cycle (0, 1, 1), so a saturated H, full rank or
+        # not, takes every numerator from the cycle and inserts nothing; the
+        # late term is not saturated and still stops at its own index
         tr, st = _random_instance((2, 1), 0, 2)
-        insert = hausdorff.hermite_insert
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return insert(*args)
-
-        monkeypatch.setattr(hausdorff, "hermite_insert", counted)
+        assert tr.cycle == CycleCertificate(0, 1, 1)
+        calls = _count_inserts(monkeypatch)
         late = tr.i_max // 2
         cases = [
-            (unit_rows(3, range(3)), 1),  # the first join is Z_p^d already
-            (unit_rows(3, (0, 2)), tr.i_max),  # rank deficient: never stationary
+            (unit_rows(3, range(3)), 0),
+            (unit_rows(3, (0, 2)), 0),
             ([list(r) for r in tr.terms[late].basis], late),
         ]
         for rows, inserts in cases:
@@ -229,6 +266,90 @@ class TestNumericAgainstJoinReference:
                 hdim_numeric(H, tr, st)
         H = SubgroupSpec(2, 6, ((0, 1),))
         assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st) == ([F(1)], True)
+
+
+def _count_inserts(monkeypatch) -> list:
+    """Route hausdorff's hermite_insert through a counter; returns the call list."""
+    insert = hausdorff.hermite_insert
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return insert(*args)
+
+    monkeypatch.setattr(hausdorff, "hermite_insert", counted)
+    return calls
+
+
+def _unimodular(rng, d, pN):
+    """A random lower times upper unitriangular matrix mod p^N."""
+    lower = [[rng.randrange(pN) if j < i else int(j == i) for j in range(d)] for i in range(d)]
+    upper = [[rng.randrange(pN) if j > i else int(j == i) for j in range(d)] for i in range(d)]
+    return mat_mul(lower, upper, pN)
+
+
+class TestNumericCycle:
+    """A saturated H on a cycled series: numerators from the cycle, not insertions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_sizes, hst.integers(0, 9), hst.sampled_from([2, 3, 5]),
+           hst.sampled_from(["saturated", "scaled"]), hst.randoms(use_true_random=False))
+    # cycles starting late: (1, 2, 1), (2, 1, 1), (1, 1, 1)
+    @example((2, 3), 0, 3, "saturated", random.Random(0))
+    @example((2, 1, 1), 4, 2, "saturated", random.Random(1))
+    @example((2,), 0, 5, "saturated", random.Random(2))
+    @example((2, 3), 0, 3, "scaled", random.Random(3))
+    def test_matches_the_join_reference(self, sizes, seed, p, kind, rng):
+        # saturated: a coordinate subset rotated by a unimodular matrix;
+        # scaled: the same rows times p^k, which is not saturated
+        tr, st = _random_instance(sizes, seed, p)
+        d, N = sum(sizes), tr.precision
+        pN = p**N
+        rows = unit_rows(d, sorted(rng.sample(range(d), rng.randint(0, d))))
+        if kind == "scaled":
+            k = rng.randint(1, 3)
+            rows = [[p**k * x for x in row] for row in rows]
+        rows = mat_mul(rows, _unimodular(rng, d, pN), pN)
+        H = SubgroupSpec.from_ambient(p, N, rows, st)
+        assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+
+    def test_examples_start_late(self):
+        # the explicit examples above keep a cycle with j > 0
+        late = {(sizes, seed, p): _random_instance(sizes, seed, p)[0].cycle
+                for sizes, seed, p in [((2, 3), 0, 3), ((2, 1, 1), 4, 2), ((2,), 0, 5)]}
+        assert [(c.j, c.m, c.n) for c in late.values()] == [(1, 2, 1), (2, 1, 1), (1, 1, 1)]
+
+    def test_insertion_counts(self, monkeypatch):
+        calls = _count_inserts(monkeypatch)
+        no_cycle, st0 = _random_instance((2, 1), 1, 2)
+        assert no_cycle.cycle is None
+        late, st1 = _random_instance((2, 3), 0, 3)
+        saturated = [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+        for tr, st, rows, inserts in [
+            (no_cycle, st0, unit_rows(3, (0, 2)), no_cycle.i_max),
+            (late, st1, saturated, 2),  # terms 1 and 2 of the cycle (1, 2, 1)
+            (late, st1, [[3 * x for x in row] for row in saturated], late.i_max),
+        ]:
+            calls.clear()
+            p = tr.ambient.p
+            H = SubgroupSpec.from_ambient(p, tr.precision, rows, st)
+            assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+            assert len(calls) == inserts
+
+    def test_a_cycle_on_a_hand_built_trace_skips_no_guard(self):
+        # terms 2 and 3 repeat term 1 times 2 and 4, but nothing cached their
+        # levels, and term 3's level 3 exceeds N - 2 = 2: it is inserted and
+        # its join guarded, as without the cycle
+        L = Lattice.standard(2, 4, 2)
+        terms = [L] + [Lattice(2, 4, 2, ((2**k, 0), (0, 2 ** (k + 1)))) for k in range(3)]
+        tr = SeriesTrace(L, None, tuple(terms), ((0, 0), (0, 1), (1, 2), (2, 3)), 3)
+        st = Stratification(((1, 0), (0, 1)), RateVector((F(1), F(1))), 0, (1, 3), "")
+        assert tr.cycle == CycleCertificate(1, 1, 1)
+        H = SubgroupSpec(2, 4, ((1, 0),))
+        with pytest.raises(PrecisionExhausted):
+            oracles.join_quotients(H, tr, st)
+        with pytest.raises(PrecisionExhausted):
+            hdim_numeric(H, tr, st)
 
 
 class TestSpectrum:

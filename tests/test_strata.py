@@ -371,6 +371,27 @@ def test_every_catalog_certificate_is_a_scaled_copy(name):
             assert oracles.is_scaled_copy(tr.terms[cert.j], cert.n, tr.terms[cert.j + cert.m])
 
 
+def _assert_cycle_holds_from_j_on(tr):
+    cert = detect_cycle(tr)
+    assert cert is tr.cycle  # searched once per trace
+    if cert is not None:
+        for i in range(cert.j, tr.i_max - cert.m + 1):
+            assert oracles.is_scaled_copy(tr.terms[i], cert.n, tr.terms[i + cert.m])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_cycle_holds_at_every_later_index(name):
+    """term(i + m) == p^n term(i) for every i >= j, not only at the hit."""
+    for p in (2, 3):
+        _assert_cycle_holds_from_j_on(_series(("catalog", name, 0), p, 24))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances, st.sampled_from([2, 3, 5]), st.integers(4, 24))
+def test_a_random_cycle_holds_at_every_later_index(instance, p, i_max):
+    _assert_cycle_holds_from_j_on(_series(instance, p, i_max))
+
+
 def _pipeline(run, tr, **kwargs):
     try:
         return run(tr, **kwargs)
