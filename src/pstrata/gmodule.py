@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,7 +53,7 @@ from functools import cached_property
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
 from .padic import (
-    _freeze, _is_prime, _reduce_above, hermite_insert, identity, int_valuation, mat_mul,
+    _freeze, _is_prime, _reduce_above, hermite_insert, identity, mat_mul,
     mul_entries, row_entries,
 )
 
@@ -214,28 +213,33 @@ class SeriesTrace:
     def cycle(self) -> CycleCertificate | None:
         """The first exact p-power repetition of the terms, or None.
 
-        The key of term i is its canonical basis B_i over its content p^u_i,
-        the gcd of the entries (a p-power, as the diagonal is).  Canonical
-        bases are unique and p^n B_j is canonical with B_j, so term_i == p^n
-        term_j iff B_i == p^n B_j, and then u_i = u_j + n: keys agree exactly
-        when such an n exists (n >= 0, as the terms descend).  A hit (j, j+m)
-        with 0 <= n <= m is therefore the certificate term(j + m) == p^n
-        term(j) itself; the tests re-check it.
+        Canonical bases are unique and p^n B_j is canonical with B_j, so
+        term_i == p^n term_j iff B_i == p^n B_j, entry by entry.  Then the
+        profiles shift by n: the elementary divisors of p^n B_j are p^n
+        times those of B_j.  So a hit lies in one bucket of terms with
+        equal normalized profile (profile minus its first entry), and only
+        the bases within a bucket are compared.  The first entry u_i is the
+        content depth: the least elementary divisor d_1 of a matrix is the
+        gcd of its entries, so p^u_i is the gcd of B_i's, and n = u_i - u_j.
+        The terms descend, so n >= 0.  For each term the earliest such j
+        is taken, and a hit (j, j+m) with n <= m is the certificate
+        term(j + m) == p^n term(j) itself; the tests re-check it.
         """
-        seen: dict = {}
-        depths: list[int] = []
-        for i, term in enumerate(self.terms):
-            g = math.gcd(*(x for row in term.basis for x in row))
-            depths.append(int_valuation(g, term.p, term.N))
-            key = tuple(tuple(x // g for x in row) for row in term.basis)
-            j = seen.get(key)
-            if j is None:
-                seen[key] = i
-                continue
-            m = i - j
-            n = depths[i] - depths[j]
-            if 0 <= n <= m:
-                return CycleCertificate(j=j, m=m, n=n)
+        buckets: dict = {}
+        for i, (term, prof) in enumerate(zip(self.terms, self.profiles)):
+            u = prof[0]
+            bucket = buckets.setdefault(tuple(x - u for x in prof), [])
+            for j in bucket:
+                n = u - self.profiles[j][0]
+                f = term.p**n
+                if all(f * x == y for rj, ri in zip(self.terms[j].basis, term.basis)
+                       for x, y in zip(rj, ri)):
+                    m = i - j
+                    if n <= m:
+                        return CycleCertificate(j=j, m=m, n=n)
+                    break
+            else:
+                bucket.append(i)
         return None
 
 

@@ -20,6 +20,12 @@ diagonal when M's basis splits as D U, a diagonal of p-powers times a
 unit upper-triangular matrix.  The canonical bases of the catalog's
 series terms are diagonal, so they split; a conjugated action's terms
 often do not, and go through `smith_rows`.
+
+A diagonal basis is used once more: `strata._window_constant` reads the
+certified constant of a diagonal term off its exponents and valuation
+tables of the frame, with no product and no `solve`.  Every series term
+of the catalog is diagonal, and nearly every term of a random block
+action; most terms of a conjugated action are not.
 """
 
 from __future__ import annotations

@@ -426,14 +426,43 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     the term's lower level.  A least valuation is that of a gcd.
     tests/oracles.py keeps the lattice definition.  inv is F^-1 mod p^N,
     computed here unless the caller already has it.
+
+    A term whose canonical basis is diagonal, diag(p^e_r), needs neither
+    the product nor a solve.  Row r of lambda_i F^-1 is p^e_r times row r
+    of F^-1, and the coordinates of p^l x_k are z_r = p^(l - e_r) F[k][r],
+    so the two exponents are
+        v_p(column k of lambda_i F^-1) = min(N, min_r e_r + v_p(F^-1[r][k])),
+        e_k = max_r (e_r - v_p(F[k][r])),
+    read off tables of the valuations of the nonzero entries in the columns
+    of F^-1 and the rows of F, built once per frame.  F is a Z_p-basis, so
+    each column of F^-1 and each row of F has a unit entry.  Hence the
+    least e_r + v_p is at most e_r <= l <= N - 2 and the cap at N never
+    binds, and a zero entry, whose v_p is at least N, never decides the
+    minimum or the maximum.  Any other term, such as most terms of a
+    conjugated series, takes the product and the solves.
     """
     p, N = trace.ambient.p, trace.ambient.N
     pN = p**N
-    inv = row_entries(inv if inv is not None else unimodular_inverse(frame, p, N))
+    inv = inv if inv is not None else unimodular_inverse(frame, p, N)
+    inv_cols = [[(r, int_valuation(x, p, N)) for r, x in enumerate(col) if x]
+                for col in zip(*inv)]
+    frame_rows = [[(r, int_valuation(x, p, N)) for r, x in enumerate(row) if x]
+                  for row in frame]
+    inv = row_entries(inv)
     c = 0
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
         a = [_floor_mul(i, xi) for xi in rates.rates]
+        if not any(any(row[k + 1:]) for k, row in enumerate(lam.basis)):
+            e = lam.diag_exponents
+            for ak, col in zip(a, inv_cols):
+                if ak > c:
+                    c = max(c, ak - min(e[r] + v for r, v in col))
+            ell = lam.lower_level
+            for ak, row in zip(a, frame_rows):
+                if ell - ak > c:
+                    c = max(c, max(e[r] - v for r, v in row) - ak)
+            continue
         for ak, col in zip(a, zip(*mul_entries(lam.basis, inv, pN))):
             if ak > c:
                 c = max(c, ak - int_valuation(math.gcd(*col), p, N))

@@ -1,12 +1,14 @@
 """Rate fitting, frames, certification, splitting."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import oracles
+from test_lattice import _conjugated
 from pstrata import strata
 from pstrata.catalog import catalog_names, get_bundle, random_block_action
 from pstrata.errors import (
@@ -281,6 +283,22 @@ def _unimodular(rng, d, p, N):
             return grid
 
 
+def _sheared(frame, rng, p):
+    """The frame with p^s times one row added to another, 0 <= s < 4.
+
+    A frame one row operation from a certified one: where a slow row takes
+    on p^s times a fast one, c depends on the valuations of the entries of
+    F and F^-1, which it does not under equal rates (each row and column
+    of F and F^-1 has a unit entry) nor for a frame with only unit entries.
+    """
+    rows = [list(r) for r in frame]
+    if len(rows) > 1:
+        r, c = rng.sample(range(len(rows)), 2)
+        f = p ** rng.randrange(4)
+        rows[r] = [x + f * y for x, y in zip(rows[r], rows[c])]
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 3]), st.data())
 def test_window_constant_refuses_exactly_the_frames_that_are_not_bases(p, data):
@@ -304,6 +322,26 @@ def _constants_agree(tr, frame, rates):
     return got
 
 
+def _window_constants_agree(tr, rng, rate_vectors):
+    """c against the lattice definition for a random frame, the certified one and a shear of it.
+
+    Each frame is tried with each of the given rate vectors and the
+    certified rates.
+    """
+    d, p = tr.ambient.d, tr.ambient.p
+    frames = [_unimodular(rng, d, p, tr.precision)]
+    try:
+        strat, _ = run_stratification(tr)
+    except (FrameRejected, NoStableFit, RateOutOfRange):
+        pass
+    else:
+        frames += [strat.frame, _sheared(strat.frame, rng, p)]
+        rate_vectors = rate_vectors + [strat.rates]
+    for frame in frames:
+        for rates in rate_vectors:
+            _constants_agree(tr, frame, rates)
+
+
 @settings(max_examples=60, deadline=None)
 @given(block_sizes, st.integers(0, 10**6), st.sampled_from([2, 3]), st.integers(4, 24))
 def test_window_constant_matches_the_lattice_definition(sizes, seed, p, i_max):
@@ -311,19 +349,12 @@ def test_window_constant_matches_the_lattice_definition(sizes, seed, p, i_max):
     b = random_block_action(sizes, seed, p=p, N=i_max + 2)
     tr = lower_p_series(b.lattice, b.action, i_max)
     d = b.action.d
-    frames = [_unimodular(random.Random(seed), d, p, tr.precision)]
     rate_vectors = [RateVector((F(1, d),) * d), RateVector((F(1),) * d)]
     try:
         rate_vectors.append(estimate_rates(tr))
-        strat, _ = run_stratification(tr)
-    except (FrameRejected, NoStableFit, RateOutOfRange):
+    except (NoStableFit, RateOutOfRange):
         pass
-    else:
-        frames.append(strat.frame)
-        rate_vectors.append(strat.rates)
-    for frame in frames:
-        for rates in rate_vectors:
-            _constants_agree(tr, frame, rates)
+    _window_constants_agree(tr, random.Random(seed), rate_vectors)
 
 
 # random block actions, the ramified entries (whose series cycle) and Gm2
@@ -332,6 +363,12 @@ instances = st.one_of(
     st.tuples(st.just("random"), block_sizes, st.integers(0, 10**6)),
     st.sampled_from([("catalog", name, 0) for name in catalog_entries]),
 )
+# catalog entries in coordinates moved by a random U (test_lattice._conjugated):
+# most of their terms leave the axes, and a scalar term p^k Z_p^d of a
+# ramified entry stays diagonal in any coordinates
+conjugated_instances = st.tuples(
+    st.just("conjugated"), st.sampled_from(["Gm2", "remark27", "eisenstein3", "eisenstein4"]),
+    st.integers(0, 10**6))
 
 
 def _series(instance, p, i_max, start=0):
@@ -340,12 +377,16 @@ def _series(instance, p, i_max, start=0):
     N = i_max + 2
     if kind == "catalog":
         b = get_bundle(what, p=p, N=N)
+        act = b.action
+    elif kind == "conjugated":
+        b, act = _conjugated(what, p, N, seed)
     else:
         b = random_block_action(what, seed, p=p, N=N)
-    tr = lower_p_series(b.lattice, b.action, i_max)
+        act = b.action
+    tr = lower_p_series(b.lattice, act, i_max)
     if not start:
         return tr
-    act = restrict_action(tr.terms[start], b.action)
+    act = restrict_action(tr.terms[start], act)
     restarted = lower_p_series(Lattice.standard(p, act.N, act.d), act, i_max - start)
     # the restart is the tail of the series, its indexes counted from term `start`
     assert restarted.log_indices == tuple(x - tr.log_indices[start]
@@ -353,11 +394,63 @@ def _series(instance, p, i_max, start=0):
     return restarted
 
 
+def _is_diagonal(term) -> bool:
+    return not any(any(row[k + 1:]) for k, row in enumerate(term.basis))
+
+
+# conjugated catalog series and plain catalog and random series, each
+# from term 0, 1 or 2; conjugation moves most terms off the diagonal
+window_draws = st.tuples(conjugated_instances | instances, st.sampled_from([2, 3]),
+                         st.integers(6, 16), st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_draws)
+def test_window_constant_matches_the_lattice_definition_off_the_diagonal(draw):
+    """The product-and-solve path for non-diagonal terms, next to the diagonal path."""
+    tr = _series(*draw)
+    d = tr.ambient.d
+    _window_constants_agree(tr, random.Random(draw[0][2]),
+                            [RateVector((F(1, d),) * d), RateVector((F(1),) * d)])
+
+
+def test_window_draws_reach_diagonal_and_non_diagonal_terms():
+    """The property above meets a window that takes both paths of _window_constant."""
+    def mixed(draw):
+        return {_is_diagonal(term) for term in _series(*draw).terms[1:]} == {True, False}
+
+    find(window_draws, mixed, settings=settings(max_examples=100, phases=[Phase.generate],
+                                                database=None, deadline=None))
+
+
 @settings(max_examples=120, deadline=None)
 @given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.sampled_from([0, 1, 3]))
 def test_cycle_key_matches_the_coordinate_key(instance, p, i_max, start):
     """The content key finds the certificate the coordinate key finds, from any start."""
     tr = _series(instance, p, i_max, start)
+    assert detect_cycle(tr) == oracles.detect_cycle_by_coordinates(tr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances | conjugated_instances, st.sampled_from([2, 3, 5]), st.integers(4, 16),
+       st.sampled_from([0, 1, 3]))
+def test_first_profile_entry_is_the_content_depth(instance, p, i_max, start):
+    """profiles[i][0] is v_p of the gcd of term i's basis entries, the cycle key's depth."""
+    tr = _series(instance, p, i_max, start)
+    for term, prof in zip(tr.terms, tr.profiles):
+        g = math.gcd(*(x for row in term.basis for x in row))
+        assert prof[0] == oracles.valuation(g, p, tr.precision)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_profile_bucket_hit_that_is_not_a_cycle(p):
+    """Terms 1 and 6 of Gm2 share a normalized profile, and 6 is not p^2 times 1."""
+    tr = _series(("catalog", "Gm2", 0), p, 40)
+    shapes = [tuple(x - prof[0] for x in prof) for prof in tr.profiles]
+    assert shapes[1] == shapes[6]
+    assert tr.profiles[6][0] - tr.profiles[1][0] == 2  # n = 2 <= m = 5 would certify
+    assert not oracles.is_scaled_copy(tr.terms[1], 2, tr.terms[6])
+    assert detect_cycle(tr) is None
     assert detect_cycle(tr) == oracles.detect_cycle_by_coordinates(tr)
 
 
