@@ -197,6 +197,9 @@ def _denom_bound(args) -> int:
     bound = args.denom_bound
     if bound is None:
         bound = min(64, (args.imax - 2) // 2)
+        if bound < 1:
+            raise ValueError(f"imax {args.imax} is too short to fit a rate; "
+                             f"--imax must be at least 4")
     if bound < 1:
         raise ValueError(f"denominator bound {bound} is below 1")
     return bound

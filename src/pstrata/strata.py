@@ -14,9 +14,13 @@ frame F: P_e is invariant iff every block (F (g - 1) F^-1)[:e, e:] is 0
 mod p^N, and a prefix that is not is deformed by _graph_repair.  The
 only non-rigorous ingredient is the choice of candidate rates and frames;
 every candidate must pass invariance checks and the window-wide
-equivalence test, and failures fall back to other anchors.
-run_stratification computes each rate candidate only once the one before
-it is rejected; detect_cycle reads the trace's cycle, searched once per trace.
+equivalence test, and failures fall back to other anchors.  A rate is
+the fraction of bounded denominator that minimizes the spread of the
+deviations of a profile column from floor(i*rate) (fit_rational): a
+block's exponents lag that line by a bounded displacement, which moves
+every deviation alike and leaves the spread alone.  run_stratification
+tries the cycle rates first and fits only once they are rejected;
+detect_cycle reads the trace's cycle, searched once per trace.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def _fit_candidates(slope: Fraction, denom_bound: int, radius: Fraction) -> list
 
     They are 0, 1, the slope when its denominator is within the bound, its
     convergents and semiconvergents, and every fraction in slope +- radius.
-    Nearest the slope comes first, so the fitter's pruning bound tightens
+    Nearest the slope comes first, so the fit's pruning bound tightens
     early; the order affects nothing else.
     """
     a, b = slope.numerator, slope.denominator
@@ -153,58 +157,69 @@ def _fit_candidates(slope: Fraction, denom_bound: int, radius: Fraction) -> list
     return sorted(cands, key=lambda c: abs(c[0] * b - a * c[1]) / c[1])
 
 
-def _best_fit(pts, cands, half_spread: bool) -> tuple:
-    """Least key (residual, m, n) over the candidate fractions n/m.
+def _best_fit(pts, cands) -> tuple:
+    """Least key (spread, m, n) over the candidate fractions n/m.
 
-    The residual is max_i |m_i - floor(i*n/m)|, or with half_spread the
-    half-spread ceil((max - min) / 2) of those deviations.  A candidate is
-    dropped once its running residual strictly exceeds the best residual so
-    far.  The running residual is a lower bound in any order, so that never
-    drops the least key; the points are scanned ends first (last, first,
-    second-to-last, ...), where a wrong slope deviates most.
+    The spread is hi - lo for the least lo and greatest hi of the
+    deviations m_i - floor(i*n/m).  A candidate is dropped once its running
+    spread strictly exceeds the best spread so far: the bounds of some of
+    the deviations lie within those of all of them, so the running spread
+    is a lower bound in any scan order and the drop never loses the least
+    key.  The points are scanned ends first (last, first, second-to-last,
+    ...), where a wrong slope deviates most.
     """
     n_pts = len(pts)
     scan = [pts[k // 2] if k % 2 else pts[n_pts - 1 - k // 2] for k in range(n_pts)]
+    (i0, m0), rest = scan[0], scan[1:]
     best = (math.inf,)
     for n, m in cands:
-        lo, hi = math.inf, -math.inf
-        for i, mi in scan:
+        lo = hi = m0 - i0 * n // m
+        for i, mi in rest:
             dv = mi - i * n // m
             if lo <= dv <= hi:
                 continue
-            lo, hi = min(lo, dv), max(hi, dv)
-            r = (hi - lo + 1) // 2 if half_spread else max(hi, -lo)
-            if r > best[0]:
+            if dv < lo:
+                lo = dv
+            else:
+                hi = dv
+            if hi - lo > best[0]:
                 break
         else:
-            best = min(best, (r, m, n))
+            best = min(best, (hi - lo, m, n))
     return best
 
 
 def fit_rational(samples, denom_bound: int, residual_cap: int | None = None):
     """Best fraction q with bounded denominator for samples (i, m_i).
 
-    Minimizes max_i |m_i - floor(i*q)|; ties prefer the smaller denominator,
-    then the smaller value.  The result is the least (residual, denominator,
-    value) over the candidate set, whatever the order the candidates are
-    scanned in.  Requires at least 2*denom_bound + 2 samples so distinct
-    candidates are actually distinguishable on the window.  Raises
-    NoStableFit when the best residual exceeds the cap (default: a quarter
-    of the window length).
+    Minimizes the spread max_i - min_i of the deviations m_i - floor(i*q),
+    so a block whose exponents lag floor(i*q) by a bounded displacement
+    still fits its slope q; ties prefer the smaller denominator, then the
+    smaller value.  The result is the least (spread, denominator, value)
+    over the candidate set, whatever the order the candidates are scanned
+    in; the candidates lie around the endpoint slope (m_last - m_first) /
+    (i_last - i_first), which no constant displacement moves.  Requires
+    at least 2*denom_bound + 2 samples, at distinct positive indices, so
+    distinct candidates are actually distinguishable on the window.
+    Returns (q, spread); raises NoStableFit when the spread exceeds the cap
+    (default: a quarter of the window length).
     """
     pts = sorted((int(i), int(m)) for i, m in samples)
     if any(i <= 0 for i, _ in pts):
         raise ValueError("sample indices must be positive")
-    if len(pts) < 2 * denom_bound + 2:
+    if len({i for i, _ in pts}) < len(pts):
+        raise ValueError("sample indices must be distinct")
+    need = max(2, 2 * denom_bound + 2)
+    if len(pts) < need:
         raise ValueError(
             f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}; "
-            f"need at least {2 * denom_bound + 2}"
+            f"need at least {need}"
         )
     cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
-    i_last, m_last = pts[-1]
-    slope = Fraction(m_last, i_last)
-    radius = max(Fraction(cap + 2, i_last), Fraction(1, 8))
-    r, m, n = _best_fit(pts, _fit_candidates(slope, denom_bound, radius), False)
+    (i0, m0), (i1, m1) = pts[0], pts[-1]
+    slope = Fraction(max(0, m1 - m0), i1 - i0)
+    radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
+    r, m, n = _best_fit(pts, _fit_candidates(slope, denom_bound, radius))
     if r > cap:
         raise NoStableFit(
             f"best residual {r} exceeds cap {cap} on a window of {len(pts)} samples"
@@ -220,33 +235,7 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> Ra
     fit escapes [1/d, 1] and NoStableFit (with the coordinate) when no
     bounded fraction fits.
     """
-    return _rates_from_profiles(trace, denom_bound, _window(trace, window), fit_rational)
-
-
-def _fit_offset(samples, denom_bound: int, residual_cap: int | None = None):
-    """Like fit_rational but tolerant of a constant integer displacement.
-
-    Minimizes over fractions q the half-spread of m_i - floor(i*q); a
-    series term displaced by a bounded shift still fits its true slope,
-    where the anchored objective can prefer a wrong fraction that leans
-    into the shift.  Slope candidates come from the endpoint difference,
-    which cancels any constant offset.
-    """
-    pts = sorted((int(i), int(m)) for i, m in samples)
-    if len(pts) < 2 * denom_bound + 2:
-        raise ValueError(
-            f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}"
-        )
-    cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
-    (i0, m0), (i1, m1) = pts[0], pts[-1]
-    slope = Fraction(max(0, m1 - m0), i1 - i0)
-    radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
-    r, m, n = _best_fit(pts, _fit_candidates(slope, denom_bound, radius), True)
-    if r > cap:
-        raise NoStableFit(
-            f"best offset-free residual {r} exceeds cap {cap}"
-        )
-    return Fraction(n, m), r
+    return _rates_from_profiles(trace, denom_bound, _window(trace, window))
 
 
 def _window(trace: SeriesTrace, window) -> tuple:
@@ -257,7 +246,7 @@ def _window(trace: SeriesTrace, window) -> tuple:
     return i_lo, i_hi
 
 
-def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -> RateVector:
+def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window) -> RateVector:
     i_lo, i_hi = window
     n_samples = i_hi - i_lo + 1
     d_eff = min(denom_bound, (n_samples - 2) // 2)
@@ -270,7 +259,7 @@ def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window, fitter) -
         col = tuple(trace.profiles[i][k] for i in idx)
         if col not in fits:
             try:
-                fits[col], _ = fitter(list(zip(idx, col)), d_eff)
+                fits[col], _ = fit_rational(list(zip(idx, col)), d_eff)
             except NoStableFit as err:
                 raise NoStableFit(f"coordinate {k}: {err}", coordinate=k) from err
         fitted.append(fits[col])
@@ -590,29 +579,27 @@ def extract_frame(trace: SeriesTrace, rates, anchors=None, c_cap: int | None = N
 
 
 def _rate_candidates(trace: SeriesTrace, cert, denom_bound: int, window, errors: list):
-    """Cycle rates, anchored fit, offset fit, each computed on demand; fit errors go to errors."""
+    """Cycle rates, then the fit, each computed on demand; a fit error goes to errors."""
     if cert is not None:
         yield RateVector((cert.rate,) * trace.ambient.d)
-    for fitter in (fit_rational, _fit_offset):
-        try:
-            yield _rates_from_profiles(trace, denom_bound, window, fitter)
-        except (NoStableFit, RateOutOfRange) as err:
-            errors.append(err)
+    try:
+        yield _rates_from_profiles(trace, denom_bound, window)
+    except (NoStableFit, RateOutOfRange) as err:
+        errors.append(err)
 
 
 def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c_cap=None):
     """Full pipeline: cycle detection, rate fitting, frame, certification.
 
-    Returns (stratification, cycle_certificate_or_None).  Candidate rate
-    vectors are tried in order of trustworthiness: a verified cycle pins
-    every rate to n/m exactly and goes first; then the anchored fit; then
-    an offset-tolerant refit, which rescues series whose terms are shifted
-    against the model by a constant.  Each is computed only once the one
-    before it is rejected, so a certified cycle runs no fit.  Whatever
-    candidate wins must still pass frame extraction, which certifies c over
-    the whole window, so the fallbacks add no unsoundness.  A cycle
-    upgrades the status: exact self-similarity extends the window to every
-    later index.  With no candidate the first fit error is raised.
+    Returns (stratification, cycle_certificate_or_None).  There are at
+    most two candidate rate vectors: a verified cycle pins every rate to
+    n/m exactly and goes first; then the spread fit of each profile column
+    (fit_rational).  The fit runs only once the cycle rates are rejected,
+    so a certified cycle runs no fit.  Whatever candidate wins must still
+    pass frame extraction, which certifies c over the whole window, so the
+    fit adds no unsoundness.  A cycle upgrades the status: exact
+    self-similarity extends the window to every later index.  With no
+    candidate the fit error is raised.
     """
     window = _window(trace, window)
     cert = detect_cycle(trace)

@@ -120,44 +120,38 @@ def brute_fit_candidates(slope, denom_bound, radius):
     return sorted(cands)
 
 
-def brute_fit(samples, denom_bound, residual_cap=None, offset=False):
-    """Reference for strata.fit_rational, or strata._fit_offset when offset.
+def brute_fit(samples, denom_bound, residual_cap=None):
+    """Reference for strata.fit_rational.
 
     Scores every candidate in full, in Fraction arithmetic, and keeps the
-    least (residual, denominator, value).  The residual is the worst
-    |m_i - floor(i q)|, or for offset the half-spread ceil((max - min)/2)
-    of the deviations.  Raises what the library raises, with its messages.
+    least (spread, denominator, value), the spread being max - min of the
+    deviations m_i - floor(i q).  The candidates lie around the endpoint
+    slope.  Raises what the library raises, with its messages.
     """
     pts = sorted((int(i), int(m)) for i, m in samples)
-    if not offset and any(i <= 0 for i, _ in pts):
+    if any(i <= 0 for i, _ in pts):
         raise ValueError("sample indices must be positive")
-    if len(pts) < 2 * denom_bound + 2:
+    if len({i for i, _ in pts}) < len(pts):
+        raise ValueError("sample indices must be distinct")
+    need = max(2, 2 * denom_bound + 2)
+    if len(pts) < need:
         raise ValueError(
-            f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}"
-            + ("" if offset else f"; need at least {2 * denom_bound + 2}")
+            f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}; "
+            f"need at least {need}"
         )
     cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
     (i0, m0), (i1, m1) = pts[0], pts[-1]
-    if offset:
-        slope = Fraction(max(0, m1 - m0), i1 - i0)
-        radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
-    else:
-        slope = Fraction(m1, i1)
-        radius = max(Fraction(cap + 2, i1), Fraction(1, 8))
+    slope = Fraction(max(0, m1 - m0), i1 - i0)
+    radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
     best = None
     for q in brute_fit_candidates(slope, denom_bound, radius):
         devs = [mi - math.floor(i * q) for i, mi in pts]
-        if offset:
-            r = math.ceil(Fraction(max(devs) - min(devs), 2))
-        else:
-            r = max(abs(x) for x in devs)
+        r = max(devs) - min(devs)
         if best is None or (r, q.denominator, q) < best:
             best = (r, q.denominator, q)
     r, _, q = best
     if r > cap:
-        what = "offset-free residual" if offset else "residual"
-        tail = "" if offset else f" on a window of {len(pts)} samples"
-        raise NoFit(f"best {what} {r} exceeds cap {cap}{tail}")
+        raise NoFit(f"best residual {r} exceeds cap {cap} on a window of {len(pts)} samples")
     return q, r
 
 
@@ -273,10 +267,10 @@ def detect_cycle_by_coordinates(trace):
 def run_stratification_eager(trace, denom_bound=64, window=None, c_cap=None):
     """Reference for strata.run_stratification: every candidate up front.
 
-    Detects the cycle and runs both rate fits before any frame is tried,
-    then tries the distinct candidates in order (cycle, anchored fit,
-    offset fit).  With no candidate the first fit error is raised; with all
-    rejected, one FrameRejected joins the reasons.
+    Detects the cycle and runs the rate fit before any frame is tried,
+    then tries the distinct candidates in order (cycle, fit).  With no
+    candidate the fit error is raised; with all rejected, one
+    FrameRejected joins the reasons.
     """
     from dataclasses import replace
 
@@ -288,18 +282,14 @@ def run_stratification_eager(trace, denom_bound=64, window=None, c_cap=None):
     candidates = []
     if cert is not None:
         candidates.append(strata.RateVector((cert.rate,) * d))
-    fit_error = None
-    for fitter in (strata.fit_rational, strata._fit_offset):
-        try:
-            rv = strata._rates_from_profiles(
-                trace, denom_bound, strata._window(trace, window), fitter)
-        except (NoStableFit, RateOutOfRange) as err:
-            fit_error = fit_error or err
-            continue
+    try:
+        rv = strata._rates_from_profiles(trace, denom_bound, strata._window(trace, window))
+    except (NoStableFit, RateOutOfRange):
+        if not candidates:
+            raise
+    else:
         if rv not in candidates:
             candidates.append(rv)
-    if not candidates:
-        raise fit_error
     reasons = []
     for rv in candidates:
         try:

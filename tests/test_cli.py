@@ -234,6 +234,15 @@ def test_denom_bound_is_checked_before_the_series(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_defaulted_denom_bound_blames_imax(capsys):
+    # the default bound (imax - 2) // 2 is 0 below imax 4; the message used
+    # to name --denom-bound, which was never set
+    assert main(["stratify", "--catalog", "remark27", "--imax", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "--imax must be at least 4" in err
+    assert "denominator bound" not in err
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -10,7 +10,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 import oracles
 from test_lattice import _conjugated
 from pstrata import strata
-from pstrata.catalog import catalog_names, get_bundle, random_block_action
+from pstrata.catalog import build_Gm_lattice, catalog_names, get_bundle, random_block_action
 from pstrata.errors import (
     FrameRejected,
     NoStableFit,
@@ -27,7 +27,6 @@ from pstrata.strata import (
     detect_cycle,
     estimate_rates,
     extract_frame,
-    _fit_offset,
     fit_rational,
     run_stratification,
     strata_split,
@@ -47,15 +46,37 @@ class TestFitRational:
         assert fit_rational(seq(lambda i: (2 * i) // 3), 4) == (F(2, 3), 0)
 
     def test_residual_is_reported(self):
-        assert fit_rational(seq(lambda i: i - 1), 4) == (F(1), 1)
-        # the anchored objective measures worst deviation from floor(i xi),
-        # and ties go to the smaller denominator: 1/2 and 1/3 both reach
-        # residual 2 on this window
-        assert fit_rational(seq(lambda i: i // 3 + 2), 4) == (F(1, 2), 2)
+        # the residual is the spread of m_i - floor(i xi): a line displaced
+        # by a constant fits its own slope with spread 0
+        assert fit_rational(seq(lambda i: i - 1), 4) == (F(1), 0)
+        assert fit_rational(seq(lambda i: i // 3 + 2), 4) == (F(1, 3), 0)
+        assert fit_rational(seq(lambda i: i // 2 + i % 2), 4) == (F(1, 2), 1)
 
     def test_window_too_short_for_denominator(self):
         with pytest.raises(ValueError):
             fit_rational(seq(lambda i: i, 5), 4)
+
+    def test_fewer_than_two_samples_are_refused(self):
+        for samples in ([], [(3, 1)]):
+            for bound in (-1, 0):
+                with pytest.raises(ValueError, match="need at least 2"):
+                    fit_rational(samples, bound)
+
+    def test_repeated_indices_are_refused(self):
+        # the endpoint slope divides by i_last - i_first
+        with pytest.raises(ValueError, match="distinct"):
+            fit_rational([(3, 1), (3, 1)], 0)
+        with pytest.raises(ValueError, match="distinct"):
+            fit_rational(seq(lambda i: i // 2) + [(5, 2)], 4)
+
+    def test_displaced_block_fits_its_true_rate(self):
+        # Gm4's 1/7 block lags floor(i/7) by up to 6/7: on columns 3-6 the
+        # worst deviation ties 1/7 with 1/6, the spread does not
+        b = build_Gm_lattice(4)
+        tr = lower_p_series(b.lattice, b.action, 64)
+        for k in range(3, 7):
+            col = [(i, tr.profiles[i][k]) for i in range(1, 65)]
+            assert fit_rational(col, 31) == (F(1, 7), 1)
 
     def test_noise_gives_no_stable_fit(self):
         noisy = [0, 5, 0, 7, 1, 9, 0, 11, 2, 0, 1, 30]
@@ -106,14 +127,13 @@ def _outcome(fit, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fit_inputs(), st.booleans())
-def test_fitters_match_the_brute_force_oracle(case, offset):
-    # the pruned integer fitter returns the least (residual, denominator,
-    # value) over the full candidate set, or raises the same error
+@given(fit_inputs())
+def test_fitters_match_the_brute_force_oracle(case):
+    # the pruned integer fit returns the least (spread, denominator, value)
+    # over the full candidate set, or raises the same error
     samples, bound, cap = case
-    fit = _fit_offset if offset else fit_rational
-    expected = _outcome(lambda *a: oracles.brute_fit(*a, offset=offset), samples, bound, cap)
-    assert _outcome(fit, samples, bound, cap) == expected
+    expected = _outcome(oracles.brute_fit, samples, bound, cap)
+    assert _outcome(fit_rational, samples, bound, cap) == expected
 
 
 def test_one_fit_per_distinct_profile_column(monkeypatch):
@@ -512,22 +532,31 @@ def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
 
 
 def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
-    calls = {"fit_rational": 0, "_fit_offset": 0}
-    for name in calls:
-        def counting(*args, _name=name, _real=getattr(strata, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(strata, name, counting)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fit_rational(*args)
+
+    monkeypatch.setattr(strata, "fit_rational", counting)
     b = get_bundle("eisenstein2")
     strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 16), denom_bound=8)
     assert strat.status == "exact-cycle"
-    assert calls == {"fit_rational": 0, "_fit_offset": 0}
+    assert calls == []
     b = get_bundle("Gm3")
     strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 40), denom_bound=8)
     assert cert is None
     assert strat.rates.rates == (F(1, 5),) * 5 + (F(1, 3),) * 3 + (F(1, 2),) * 2
-    assert calls["fit_rational"] > 0
-    assert calls["_fit_offset"] == 0
+    assert calls
+
+
+def test_gm4_certifies_its_true_rates():
+    # the spread fit separates the 1/7 block from 1/6 (TestFitRational)
+    b = build_Gm_lattice(4)
+    strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 64), denom_bound=31)
+    assert cert is None
+    assert strat.rates.rates == b.expected_rates
+    assert strat.c == 1
 
 
 def test_bad_window_is_refused_when_a_cycle_certifies():
