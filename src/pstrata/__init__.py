@@ -32,7 +32,6 @@ from .gmodule import (
     check_invariance,
     lower_p_series,
     restrict_action,
-    trace_to_csv,
 )
 from .strata import (
     CycleCertificate,
@@ -93,7 +92,6 @@ __all__ = [
     "check_invariance",
     "lower_p_series",
     "restrict_action",
-    "trace_to_csv",
     # strata
     "RateVector",
     "CycleCertificate",

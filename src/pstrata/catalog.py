@@ -180,9 +180,8 @@ def random_sizes(rng: random.Random) -> tuple:
     return tuple(sizes)
 
 
-def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,
-                        n_generators: int = 2) -> ExampleBundle:
-    """Seeded random instance: unipotent blocks plus p-divisible couplings.
+def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66) -> ExampleBundle:
+    """Seeded random instance of two generators: unipotent blocks plus p-divisible couplings.
 
     Per generator each block draws from a small menu: identity, 1 + pi^a
     for a random 1 <= a <= size, or an elementary unipotent inside the
@@ -199,9 +198,8 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66,
         raise InvalidShape(f"total dimension {d} exceeds the supported cap of 8")
     lattice = Lattice.standard(p, N, d)  # validates p before any arithmetic mod p^N
     rng = random.Random(seed)
-    n_gen = max(1, n_generators)
     plans = []
-    for _ in range(n_gen):
+    for _ in range(2):
         row = []
         for b in sizes:
             kind = rng.choice(("id", "power", "power", "shear"))

@@ -23,19 +23,14 @@ from fractions import Fraction
 from . import __version__
 from .catalog import catalog_names, get_bundle, random_block_action, random_sizes
 from .errors import (
-    EnumerationTooLarge,
-    FrameRejected,
     InvalidShape,
-    NoStableFit,
-    NotABoundary,
     NotContained,
     NotInvariant,
     PrecisionExhausted,
     PstrataError,
     RankDeficient,
-    RateOutOfRange,
 )
-from .gmodule import GroupAction, lower_p_series, restrict_action, trace_to_csv
+from .gmodule import GroupAction, lower_p_series, restrict_action
 from .hausdorff import SubgroupSpec, dimension_report, spectrum
 from .lattice import Lattice
 from .padic import _freeze, _integer, mat_mul
@@ -53,14 +48,6 @@ _INPUT_ERRORS = (
     ValueError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
-)
-_DOMAIN_ERRORS = (
-    NoStableFit,
-    FrameRejected,
-    RateOutOfRange,
-    NotABoundary,
-    EnumerationTooLarge,
 )
 
 
@@ -175,6 +162,15 @@ def _provenance(args, source: str, action: GroupAction):
     }
 
 
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(args, payload, csv_text: str | None):
     if args.format == "csv":
         if csv_text is None:
@@ -229,7 +225,9 @@ def _run_series(args):
         "profiles": [list(prof) for prof in trace.profiles],
         "log_indices": list(trace.log_indices),
     }
-    _emit(args, payload, trace_to_csv(trace))
+    header = ["i"] + [f"m_{k + 1}" for k in range(trace.ambient.d)] + ["log_index"]
+    rows = [[i] + list(prof) + [sum(prof)] for i, prof in enumerate(trace.profiles)]
+    _emit(args, payload, _csv(header, rows))
     return 0
 
 
@@ -274,15 +272,14 @@ def _stratify(args):
         "envelope": _envelope_check(trace, strat),
     }
     # CSV: observed divisor exponents next to the fitted-model predictions
-    buf = io.StringIO()
-    w = csv.writer(buf)
     d = lat.d
-    w.writerow(["i"] + [f"m_{k}" for k in range(1, d + 1)]
-               + [f"pred_{k}" for k in range(1, d + 1)])
+    header = (["i"] + [f"m_{k}" for k in range(1, d + 1)]
+              + [f"pred_{k}" for k in range(1, d + 1)])
+    rows = []
     for i in range(1, trace.i_max + 1):
         preds = [(i * r.numerator) // r.denominator for r in strat.rates.rates]
-        w.writerow([i] + list(trace.profiles[i]) + preds)
-    _emit(args, payload, buf.getvalue())
+        rows.append([i] + list(trace.profiles[i]) + preds)
+    _emit(args, payload, _csv(header, rows))
     return 0
 
 
@@ -320,12 +317,9 @@ def _hdim(args):
         "last_quotient": _frac(report.quotients[-1]),
         "strong": report.strong,
     }
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["i", "quotient_num", "quotient_den", "value"])
-    for i, q in enumerate(report.quotients, start=1):
-        w.writerow([i, q.numerator, q.denominator, float(q)])
-    _emit(args, payload, buf.getvalue())
+    rows = [[i, q.numerator, q.denominator, float(q)]
+            for i, q in enumerate(report.quotients, start=1)]
+    _emit(args, payload, _csv(["i", "quotient_num", "quotient_den", "value"], rows))
     return 0
 
 
@@ -339,12 +333,8 @@ def _spectrum(args):
         "count": len(values),
         "values": [_frac(v) for v in values],
     }
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["num", "den", "value"])
-    for v in values:
-        w.writerow([v.numerator, v.denominator, float(v)])
-    _emit(args, payload, buf.getvalue())
+    rows = [[v.numerator, v.denominator, float(v)] for v in values]
+    _emit(args, payload, _csv(["num", "den", "value"], rows))
     return 0
 
 
@@ -363,16 +353,12 @@ def _catalog(args):
         }
         _emit(args, payload, None)
         return 0
-    rows = []
+    entries = []
     for name in catalog_names():
         b = get_bundle(name)
-        rows.append({"name": name, "d": b.action.d, "description": b.description})
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["name", "d", "description"])
-    for r in rows:
-        w.writerow([r["name"], r["d"], r["description"]])
-    _emit(args, {"catalog": rows}, buf.getvalue())
+        entries.append({"name": name, "d": b.action.d, "description": b.description})
+    rows = [[e["name"], e["d"], e["description"]] for e in entries]
+    _emit(args, {"catalog": entries}, _csv(["name", "d", "description"], rows))
     return 0
 
 
@@ -396,9 +382,6 @@ def main(argv=None) -> int:
     except PrecisionExhausted as err:
         print(f"pstrata: precision exhausted: {err}", file=sys.stderr)
         return _EXIT_PRECISION
-    except _DOMAIN_ERRORS as err:
-        print(f"pstrata: {type(err).__name__}: {err}", file=sys.stderr)
-        return _EXIT_DOMAIN
     except _INPUT_ERRORS as err:
         print(f"pstrata: invalid input: {err}", file=sys.stderr)
         return _EXIT_INPUT

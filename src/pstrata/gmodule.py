@@ -44,8 +44,6 @@ that is not pro-p.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -64,7 +62,6 @@ __all__ = [
     "check_invariance",
     "lower_p_series",
     "restrict_action",
-    "trace_to_csv",
 ]
 
 
@@ -304,15 +301,3 @@ def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:
         raise PrecisionExhausted("no digits left after dividing out the sublattice basis")
     return GroupAction.build(action.p, new_N, grids)
 
-
-# -- serialization -----------------------------------------------------
-
-
-def trace_to_csv(trace: SeriesTrace) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    d = trace.ambient.d
-    w.writerow(["i"] + [f"m_{k + 1}" for k in range(d)] + ["log_index"])
-    for i, prof in enumerate(trace.profiles):
-        w.writerow([i] + list(prof) + [sum(prof)])
-    return buf.getvalue()

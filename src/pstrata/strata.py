@@ -100,10 +100,6 @@ class Stratification:
     window: tuple
     status: str
 
-    @property
-    def dimension(self) -> int:
-        return len(self.frame)
-
 
 @dataclass(frozen=True)
 class StrataSplit:
@@ -546,7 +542,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     return strat, None
 
 
-def extract_frame(trace: SeriesTrace, rates, anchors=None, c_cap: int | None = None) -> Stratification:
+def extract_frame(trace: SeriesTrace, rates, c_cap: int | None = None) -> Stratification:
     """Build and certify a frame for the given rates.
 
     Anchor indices are chosen where the rate denominators align (multiples
@@ -559,16 +555,10 @@ def extract_frame(trace: SeriesTrace, rates, anchors=None, c_cap: int | None = N
     if rv.dimension != d:
         raise ValueError(f"rate vector has {rv.dimension} entries for dimension {d}")
     cap = c_cap if c_cap is not None else max(1, trace.i_max // 4)
-    if anchors is not None:
-        i1, i2 = anchors
-        if not 0 < i1 < i2 <= trace.i_max:
-            raise ValueError(f"bad anchor pair ({i1}, {i2})")
-        attempt_list = [i2, i1]
-    else:
-        lcm_den = math.lcm(*[xi.denominator for xi in rv.rates])
-        aligned = (trace.i_max // lcm_den) * lcm_den
-        near_end = (aligned, aligned - lcm_den, trace.i_max, trace.i_max - 1)
-        attempt_list = [i2 for i2 in dict.fromkeys(near_end) if 1 <= i2 <= trace.i_max]
+    lcm_den = math.lcm(*[xi.denominator for xi in rv.rates])
+    aligned = (trace.i_max // lcm_den) * lcm_den
+    near_end = (aligned, aligned - lcm_den, trace.i_max, trace.i_max - 1)
+    attempt_list = [i2 for i2 in dict.fromkeys(near_end) if 1 <= i2 <= trace.i_max]
     reasons = []
     for i2 in attempt_list:
         strat, why = _try_frame(trace, rv, i2, cap)
@@ -578,47 +568,46 @@ def extract_frame(trace: SeriesTrace, rates, anchors=None, c_cap: int | None = N
     raise FrameRejected("; ".join(reasons))
 
 
-def _rate_candidates(trace: SeriesTrace, cert, denom_bound: int, window, errors: list):
-    """Cycle rates, then the fit, each computed on demand; a fit error goes to errors."""
-    if cert is not None:
-        yield RateVector((cert.rate,) * trace.ambient.d)
-    try:
-        yield _rates_from_profiles(trace, denom_bound, window)
-    except (NoStableFit, RateOutOfRange) as err:
-        errors.append(err)
-
-
 def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c_cap=None):
     """Full pipeline: cycle detection, rate fitting, frame, certification.
 
-    Returns (stratification, cycle_certificate_or_None).  There are at
-    most two candidate rate vectors: a verified cycle pins every rate to
-    n/m exactly and goes first; then the spread fit of each profile column
-    (fit_rational).  The fit runs only once the cycle rates are rejected,
-    so a certified cycle runs no fit.  Whatever candidate wins must still
-    pass frame extraction, which certifies c over the whole window, so the
-    fit adds no unsoundness.  A cycle upgrades the status: exact
-    self-similarity extends the window to every later index.  With no
-    candidate the fit error is raised.
+    Returns (stratification, cycle_certificate_or_None), trying at most
+    two rate vectors in two steps:
+      1. a verified cycle pins every rate to n/m exactly; its frame, if
+         certified, is returned with status "exact-cycle", since exact
+         self-similarity extends the window to every later index;
+      2. the spread fit of each profile column (fit_rational), tried
+         unless it equals the cycle rates.  A certified cycle runs no fit.
+    Whatever candidate wins must still pass frame extraction, which
+    certifies c over the whole window, so the fit adds no unsoundness.
+    Errors: with no cycle, a fit error (NoStableFit, RateOutOfRange) is
+    raised as is.  Once the cycle rates were tried, a fit error or a
+    rejected fit ends in one FrameRejected joining the rejection reasons
+    with " | ".
     """
     window = _window(trace, window)
     cert = detect_cycle(trace)
-    tried, fit_errors, reject_reasons = [], [], []
-    for rv in _rate_candidates(trace, cert, denom_bound, window, fit_errors):
-        if rv in tried:
-            continue
-        tried.append(rv)
+    cycle = None if cert is None else RateVector((cert.rate,) * trace.ambient.d)
+    reasons = []
+    if cycle is not None:
         try:
-            strat = extract_frame(trace, rv, c_cap=c_cap)
+            strat = extract_frame(trace, cycle, c_cap=c_cap)
         except FrameRejected as err:
-            reject_reasons.append(str(err))
-            continue
-        if cert is not None and rv.rates == (cert.rate,) * trace.ambient.d:
-            strat = replace(strat, status="exact-cycle")
-        return strat, cert
-    if not tried:
-        raise fit_errors[0]
-    raise FrameRejected(" | ".join(reject_reasons))
+            reasons.append(str(err))
+        else:
+            return replace(strat, status="exact-cycle"), cert
+    try:
+        fitted = _rates_from_profiles(trace, denom_bound, window)
+    except (NoStableFit, RateOutOfRange):
+        if cycle is None:
+            raise
+        raise FrameRejected(reasons[0]) from None
+    if fitted != cycle:
+        try:
+            return extract_frame(trace, fitted, c_cap=c_cap), cert
+        except FrameRejected as err:
+            reasons.append(str(err))
+    raise FrameRejected(" | ".join(reasons))
 
 
 # -- splitting along a stratum boundary ---------------------------------
@@ -640,15 +629,12 @@ def strata_split(strat: Stratification, e: int, action: GroupAction) -> StrataSp
     pN = p**N
     frame = [list(r) for r in strat.frame]
     inv = unimodular_inverse(frame, p, N)
+    if not _prefix_invariant(frame, inv, e, action):
+        raise NotInvariant(f"the first {e} frame vectors do not span an invariant sublattice")
     sub_grids = []
     quo_grids = []
     for g in action.generators:
         conj = mat_mul(mat_mul(frame, g, pN), inv, pN)
-        for k in range(e):
-            if any(conj[k][j] for j in range(e, d)):
-                raise NotInvariant(
-                    f"the first {e} frame vectors do not span an invariant sublattice"
-                )
         sub_grids.append([row[:e] for row in conj[:e]])
         quo_grids.append([row[e:] for row in conj[e:]])
     return StrataSplit(

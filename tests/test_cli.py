@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import contextlib
+import csv
 import io
 import json
 from pathlib import Path
@@ -10,6 +11,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pstrata.catalog import get_bundle
 from pstrata.cli import _instance_block, main
+from pstrata.errors import (
+    EnumerationTooLarge,
+    FrameRejected,
+    NoStableFit,
+    NotABoundary,
+    RateOutOfRange,
+)
 from pstrata.gmodule import lower_p_series
 from pstrata.lattice import Lattice
 
@@ -61,6 +69,17 @@ def test_series_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",") == ["i", "m_1", "m_2", "m_3", "log_index"]
     assert len(lines) == 8  # header + i = 0..6
+
+
+def test_series_csv_rows(tmp_path, capsys):
+    inst = tmp_path / "shear.json"
+    inst.write_text(json.dumps({"p": 2, "N": 10, "generators": [[[1, 1], [0, 1]]]}))
+    code, out = run(capsys, "series", "--input", str(inst), "--imax", "8", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["i", "m_1", "m_2", "log_index"]
+    assert len(rows) == 10  # header + i = 0..8
+    assert rows[3] == ["2", "1", "2", "3"]
 
 
 def test_stratify_report(capsys):
@@ -295,6 +314,26 @@ def test_exit_domain_failure(tmp_path, capsys):
                  "--denom-bound", "4"])
     capsys.readouterr()
     assert code == 4
+
+
+@pytest.mark.parametrize("error", [NoStableFit, FrameRejected, RateOutOfRange, NotABoundary,
+                                   EnumerationTooLarge])
+def test_domain_errors_exit_4_with_their_name(error, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error("no luck")
+
+    monkeypatch.setattr("pstrata.cli.run_stratification", failing)
+    assert main(["stratify", "--catalog", "trivial", "--imax", "6"]) == 4
+    assert capsys.readouterr().err == f"pstrata: {error.__name__}: no luck\n"
+
+
+def test_malformed_input_json_is_invalid_input(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads("{not json")
+    assert main(["stratify", "--input", str(bad), "--imax", "6"]) == 3
+    assert capsys.readouterr().err == f"pstrata: invalid input: {exc.value}\n"
 
 
 def test_bad_subgroup_coordinates(tmp_path, capsys):

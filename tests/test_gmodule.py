@@ -1,7 +1,5 @@
 """Group actions and the descending series they generate."""
 
-import csv
-import io
 import json
 from argparse import Namespace
 
@@ -19,7 +17,6 @@ from pstrata.gmodule import (
     check_invariance,
     lower_p_series,
     restrict_action,
-    trace_to_csv,
 )
 from pstrata.lattice import Lattice, divisor_profile
 from pstrata.padic import smith_rows
@@ -223,16 +220,6 @@ def test_action_json_round_trip(tmp_path):
     again = _load_instance(args)[1]
     assert again.p == act.p and again.N == act.N
     assert again.generators == act.generators
-
-
-def test_trace_csv_shape():
-    L = Lattice.standard(2, 10, 2)
-    act = GroupAction.build(2, 10, [[[1, 1], [0, 1]]])
-    tr = lower_p_series(L, act, 8)
-    rows = list(csv.reader(io.StringIO(trace_to_csv(tr))))
-    assert rows[0] == ["i", "m_1", "m_2", "log_index"]
-    assert len(rows) == 10  # header + i = 0..8
-    assert rows[3] == ["2", "1", "2", "3"]
 
 
 def test_check_invariance_examples():

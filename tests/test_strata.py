@@ -15,6 +15,7 @@ from pstrata.errors import (
     FrameRejected,
     NoStableFit,
     NotABoundary,
+    NotInvariant,
     RateOutOfRange,
 )
 from pstrata.gmodule import GroupAction, check_invariance, lower_p_series, restrict_action
@@ -23,6 +24,7 @@ from pstrata.padic import identity, mat_mul, unimodular_inverse
 from pstrata.strata import (
     CycleCertificate,
     RateVector,
+    Stratification,
     certify_equivalence,
     detect_cycle,
     estimate_rates,
@@ -550,6 +552,46 @@ def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
     assert calls
 
 
+def _cycled_trace():
+    b = get_bundle("eisenstein2")
+    tr = lower_p_series(b.lattice, b.action, 16)
+    assert detect_cycle(tr) is not None
+    return tr
+
+
+@pytest.mark.parametrize("fit_error", [NoStableFit, RateOutOfRange])
+def test_a_failed_fit_after_a_rejected_cycle_reports_the_cycle(fit_error, monkeypatch):
+    def reject(trace, rates, c_cap=None):
+        raise FrameRejected("cycle frame rejected")
+
+    def no_fit(*args):
+        raise fit_error("no fit")
+
+    tr = _cycled_trace()
+    monkeypatch.setattr(strata, "extract_frame", reject)
+    monkeypatch.setattr(strata, "_rates_from_profiles", no_fit)
+    with pytest.raises(FrameRejected) as exc:
+        run_stratification(tr, denom_bound=8)
+    assert str(exc.value) == "cycle frame rejected"
+
+
+def test_a_fit_equal_to_the_cycle_rates_is_not_tried_again(monkeypatch):
+    tr = _cycled_trace()
+    cycle = RateVector((detect_cycle(tr).rate,) * tr.ambient.d)
+    calls = []
+
+    def reject(trace, rates, c_cap=None):
+        calls.append(rates)
+        raise FrameRejected(f"rejection {len(calls)}")
+
+    monkeypatch.setattr(strata, "extract_frame", reject)
+    monkeypatch.setattr(strata, "_rates_from_profiles", lambda *args: cycle)
+    with pytest.raises(FrameRejected) as exc:
+        run_stratification(tr, denom_bound=8)
+    assert str(exc.value) == "rejection 1"
+    assert calls == [cycle]
+
+
 def test_gm4_certifies_its_true_rates():
     # the spread fit separates the 1/7 block from 1/6 (TestFitRational)
     b = build_Gm_lattice(4)
@@ -672,3 +714,17 @@ class TestSplit:
         strat, _ = run_stratification(tr, denom_bound=8)
         with pytest.raises(NotABoundary):
             strata_split(strat, 4, b.action)
+
+    def test_a_prefix_that_is_not_invariant_is_refused(self):
+        # x_1 g = x_1 + 2 x_2 leaves the span of x_1; the lower shear keeps it
+        rates = RateVector((F(1, 2), F(1)))
+        strat = Stratification(frame=((1, 0), (0, 1)), rates=rates, c=0, window=(0, 8),
+                               status="certified-window")
+        upper = GroupAction.build(2, 10, [[[1, 2], [0, 1]]])
+        with pytest.raises(NotInvariant, match="^the first 1 frame vectors do not span an "
+                                               "invariant sublattice$"):
+            strata_split(strat, 1, upper)
+        lower = GroupAction.build(2, 10, [[[1, 0], [2, 1]]])
+        sp = strata_split(strat, 1, lower)
+        assert sp.sub_action.generators == (((1,),),)
+        assert sp.quotient_action.generators == (((1,),),)
