@@ -18,9 +18,14 @@ equivalence test, and failures fall back to other anchors.  A rate is
 the fraction of bounded denominator that minimizes the spread of the
 deviations of a profile column from floor(i*rate) (fit_rational): a
 block's exponents lag that line by a bounded displacement, which moves
-every deviation alike and leaves the spread alone.  run_stratification
-tries the cycle rates first and fits only once they are rejected;
-detect_cycle reads the trace's cycle, searched once per trace.
+every deviation alike and leaves the spread alone.  The fit scores one
+bracket: a fraction farther than (cap + 2)/(i_last - i_first) from the
+slope between the first and last samples has spread at least cap + 2,
+since the deviations at those two samples already differ by more than
+cap + 1.  0 and 1 are scored as well, so that a bracket holding no
+fraction of the bound still leaves a spread for NoStableFit to report.
+run_stratification tries the cycle rates first and fits only once they
+are rejected; detect_cycle reads the trace's cycle, searched once per trace.
 """
 
 from __future__ import annotations
@@ -117,42 +122,6 @@ def _floor_mul(i: int, q: Fraction) -> int:
     return (i * q.numerator) // q.denominator
 
 
-def _fit_candidates(slope: Fraction, denom_bound: int, radius: Fraction) -> list:
-    """Reduced pairs (n, m), m > 0, of the fractions n/m a fit tries.
-
-    They are 0, 1, the slope when its denominator is within the bound, its
-    convergents and semiconvergents, and every fraction in slope +- radius.
-    Nearest the slope comes first, so the fit's pruning bound tightens
-    early; the order affects nothing else.
-    """
-    a, b = slope.numerator, slope.denominator
-    cands = {(0, 1), (1, 1)}
-    if b <= denom_bound:
-        cands.add((a, b))
-    # continued-fraction convergents and semiconvergents of the slope; each
-    # pair is a column of a unimodular matrix, hence already reduced
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    while b:
-        q, r = divmod(a, b)
-        for t in range(1, min(q, 4 * denom_bound + 4) + 1):
-            den = k0 + t * k1
-            if den > denom_bound:
-                break
-            cands.add((h0 + t * h1, den))
-        h0, h1 = h1, q * h1 + h0
-        k0, k1 = k1, q * k1 + k0
-        a, b = b, r
-    # every fraction with bounded denominator in a bracket around the slope
-    lo, hi = slope - radius, slope + radius
-    for m in range(1, denom_bound + 1):
-        n0 = max(0, -(-lo.numerator * m // lo.denominator))
-        for n in range(n0, hi.numerator * m // hi.denominator + 1):
-            g = math.gcd(n, m)
-            cands.add((n // g, m // g))
-    a, b = slope.numerator, slope.denominator
-    return sorted(cands, key=lambda c: abs(c[0] * b - a * c[1]) / c[1])
-
-
 def _best_fit(pts, cands) -> tuple:
     """Least key (spread, m, n) over the candidate fractions n/m.
 
@@ -191,14 +160,25 @@ def fit_rational(samples, denom_bound: int, residual_cap: int | None = None):
     Minimizes the spread max_i - min_i of the deviations m_i - floor(i*q),
     so a block whose exponents lag floor(i*q) by a bounded displacement
     still fits its slope q; ties prefer the smaller denominator, then the
-    smaller value.  The result is the least (spread, denominator, value)
-    over the candidate set, whatever the order the candidates are scanned
-    in; the candidates lie around the endpoint slope (m_last - m_first) /
-    (i_last - i_first), which no constant displacement moves.  Requires
-    at least 2*denom_bound + 2 samples, at distinct positive indices, so
-    distinct candidates are actually distinguishable on the window.
-    Returns (q, spread); raises NoStableFit when the spread exceeds the cap
-    (default: a quarter of the window length).
+    smaller value.  Requires denom_bound >= 1 and at least 2*denom_bound + 2
+    samples, at distinct positive indices, so distinct candidates are
+    actually distinguishable on the window.  Returns (q, spread); raises
+    NoStableFit when the spread exceeds the cap (default: a quarter of the
+    window length).
+
+    Only a bracket is scored.  Let (i_0, m_0) and (i_1, m_1) be the first
+    and last samples and s = (m_1 - m_0) / (i_1 - i_0) the slope between
+    them, which no constant displacement moves (s = 0 if the samples
+    fall, which only widens the gap below for q >= 0).  If |q - s| >
+    (cap + 2) / (i_1 - i_0), the deviations at i_0 and i_1 differ by
+    (i_1 - i_0)(s - q) give or take less than 1, so by more than cap + 1,
+    and q's spread is at least cap + 2.  So every fraction within the cap
+    lies in the bracket s +- (cap + 2) / (i_1 - i_0), and the least key
+    (spread, m, n) over the bracket's reduced fractions n/m is the least
+    over all fractions whenever it is within the cap.  0 and 1 are scored
+    too, for NoStableFit's message alone: a bracket may hold no fraction
+    of the bound (at bound 1, no integer), and then their spreads are the
+    ones reported.
     """
     pts = sorted((int(i), int(m)) for i, m in samples)
     if any(i <= 0 for i, _ in pts):
@@ -211,11 +191,17 @@ def fit_rational(samples, denom_bound: int, residual_cap: int | None = None):
             f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}; "
             f"need at least {need}"
         )
+    if denom_bound < 1:
+        raise ValueError(f"denominator bound {denom_bound} is below 1")
     cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
     (i0, m0), (i1, m1) = pts[0], pts[-1]
-    slope = Fraction(max(0, m1 - m0), i1 - i0)
-    radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
-    r, m, n = _best_fit(pts, _fit_candidates(slope, denom_bound, radius))
+    span, rise = i1 - i0, max(0, m1 - m0)
+    lo, hi = rise - cap - 2, rise + cap + 2  # the bracket s +- (cap + 2)/span, times span
+    cands = [(0, 1), (1, 1)]
+    for m in range(1, denom_bound + 1):
+        cands += [(n, m) for n in range(max(0, -(-lo * m // span)), hi * m // span + 1)
+                  if math.gcd(n, m) == 1 and n + m > 2]  # 0/1 and 1/1 are in already
+    r, m, n = _best_fit(pts, cands)
     if r > cap:
         raise NoStableFit(
             f"best residual {r} exceeds cap {cap} on a window of {len(pts)} samples"
@@ -231,19 +217,7 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> Ra
     fit escapes [1/d, 1] and NoStableFit (with the coordinate) when no
     bounded fraction fits.
     """
-    return _rates_from_profiles(trace, denom_bound, _window(trace, window))
-
-
-def _window(trace: SeriesTrace, window) -> tuple:
-    """The fit window (i_lo, i_hi), all of 1..i_max by default; ValueError if bad."""
-    i_lo, i_hi = window if window is not None else (1, trace.i_max)
-    if not 1 <= i_lo < i_hi <= trace.i_max:
-        raise ValueError(f"bad window ({i_lo}, {i_hi}) for a trace of length {trace.i_max}")
-    return i_lo, i_hi
-
-
-def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window) -> RateVector:
-    i_lo, i_hi = window
+    i_lo, i_hi = _window(trace, window)
     n_samples = i_hi - i_lo + 1
     d_eff = min(denom_bound, (n_samples - 2) // 2)
     if d_eff < 1:
@@ -261,6 +235,14 @@ def _rates_from_profiles(trace: SeriesTrace, denom_bound: int, window) -> RateVe
         fitted.append(fits[col])
     fitted.sort()
     return RateVector(tuple(fitted))
+
+
+def _window(trace: SeriesTrace, window) -> tuple:
+    """The fit window (i_lo, i_hi), all of 1..i_max by default; ValueError if bad."""
+    i_lo, i_hi = window if window is not None else (1, trace.i_max)
+    if not 1 <= i_lo < i_hi <= trace.i_max:
+        raise ValueError(f"bad window ({i_lo}, {i_hi}) for a trace of length {trace.i_max}")
+    return i_lo, i_hi
 
 
 # -- cycle detection ----------------------------------------------------
@@ -597,7 +579,7 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c
         else:
             return replace(strat, status="exact-cycle"), cert
     try:
-        fitted = _rates_from_profiles(trace, denom_bound, window)
+        fitted = estimate_rates(trace, denom_bound, window)
     except (NoStableFit, RateOutOfRange):
         if cycle is None:
             raise

@@ -95,24 +95,9 @@ class NoFit(Exception):
 
 
 def brute_fit_candidates(slope, denom_bound, radius):
-    """The fractions a rate fit tries, as a sorted list of Fractions: 0, 1,
-    the slope if its denominator is within the bound, its convergents and
-    semiconvergents, and every fraction in the bracket slope +- radius."""
+    """The fractions a rate fit tries, as a sorted list of Fractions: 0, 1
+    and every fraction in the bracket slope +- radius."""
     cands = {Fraction(0), Fraction(1)}
-    if slope.denominator <= denom_bound:
-        cands.add(slope)
-    a, b = slope.numerator, slope.denominator
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    while b:
-        q, r = divmod(a, b)
-        for t in range(1, min(q, 4 * denom_bound + 4) + 1):
-            den = k0 + t * k1
-            if den > denom_bound:
-                break
-            cands.add(Fraction(h0 + t * h1, den))
-        h0, h1 = h1, q * h1 + h0
-        k0, k1 = k1, q * k1 + k0
-        a, b = b, r
     lo, hi = slope - radius, slope + radius
     for m in range(1, denom_bound + 1):
         for n in range(max(0, math.ceil(lo * m)), math.floor(hi * m) + 1):
@@ -139,10 +124,12 @@ def brute_fit(samples, denom_bound, residual_cap=None):
             f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}; "
             f"need at least {need}"
         )
+    if denom_bound < 1:
+        raise ValueError(f"denominator bound {denom_bound} is below 1")
     cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
     (i0, m0), (i1, m1) = pts[0], pts[-1]
     slope = Fraction(max(0, m1 - m0), i1 - i0)
-    radius = max(Fraction(cap + 2, i1 - i0), Fraction(1, 8))
+    radius = Fraction(cap + 2, i1 - i0)
     best = None
     for q in brute_fit_candidates(slope, denom_bound, radius):
         devs = [mi - math.floor(i * q) for i, mi in pts]
@@ -283,7 +270,7 @@ def run_stratification_eager(trace, denom_bound=64, window=None, c_cap=None):
     if cert is not None:
         candidates.append(strata.RateVector((cert.rate,) * d))
     try:
-        rv = strata._rates_from_profiles(trace, denom_bound, strata._window(trace, window))
+        rv = strata.estimate_rates(trace, denom_bound, window)
     except (NoStableFit, RateOutOfRange):
         if not candidates:
             raise

@@ -51,6 +51,15 @@ def test_catalog_export(capsys):
     assert len(payload["generators"][0]) == 5
 
 
+def test_catalog_export_has_no_csv_form(capsys):
+    # the flags clash, the input is not at fault: a usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--catalog", "Gm2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pstrata: error: a catalog export has no CSV form; drop --format csv")
+
+
 def test_series_json(capsys):
     payload = run_json(capsys, "series", "--catalog", "eisenstein2", "--imax", "10")
     assert payload["provenance"]["source"] == "eisenstein2"

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 import oracles
 from test_lattice import _conjugated
@@ -63,6 +63,12 @@ class TestFitRational:
             for bound in (-1, 0):
                 with pytest.raises(ValueError, match="need at least 2"):
                     fit_rational(samples, bound)
+
+    def test_denominator_bound_below_one_is_refused(self):
+        # at bound 0 the fit would return 0/1, a denominator above the bound
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match=f"denominator bound {bound} is below 1"):
+                fit_rational([(1, 5), (2, 5), (3, 5)], bound)
 
     def test_repeated_indices_are_refused(self):
         # the endpoint slope divides by i_last - i_first
@@ -136,6 +142,40 @@ def test_fitters_match_the_brute_force_oracle(case):
     samples, bound, cap = case
     expected = _outcome(oracles.brute_fit, samples, bound, cap)
     assert _outcome(fit_rational, samples, bound, cap) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+# the least key, (1, 4, 1), lies 5/4 / span from the slope 4/21: a radius of
+# (cap + 1)/span would leave it out and report spread 4
+@example(([(i, i // 5) for i in range(1, 23)], 4, 0))
+def test_the_bracket_holds_every_fraction_within_the_cap(case):
+    # fit_rational scores 0, 1 and the bracket slope +- (cap + 2)/span only.
+    # Against every n/m with m <= bound and 0 <= n/m <= ceil(slope + radius
+    # + 1): outside the bracket the spread is at least cap + 2, so a least
+    # key (spread, m, n) of spread <= cap + 1 is the fit's, returned within
+    # the cap and reported by NoStableFit at cap + 1
+    samples, bound, cap = case
+    pts = sorted(samples)
+    assume(bound >= 1 and len(pts) >= 2 * bound + 2)
+    limit = cap if cap is not None else max(1, len(pts) // 4)
+    (i0, m0), (i1, m1) = pts[0], pts[-1]
+    slope = F(max(0, m1 - m0), i1 - i0)
+    radius = F(limit + 2, i1 - i0)
+    top = math.ceil(slope + radius + 1)
+    keys = []
+    for m in range(1, bound + 1):
+        for n in range(m * top + 1):
+            devs = [mi - i * n // m for i, mi in pts]
+            keys.append((max(devs) - min(devs), m, n))
+            if abs(F(n, m) - slope) > radius:
+                assert keys[-1][0] >= limit + 2, (n, m)
+    spread, m, n = min(keys)
+    if spread <= limit:
+        assert fit_rational(samples, bound, cap) == (F(n, m), spread)
+    elif spread == limit + 1:
+        with pytest.raises(NoStableFit, match=f"best residual {spread} exceeds"):
+            fit_rational(samples, bound, cap)
 
 
 def test_one_fit_per_distinct_profile_column(monkeypatch):
@@ -569,7 +609,7 @@ def test_a_failed_fit_after_a_rejected_cycle_reports_the_cycle(fit_error, monkey
 
     tr = _cycled_trace()
     monkeypatch.setattr(strata, "extract_frame", reject)
-    monkeypatch.setattr(strata, "_rates_from_profiles", no_fit)
+    monkeypatch.setattr(strata, "estimate_rates", no_fit)
     with pytest.raises(FrameRejected) as exc:
         run_stratification(tr, denom_bound=8)
     assert str(exc.value) == "cycle frame rejected"
@@ -585,7 +625,7 @@ def test_a_fit_equal_to_the_cycle_rates_is_not_tried_again(monkeypatch):
         raise FrameRejected(f"rejection {len(calls)}")
 
     monkeypatch.setattr(strata, "extract_frame", reject)
-    monkeypatch.setattr(strata, "_rates_from_profiles", lambda *args: cycle)
+    monkeypatch.setattr(strata, "estimate_rates", lambda *args: cycle)
     with pytest.raises(FrameRejected) as exc:
         run_stratification(tr, denom_bound=8)
     assert str(exc.value) == "rejection 1"
