@@ -40,6 +40,20 @@ p^i Z_p^d, so its level is at most i <= N - 2.  The series checks its
 input only: the standard start, the precision, and index growth of a
 digit per step, which fails when unipotent generators generate a group
 that is not pro-p.
+
+The series searches for its own cycle as it grows (`_cycle_hit`, one
+bucket check per term), and from the first certificate term(j + m) ==
+p^n term(j) on it copies instead of stepping: term i = p^n term(i - m).
+The step is Z_p-linear, step(p^n M) = p^n step(M), so term(i + m) ==
+p^n term(i) for every i >= j by induction.  The copy's basis is p^n B,
+which is canonical whenever B is: it stays upper triangular, its pivots
+are p^(e_k + n), and an entry x in [0, p^e) above a pivot becomes p^n x
+in [0, p^(e + n)); a canonical basis is unique, so p^n B is the basis a
+step would have given.  Term i contains p^i Z_p^d, so its pivots, which
+are at most p^(lower level), stay at most p^i < p^N.  The elementary
+divisors of p^n B are p^n times those of B, so the copy's diagonal
+exponents, profile and lower level are those of term(i - m) plus n.  The
+index growth check still runs on every term.
 """
 
 from __future__ import annotations
@@ -189,7 +203,8 @@ class CycleCertificate:
 class SeriesTrace:
     """The computed prefix of a lower p-series with divisor bookkeeping.
 
-    log_indices and cycle are computed on first use and kept.
+    log_indices is computed on first use and kept; so is cycle, unless
+    `lower_p_series` preset it.
     """
 
     ambient: Lattice
@@ -210,34 +225,56 @@ class SeriesTrace:
     def cycle(self) -> CycleCertificate | None:
         """The first exact p-power repetition of the terms, or None.
 
-        Canonical bases are unique and p^n B_j is canonical with B_j, so
-        term_i == p^n term_j iff B_i == p^n B_j, entry by entry.  Then the
-        profiles shift by n: the elementary divisors of p^n B_j are p^n
-        times those of B_j.  So a hit lies in one bucket of terms with
-        equal normalized profile (profile minus its first entry), and only
-        the bases within a bucket are compared.  The first entry u_i is the
-        content depth: the least elementary divisor d_1 of a matrix is the
-        gcd of its entries, so p^u_i is the gcd of B_i's, and n = u_i - u_j.
-        The terms descend, so n >= 0.  For each term the earliest such j
-        is taken, and a hit (j, j+m) with n <= m is the certificate
-        term(j + m) == p^n term(j) itself; the tests re-check it.
+        `lower_p_series` presets it, from the same search run term by term
+        as the series grows; a trace built by hand searches its terms here,
+        on first use (`_cycle_hit`).
         """
         buckets: dict = {}
-        for i, (term, prof) in enumerate(zip(self.terms, self.profiles)):
-            u = prof[0]
-            bucket = buckets.setdefault(tuple(x - u for x in prof), [])
-            for j in bucket:
-                n = u - self.profiles[j][0]
-                f = term.p**n
-                if all(f * x == y for rj, ri in zip(self.terms[j].basis, term.basis)
-                       for x, y in zip(rj, ri)):
-                    m = i - j
-                    if n <= m:
-                        return CycleCertificate(j=j, m=m, n=n)
-                    break
-            else:
-                bucket.append(i)
+        for i in range(len(self.terms)):
+            hit = _cycle_hit(self.terms, self.profiles, buckets, i)
+            if hit is not None:
+                return hit
         return None
+
+
+def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | None:
+    """The certificate ending at term i, given the buckets of terms 0..i-1, or None.
+
+    Canonical bases are unique and p^n B_j is canonical with B_j, so
+    term_i == p^n term_j iff B_i == p^n B_j, entry by entry.  Then the
+    profiles shift by n: the elementary divisors of p^n B_j are p^n times
+    those of B_j.  So a hit lies in one bucket of terms with equal
+    normalized profile (profile minus its first entry), and only the bases
+    within a bucket are compared.  The first entry u_i is the content
+    depth: the least elementary divisor d_1 of a matrix is the gcd of its
+    entries, so p^u_i is the gcd of B_i's, and n = u_i - u_j.  The terms
+    descend, so n >= 0.  For each term the earliest such j is taken, and a
+    hit (j, j+m) with n <= m is the certificate term(j + m) == p^n term(j)
+    itself; the tests re-check it.  Term i joins its bucket unless it
+    repeats an earlier term; called for i = 0, 1, ... in turn, the first
+    hit is the first certificate of the series.
+    """
+    term, prof = terms[i], profiles[i]
+    u = prof[0]
+    bucket = buckets.setdefault(tuple([x - u for x in prof]), [])
+    for j in bucket:
+        n = u - profiles[j][0]
+        f = term.p**n
+        if all(f * x == y for rj, ri in zip(terms[j].basis, term.basis)
+               for x, y in zip(rj, ri)):
+            m = i - j
+            return CycleCertificate(j=j, m=m, n=n) if n <= m else None
+    bucket.append(i)
+    return None
+
+
+def _scaled(M: Lattice, n: int) -> Lattice:
+    """p^n M on the basis p^n B, canonical with B, pivots and level cached (module docstring)."""
+    f = M.p**n
+    lat = Lattice._canonical(M.p, M.N, M.d, tuple(tuple(f * x for x in row) for row in M.basis))
+    lat.__dict__.update(diag_exponents=tuple(e + n for e in M.diag_exponents),
+                        lower_level=M.lower_level + n)
+    return lat
 
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
@@ -249,6 +286,9 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     previous term and the previous term (module docstring).  Each step
     asserts the trivial index bound log_p |L : term_i| >= i; a violation
     means the group is not pro-p and raises PstrataError with the index.
+    A series with a cycle (j, m, n) makes j + m steps; every later term is
+    p^n times the term m before it (module docstring), and the trace's
+    cycle is preset.
     """
     _check_context(L, action)
     if L.log_det:
@@ -259,26 +299,36 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
         )
     terms = []
     profiles = []
+    buckets: dict = {}
+    cycle = None
     cur = L
     for i in range(i_max + 1):
-        if i:
-            cur = _step(cur, action)
-        prof = divisor_profile(cur)
-        # the Smith exponents of the term's own basis: the last is its lower level
-        cur.__dict__["lower_level"] = prof[-1]
+        if cycle is not None:  # term(i) = p^n term(i - m): a copy, not a step
+            cur = _scaled(terms[i - cycle.m], cycle.n)
+            prof = tuple(e + cycle.n for e in profiles[i - cycle.m])
+        else:
+            if i:
+                cur = _step(cur, action)
+            prof = divisor_profile(cur)
+            # the Smith exponents of the term's own basis: the last is its lower level
+            cur.__dict__["lower_level"] = prof[-1]
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
         terms.append(cur)
         profiles.append(prof)
-    return SeriesTrace(
+        if cycle is None:
+            cycle = _cycle_hit(terms, profiles, buckets, i)
+    trace = SeriesTrace(
         ambient=L,
         action=action,
         terms=tuple(terms),
         profiles=tuple(profiles),
         i_max=i_max,
     )
+    trace.__dict__["cycle"] = cycle  # the search SeriesTrace.cycle would run
+    return trace
 
 
 def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:

@@ -25,7 +25,7 @@ since the deviations at those two samples already differ by more than
 cap + 1.  0 and 1 are scored as well, so that a bracket holding no
 fraction of the bound still leaves a spread for NoStableFit to report.
 run_stratification tries the cycle rates first and fits only once they
-are rejected; detect_cycle reads the trace's cycle, searched once per trace.
+are rejected; detect_cycle reads the trace's cycle, which the series presets.
 """
 
 from __future__ import annotations
@@ -213,10 +213,12 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> Ra
     """Fit one rate per coordinate from the trace's divisor profiles.
 
     The effective denominator bound is clamped so the window stays long
-    enough for fit_rational's precondition.  Raises RateOutOfRange when a
-    fit escapes [1/d, 1] and NoStableFit (with the coordinate) when no
-    bounded fraction fits.
+    enough for fit_rational's precondition.  Raises ValueError for a bound
+    below 1, RateOutOfRange when a fit escapes [1/d, 1] and NoStableFit
+    (with the coordinate) when no bounded fraction fits.
     """
+    if denom_bound < 1:
+        raise ValueError(f"denominator bound {denom_bound} is below 1")
     i_lo, i_hi = _window(trace, window)
     n_samples = i_hi - i_lo + 1
     d_eff = min(denom_bound, (n_samples - 2) // 2)
@@ -251,11 +253,12 @@ def _window(trace: SeriesTrace, window) -> tuple:
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     """The first exact repetition term(j + m) == p^n term(j), 0 <= n <= m, or None.
 
-    The search (`SeriesTrace.cycle`) runs once per trace; run_stratification
-    and `hausdorff.hdim_numeric` share its result.  One hit extends to every
-    i >= j: the step M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends
-    p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
-    i >= j by induction on i.
+    The search (`SeriesTrace.cycle`) runs once per trace, and
+    `gmodule.lower_p_series` presets its result while it builds the terms;
+    run_stratification and `hausdorff.hdim_numeric` share it.  One hit
+    extends to every i >= j: the step M -> pM + sum_t M(g_t - 1) is
+    Z_p-linear, so it sends p^n M to p^n times its image, and
+    term(i + m) == p^n term(i) for each i >= j by induction on i.
     """
     return trace.cycle
 

@@ -10,8 +10,9 @@ here), and `approximate_term`, the model lattice the latter builds; and
 the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
 (the cycle key by a Hermite form), `run_stratification_eager` (the
-candidate loop that computed every rate candidate up front) and
-`step_by_full_stack` (the series step on every image, zero or not).  The
+candidate loop that computed every rate candidate up front),
+`step_by_full_stack` (the series step on every image, zero or not) and
+`lower_p_series_stepwise` (the series with every step run, no tail copied).  The
 definitions `valuation` and `mat_mul_dense` pin the kernels.
 """
 
@@ -299,3 +300,27 @@ def step_by_full_stack(M, action):
     for delta in action.deltas:
         rows.extend(mat_mul_dense(M.basis, delta, p**N))
     return Lattice.from_rows(p, N, M.d, rows)
+
+
+def lower_p_series_stepwise(L, action, i_max):
+    """Reference for gmodule.lower_p_series: every term by a step, none copied.
+
+    Checks the index growth and caches each term's level from its profile,
+    as the library does; the trace's cycle is left to the lazy search.
+    """
+    from pstrata.errors import PstrataError
+    from pstrata.gmodule import SeriesTrace, _step
+    from pstrata.lattice import divisor_profile
+
+    terms, profiles = [], []
+    cur = L
+    for i in range(i_max + 1):
+        if i:
+            cur = _step(cur, action)
+        prof = divisor_profile(cur)
+        cur.__dict__["lower_level"] = prof[-1]
+        if sum(prof) < i:
+            raise PstrataError(f"series index grew too slowly at step {i}")
+        terms.append(cur)
+        profiles.append(prof)
+    return SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max)

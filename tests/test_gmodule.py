@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from pstrata import lattice
-from pstrata.catalog import get_bundle, random_block_action
+from pstrata import gmodule, lattice
+from pstrata.catalog import catalog_names, get_bundle, random_block_action
 from pstrata.cli import _instance_block, _load_instance
 from pstrata.errors import NotInvariant, PrecisionExhausted, PstrataError
 from pstrata.gmodule import (
+    CycleCertificate,
     GroupAction,
+    SeriesTrace,
     _step,
     check_invariance,
     lower_p_series,
@@ -141,6 +143,78 @@ def test_step_matches_the_full_stack(sizes, seed, p, i_max, start):
         assert prof == divisor_profile(fresh)
     for term in tr.terms[:-1]:
         assert _step(term, act) == oracles.step_by_full_stack(term, act)
+
+
+@st.composite
+def series_instances(draw):
+    """A catalog entry or a random block action at p 2, 3 or 5, with its i_max."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    i_max = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        b = get_bundle(draw(st.sampled_from(catalog_names())), p=p, N=i_max + 2)
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                     .filter(lambda s: sum(s) <= 8))
+        b = random_block_action(tuple(sizes), draw(st.integers(0, 10**6)), p=p, N=i_max + 2)
+    return b, i_max
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_instances())
+def test_tail_copies_match_the_stepwise_series(instance):
+    # past its cycle the series copies p^n term(i - m) instead of stepping;
+    # every term, pivot, level, profile, index and the cycle are those of
+    # the series that runs every step
+    b, i_max = instance
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    ref = oracles.lower_p_series_stepwise(Lattice.standard(b.lattice.p, b.lattice.N, b.lattice.d),
+                                          b.action, i_max)
+    assert [t.basis for t in tr.terms] == [t.basis for t in ref.terms]
+    assert tr.profiles == ref.profiles
+    assert [t.diag_exponents for t in tr.terms] == [t.diag_exponents for t in ref.terms]
+    assert [t.lower_level for t in tr.terms] == [t.lower_level for t in ref.terms]
+    assert tr.log_indices == ref.log_indices
+    assert tr.cycle == ref.cycle
+    for term in tr.terms[1:]:
+        # cached, and equal to what a validated lattice on the same basis reads
+        assert "diag_exponents" in vars(term) and "lower_level" in vars(term)
+        fresh = Lattice(term.p, term.N, term.d, term.basis)
+        assert (term.diag_exponents, term.lower_level) == (fresh.diag_exponents, fresh.lower_level)
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gmodule, "_step", lambda M, act: calls.append(1) or _step(M, act))
+    return calls
+
+
+def test_a_cycled_series_makes_j_plus_m_steps(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    b = get_bundle("eisenstein1", p=2, N=42)
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert tr.cycle == CycleCertificate(0, 1, 1)
+    assert len(calls) == 1
+    assert all(oracles.is_scaled_copy(tr.terms[i - 1], 1, tr.terms[i]) for i in range(1, 41))
+
+
+def test_a_series_without_a_cycle_steps_every_term(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    b = get_bundle("remark27", p=2, N=42)
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert tr.cycle is None
+    assert len(calls) == 40
+
+
+@pytest.mark.parametrize("name", ["eisenstein1", "eisenstein3", "Gm1", "Gm2", "remark27"])
+def test_the_preset_cycle_is_the_lazy_search(name):
+    b = get_bundle(name, p=3, N=42)
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert "cycle" in vars(tr)  # preset by the series, not searched on first use
+    lazy = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
+    assert "cycle" not in vars(lazy)
+    assert lazy.cycle == tr.cycle
+    expected = b.expected_cycle
+    assert tr.cycle == (None if expected is None else CycleCertificate(*expected))
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):

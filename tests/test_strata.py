@@ -301,6 +301,16 @@ class TestFrames:
         tr = lower_p_series(b.lattice, b.action, 24)
         assert estimate_rates(tr, denom_bound=8).rates == (F(1, 3),) * 3 + (F(1, 2),) * 2
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_denominator_bound_below_one_is_refused(self, bound):
+        # the 64-sample window is long enough; the bound is what is out of range
+        b = get_bundle("Gm2")
+        tr = lower_p_series(b.lattice, b.action, 64)
+        assert tr.cycle is None  # so run_stratification reaches the fit
+        for call in (estimate_rates, run_stratification):
+            with pytest.raises(ValueError, match=f"denominator bound {bound} is below 1"):
+                call(tr, denom_bound=bound)
+
     def test_rate_fit_stable_under_window_truncation(self):
         # the fitted rates must not depend on how much of the series we saw,
         # once past the stabilisation point
