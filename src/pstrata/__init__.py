@@ -2,10 +2,11 @@
 
 The package computes, in exact integer arithmetic at a fixed p-adic
 precision, the descending series a pro-p matrix group carves out of a
-lattice; fits the rational growth rate of each coordinate; extracts and
-certifies an adapted basis (the frame) together with a two-sided
-containment constant; and evaluates Hausdorff dimensions and full
-dimension spectra of closed subgroups against the certified data.
+lattice; reads the rational growth rate of each coordinate off the
+period of its divisor exponents; extracts and certifies an adapted basis
+(the frame) together with a two-sided containment constant; and
+evaluates Hausdorff dimensions and full dimension spectra of closed
+subgroups against the certified data.
 """
 
 from .errors import (

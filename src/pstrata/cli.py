@@ -6,7 +6,7 @@ instance) or from a JSON file (--input).  Reports go to stdout or --out,
 as JSON (default) or CSV.
 
 Exit codes: 0 success, 2 precision exhausted (or a usage error), 3
-invalid input, 4 domain failure (no stable fit, rejected frame,
+invalid input, 4 domain failure (no period within the bound, rejected frame,
 out-of-range rates, enumeration too large).
 """
 
@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", type=int, default=None, help="digits p^N (default imax+2)")
         sp.add_argument("--imax", type=int, default=64, help="series window length")
         sp.add_argument("--denom-bound", type=int, default=None,
-                        help="rate denominator bound (default min(64, (imax-2)//2))")
+                        help="bound on the profile period m (the rate denominator) "
+                             "(default min(64, (imax-2)//2))")
         sp.add_argument("--tolerance", type=float, default=0.01,
                         help="numeric agreement tolerance")
         sp.add_argument("--seed", type=int, default=0, help="seed for --catalog random")

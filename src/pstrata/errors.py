@@ -29,11 +29,12 @@ class NotInvariant(PstrataError):
 
 
 class NoStableFit(PstrataError):
-    """No fraction with bounded denominator fits the sampled exponents.
+    """A divisor-profile column shows no exact period within the bound.
 
-    Signals that the observation window is too short or the denominator
-    bound too small.  The offending coordinate index, when known, is stored
-    on the ``coordinate`` attribute.
+    No period m up to the bound repeats its shift back over 2m steps and
+    half the window: the window is too short or the bound too small.  The
+    message names the longest tail over which some m held; the offending
+    coordinate index, when known, is on the ``coordinate`` attribute.
     """
 
     def __init__(self, message: str, coordinate: int | None = None):
@@ -42,7 +43,7 @@ class NoStableFit(PstrataError):
 
 
 class RateOutOfRange(PstrataError):
-    """A fitted growth rate falls outside the admissible band [1/d, 1]."""
+    """A growth rate falls outside the admissible band [1/d, 1]."""
 
 
 class FrameRejected(PstrataError):

@@ -1,4 +1,4 @@
-"""Rate fitting, cycle certificates, frames and equivalence certification.
+"""Rates, cycle certificates, frames and equivalence certification.
 
 Given a computed series trace, this module recovers the stratification
 data: a rational growth rate per coordinate, a frame (a basis of the
@@ -15,17 +15,16 @@ mod p^N, and a prefix that is not is deformed by _graph_repair.  The
 only non-rigorous ingredient is the choice of candidate rates and frames;
 every candidate must pass invariance checks and the window-wide
 equivalence test, and failures fall back to other anchors.  A rate is
-the fraction of bounded denominator that minimizes the spread of the
-deviations of a profile column from floor(i*rate) (fit_rational): a
-block's exponents lag that line by a bounded displacement, which moves
-every deviation alike and leaves the spread alone.  The fit scores one
-bracket: a fraction farther than (cap + 2)/(i_last - i_first) from the
-slope between the first and last samples has spread at least cap + 2,
-since the deviations at those two samples already differ by more than
-cap + 1.  0 and 1 are scored as well, so that a bracket holding no
-fraction of the bound still leaves a spread for NoStableFit to report.
-run_stratification tries the cycle rates first and fits only once they
-are rejected; detect_cycle reads the trace's cycle, which the series presets.
+read off the exact period of a profile column (fit_rational): the
+invariants are rational and the series descends regularly in strata, so
+each column eventually repeats with a shift, P[i + m][k] - P[i][k] = n,
+and its rate is n/m.  Only integers are compared.  The least period m
+within the bound wins whose shift, read at the window's end, holds back
+over at least 2m steps and half the window; without the half-window
+floor, m = 1 would pass on any two equal steps.
+run_stratification tries the cycle rates first and reads periods only
+once they are rejected; detect_cycle reads the trace's cycle, which the
+series presets.
 """
 
 from __future__ import annotations
@@ -115,123 +114,68 @@ class StrataSplit:
     quotient_action: GroupAction
 
 
-# -- rational fitting ---------------------------------------------------
+# -- rates from profile periods ------------------------------------------
 
 
 def _floor_mul(i: int, q: Fraction) -> int:
     return (i * q.numerator) // q.denominator
 
 
-def _best_fit(pts, cands) -> tuple:
-    """Least key (spread, m, n) over the candidate fractions n/m.
-
-    The spread is hi - lo for the least lo and greatest hi of the
-    deviations m_i - floor(i*n/m).  A candidate is dropped once its running
-    spread strictly exceeds the best spread so far: the bounds of some of
-    the deviations lie within those of all of them, so the running spread
-    is a lower bound in any scan order and the drop never loses the least
-    key.  The points are scanned ends first (last, first, second-to-last,
-    ...), where a wrong slope deviates most.
-    """
-    n_pts = len(pts)
-    scan = [pts[k // 2] if k % 2 else pts[n_pts - 1 - k // 2] for k in range(n_pts)]
-    (i0, m0), rest = scan[0], scan[1:]
-    best = (math.inf,)
-    for n, m in cands:
-        lo = hi = m0 - i0 * n // m
-        for i, mi in rest:
-            dv = mi - i * n // m
-            if lo <= dv <= hi:
-                continue
-            if dv < lo:
-                lo = dv
-            else:
-                hi = dv
-            if hi - lo > best[0]:
-                break
-        else:
-            best = min(best, (hi - lo, m, n))
-    return best
-
-
-def fit_rational(samples, denom_bound: int, residual_cap: int | None = None):
-    """Best fraction q with bounded denominator for samples (i, m_i).
-
-    Minimizes the spread max_i - min_i of the deviations m_i - floor(i*q),
-    so a block whose exponents lag floor(i*q) by a bounded displacement
-    still fits its slope q; ties prefer the smaller denominator, then the
-    smaller value.  Requires denom_bound >= 1 and at least 2*denom_bound + 2
-    samples, at distinct positive indices, so distinct candidates are
-    actually distinguishable on the window.  Returns (q, spread); raises
-    NoStableFit when the spread exceeds the cap (default: a quarter of the
-    window length).
-
-    Only a bracket is scored.  Let (i_0, m_0) and (i_1, m_1) be the first
-    and last samples and s = (m_1 - m_0) / (i_1 - i_0) the slope between
-    them, which no constant displacement moves (s = 0 if the samples
-    fall, which only widens the gap below for q >= 0).  If |q - s| >
-    (cap + 2) / (i_1 - i_0), the deviations at i_0 and i_1 differ by
-    (i_1 - i_0)(s - q) give or take less than 1, so by more than cap + 1,
-    and q's spread is at least cap + 2.  So every fraction within the cap
-    lies in the bracket s +- (cap + 2) / (i_1 - i_0), and the least key
-    (spread, m, n) over the bracket's reduced fractions n/m is the least
-    over all fractions whenever it is within the cap.  0 and 1 are scored
-    too, for NoStableFit's message alone: a bracket may hold no fraction
-    of the bound (at bound 1, no integer), and then their spreads are the
-    ones reported.
-    """
-    pts = sorted((int(i), int(m)) for i, m in samples)
-    if any(i <= 0 for i, _ in pts):
-        raise ValueError("sample indices must be positive")
-    if len({i for i, _ in pts}) < len(pts):
-        raise ValueError("sample indices must be distinct")
-    need = max(2, 2 * denom_bound + 2)
-    if len(pts) < need:
-        raise ValueError(
-            f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}; "
-            f"need at least {need}"
-        )
+def _check_bound(denom_bound: int) -> None:
     if denom_bound < 1:
         raise ValueError(f"denominator bound {denom_bound} is below 1")
-    cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
-    (i0, m0), (i1, m1) = pts[0], pts[-1]
-    span, rise = i1 - i0, max(0, m1 - m0)
-    lo, hi = rise - cap - 2, rise + cap + 2  # the bracket s +- (cap + 2)/span, times span
-    cands = [(0, 1), (1, 1)]
-    for m in range(1, denom_bound + 1):
-        cands += [(n, m) for n in range(max(0, -(-lo * m // span)), hi * m // span + 1)
-                  if math.gcd(n, m) == 1 and n + m > 2]  # 0/1 and 1/1 are in already
-    r, m, n = _best_fit(pts, cands)
-    if r > cap:
-        raise NoStableFit(
-            f"best residual {r} exceeds cap {cap} on a window of {len(pts)} samples"
-        )
-    return Fraction(n, m), r
+
+
+def fit_rational(samples, denom_bound: int):
+    """The rate n/m of a column read off its exact period, and where the period starts.
+
+    samples are (i, m_i) at consecutive indices i_lo..i_hi, L of them.  For
+    m = 1, 2, ..., denom_bound the shift n = m_(i_hi) - m_(i_hi - m) is
+    followed back to the least j with m_(i + m) - m_i = n for every i in
+    [j, i_hi - m]; the first m with i_hi - j >= max(2m, L // 2) gives
+    (Fraction(n, m), j).  So the bound is a bound on the period, and the
+    rate's reduced denominator divides the period.  Raises ValueError for
+    indices that are not consecutive or a bound below 1, and NoStableFit,
+    naming the longest tail over which some m held, when no m passes.
+    """
+    if any(b[0] != a[0] + 1 for a, b in zip(samples, samples[1:])):
+        raise ValueError("sample indices must be consecutive")
+    _check_bound(denom_bound)
+    col = [int(v) for _, v in samples]
+    last, half = len(col) - 1, len(col) // 2
+    best = (0, 0)  # (tail, -m) of the longest tail, least m first
+    for m in range(1, min(denom_bound, last) + 1):
+        n = col[last] - col[last - m]
+        t = last - m
+        while t and col[t - 1 + m] - col[t - 1] == n:
+            t -= 1
+        if last - t >= max(2 * m, half):
+            return Fraction(n, m), samples[t][0]
+        best = max(best, (last - t, -m))
+    tail, m = best
+    held = f"m = {-m} over {tail}" if tail else "none"
+    raise NoStableFit(f"no period m <= {denom_bound} holds over the last {half} of "
+                      f"{len(col)} samples (best: {held})")
 
 
 def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> RateVector:
-    """Fit one rate per coordinate from the trace's divisor profiles.
+    """Read one rate per coordinate off the periods of the trace's divisor profiles.
 
-    The effective denominator bound is clamped so the window stays long
-    enough for fit_rational's precondition.  Raises ValueError for a bound
-    below 1, RateOutOfRange when a fit escapes [1/d, 1] and NoStableFit
-    (with the coordinate) when no bounded fraction fits.
+    Each distinct profile column over the window is read once, by
+    fit_rational with the period bound denom_bound.  Raises ValueError for
+    a bound below 1, RateOutOfRange when a rate escapes [1/d, 1] and
+    NoStableFit (with the coordinate) when a column has no period within
+    the bound.
     """
-    if denom_bound < 1:
-        raise ValueError(f"denominator bound {denom_bound} is below 1")
     i_lo, i_hi = _window(trace, window)
-    n_samples = i_hi - i_lo + 1
-    d_eff = min(denom_bound, (n_samples - 2) // 2)
-    if d_eff < 1:
-        raise NoStableFit(f"window of {n_samples} samples is too short to fit anything")
     idx = range(i_lo, i_hi + 1)
-    fits = {}  # equal profile columns have equal fits
+    fits = {}  # equal profile columns have equal rates
     fitted = []
     for k in range(trace.ambient.d):
         col = tuple(trace.profiles[i][k] for i in idx)
         if col not in fits:
             try:
-                fits[col], _ = fit_rational(list(zip(idx, col)), d_eff)
+                fits[col], _ = fit_rational(list(zip(idx, col)), denom_bound)
             except NoStableFit as err:
                 raise NoStableFit(f"coordinate {k}: {err}", coordinate=k) from err
         fitted.append(fits[col])
@@ -554,23 +498,26 @@ def extract_frame(trace: SeriesTrace, rates, c_cap: int | None = None) -> Strati
 
 
 def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c_cap=None):
-    """Full pipeline: cycle detection, rate fitting, frame, certification.
+    """Full pipeline: cycle detection, rates, frame, certification.
 
     Returns (stratification, cycle_certificate_or_None), trying at most
     two rate vectors in two steps:
       1. a verified cycle pins every rate to n/m exactly; its frame, if
          certified, is returned with status "exact-cycle", since exact
          self-similarity extends the window to every later index;
-      2. the spread fit of each profile column (fit_rational), tried
-         unless it equals the cycle rates.  A certified cycle runs no fit.
+      2. the rates read off the period of each profile column
+         (estimate_rates), tried unless they equal the cycle rates.  A
+         certified cycle reads no period.
     Whatever candidate wins must still pass frame extraction, which
-    certifies c over the whole window, so the fit adds no unsoundness.
-    Errors: with no cycle, a fit error (NoStableFit, RateOutOfRange) is
-    raised as is.  Once the cycle rates were tried, a fit error or a
-    rejected fit ends in one FrameRejected joining the rejection reasons
-    with " | ".
+    certifies c over the whole window, so the periods add no unsoundness.
+    Errors: a bad window or a period bound below 1 raises ValueError
+    first, whatever the trace.  With no cycle, a rate error (NoStableFit,
+    RateOutOfRange) is raised as is.  Once the cycle rates were tried, a
+    rate error or rejected rates end in one FrameRejected joining the
+    rejection reasons with " | ".
     """
     window = _window(trace, window)
+    _check_bound(denom_bound)
     cert = detect_cycle(trace)
     cycle = None if cert is None else RateVector((cert.rate,) * trace.ambient.d)
     reasons = []

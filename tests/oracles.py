@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations for small cases.
 
 Everything here works by explicit enumeration over (Z/p^N)^d, or over
-every candidate fraction, so it is slow and only usable for small cases,
+every candidate period and start, so it is slow and only usable for small cases,
 but it shares no code with the library and serves as ground truth.  The
 exceptions are `join_quotients` and `window_constant_by_lattices`, the
 former implementations of hdim_numeric and of the window constant on top
@@ -91,56 +91,36 @@ def brute_smith_2x2(rows, p, N, span=None):
     return (total - a2, a2)
 
 
-class NoFit(Exception):
-    """brute_fit found no candidate within the residual cap."""
+def brute_period(samples, denom_bound):
+    """Reference for strata.fit_rational, with its messages.
 
-
-def brute_fit_candidates(slope, denom_bound, radius):
-    """The fractions a rate fit tries, as a sorted list of Fractions: 0, 1
-    and every fraction in the bracket slope +- radius."""
-    cands = {Fraction(0), Fraction(1)}
-    lo, hi = slope - radius, slope + radius
-    for m in range(1, denom_bound + 1):
-        for n in range(max(0, math.ceil(lo * m)), math.floor(hi * m) + 1):
-            cands.add(Fraction(n, m))
-    return sorted(cands)
-
-
-def brute_fit(samples, denom_bound, residual_cap=None):
-    """Reference for strata.fit_rational.
-
-    Scores every candidate in full, in Fraction arithmetic, and keeps the
-    least (spread, denominator, value), the spread being max - min of the
-    deviations m_i - floor(i q).  The candidates lie around the endpoint
-    slope.  Raises what the library raises, with its messages.
+    For each m <= denom_bound, reads the shift n at the window's end and
+    tries every start j in turn, checking the shift at every i from j to
+    i_hi - m; the least such j gives the tail i_hi - j.  The first m whose
+    tail reaches max(2m, L // 2) gives (Fraction(n, m), j).  Otherwise
+    raises NoStableFit naming the longest tail, least m first.
     """
-    pts = sorted((int(i), int(m)) for i, m in samples)
-    if any(i <= 0 for i, _ in pts):
-        raise ValueError("sample indices must be positive")
-    if len({i for i, _ in pts}) < len(pts):
-        raise ValueError("sample indices must be distinct")
-    need = max(2, 2 * denom_bound + 2)
-    if len(pts) < need:
-        raise ValueError(
-            f"{len(pts)} samples cannot pin a denominator bound of {denom_bound}; "
-            f"need at least {need}"
-        )
+    from pstrata.errors import NoStableFit
+
+    idx = [i for i, _ in samples]
+    if idx and idx != list(range(idx[0], idx[0] + len(idx))):
+        raise ValueError("sample indices must be consecutive")
     if denom_bound < 1:
         raise ValueError(f"denominator bound {denom_bound} is below 1")
-    cap = residual_cap if residual_cap is not None else max(1, len(pts) // 4)
-    (i0, m0), (i1, m1) = pts[0], pts[-1]
-    slope = Fraction(max(0, m1 - m0), i1 - i0)
-    radius = Fraction(cap + 2, i1 - i0)
-    best = None
-    for q in brute_fit_candidates(slope, denom_bound, radius):
-        devs = [mi - math.floor(i * q) for i, mi in pts]
-        r = max(devs) - min(devs)
-        if best is None or (r, q.denominator, q) < best:
-            best = (r, q.denominator, q)
-    r, _, q = best
-    if r > cap:
-        raise NoFit(f"best residual {r} exceeds cap {cap} on a window of {len(pts)} samples")
-    return q, r
+    P, L = dict(samples), len(samples)
+    tails = []
+    for m in range(1, min(denom_bound, L - 1) + 1):
+        i_lo, i_hi = idx[0], idx[-1]
+        n = P[i_hi] - P[i_hi - m]
+        j = next(j for j in range(i_lo, i_hi - m + 1)
+                 if all(P[i + m] - P[i] == n for i in range(j, i_hi - m + 1)))
+        if i_hi - j >= max(2 * m, L // 2):
+            return Fraction(n, m), j
+        tails.append((i_hi - j, -m))
+    tail, m = max(tails, default=(0, 0))
+    held = f"m = {-m} over {tail}" if tails else "none"
+    raise NoStableFit(f"no period m <= {denom_bound} holds over the last {L // 2} "
+                      f"of {L} samples (best: {held})")
 
 
 def join_quotients(H, trace, strat, tolerance=Fraction(1, 100)):

@@ -336,6 +336,14 @@ def test_domain_errors_exit_4_with_their_name(error, monkeypatch, capsys):
     assert capsys.readouterr().err == f"pstrata: {error.__name__}: no luck\n"
 
 
+def test_no_period_within_the_bound_exits_4_naming_the_column(capsys):
+    # Gm2's columns have periods 2 and 3; bound 1 reads neither
+    assert main(["stratify", "--catalog", "Gm2", "--imax", "64", "--denom-bound", "1"]) == 4
+    assert capsys.readouterr().err == (
+        "pstrata: NoStableFit: coordinate 0: no period m <= 1 holds over the last 32 of 64 "
+        "samples (best: m = 1 over 1)\n")
+
+
 def test_malformed_input_json_is_invalid_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

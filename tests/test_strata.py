@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, example, find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import oracles
 from test_lattice import _conjugated
@@ -43,48 +43,45 @@ def seq(fn, n=12):
 
 class TestFitRational:
     def test_exact_lines(self):
-        assert fit_rational(seq(lambda i: i), 4) == (F(1), 0)
-        assert fit_rational(seq(lambda i: i // 2), 4) == (F(1, 2), 0)
-        assert fit_rational(seq(lambda i: (2 * i) // 3), 4) == (F(2, 3), 0)
-
-    def test_residual_is_reported(self):
-        # the residual is the spread of m_i - floor(i xi): a line displaced
-        # by a constant fits its own slope with spread 0
-        assert fit_rational(seq(lambda i: i - 1), 4) == (F(1), 0)
-        assert fit_rational(seq(lambda i: i // 3 + 2), 4) == (F(1, 3), 0)
-        assert fit_rational(seq(lambda i: i // 2 + i % 2), 4) == (F(1, 2), 1)
+        # (rate, j): the period holds from the first sample on
+        assert fit_rational(seq(lambda i: i), 4) == (F(1), 1)
+        assert fit_rational(seq(lambda i: i // 2), 4) == (F(1, 2), 1)
+        assert fit_rational(seq(lambda i: (2 * i) // 3), 4) == (F(2, 3), 1)
 
     def test_window_too_short_for_denominator(self):
-        with pytest.raises(ValueError):
-            fit_rational(seq(lambda i: i, 5), 4)
+        # period 3 holds over 5 steps of 6 samples, short of the 2m = 6 it needs
+        with pytest.raises(NoStableFit, match=r"no period m <= 4 holds over the last 3 of 6 "
+                                              r"samples \(best: m = 3 over 5\)"):
+            fit_rational(seq(lambda i: i // 3, 6), 4)
+        assert fit_rational(seq(lambda i: i // 3, 7), 4) == (F(1, 3), 1)
 
     def test_fewer_than_two_samples_are_refused(self):
         for samples in ([], [(3, 1)]):
-            for bound in (-1, 0):
-                with pytest.raises(ValueError, match="need at least 2"):
-                    fit_rational(samples, bound)
+            with pytest.raises(NoStableFit, match=r"\(best: none\)"):
+                fit_rational(samples, 1)
 
     def test_denominator_bound_below_one_is_refused(self):
-        # at bound 0 the fit would return 0/1, a denominator above the bound
+        # at bound 0 no period is read at all
         for bound in (0, -1):
             with pytest.raises(ValueError, match=f"denominator bound {bound} is below 1"):
                 fit_rational([(1, 5), (2, 5), (3, 5)], bound)
 
     def test_repeated_indices_are_refused(self):
-        # the endpoint slope divides by i_last - i_first
-        with pytest.raises(ValueError, match="distinct"):
+        # a period is read off consecutive samples only
+        with pytest.raises(ValueError, match="consecutive"):
             fit_rational([(3, 1), (3, 1)], 0)
-        with pytest.raises(ValueError, match="distinct"):
-            fit_rational(seq(lambda i: i // 2) + [(5, 2)], 4)
+        with pytest.raises(ValueError, match="consecutive"):
+            fit_rational(seq(lambda i: i // 2) + [(14, 7)], 4)
 
     def test_displaced_block_fits_its_true_rate(self):
-        # Gm4's 1/7 block lags floor(i/7) by up to 6/7: on columns 3-6 the
-        # worst deviation ties 1/7 with 1/6, the spread does not
+        # Gm4's 1/7 block lags floor(i/7) by up to 6/7; its columns still
+        # repeat with period 7 and shift 1
         b = build_Gm_lattice(4)
         tr = lower_p_series(b.lattice, b.action, 64)
         for k in range(3, 7):
             col = [(i, tr.profiles[i][k]) for i in range(1, 65)]
-            assert fit_rational(col, 31) == (F(1, 7), 1)
+            rate, j = fit_rational(col, 31)
+            assert rate == F(1, 7) and 64 - j >= 32
 
     def test_noise_gives_no_stable_fit(self):
         noisy = [0, 5, 0, 7, 1, 9, 0, 11, 2, 0, 1, 30]
@@ -92,16 +89,14 @@ class TestFitRational:
             fit_rational([(i, noisy[i - 1]) for i in range(1, 13)], 4)
 
     def test_tie_prefers_smaller_denominator(self):
-        # floor(i * 1/2) fits the data exactly, so no larger-denominator
-        # candidate with equal residual may win
-        xi, res = fit_rational(seq(lambda i: i // 2, 22), 10)
-        assert (xi, res) == (F(1, 2), 0)
+        # every even period holds on floor(i/2) as well; the least one wins
+        assert fit_rational(seq(lambda i: i // 2, 22), 10) == (F(1, 2), 1)
 
 
 @st.composite
-def fit_inputs(draw):
-    """Samples (i, m_i) with a residual cap and a denominator bound."""
-    n = draw(st.integers(min_value=2, max_value=60))
+def period_columns(draw):
+    """Consecutive samples (i, m_i) and a period bound."""
+    n = draw(st.integers(min_value=0, max_value=60))
     start = draw(st.integers(min_value=1, max_value=4))
     idx = range(start, start + n)
     kind = draw(st.sampled_from(["line", "blocks", "noise"]))
@@ -120,62 +115,46 @@ def fit_inputs(draw):
         ms = [sorted((i + k) // q for q in qs for k in range(q))[j] for i in idx]
     else:
         ms = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=n, max_size=n))
-    bound = draw(st.integers(min_value=0, max_value=(n - 2) // 2 + 1))
-    cap = draw(st.sampled_from([None, 0, 1, 3]))
-    return list(zip(idx, ms)), bound, cap
+    bound = draw(st.integers(min_value=0, max_value=n // 2 + 2))
+    return list(zip(idx, ms)), bound
 
 
-def _outcome(fit, *args):
+def _outcome(read, *args):
     try:
-        return fit(*args)
-    except (NoStableFit, oracles.NoFit) as err:
-        return "NoStableFit", str(err)
-    except ValueError as err:
-        return "ValueError", str(err)
+        return read(*args)
+    except (NoStableFit, ValueError) as err:
+        return type(err).__name__, str(err)
 
 
 @settings(max_examples=300, deadline=None)
-@given(fit_inputs())
-def test_fitters_match_the_brute_force_oracle(case):
-    # the pruned integer fit returns the least (spread, denominator, value)
-    # over the full candidate set, or raises the same error
-    samples, bound, cap = case
-    expected = _outcome(oracles.brute_fit, samples, bound, cap)
-    assert _outcome(fit_rational, samples, bound, cap) == expected
+@given(period_columns())
+def test_period_reader_matches_the_brute_force_oracle(case):
+    # the backward scan per m returns what checking every m and every
+    # start directly returns, or raises the same error and message
+    samples, bound = case
+    assert _outcome(fit_rational, samples, bound) == _outcome(oracles.brute_period, samples, bound)
 
 
-@settings(max_examples=300, deadline=None)
-@given(fit_inputs())
-# the least key, (1, 4, 1), lies 5/4 / span from the slope 4/21: a radius of
-# (cap + 1)/span would leave it out and report spread 4
-@example(([(i, i // 5) for i in range(1, 23)], 4, 0))
-def test_the_bracket_holds_every_fraction_within_the_cap(case):
-    # fit_rational scores 0, 1 and the bracket slope +- (cap + 2)/span only.
-    # Against every n/m with m <= bound and 0 <= n/m <= ceil(slope + radius
-    # + 1): outside the bracket the spread is at least cap + 2, so a least
-    # key (spread, m, n) of spread <= cap + 1 is the fit's, returned within
-    # the cap and reported by NoStableFit at cap + 1
-    samples, bound, cap = case
-    pts = sorted(samples)
-    assume(bound >= 1 and len(pts) >= 2 * bound + 2)
-    limit = cap if cap is not None else max(1, len(pts) // 4)
-    (i0, m0), (i1, m1) = pts[0], pts[-1]
-    slope = F(max(0, m1 - m0), i1 - i0)
-    radius = F(limit + 2, i1 - i0)
-    top = math.ceil(slope + radius + 1)
-    keys = []
-    for m in range(1, bound + 1):
-        for n in range(m * top + 1):
-            devs = [mi - i * n // m for i, mi in pts]
-            keys.append((max(devs) - min(devs), m, n))
-            if abs(F(n, m) - slope) > radius:
-                assert keys[-1][0] >= limit + 2, (n, m)
-    spread, m, n = min(keys)
-    if spread <= limit:
-        assert fit_rational(samples, bound, cap) == (F(n, m), spread)
-    elif spread == limit + 1:
-        with pytest.raises(NoStableFit, match=f"best residual {spread} exceeds"):
-            fit_rational(samples, bound, cap)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_displaced_line_gets_its_slope(data):
+    # floor(i n/m) plus a displacement that is constant from i0 on: once the
+    # constant stretch spans 2m steps and half the window, n/m is read off
+    # it.  No smaller period passes: with m'n/m not an integer, the shift
+    # floor((i + m')n/m) - floor(i n/m) takes two values in every m
+    # consecutive i, and the stretch holds m of them since L >= 4m
+    m = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(0, 2 * m).filter(lambda n: math.gcd(n, m) == 1))
+    start = data.draw(st.integers(1, 5))
+    L = data.draw(st.integers(4 * m, 80))
+    i_hi = start + L - 1
+    i0 = data.draw(st.integers(start, i_hi - max(2 * m, L // 2)))
+    c = data.draw(st.integers(-3, 3))
+    early = data.draw(st.lists(st.integers(-3, 3), min_size=i0 - start, max_size=i0 - start))
+    shift = early + [c] * (i_hi - i0 + 1)
+    samples = [(i, i * n // m + e) for i, e in zip(range(start, i_hi + 1), shift)]
+    rate, j = fit_rational(samples, data.draw(st.integers(m, m + 5)))
+    assert rate == F(n, m) and j <= i0
 
 
 def test_one_fit_per_distinct_profile_column(monkeypatch):
@@ -183,9 +162,9 @@ def test_one_fit_per_distinct_profile_column(monkeypatch):
     tr = lower_p_series(b.lattice, b.action, 24)
     fitted = []
 
-    def counting(samples, denom_bound, residual_cap=None):
+    def counting(samples, denom_bound):
         fitted.append(tuple(m for _, m in samples))
-        return fit_rational(samples, denom_bound, residual_cap)
+        return fit_rational(samples, denom_bound)
 
     monkeypatch.setattr(strata, "fit_rational", counting)
     rates = estimate_rates(tr, denom_bound=8).rates
@@ -599,7 +578,7 @@ def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
     strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 40), denom_bound=8)
     assert cert is None
     assert strat.rates.rates == (F(1, 5),) * 5 + (F(1, 3),) * 3 + (F(1, 2),) * 2
-    assert calls
+    assert calls and all(bound == 8 for _, bound in calls)
 
 
 def _cycled_trace():
@@ -643,12 +622,55 @@ def test_a_fit_equal_to_the_cycle_rates_is_not_tried_again(monkeypatch):
 
 
 def test_gm4_certifies_its_true_rates():
-    # the spread fit separates the 1/7 block from 1/6 (TestFitRational)
+    # the 1/7 block repeats with period 7 (TestFitRational)
     b = build_Gm_lattice(4)
     strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 64), denom_bound=31)
     assert cert is None
     assert strat.rates.rates == b.expected_rates
     assert strat.c == 1
+
+
+def _cli_bound(i_max):
+    return min(64, (i_max - 2) // 2)
+
+
+@pytest.mark.parametrize("m, i_max", [(5, 64), (5, 128), (6, 128)])
+def test_wide_gm_entries_certify_their_true_rates(m, i_max):
+    # every profile column of Gm5, and of Gm6 at imax 128, repeats exactly
+    # within the window, so each reads its true rate
+    b = build_Gm_lattice(m, N=i_max + 2)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    strat, cert = run_stratification(tr, denom_bound=_cli_bound(i_max))
+    assert cert is None
+    assert strat.rates.rates == b.expected_rates
+    assert strat.c == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gm3_certifies_at_imax_24(p):
+    b = get_bundle("Gm3", p=p, N=26)
+    strat, _ = run_stratification(lower_p_series(b.lattice, b.action, 24),
+                                  denom_bound=_cli_bound(24))
+    assert strat.rates.rates == b.expected_rates
+
+
+def test_gm6_at_imax_64_names_the_column_with_no_period():
+    b = build_Gm_lattice(6)
+    tr = lower_p_series(b.lattice, b.action, 64)
+    with pytest.raises(NoStableFit, match=r"^coordinate 7: no period m <= 31 holds over the "
+                                          r"last 32 of 64 samples \(best: m = \d+ over \d+\)$"
+                       ) as exc:
+        run_stratification(tr, denom_bound=_cli_bound(64))
+    assert exc.value.coordinate == 7
+
+
+def test_denominator_bound_is_refused_when_a_cycle_certifies():
+    # the cycle needs no period, but the argument is checked all the same
+    b = get_bundle("eisenstein2")
+    tr = lower_p_series(b.lattice, b.action, 64)
+    assert run_stratification(tr, denom_bound=1)[0].status == "exact-cycle"
+    with pytest.raises(ValueError, match="denominator bound 0 is below 1"):
+        run_stratification(tr, denom_bound=0)
 
 
 def test_bad_window_is_refused_when_a_cycle_certifies():
