@@ -54,6 +54,40 @@ are at most p^(lower level), stay at most p^i < p^N.  The elementary
 divisors of p^n B are p^n times those of B, so the copy's diagonal
 exponents, profile and lower level are those of term(i - m) plus n.  The
 index growth check still runs on every term.
+
+An action whose deltas couple no two of some contiguous coordinate
+intervals I_1, ..., I_k (`GroupAction._blocks`, the finest such split) has
+a series by blocks.  Let V_s be the coordinates in I_s; every delta maps
+each V_s into itself, so each V_s is invariant.
+- Blockwise steps.  For M = M_1 + ... + M_k with M_s in V_s, the image
+  M(g_t - 1) is the set of sums of x_s (g_t - 1) over independent x_s in
+  M_s, which is the direct sum of the M_s (g_t - 1); and pM is the sum of
+  the p M_s.  So step(M_1 + ... + M_k) is the direct sum of the blocks'
+  steps, each under the diagonal blocks of the generators (a generator
+  whose block delta is 0 adds nothing).  Z_p^d is the sum of the Z_p^(I_s),
+  so by induction term i is the direct sum of the blocks' terms i.
+- The assembly is the canonical basis.  Stack the blocks' canonical bases,
+  each row padded with zeros outside its interval.  The stack is upper
+  triangular, its pivots are the blocks' p-powers, and every entry above
+  a pivot is either the block's own, already reduced, or a 0 of another
+  block's row, which is reduced too.  It spans term i, and a full-rank
+  canonical basis is unique, so it is term i's basis: the one the whole
+  step would have given.  Its diagonal exponents are the blocks' in turn.
+- The profile is the merged block profiles.  The Smith forms of the
+  blocks assemble into a Smith form of the block-diagonal basis, so its
+  elementary divisors are the blocks' together.  Term i contains
+  p^i Z_p^d, so every exponent is below N and certified; sorted, they are
+  `divisor_profile` of term i, and the last is its lower level.
+- Each block tails on its own.  A block's step is Z_p-linear, so the
+  scalar-cycle lemma above holds inside it: from its first hit
+  term_s(j + m) == p^n term_s(j) on, term_s(i) = p^n term_s(i - m).  A
+  block's bases are its rows of the assembled terms, zero outside I_s, so
+  `_cycle_hit` on those rows and the block's profiles finds that hit, and
+  the copy reads the rows of term i - m.
+While the whole series has no cycle, each block steps until its own hit
+and copies after it; the whole cycle search, the whole copy tail and the
+index growth check run on the assembled terms as before, so a stalled
+block passes when the sum grows a digit per step.
 """
 
 from __future__ import annotations
@@ -134,6 +168,38 @@ class GroupAction:
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "delta_entries",
                            row_entries([sum(rows, ()) for rows in zip(*deltas)]))
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """The finest contiguous intervals no delta couples, as (start, action), or ().
+
+        () when the action has one block.  Computed on the first series, not
+        at construction.  Interval k ends where no nonzero delta entry (i, j)
+        has min(i, j) <= k < max(i, j).  A block's action holds the diagonal
+        blocks of the generators whose delta is not zero there, or the
+        identity when none is.
+        """
+        d = self.d
+        reach = list(range(d))
+        for i, entries in enumerate(self.delta_entries[1]):
+            for c, _ in entries:
+                lo, hi = sorted((i, c % d))
+                reach[lo] = max(reach[lo], hi)
+        cuts, end = [0], 0
+        for k in range(d):
+            end = max(end, reach[k])
+            if end == k:
+                cuts.append(k + 1)
+        if len(cuts) == 2:
+            return ()
+        blocks = []
+        for a, b in zip(cuts, cuts[1:]):
+            grids = tuple(tuple(row[a:b] for row in g[a:b])
+                          for g, delta in zip(self.generators, self.deltas)
+                          if any(any(row[a:b]) for row in delta[a:b]))
+            blocks.append((a, GroupAction(self.p, self.N, b - a,
+                                          grids or (_freeze(identity(b - a)),))))
+        return tuple(blocks)
 
     @classmethod
     def build(cls, p: int, N: int, generator_grids) -> "GroupAction":
@@ -237,7 +303,8 @@ class SeriesTrace:
         return None
 
 
-def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | None:
+def _cycle_hit(terms, profiles, buckets: dict, i: int,
+               rows: slice = slice(None)) -> CycleCertificate | None:
     """The certificate ending at term i, given the buckets of terms 0..i-1, or None.
 
     Canonical bases are unique and p^n B_j is canonical with B_j, so
@@ -252,7 +319,9 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | Non
     hit (j, j+m) with n <= m is the certificate term(j + m) == p^n term(j)
     itself; the tests re-check it.  Term i joins its bucket unless it
     repeats an earlier term; called for i = 0, 1, ... in turn, the first
-    hit is the first certificate of the series.
+    hit is the first certificate of the series.  With rows a..b and the
+    profiles of block a..b the search is that block's: its bases are those
+    rows of the terms, zero outside the block (module docstring).
     """
     term, prof = terms[i], profiles[i]
     u = prof[0]
@@ -260,7 +329,7 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | Non
     for j in bucket:
         n = u - profiles[j][0]
         f = term.p**n
-        if all(f * x == y for rj, ri in zip(terms[j].basis, term.basis)
+        if all(f * x == y for rj, ri in zip(terms[j].basis[rows], term.basis[rows])
                for x, y in zip(rj, ri)):
             m = i - j
             return CycleCertificate(j=j, m=m, n=n) if n <= m else None
@@ -271,10 +340,60 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | Non
 def _scaled(M: Lattice, n: int) -> Lattice:
     """p^n M on the basis p^n B, canonical with B, pivots and level cached (module docstring)."""
     f = M.p**n
-    lat = Lattice._canonical(M.p, M.N, M.d, tuple(tuple(f * x for x in row) for row in M.basis))
-    lat.__dict__.update(diag_exponents=tuple(e + n for e in M.diag_exponents),
+    lat = Lattice._canonical(M.p, M.N, M.d, tuple([tuple([f * x for x in row]) for row in M.basis]))
+    lat.__dict__.update(diag_exponents=tuple([e + n for e in M.diag_exponents]),
                         lower_level=M.lower_level + n)
     return lat
+
+
+def _block_parts(act: GroupAction, a: int, d: int, terms: list):
+    """Block a..a + act.d of terms 1, 2, ... of a split series (module docstring).
+
+    Yields term i's block: its canonical rows padded with zeros to width d,
+    its diagonal exponents and its profile.  The block steps until its own
+    cycle hit (j, m, n), then copies p^n times its rows of term i - m.  The
+    caller appends term i to terms before it asks for term i + 1; the block
+    keeps its profiles and its current lattice, no list of terms.
+    """
+    p, b = act.p, a + act.d
+    rows = slice(a, b)
+    pad_l, pad_r = (0,) * a, (0,) * (d - b)
+    zero = (0,) * act.d
+    cur = Lattice._canonical(p, act.N, act.d, _freeze(identity(act.d)))  # Z_p^(b - a)
+    cur.__dict__.update(diag_exponents=zero, lower_level=0)
+    profiles, buckets = [zero], {}
+    hit = _cycle_hit(terms, profiles, buckets, 0, rows)  # None: term 0 joins its bucket
+    i = 1
+    while hit is None:
+        cur = _step(cur, act)
+        prof = divisor_profile(cur)
+        cur.__dict__["lower_level"] = prof[-1]
+        profiles.append(prof)
+        yield [pad_l + row + pad_r for row in cur.basis], cur.diag_exponents, prof
+        hit = _cycle_hit(terms, profiles, buckets, i, rows)
+        i += 1
+    m, n = hit.m, hit.n
+    f = p**n
+    while True:
+        src = terms[i - m]
+        prof = tuple([e + n for e in profiles[i - m]])
+        profiles.append(prof)
+        yield ([tuple([f * x for x in row]) for row in src.basis[rows]],
+               [e + n for e in src.diag_exponents[rows]], prof)
+        i += 1
+
+
+def _assembled(L: Lattice, parts) -> tuple:
+    """The term whose blocks are parts, with its profile; pivots and level cached."""
+    basis, exps, merged = [], [], []
+    for rows, e, prof in parts:
+        basis += rows
+        exps += e
+        merged += prof
+    prof = tuple(sorted(merged))
+    lat = Lattice._canonical(L.p, L.N, L.d, tuple(basis))
+    lat.__dict__.update(diag_exponents=tuple(exps), lower_level=prof[-1])
+    return lat, prof
 
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
@@ -288,7 +407,9 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     means the group is not pro-p and raises PstrataError with the index.
     A series with a cycle (j, m, n) makes j + m steps; every later term is
     p^n times the term m before it (module docstring), and the trace's
-    cycle is preset.
+    cycle is preset.  Until then, an action split into coordinate blocks
+    steps each block until its own cycle and assembles the terms from the
+    blocks' rows (module docstring).
     """
     _check_context(L, action)
     if L.log_det:
@@ -301,11 +422,15 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     profiles = []
     buckets: dict = {}
     cycle = None
+    # each block's parts of terms 1, 2, ...; none when the action is one block
+    blocks = [_block_parts(act, a, L.d, terms) for a, act in action._blocks]
     cur = L
     for i in range(i_max + 1):
         if cycle is not None:  # term(i) = p^n term(i - m): a copy, not a step
             cur = _scaled(terms[i - cycle.m], cycle.n)
-            prof = tuple(e + cycle.n for e in profiles[i - cycle.m])
+            prof = tuple([e + cycle.n for e in profiles[i - cycle.m]])
+        elif i and blocks:
+            cur, prof = _assembled(L, [next(blk) for blk in blocks])
         else:
             if i:
                 cur = _step(cur, action)

@@ -110,25 +110,31 @@ def echelon_pivots(spec: SubgroupSpec) -> tuple:
     Below full rank that form depends on the row order (`padic`), and so
     can its pivots: at p = 2, N = 6 the rows (3,4,-2,4,12), (0,1,0,0,2),
     (2,4,4,-8,2) give (1,3,4) with exponents (1,2,0) in some orders and
-    (2,3,4) with exponents (1,2,5) in others.  So the pivots are certified
-    only when sum(a_k) < N, and the tests check that every order meeting
-    that rule gives the same pivots.  A larger sum raises
-    PrecisionExhausted; a larger N or another order of the rows may
-    certify them.  Fewer pivots than rows, generators dependent at this
-    precision, raise RankDeficient.
+    (2,3,4) with exponents (1,2,N - 1) in the others (at N = 6, 9, 12 and
+    30 alike).  So the pivots are certified only when the order gives a
+    pivot to every row and sum(a_k) < N, and the tests check that every
+    order meeting that rule gives the same pivots.  The rows are tried in
+    their given order and then in each cyclic rotation of it; the first
+    that meets the rule gives the pivots, which are therefore those of any
+    certifying order.  When none does, PrecisionExhausted is raised; a
+    larger N may certify them.  Fewer pivots than rows in the given order,
+    generators dependent at this precision, raise RankDeficient.
     """
     p, N = spec.p, spec.N
     reversed_rows = [row[::-1] for row in spec.rows]
-    red, piv, _ = hermite_rows(reversed_rows, p, N)
-    if len(piv) < len(reversed_rows):
-        raise RankDeficient("generator rows are dependent at this precision")
-    if sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) >= N:
-        raise PrecisionExhausted(
-            f"the pivot exponents of the generator rows reach the precision {N}; "
-            "their pivots are not certified"
-        )
-    d = len(reversed_rows[0]) if reversed_rows else 0
-    return tuple(sorted(d - 1 - c for c in piv))
+    for r in range(max(len(reversed_rows), 1)):
+        red, piv, _ = hermite_rows(reversed_rows[r:] + reversed_rows[:r], p, N)
+        if len(piv) < len(reversed_rows):
+            if r:
+                continue  # a rotation below full rank certifies nothing
+            raise RankDeficient("generator rows are dependent at this precision")
+        if sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) < N:
+            d = len(reversed_rows[0]) if reversed_rows else 0
+            return tuple(sorted(d - 1 - c for c in piv))
+    raise PrecisionExhausted(
+        f"the pivot exponents of the generator rows reach the precision {N}; "
+        "their pivots are not certified"
+    )
 
 
 def hdim_exact(H: SubgroupSpec, strat: Stratification, extra_weights=()) -> Fraction:

@@ -21,7 +21,7 @@ from pstrata.gmodule import (
     restrict_action,
 )
 from pstrata.lattice import Lattice, divisor_profile
-from pstrata.padic import smith_rows
+from pstrata.padic import identity, smith_rows
 
 
 def test_build_validates_generators():
@@ -145,18 +145,36 @@ def test_step_matches_the_full_stack(sizes, seed, p, i_max, start):
         assert _step(term, act) == oracles.step_by_full_stack(term, act)
 
 
+def _direct_sum(first: GroupAction, second: GroupAction) -> GroupAction:
+    """The action on Z_p^(d1 + d2) of each generator of either summand, the identity on the other."""
+    d1, d2 = first.d, second.d
+    one1, one2 = (tuple(map(tuple, identity(d))) for d in (d1, d2))
+    gens = [tuple(row + (0,) * d2 for row in g) + tuple((0,) * d1 + row for row in one2)
+            for g in first.generators]
+    gens += [tuple(row + (0,) * d2 for row in one1) + tuple((0,) * d1 + row for row in g)
+             for g in second.generators]
+    return GroupAction(first.p, first.N, d1 + d2, tuple(gens))
+
+
+@st.composite
+def action_draws(draw, p, i_max):
+    """The action of a catalog entry or of a random block action at p, precision i_max + 2."""
+    if draw(st.booleans()):
+        return get_bundle(draw(st.sampled_from(catalog_names())), p=p, N=i_max + 2).action
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda s: sum(s) <= 8))
+    return random_block_action(tuple(sizes), draw(st.integers(0, 10**6)), p=p, N=i_max + 2).action
+
+
 @st.composite
 def series_instances(draw):
-    """A catalog entry or a random block action at p 2, 3 or 5, with its i_max."""
+    """An action drawn at p 2, 3 or 5, or the direct sum of two draws, with its i_max."""
     p = draw(st.sampled_from([2, 3, 5]))
     i_max = draw(st.integers(1, 64))
+    action = draw(action_draws(p, i_max))
     if draw(st.booleans()):
-        b = get_bundle(draw(st.sampled_from(catalog_names())), p=p, N=i_max + 2)
-    else:
-        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
-                     .filter(lambda s: sum(s) <= 8))
-        b = random_block_action(tuple(sizes), draw(st.integers(0, 10**6)), p=p, N=i_max + 2)
-    return b, i_max
+        action = _direct_sum(action, draw(action_draws(p, i_max)))
+    return action, i_max
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,10 +183,9 @@ def test_tail_copies_match_the_stepwise_series(instance):
     # past its cycle the series copies p^n term(i - m) instead of stepping;
     # every term, pivot, level, profile, index and the cycle are those of
     # the series that runs every step
-    b, i_max = instance
-    tr = lower_p_series(b.lattice, b.action, i_max)
-    ref = oracles.lower_p_series_stepwise(Lattice.standard(b.lattice.p, b.lattice.N, b.lattice.d),
-                                          b.action, i_max)
+    act, i_max = instance
+    tr = lower_p_series(Lattice.standard(act.p, act.N, act.d), act, i_max)
+    ref = oracles.lower_p_series_stepwise(Lattice.standard(act.p, act.N, act.d), act, i_max)
     assert [t.basis for t in tr.terms] == [t.basis for t in ref.terms]
     assert tr.profiles == ref.profiles
     assert [t.diag_exponents for t in tr.terms] == [t.diag_exponents for t in ref.terms]
@@ -197,12 +214,47 @@ def test_a_cycled_series_makes_j_plus_m_steps(monkeypatch):
     assert all(oracles.is_scaled_copy(tr.terms[i - 1], 1, tr.terms[i]) for i in range(1, 41))
 
 
-def test_a_series_without_a_cycle_steps_every_term(monkeypatch):
+@pytest.mark.parametrize("name,p,steps", [
+    # remark27's blocks 0-7 and 8-15 cycle at (1, 4, 1) and (1, 2, 1);
+    # Gm3's blocks of sizes 2, 3 and 5 at (0, 2, 1), (0, 3, 1) and (0, 5, 1)
+    ("remark27", 2, 5 + 3), ("remark27", 3, 5 + 3), ("Gm3", 2, 2 + 3 + 5), ("Gm3", 3, 2 + 3 + 5),
+])
+def test_a_split_series_steps_each_block_until_its_own_cycle(monkeypatch, name, p, steps):
     calls = _count_steps(monkeypatch)
-    b = get_bundle("remark27", p=2, N=42)
+    b = get_bundle(name, p=p, N=42)
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert tr.cycle is None  # the blocks' rates differ: the whole series has no cycle
+    assert len(calls) == steps
+
+
+def test_a_one_block_series_without_a_cycle_steps_every_term(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    b = random_block_action((2, 2), 0, p=2, N=42)
+    assert b.action._blocks == ()  # one block: the loop of the whole series
     tr = lower_p_series(b.lattice, b.action, 40)
     assert tr.cycle is None
     assert len(calls) == 40
+
+
+_SL2_F2 = ([[1, 1], [0, 1]], [[1, 0], [1, 1]])  # generate SL_2(F_2) mod 2: the series stalls
+
+
+def test_the_index_check_reads_the_whole_profile():
+    # a stalled block next to a trivial one: the block alone is refused
+    # (test_generators_of_a_non_pro_p_group_stall), the sum grows a digit
+    # per step and equals the series that runs every step
+    stalled = GroupAction.build(2, 12, _SL2_F2)
+    act = _direct_sum(stalled, GroupAction.build(2, 12, [[[1]]]))
+    assert len(act._blocks) == 2
+    tr = lower_p_series(Lattice.standard(2, 12, 3), act, 10)
+    ref = oracles.lower_p_series_stepwise(Lattice.standard(2, 12, 3), act, 10)
+    assert [t.basis for t in tr.terms] == [t.basis for t in ref.terms]
+    assert tr.profiles == ref.profiles == tuple((0, 0, i) for i in range(11))
+    # two stalled blocks stall together
+    act = _direct_sum(stalled, stalled)
+    assert len(act._blocks) == 2
+    with pytest.raises(PstrataError, match="grew too slowly at step 1"):
+        lower_p_series(Lattice.standard(2, 12, 4), act, 10)
 
 
 @pytest.mark.parametrize("name", ["eisenstein1", "eisenstein3", "Gm1", "Gm2", "remark27"])

@@ -14,7 +14,7 @@ from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficien
 from pstrata.gmodule import SeriesTrace, lower_p_series
 from pstrata import hausdorff
 from pstrata.lattice import Lattice
-from pstrata.padic import mat_mul
+from pstrata.padic import hermite_rows, int_valuation, mat_mul
 from pstrata.hausdorff import (
     SubgroupSpec,
     dimension_report,
@@ -77,15 +77,24 @@ class TestPivots:
     def test_an_order_with_a_small_exponent_sum_is_certified(self):
         # the Hermite form from the right has pivots (1, 3, 4), exponents
         # (1, 2, 0), in three orders, and (2, 3, 4), exponents (1, 2, 5),
-        # in the other three, which are refused
+        # in the other three; each of those three has a cyclic rotation
+        # that certifies, so every order gives (1, 3, 4)
         rows = [(3, 4, -2, 4, 12), (0, 1, 0, 0, 2), (2, 4, 4, -8, 2)]
-        outcomes = []
+        for N in (6, 9, 12, 30):
+            refused = 0
+            for order in itertools.permutations(rows):
+                red, piv, _ = hermite_rows([row[::-1] for row in order], 2, N)
+                refused += sum(int_valuation(red[k][c], 2, N) for k, c in enumerate(piv)) >= N
+                assert echelon_pivots(SubgroupSpec(2, N, order)) == (1, 3, 4)
+            assert refused == 3  # the given order alone is refused in three of the six
+
+    def test_no_rotation_certifies_at_too_low_a_precision(self):
+        # the pinned rows' exponents sum to 3 in every order, so N = 3 refuses
+        # all six orders after trying each rotation
+        rows = [(3, 4, -2, 4, 12), (0, 1, 0, 0, 2), (2, 4, 4, -8, 2)]
         for order in itertools.permutations(rows):
-            try:
-                outcomes.append(echelon_pivots(SubgroupSpec(2, 6, order)))
-            except PrecisionExhausted:
-                outcomes.append(None)
-        assert sorted(outcomes, key=str) == [(1, 3, 4)] * 3 + [None] * 3
+            with pytest.raises(PrecisionExhausted, match="reach the precision 3"):
+                echelon_pivots(SubgroupSpec(2, 3, order))
 
     @settings(max_examples=200, deadline=None)
     @given(hst.sampled_from([2, 3, 5]), hst.integers(3, 10), hst.integers(2, 5), hst.data())
