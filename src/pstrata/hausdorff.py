@@ -43,6 +43,7 @@ from .padic import (
     hermite_rows,
     int_valuation,
     mat_mul,
+    smith_rows,
     unimodular_inverse,
 )
 from .strata import RateVector, Stratification
@@ -116,21 +117,30 @@ def echelon_pivots(spec: SubgroupSpec) -> tuple:
     order meeting that rule gives the same pivots.  The rows are tried in
     their given order and then in each cyclic rotation of it; the first
     that meets the rule gives the pivots, which are therefore those of any
-    certifying order.  When none does, PrecisionExhausted is raised; a
-    larger N may certify them.  Fewer pivots than rows in the given order,
-    generators dependent at this precision, raise RankDeficient.
+    certifying order.
+
+    When none does, the error raised does not depend on the order: the
+    generators are dependent at this precision, RankDeficient, when
+    `smith_rows` gives fewer exponents than there are rows, and otherwise
+    PrecisionExhausted is raised; a larger N may certify them.  The Smith
+    rank is at most the number of pivots of any echelon form, so an order
+    with fewer pivots than rows is RankDeficient with no Smith form taken.
+    A certifying order has sum(a_k) < N, so the Smith rank of its rows is
+    their number: the rule never calls rows dependent that some order
+    certifies.
     """
     p, N = spec.p, spec.N
     reversed_rows = [row[::-1] for row in spec.rows]
+    dependent = "generator rows are dependent at this precision"
     for r in range(max(len(reversed_rows), 1)):
         red, piv, _ = hermite_rows(reversed_rows[r:] + reversed_rows[:r], p, N)
         if len(piv) < len(reversed_rows):
-            if r:
-                continue  # a rotation below full rank certifies nothing
-            raise RankDeficient("generator rows are dependent at this precision")
+            raise RankDeficient(dependent)
         if sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) < N:
             d = len(reversed_rows[0]) if reversed_rows else 0
             return tuple(sorted(d - 1 - c for c in piv))
+    if len(smith_rows(reversed_rows, p, N)[0]) < len(reversed_rows):
+        raise RankDeficient(dependent)
     raise PrecisionExhausted(
         f"the pivot exponents of the generator rows reach the precision {N}; "
         "their pivots are not certified"
@@ -237,9 +247,17 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
                 Lattice.unguarded(p, N, d, tri).guard()
             joined = sum(exps)
         numerators.append(lam.log_det - joined)
-    quotients = [Fraction(num, den) for num, den in zip(numerators[1:], trace.log_indices[1:])]
-    tail = quotients[-max(1, len(quotients) // 3):]
-    strong = (max(tail) - min(tail)) <= Fraction(tolerance)
+    pairs = list(zip(numerators[1:], trace.log_indices[1:]))
+    quotients = [Fraction(num, den) for num, den in pairs]
+    # the tail's extremes by cross-multiplication: every log index is positive
+    tail = pairs[-max(1, len(pairs) // 3):]
+    hn, hd = ln, ld = max(tail[:1])  # an empty window raises as max(tail) did
+    for num, den in tail:
+        if num * hd > hn * den:
+            hn, hd = num, den
+        elif num * ld < ln * den:
+            ln, ld = num, den
+    strong = Fraction(hn * ld - ln * hd, hd * ld) <= Fraction(tolerance)
     return quotients, strong
 
 
@@ -267,9 +285,17 @@ def spectrum(rates: RateVector, extra_weights=()) -> tuple:
     weights) is a pivot set of some closed subgroup, so the spectrum is
     the set of subset sums divided by the total.  A sum only depends on
     how many copies of each distinct weight it takes, so the sums are
-    enumerated as multiplicity choices, in integers scaled by the common
-    denominator.  More than 1,500,000 choices (the product of multiplicity
-    plus one) raise EnumerationTooLarge.  The result contains 0 and 1.
+    enumerated as multiplicity choices, in integers s scaled by the common
+    denominator, and the total is the integer den > 0 on the same scale.
+    More than 1,500,000 choices (the product of multiplicity plus one)
+    raise EnumerationTooLarge.  The result contains 0 and 1.
+
+    The integers are sorted, not the fractions: s -> s / den is increasing
+    for den > 0, so the tuple of Fraction(s, den) is already in order.  The
+    cost is set operations over at most the capped number of sums, plus one
+    Fraction per value.  The sums are kept as a set, not as a bitset over
+    0 .. den: den is not bounded by the cap (two extra weights 1/1000003
+    and 1/999983 are 4 choices and den near 10^12).
     """
     weights = list(rates.rates) + [Fraction(w) for w in extra_weights]
     if any(w < 0 for w in weights):
@@ -288,7 +314,7 @@ def spectrum(rates: RateVector, extra_weights=()) -> tuple:
     scale = math.lcm(*(w.denominator for w in counts))
     sums = {0}
     for w, c in counts.items():
-        step = int(w * scale)
-        sums = {s + k * step for s in sums for k in range(c + 1)}
-    den = int(total * scale)
-    return tuple(sorted(Fraction(s, den) for s in sums))
+        step = w.numerator * (scale // w.denominator)
+        sums = sums.union(*(map((k * step).__add__, sums) for k in range(1, c + 1)))
+    den = total.numerator * (scale // total.denominator)
+    return tuple(Fraction(s, den) for s in sorted(sums))

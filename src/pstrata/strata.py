@@ -117,10 +117,6 @@ class StrataSplit:
 # -- rates from profile periods ------------------------------------------
 
 
-def _floor_mul(i: int, q: Fraction) -> int:
-    return (i * q.numerator) // q.denominator
-
-
 def _check_bound(denom_bound: int) -> None:
     if denom_bound < 1:
         raise ValueError(f"denominator bound {denom_bound} is below 1")
@@ -332,7 +328,8 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     """Least c >= 0 with p^c lambda_i in model_i and p^c model_i in lambda_i, all i >= 1.
 
     model_i spans the p^a_k x_k, x_k the frame rows and a_k = floor(i rate_k)
-    <= i_max <= N - 2; both lattices contain p^N Z_p^d.  The frame F is a
+    <= i_max <= N - 2, computed as i n_k // m_k from the rate n_k / m_k in
+    lowest terms; both lattices contain p^N Z_p^d.  The frame F is a
     Z_p-basis, so p^c v lies in model_i iff c + v_p(y_k) >= a_k for all k,
     y = v F^-1 mod p^N (capping v_p at N > a_k is harmless).  p^c model_i
     lies in lambda_i iff c >= e_k - a_k for the least e_k with p^e_k x_k in
@@ -363,10 +360,11 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     frame_rows = [[(r, int_valuation(x, p, N)) for r, x in enumerate(row) if x]
                   for row in frame]
     inv = row_entries(inv)
+    pairs = [(xi.numerator, xi.denominator) for xi in rates.rates]
     c = 0
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
-        a = [_floor_mul(i, xi) for xi in rates.rates]
+        a = [i * n // m for n, m in pairs]
         if not any(any(row[k + 1:]) for k, row in enumerate(lam.basis)):
             e = lam.diag_exponents
             for ak, col in zip(a, inv_cols):
@@ -427,7 +425,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     exps, origin, W = smith_rows(trace.terms[i2].basis, p, N, want_right_inv=True)
     if len(exps) != d:
         return None, f"anchor {i2}: rank collapsed"
-    targets = [_floor_mul(i2, xi) for xi in rates.rates]
+    targets = [i2 * xi.numerator // xi.denominator for xi in rates.rates]
     for k in range(d):
         if abs(exps[k] - targets[k]) > cap:
             return None, (

@@ -143,6 +143,20 @@ def join_quotients(H, trace, strat, tolerance=Fraction(1, 100)):
     return quotients, (max(tail) - min(tail)) <= Fraction(tolerance)
 
 
+def subset_spectrum(weights):
+    """Reference for hausdorff.spectrum: every 0/1 choice over the weight list.
+
+    Sums the chosen weights of each of the 2^len(weights) subsets as
+    fractions, one subset at a time, and divides by the total.
+    """
+    weights = [Fraction(w) for w in weights]
+    total = sum(weights, Fraction(0))
+    sums = set()
+    for mask in range(2 ** len(weights)):
+        sums.add(sum((w for k, w in enumerate(weights) if mask >> k & 1), Fraction(0)))
+    return tuple(sorted(s / total for s in sums))
+
+
 def approximate_term(frame, rates, i, p, N):
     """The split-model lattice at index i: span of p^floor(i*rate_k) x_k."""
     from pstrata.lattice import Lattice

@@ -14,7 +14,7 @@ from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficien
 from pstrata.gmodule import SeriesTrace, lower_p_series
 from pstrata import hausdorff
 from pstrata.lattice import Lattice
-from pstrata.padic import hermite_rows, int_valuation, mat_mul
+from pstrata.padic import hermite_rows, int_valuation, mat_mul, smith_rows
 from pstrata.hausdorff import (
     SubgroupSpec,
     dimension_report,
@@ -67,11 +67,18 @@ class TestPivots:
     def test_order_dependent_rows_are_refused(self):
         # at N = 4 these rows admit pivots (1, 2, 3, 4) as well as
         # (0, 2, 3, 4), depending on the order they are eliminated in; the
-        # pivot exponents sum to 7, so every order is refused below N = 8
+        # pivot exponents sum to 7, so every order is refused below N = 8:
+        # at N = 4 as dependent, the Smith exponents being (0, 1, 1, 4)
+        # with the last one vanishing mod 2^4, and from N = 5 on as short
+        # of precision
         rows = [(4, 0, 0, 2, 2), (1, -15, 4, 1, -9), (0, 0, 0, 2, 2), (0, 2, 0, -10, 2)]
+        assert smith_rows(rows, 2, 4)[0] == [0, 1, 1]
         for order in itertools.permutations(rows):
-            with pytest.raises(PrecisionExhausted):
+            with pytest.raises(RankDeficient):
                 echelon_pivots(SubgroupSpec(2, 4, order))
+            for N in (5, 6, 7):
+                with pytest.raises(PrecisionExhausted):
+                    echelon_pivots(SubgroupSpec(2, N, order))
             assert echelon_pivots(SubgroupSpec(2, 8, order)) == (0, 2, 3, 4)
 
     def test_an_order_with_a_small_exponent_sum_is_certified(self):
@@ -87,6 +94,16 @@ class TestPivots:
                 refused += sum(int_valuation(red[k][c], 2, N) for k, c in enumerate(piv)) >= N
                 assert echelon_pivots(SubgroupSpec(2, N, order)) == (1, 3, 4)
             assert refused == 3  # the given order alone is refused in three of the six
+
+    def test_dependent_rows_are_rank_deficient_in_every_order(self):
+        # three of the six orders give 2 Hermite pivots, the others 3 with
+        # exponents reaching N; the Smith form has 2 exponents, so every
+        # order is refused as dependent, not as short of precision
+        rows = [(-2, 2, 1), (4, -2, 1), (-2, 4, 4)]
+        assert len(smith_rows(rows, 2, 3)[0]) == 2
+        for order in itertools.permutations(rows):
+            with pytest.raises(RankDeficient):
+                echelon_pivots(SubgroupSpec(2, 3, order))
 
     def test_no_rotation_certifies_at_too_low_a_precision(self):
         # the pinned rows' exponents sum to 3 in every order, so N = 3 refuses
@@ -187,7 +204,16 @@ class TestNumericAgainstJoinReference:
         rows = data.draw(hst.lists(hst.lists(entry, min_size=d, max_size=d), max_size=d + 1))
         H = SubgroupSpec(p, tr.precision, tuple(map(tuple, rows)))
         tol = data.draw(hst.sampled_from([F(0), F(1, 100), F(1, 3)]))
-        assert hdim_numeric(H, tr, st, tol) == oracles.join_quotients(H, tr, st, tol)
+        expected = oracles.join_quotients(H, tr, st, tol)
+        assert hdim_numeric(H, tr, st, tol) == expected
+        # the strong flag at its boundary: the tail's spread itself is
+        # strong, anything below it is not
+        tail = expected[0][-max(1, len(expected[0]) // 3):]
+        spread = max(tail) - min(tail)
+        for tol, strong in ((spread, True), (spread - F(1, 10**6), False)):
+            expected = oracles.join_quotients(H, tr, st, tol)
+            assert expected[1] is strong
+            assert hdim_numeric(H, tr, st, tol) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(block_sizes, hst.integers(0, 9), hst.sampled_from([2, 3]), hst.data())
@@ -386,6 +412,23 @@ class TestSpectrum:
         for idx in [(0,), (4,), (0, 3), (1, 2, 4), (0, 1, 2, 3, 4)]:
             H = SubgroupSpec(2, tr.precision, unit_rows(d, idx))
             assert hdim_exact(H, st, b.extra_weights) in sp
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_against_every_subset(self, seed):
+        # seeded multisets of up to 12 weights: d <= 9 rates in [1/d, 1]
+        # drawn from a short pool, so that they repeat, and up to 3 extra
+        # weights off the rates' denominators, a zero one in every fourth
+        rng = random.Random(seed)
+        d = rng.randint(1, 9)
+        pool = [F(n, m) for m in range(1, 7) for n in range(1, m + 1) if F(n, m) >= F(1, d)]
+        pool = rng.sample(pool, rng.randint(1, 4))
+        rates = sorted(rng.choice(pool) for _ in range(d))
+        extras = [F(rng.randint(0, 5), rng.randint(1, 9)) for _ in range(rng.randint(0, 2))]
+        if seed % 4 == 0:
+            extras.append(F(0))
+        rv = RateVector(tuple(rates))
+        expected = oracles.subset_spectrum(list(rv.rates) + extras)
+        assert spectrum(rv, extras) == expected
 
     def test_too_many_weights(self):
         rv = RateVector((F(1),) * 3)
