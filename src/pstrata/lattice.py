@@ -10,10 +10,10 @@ an exact one because each lattice here contains p^N Z_p^d.
 Operations that build a new lattice enforce the precision guard: the
 result's lower level (largest elementary-divisor exponent over Z_p^d)
 must stay at most N - 2, one digit short of the budget, otherwise
-PrecisionExhausted is raised.  The lower level is read off the triangular
-basis by back-substitution, with no Smith form.  The series step is the
-exception: it guards the term it starts from, and the series caches each
-term's level from the divisor profile it computes anyway (`gmodule`).
+PrecisionExhausted is raised.  The lower level is the last exponent of
+the divisor profile.  The series step is the exception: it guards the
+term it starts from, and the series caches each term's level from the
+divisor profile it computes anyway (`gmodule`).
 
 `divisor_profile` reads the elementary divisors of Z_p^d/M off the
 diagonal when M's basis splits as D U, a diagonal of p-powers times a
@@ -30,7 +30,6 @@ action; most terms of a conjugated action are not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,30 +146,12 @@ class Lattice:
         """Least k with p^k Z_p^d inside this lattice.
 
         This is the largest elementary-divisor exponent of Z_p^d over the
-        lattice, which can exceed the largest diagonal exponent of the
-        triangular basis (the diagonal only bounds it from below).
-        Back-substitution solves x @ basis == p^(N-1) e_j for each j; p^k e_j
-        lies inside from k = N - 1 - min v_p(x) on.  An inexact division
-        means p^(N-1) Z_p^d is not inside, exactly when a Smith form mod p^N
-        cannot certify all d divisors.
+        lattice (`divisor_profile`), which can exceed the largest diagonal
+        exponent of the triangular basis (the diagonal only bounds it from
+        below).  PrecisionExhausted when a Smith form mod p^N cannot
+        certify all d divisors.
         """
-        b, d, N = self.basis, self.d, self.N
-        above = [[(t, b[t][c]) for t in range(c) if b[t][c]] for c in range(d)]
-        top = least = self.p ** (N - 1)
-        for j in range(d):
-            x = [0] * d
-            # gcd(x) divides x_j = p^(N-1) / b[j][j], so it is a power of p
-            x[j] = g = top // b[j][j]
-            for c in range(j + 1, d):
-                s = sum(x[t] * v for t, v in above[c])
-                if s:
-                    q, r = divmod(-s, b[c][c])
-                    if r:
-                        raise PrecisionExhausted("lower level not certifiable at this precision")
-                    x[c] = q
-                    g = math.gcd(g, q)
-            least = min(least, g)
-        return N - 1 - int_valuation(least, self.p, N)
+        return divisor_profile(self)[-1]
 
     def solve(self, vec) -> list | None:
         """Exact integer coordinates of vec in this basis, or None.

@@ -22,9 +22,9 @@ and its rate is n/m.  Only integers are compared.  The least period m
 within the bound wins whose shift, read at the window's end, holds back
 over at least 2m steps and half the window; without the half-window
 floor, m = 1 would pass on any two equal steps.
-run_stratification tries the cycle rates first and reads periods only
-once they are rejected; detect_cycle reads the trace's cycle, which the
-series presets.
+run_stratification tries one rate vector: the cycle's rates when the
+trace has a cycle (detect_cycle reads it; the series presets it), the
+periods' rates otherwise.
 """
 
 from __future__ import annotations
@@ -154,17 +154,17 @@ def fit_rational(samples, denom_bound: int):
                       f"{len(col)} samples (best: {held})")
 
 
-def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> RateVector:
+def estimate_rates(trace: SeriesTrace, denom_bound: int = 64) -> RateVector:
     """Read one rate per coordinate off the periods of the trace's divisor profiles.
 
-    Each distinct profile column over the window is read once, by
+    Each distinct profile column over the window 1..i_max is read once, by
     fit_rational with the period bound denom_bound.  Raises ValueError for
-    a bound below 1, RateOutOfRange when a rate escapes [1/d, 1] and
-    NoStableFit (with the coordinate) when a column has no period within
-    the bound.
+    a trace shorter than two steps or a bound below 1, RateOutOfRange when
+    a rate escapes [1/d, 1] and NoStableFit (with the coordinate) when a
+    column has no period within the bound.
     """
-    i_lo, i_hi = _window(trace, window)
-    idx = range(i_lo, i_hi + 1)
+    _check_length(trace)
+    idx = range(1, trace.i_max + 1)
     fits = {}  # equal profile columns have equal rates
     fitted = []
     for k in range(trace.ambient.d):
@@ -179,12 +179,10 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64, window=None) -> Ra
     return RateVector(tuple(fitted))
 
 
-def _window(trace: SeriesTrace, window) -> tuple:
-    """The fit window (i_lo, i_hi), all of 1..i_max by default; ValueError if bad."""
-    i_lo, i_hi = window if window is not None else (1, trace.i_max)
-    if not 1 <= i_lo < i_hi <= trace.i_max:
-        raise ValueError(f"bad window ({i_lo}, {i_hi}) for a trace of length {trace.i_max}")
-    return i_lo, i_hi
+def _check_length(trace: SeriesTrace) -> None:
+    """ValueError unless the fit window 1..i_max holds at least two steps."""
+    if trace.i_max < 2:
+        raise ValueError(f"bad window (1, {trace.i_max}) for a trace of length {trace.i_max}")
 
 
 # -- cycle detection ----------------------------------------------------
@@ -224,18 +222,18 @@ def _prefix_invariant(frame, inv, e: int, action: GroupAction) -> bool:
     return not any(map(any, mul_entries(blocks, tail, pN)))
 
 
-def _solve_row_system(rows, target, p: int, N: int, s_max: int = 6):
+def _solve_row_system(rows, target, p: int, N: int):
     """Solve u . rows = target mod p^N, allowing a p-power denominator.
 
     Returns (u, s) with u integral and (p^-s u) . rows = target mod p^N,
-    for the smallest s <= s_max that admits an integral u, or None.  Free
+    for the smallest s <= 6 that admits an integral u, or None.  Free
     coordinates are set to zero, so among the solution coset this picks
     the one built purely from pivot rows.
     """
     R, piv, T = hermite_rows(rows, p, N, want_transform=True)
     pN = p**N
     m = len(target)
-    for s in range(s_max + 1):
+    for s in range(7):
         b = [(x * p**s) % pN for x in target]
         w = [0] * len(rows)
         ok = True
@@ -387,16 +385,20 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     return c
 
 
-def certify_equivalence(trace: SeriesTrace, strat: Stratification, c_cap: int | None = None):
+def _cap(trace: SeriesTrace) -> int:
+    """The largest window constant certified: max(1, i_max // 4)."""
+    return max(1, trace.i_max // 4)
+
+
+def certify_equivalence(trace: SeriesTrace, strat: Stratification):
     """The window constant of a stratification's frame and rates; None above the cap.
 
     Computed in frame coordinates by _window_constant; the tests check it
     against the model-lattice definition in tests/oracles.py.  The frame must
     be a Z_p-basis (ValueError otherwise).  run_stratification's c is this.
     """
-    cap = c_cap if c_cap is not None else max(1, trace.i_max // 4)
     c = _window_constant(trace, strat.frame, strat.rates)
-    return None if c > cap else c
+    return None if c > _cap(trace) else c
 
 
 def _boundaries(rates: RateVector):
@@ -469,7 +471,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     return strat, None
 
 
-def extract_frame(trace: SeriesTrace, rates, c_cap: int | None = None) -> Stratification:
+def extract_frame(trace: SeriesTrace, rates) -> Stratification:
     """Build and certify a frame for the given rates.
 
     Anchor indices are chosen where the rate denominators align (multiples
@@ -481,7 +483,7 @@ def extract_frame(trace: SeriesTrace, rates, c_cap: int | None = None) -> Strati
     d = trace.ambient.d
     if rv.dimension != d:
         raise ValueError(f"rate vector has {rv.dimension} entries for dimension {d}")
-    cap = c_cap if c_cap is not None else max(1, trace.i_max // 4)
+    cap = _cap(trace)
     lcm_den = math.lcm(*[xi.denominator for xi in rv.rates])
     aligned = (trace.i_max // lcm_den) * lcm_den
     near_end = (aligned, aligned - lcm_den, trace.i_max, trace.i_max - 1)
@@ -495,49 +497,29 @@ def extract_frame(trace: SeriesTrace, rates, c_cap: int | None = None) -> Strati
     raise FrameRejected("; ".join(reasons))
 
 
-def run_stratification(trace: SeriesTrace, denom_bound: int = 64, window=None, c_cap=None):
+def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
     """Full pipeline: cycle detection, rates, frame, certification.
 
-    Returns (stratification, cycle_certificate_or_None), trying at most
-    two rate vectors in two steps:
-      1. a verified cycle pins every rate to n/m exactly; its frame, if
-         certified, is returned with status "exact-cycle", since exact
-         self-similarity extends the window to every later index;
-      2. the rates read off the period of each profile column
-         (estimate_rates), tried unless they equal the cycle rates.  A
-         certified cycle reads no period.
-    Whatever candidate wins must still pass frame extraction, which
-    certifies c over the whole window, so the periods add no unsoundness.
-    Errors: a bad window or a period bound below 1 raises ValueError
-    first, whatever the trace.  With no cycle, a rate error (NoStableFit,
-    RateOutOfRange) is raised as is.  Once the cycle rates were tried, a
-    rate error or rejected rates end in one FrameRejected joining the
-    rejection reasons with " | ".
+    Returns (stratification, cycle_certificate_or_None) for one rate
+    vector.  A verified cycle term(j + m) = p^n term(j) pins every rate to
+    n/m exactly (the step is Z_p-linear, detect_cycle), so no period is
+    read; its frame is returned with status "exact-cycle", since exact
+    self-similarity extends the window to every later index.  With no
+    cycle, the rates are read off the period of each profile column
+    (estimate_rates).  Either way frame extraction certifies c over the
+    whole window, so the periods add no unsoundness.
+    Errors, in this order: a trace shorter than two steps, then a period
+    bound below 1, raise ValueError whatever the trace holds; then the
+    candidate's rate error (NoStableFit, RateOutOfRange) or FrameRejected
+    is raised as is.
     """
-    window = _window(trace, window)
+    _check_length(trace)
     _check_bound(denom_bound)
     cert = detect_cycle(trace)
-    cycle = None if cert is None else RateVector((cert.rate,) * trace.ambient.d)
-    reasons = []
-    if cycle is not None:
-        try:
-            strat = extract_frame(trace, cycle, c_cap=c_cap)
-        except FrameRejected as err:
-            reasons.append(str(err))
-        else:
-            return replace(strat, status="exact-cycle"), cert
-    try:
-        fitted = estimate_rates(trace, denom_bound, window)
-    except (NoStableFit, RateOutOfRange):
-        if cycle is None:
-            raise
-        raise FrameRejected(reasons[0]) from None
-    if fitted != cycle:
-        try:
-            return extract_frame(trace, fitted, c_cap=c_cap), cert
-        except FrameRejected as err:
-            reasons.append(str(err))
-    raise FrameRejected(" | ".join(reasons))
+    if cert is None:
+        return extract_frame(trace, estimate_rates(trace, denom_bound)), None
+    strat = extract_frame(trace, RateVector((cert.rate,) * trace.ambient.d))
+    return replace(strat, status="exact-cycle"), cert
 
 
 # -- splitting along a stratum boundary ---------------------------------

@@ -10,7 +10,7 @@ here), and `approximate_term`, the model lattice the latter builds; and
 the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
 (the cycle key by a Hermite form), `run_stratification_eager` (the
-candidate loop that computed every rate candidate up front),
+one rate candidate picked before any frame is tried),
 `step_by_full_stack` (the series step on every image, zero or not) and
 `lower_p_series_stepwise` (the series with every step run, no tail copied).  The
 definitions `valuation` and `mat_mul_dense` pin the kernels.
@@ -246,43 +246,27 @@ def detect_cycle_by_coordinates(trace):
     return None
 
 
-def run_stratification_eager(trace, denom_bound=64, window=None, c_cap=None):
-    """Reference for strata.run_stratification: every candidate up front.
+def run_stratification_eager(trace, denom_bound=64):
+    """Reference for strata.run_stratification: the one candidate picked up front.
 
-    Detects the cycle and runs the rate fit before any frame is tried,
-    then tries the distinct candidates in order (cycle, fit).  With no
-    candidate the fit error is raised; with all rejected, one
-    FrameRejected joins the reasons.
+    Checks the trace length and the bound, then takes the cycle by
+    coordinates (`detect_cycle_by_coordinates`): with a cycle its rates
+    are the candidate, otherwise the rate fit's.  Only then is a frame
+    tried, and every error is raised as is.
     """
     from dataclasses import replace
 
     from pstrata import strata
-    from pstrata.errors import FrameRejected, NoStableFit, RateOutOfRange
 
-    cert = strata.detect_cycle(trace)
-    d = trace.ambient.d
-    candidates = []
-    if cert is not None:
-        candidates.append(strata.RateVector((cert.rate,) * d))
-    try:
-        rv = strata.estimate_rates(trace, denom_bound, window)
-    except (NoStableFit, RateOutOfRange):
-        if not candidates:
-            raise
-    else:
-        if rv not in candidates:
-            candidates.append(rv)
-    reasons = []
-    for rv in candidates:
-        try:
-            strat = strata.extract_frame(trace, rv, c_cap=c_cap)
-        except FrameRejected as err:
-            reasons.append(str(err))
-            continue
-        if cert is not None and rv.rates == (cert.rate,) * d:
-            strat = replace(strat, status="exact-cycle")
-        return strat, cert
-    raise FrameRejected(" | ".join(reasons))
+    if trace.i_max < 2:
+        raise ValueError(f"bad window (1, {trace.i_max}) for a trace of length {trace.i_max}")
+    if denom_bound < 1:
+        raise ValueError(f"denominator bound {denom_bound} is below 1")
+    cert = detect_cycle_by_coordinates(trace)
+    if cert is None:
+        return strata.extract_frame(trace, strata.estimate_rates(trace, denom_bound)), None
+    strat = strata.extract_frame(trace, strata.RateVector((cert.rate,) * trace.ambient.d))
+    return replace(strat, status="exact-cycle"), cert
 
 
 def step_by_full_stack(M, action):

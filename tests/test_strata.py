@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -264,8 +265,15 @@ class TestFrames:
         strat, _ = run_stratification(tr, denom_bound=8)
         assert oracles.window_constant_by_lattices(tr, strat.frame, strat.rates) == strat.c
         assert certify_equivalence(tr, strat) == strat.c
-        # a tight cap refuses rather than stretching the constant
-        assert certify_equivalence(tr, strat, c_cap=0) is None
+        # the cap max(1, i_max // 4) refuses rather than stretching the
+        # constant: at imax 8 (cap 2) wrong rates on the certified frame
+        # need c = 6
+        tr = lower_p_series(b.lattice, b.action, 8)
+        strat, _ = run_stratification(tr, denom_bound=3)
+        assert certify_equivalence(tr, strat) == strat.c == 1
+        wrong = replace(strat, rates=RateVector((F(1),) * 5))
+        assert oracles.window_constant_by_lattices(tr, wrong.frame, wrong.rates) == 6
+        assert certify_equivalence(tr, wrong) is None
 
     def test_approximate_terms_are_invariant(self):
         b = get_bundle("Gm2")
@@ -547,19 +555,11 @@ def _pipeline(run, tr, **kwargs):
 @given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.sampled_from([0, 1, 2]),
        st.data())
 def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
-    """Same result or same error as computing every candidate up front, from any start."""
+    """Same result or same error as picking the one candidate up front, from any start."""
     tr = _series(instance, p, i_max, start)
-    i_max = tr.i_max
-    good = st.integers(1, i_max - 1).flatmap(
-        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, i_max)))
-    any_pair = st.tuples(st.integers(0, i_max + 1), st.integers(0, i_max + 1))
-    kwargs = dict(
-        denom_bound=data.draw(st.sampled_from([1, 2, 3, 8, 64])),
-        window=data.draw(st.none() | good | any_pair),
-        c_cap=data.draw(st.sampled_from([None, 0, 1])),
-    )
-    expected = _pipeline(oracles.run_stratification_eager, tr, **kwargs)
-    assert _pipeline(run_stratification, tr, **kwargs) == expected
+    bound = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
+    expected = _pipeline(oracles.run_stratification_eager, tr, denom_bound=bound)
+    assert _pipeline(run_stratification, tr, denom_bound=bound) == expected
 
 
 def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
@@ -674,12 +674,43 @@ def test_denominator_bound_is_refused_when_a_cycle_certifies():
 
 
 def test_bad_window_is_refused_when_a_cycle_certifies():
-    b = get_bundle("eisenstein2")
-    tr = lower_p_series(b.lattice, b.action, 16)
-    assert run_stratification(tr, denom_bound=8)[0].status == "exact-cycle"
-    for window in ((0, 16), (8, 8), (1, 17)):
-        with pytest.raises(ValueError, match="bad window"):
-            run_stratification(tr, denom_bound=8, window=window)
+    # a trace shorter than two steps is refused before its cycle is read,
+    # even where term 1 already is p times term 0
+    for name in ("trivial", "eisenstein1"):
+        b = get_bundle(name)
+        assert run_stratification(lower_p_series(b.lattice, b.action, 2),
+                                  denom_bound=1)[0].status == "exact-cycle"
+        for i_max in (0, 1):
+            tr = lower_p_series(b.lattice, b.action, i_max)
+            assert (tr.cycle is not None) == (i_max == 1)
+            with pytest.raises(ValueError, match=fr"^bad window \(1, {i_max}\) for a trace "
+                                                 fr"of length {i_max}$"):
+                run_stratification(tr, denom_bound=1)
+
+
+def test_a_rejected_cycle_is_the_answer(monkeypatch):
+    # the cycle's rates are the rates: rejected, they end the run, and no
+    # period is read for rates that some other frame might certify
+    tr = _cycled_trace()
+    cycle = RateVector((detect_cycle(tr).rate,) * tr.ambient.d)
+    other = Stratification(frame=((1, 0), (0, 1)), rates=RateVector((F(1, 2), F(1))), c=0,
+                           window=(0, tr.i_max), status="certified-window")
+    fits = []
+
+    def extract(trace, rates, **_):
+        if rates == cycle:
+            raise FrameRejected("cycle frame rejected")
+        return other
+
+    def fit(*args):
+        fits.append(args)
+        return other.rates
+
+    monkeypatch.setattr(strata, "extract_frame", extract)
+    monkeypatch.setattr(strata, "estimate_rates", fit)
+    with pytest.raises(FrameRejected, match="^cycle frame rejected$"):
+        run_stratification(tr, denom_bound=8)
+    assert fits == []
 
 
 def _unimodular_signed(data, d, entry, diagonal):
