@@ -41,24 +41,24 @@ input only: the standard start, the precision, and index growth of a
 digit per step, which fails when unipotent generators generate a group
 that is not pro-p.
 
-The series searches for its own cycle as it grows (`_cycle_hit`, one
-bucket check per term), and from the first certificate term(j + m) ==
-p^n term(j) on it copies instead of stepping: term i = p^n term(i - m).
-The step is Z_p-linear, step(p^n M) = p^n step(M), so term(i + m) ==
-p^n term(i) for every i >= j by induction.  The copy's basis is p^n B,
-which is canonical whenever B is: it stays upper triangular, its pivots
-are p^(e_k + n), and an entry x in [0, p^e) above a pivot becomes p^n x
-in [0, p^(e + n)); a canonical basis is unique, so p^n B is the basis a
-step would have given.  Term i contains p^i Z_p^d, so its pivots, which
-are at most p^(lower level), stay at most p^i < p^N.  The elementary
-divisors of p^n B are p^n times those of B, so the copy's diagonal
-exponents, profile and lower level are those of term(i - m) plus n.  The
-index growth check still runs on every term.
+A series searches for its own cycle as it grows (`_cycle_hit`, one bucket
+check per term).  From its first certificate term(j + m) == p^n term(j) on
+it repeats: term i = p^n term(i - m).  The step is Z_p-linear,
+step(p^n M) = p^n step(M), so term(i + m) == p^n term(i) for every i >= j
+by induction.  The copy's basis is p^n B, which is canonical whenever B
+is: it stays upper triangular, its pivots are p^(e_k + n), and an entry x
+in [0, p^e) above a pivot becomes p^n x in [0, p^(e + n)); a canonical
+basis is unique, so p^n B is the basis a step would have given.  Term i
+contains p^i Z_p^d, so its pivots, which are at most p^(lower level),
+stay at most p^i < p^N.  The elementary divisors of p^n B are p^n times
+those of B, so the copy's diagonal exponents, profile and lower level are
+those of term(i - m) plus n.
 
 An action whose deltas couple no two of some contiguous coordinate
-intervals I_1, ..., I_k (`GroupAction._blocks`, the finest such split) has
-a series by blocks.  Let V_s be the coordinates in I_s; every delta maps
-each V_s into itself, so each V_s is invariant.
+intervals I_1, ..., I_k (`GroupAction._blocks`, the finest such split; one
+interval when the action does not split) has a series by blocks.  Let V_s
+be the coordinates in I_s; every delta maps each V_s into itself, so each
+V_s is invariant.
 - Blockwise steps.  For M = M_1 + ... + M_k with M_s in V_s, the image
   M(g_t - 1) is the set of sums of x_s (g_t - 1) over independent x_s in
   M_s, which is the direct sum of the M_s (g_t - 1); and pM is the sum of
@@ -78,20 +78,30 @@ each V_s into itself, so each V_s is invariant.
   elementary divisors are the blocks' together.  Term i contains
   p^i Z_p^d, so every exponent is below N and certified; sorted, they are
   `divisor_profile` of term i, and the last is its lower level.
-- Each block tails on its own.  A block's step is Z_p-linear, so the
-  scalar-cycle lemma above holds inside it: from its first hit
-  term_s(j + m) == p^n term_s(j) on, term_s(i) = p^n term_s(i - m).  A
-  block's bases are its rows of the assembled terms, zero outside I_s, so
-  `_cycle_hit` on those rows and the block's profiles finds that hit, and
-  the copy reads the rows of term i - m.
-While the whole series has no cycle, each block steps until its own hit
-and copies after it; the whole cycle search, the whole copy tail and the
-index growth check run on the assembled terms as before, so a stalled
-block passes when the sum grows a digit per step.
+- The whole cycle is read off the blocks' first hits.  Each block steps
+  from its own Z_p^(I_s) until its first hit (j_s, m_s, n_s) or i_max.
+  Lemma: the whole series has a cycle ending by term i_max iff every block
+  hit and all rates n_s/m_s are equal to one rate r; its first is then
+  (j, m, n) = (max j_s, lcm m_s, r m), provided j + m <= i_max.  Proof: a
+  block's terms before j_s + m_s are pairwise non-proportional, as its
+  first hit is the least such pair; from j_s on it repeats with period
+  m_s, so a later term is p^(k n_s) times one of its terms j_s ..
+  j_s + m_s - 1.  Hence term_s(i) = p^n term_s(j) with j < i holds iff
+  j >= j_s, m_s divides i - j and n = (i - j) n_s/m_s.  Term i of the sum
+  is p^n times term j iff that holds in every block with the same n, that
+  is iff the rates are equal, j >= max j_s and lcm m_s divides i - j; the
+  least such i is max j_s + lcm m_s, and a block that did not hit by
+  i_max has no such pair there.  So the terms up to j + m are assembled
+  from the blocks' (a block's term past its own hit is the scaled copy
+  above), the later ones are copied as p^n term(i - m), and a one-block
+  action's terms are its own.  The index growth check reads every profile
+  of the sum, so a stalled block passes when the sum grows a digit per
+  step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -171,13 +181,13 @@ class GroupAction:
 
     @cached_property
     def _blocks(self) -> tuple:
-        """The finest contiguous intervals no delta couples, as (start, action), or ().
+        """The finest contiguous intervals no delta couples, as (start, action).
 
-        () when the action has one block.  Computed on the first series, not
-        at construction.  Interval k ends where no nonzero delta entry (i, j)
-        has min(i, j) <= k < max(i, j).  A block's action holds the diagonal
-        blocks of the generators whose delta is not zero there, or the
-        identity when none is.
+        ((0, self),) when the action has one block.  Computed on the first
+        series, not at construction.  Interval k ends where no nonzero delta
+        entry (i, j) has min(i, j) <= k < max(i, j).  A block's action holds
+        the diagonal blocks of the generators whose delta is not zero there,
+        or the identity when none is.
         """
         d = self.d
         reach = list(range(d))
@@ -191,7 +201,7 @@ class GroupAction:
             if end == k:
                 cuts.append(k + 1)
         if len(cuts) == 2:
-            return ()
+            return ((0, self),)
         blocks = []
         for a, b in zip(cuts, cuts[1:]):
             grids = tuple(tuple(row[a:b] for row in g[a:b])
@@ -269,8 +279,10 @@ class CycleCertificate:
 class SeriesTrace:
     """The computed prefix of a lower p-series with divisor bookkeeping.
 
-    log_indices is computed on first use and kept; so is cycle, unless
-    `lower_p_series` preset it.
+    log_indices is computed on first use and kept.  cycle is the series'
+    first certificate term(j + m) == p^n term(j) with j + m <= i_max, set
+    by `lower_p_series` only; a trace built by hand has None, as if its
+    terms never repeated.
     """
 
     ambient: Lattice
@@ -278,6 +290,7 @@ class SeriesTrace:
     terms: tuple
     profiles: tuple
     i_max: int
+    cycle: CycleCertificate | None = None
 
     @property
     def precision(self) -> int:
@@ -287,24 +300,8 @@ class SeriesTrace:
     def log_indices(self) -> tuple:
         return tuple(sum(prof) for prof in self.profiles)
 
-    @cached_property
-    def cycle(self) -> CycleCertificate | None:
-        """The first exact p-power repetition of the terms, or None.
 
-        `lower_p_series` presets it, from the same search run term by term
-        as the series grows; a trace built by hand searches its terms here,
-        on first use (`_cycle_hit`).
-        """
-        buckets: dict = {}
-        for i in range(len(self.terms)):
-            hit = _cycle_hit(self.terms, self.profiles, buckets, i)
-            if hit is not None:
-                return hit
-        return None
-
-
-def _cycle_hit(terms, profiles, buckets: dict, i: int,
-               rows: slice = slice(None)) -> CycleCertificate | None:
+def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | None:
     """The certificate ending at term i, given the buckets of terms 0..i-1, or None.
 
     Canonical bases are unique and p^n B_j is canonical with B_j, so
@@ -319,9 +316,7 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int,
     hit (j, j+m) with n <= m is the certificate term(j + m) == p^n term(j)
     itself; the tests re-check it.  Term i joins its bucket unless it
     repeats an earlier term; called for i = 0, 1, ... in turn, the first
-    hit is the first certificate of the series.  With rows a..b and the
-    profiles of block a..b the search is that block's: its bases are those
-    rows of the terms, zero outside the block (module docstring).
+    hit is the first certificate of the series.
     """
     term, prof = terms[i], profiles[i]
     u = prof[0]
@@ -329,7 +324,7 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int,
     for j in bucket:
         n = u - profiles[j][0]
         f = term.p**n
-        if all(f * x == y for rj, ri in zip(terms[j].basis[rows], term.basis[rows])
+        if all(f * x == y for rj, ri in zip(terms[j].basis, term.basis)
                for x, y in zip(rj, ri)):
             m = i - j
             return CycleCertificate(j=j, m=m, n=n) if n <= m else None
@@ -346,50 +341,55 @@ def _scaled(M: Lattice, n: int) -> Lattice:
     return lat
 
 
-def _block_parts(act: GroupAction, a: int, d: int, terms: list):
-    """Block a..a + act.d of terms 1, 2, ... of a split series (module docstring).
-
-    Yields term i's block: its canonical rows padded with zeros to width d,
-    its diagonal exponents and its profile.  The block steps until its own
-    cycle hit (j, m, n), then copies p^n times its rows of term i - m.  The
-    caller appends term i to terms before it asks for term i + 1; the block
-    keeps its profiles and its current lattice, no list of terms.
-    """
-    p, b = act.p, a + act.d
-    rows = slice(a, b)
-    pad_l, pad_r = (0,) * a, (0,) * (d - b)
+def _block_series(act: GroupAction, i_max: int) -> tuple:
+    """A block's terms from Z_p^act.d to its first cycle hit or i_max: (terms, profiles, hit)."""
     zero = (0,) * act.d
-    cur = Lattice._canonical(p, act.N, act.d, _freeze(identity(act.d)))  # Z_p^(b - a)
+    cur = Lattice._canonical(act.p, act.N, act.d, _freeze(identity(act.d)))  # Z_p^act.d
     cur.__dict__.update(diag_exponents=zero, lower_level=0)
-    profiles, buckets = [zero], {}
-    hit = _cycle_hit(terms, profiles, buckets, 0, rows)  # None: term 0 joins its bucket
-    i = 1
-    while hit is None:
+    terms, profiles, buckets = [cur], [zero], {}
+    hit = _cycle_hit(terms, profiles, buckets, 0)  # None: term 0 joins its bucket
+    while hit is None and len(terms) <= i_max:
         cur = _step(cur, act)
         prof = divisor_profile(cur)
+        # the Smith exponents of the term's own basis: the last is its lower level
         cur.__dict__["lower_level"] = prof[-1]
+        terms.append(cur)
         profiles.append(prof)
-        yield [pad_l + row + pad_r for row in cur.basis], cur.diag_exponents, prof
-        hit = _cycle_hit(terms, profiles, buckets, i, rows)
-        i += 1
-    m, n = hit.m, hit.n
-    f = p**n
-    while True:
-        src = terms[i - m]
-        prof = tuple([e + n for e in profiles[i - m]])
-        profiles.append(prof)
-        yield ([tuple([f * x for x in row]) for row in src.basis[rows]],
-               [e + n for e in src.diag_exponents[rows]], prof)
-        i += 1
+        hit = _cycle_hit(terms, profiles, buckets, len(terms) - 1)
+    return terms, profiles, hit
 
 
-def _assembled(L: Lattice, parts) -> tuple:
-    """The term whose blocks are parts, with its profile; pivots and level cached."""
+def _joint_cycle(hits, i_max: int) -> CycleCertificate | None:
+    """The whole series' first cycle from its blocks' first hits, or None (module docstring)."""
+    if None in hits:
+        return None
+    first = hits[0]
+    if any(h.n * first.m != first.n * h.m for h in hits):  # the rates n_s/m_s differ
+        return None
+    j = max(h.j for h in hits)
+    m = math.lcm(*(h.m for h in hits))
+    if j + m > i_max:
+        return None
+    return CycleCertificate(j=j, m=m, n=first.n * (m // first.m))
+
+
+def _assembled(L: Lattice, blocks, i: int) -> tuple:
+    """Term i stacked from its blocks' parts, with its profile; pivots and level cached.
+
+    Past its prefix, a block's term i is p^(k n_s) times its term
+    i - k m_s, which lies in j_s .. j_s + m_s - 1 (module docstring).
+    """
     basis, exps, merged = [], [], []
-    for rows, e, prof in parts:
-        basis += rows
-        exps += e
-        merged += prof
+    for a, terms, profiles, hit in blocks:
+        t, n = i, 0
+        if i >= len(terms):
+            k = (i - hit.j) // hit.m
+            t, n = i - k * hit.m, k * hit.n
+        src, f = terms[t], L.p**n
+        pad_l, pad_r = (0,) * a, (0,) * (L.d - a - src.d)
+        basis += [pad_l + tuple([f * x for x in row]) + pad_r for row in src.basis]
+        exps += [e + n for e in src.diag_exponents]
+        merged += [e + n for e in profiles[t]]
     prof = tuple(sorted(merged))
     lat = Lattice._canonical(L.p, L.N, L.d, tuple(basis))
     lat.__dict__.update(diag_exponents=tuple(exps), lower_level=prof[-1])
@@ -402,14 +402,14 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     L must be Z_p^d (ValueError otherwise; `restrict_action` moves another
     invariant start there).  Requires N >= i_max + 2 so every term stays
     representable; each term is invariant and lies between p times the
-    previous term and the previous term (module docstring).  Each step
+    previous term and the previous term (module docstring).  Every term
     asserts the trivial index bound log_p |L : term_i| >= i; a violation
     means the group is not pro-p and raises PstrataError with the index.
-    A series with a cycle (j, m, n) makes j + m steps; every later term is
-    p^n times the term m before it (module docstring), and the trace's
-    cycle is preset.  Until then, an action split into coordinate blocks
-    steps each block until its own cycle and assembles the terms from the
-    blocks' rows (module docstring).
+    Each coordinate block of the action (one when it does not split) steps
+    until its own first cycle hit or i_max; the trace's cycle (j, m, n) is
+    read off those hits, the terms up to j + m (or i_max) are assembled
+    from the blocks, and every later term is p^n times the term m before it
+    (module docstring).
     """
     _check_context(L, action)
     if L.log_det:
@@ -418,42 +418,26 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
         raise PrecisionExhausted(
             f"precision {L.N} cannot certify {i_max} steps; need at least {i_max + 2}"
         )
-    terms = []
-    profiles = []
-    buckets: dict = {}
-    cycle = None
-    # each block's parts of terms 1, 2, ...; none when the action is one block
-    blocks = [_block_parts(act, a, L.d, terms) for a, act in action._blocks]
-    cur = L
-    for i in range(i_max + 1):
-        if cycle is not None:  # term(i) = p^n term(i - m): a copy, not a step
-            cur = _scaled(terms[i - cycle.m], cycle.n)
-            prof = tuple([e + cycle.n for e in profiles[i - cycle.m]])
-        elif i and blocks:
-            cur, prof = _assembled(L, [next(blk) for blk in blocks])
-        else:
-            if i:
-                cur = _step(cur, action)
-            prof = divisor_profile(cur)
-            # the Smith exponents of the term's own basis: the last is its lower level
-            cur.__dict__["lower_level"] = prof[-1]
+    blocks = [(a, *_block_series(act, i_max)) for a, act in action._blocks]
+    cycle = _joint_cycle([hit for *_, hit in blocks], i_max)
+    last = i_max if cycle is None else cycle.j + cycle.m
+    if len(blocks) == 1:  # the one block is the action: its terms are the series'
+        _, terms, profiles, _ = blocks[0]
+    else:
+        terms, profiles = [], []
+        for i in range(last + 1):
+            term, prof = _assembled(L, blocks, i)
+            terms.append(term)
+            profiles.append(prof)
+    for i in range(last + 1, i_max + 1):  # term(i) = p^n term(i - m): a copy, not a step
+        terms.append(_scaled(terms[i - cycle.m], cycle.n))
+        profiles.append(tuple([e + cycle.n for e in profiles[i - cycle.m]]))
+    for i, prof in enumerate(profiles):
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
-        terms.append(cur)
-        profiles.append(prof)
-        if cycle is None:
-            cycle = _cycle_hit(terms, profiles, buckets, i)
-    trace = SeriesTrace(
-        ambient=L,
-        action=action,
-        terms=tuple(terms),
-        profiles=tuple(profiles),
-        i_max=i_max,
-    )
-    trace.__dict__["cycle"] = cycle  # the search SeriesTrace.cycle would run
-    return trace
+    return SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max, cycle)
 
 
 def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:

@@ -36,7 +36,6 @@ from fractions import Fraction
 
 from .errors import EnumerationTooLarge, PrecisionExhausted, RankDeficient
 from .gmodule import SeriesTrace
-from .lattice import Lattice
 from .padic import (
     _freeze,
     hermite_insert,
@@ -185,12 +184,11 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     with pivot exponents e_k, span J_i together with p^N Z_p^d.  When term_i
     has lower level l <= N - 2, p^N Z_p^d = p^(N-l) p^l Z_p^d lies in
     p^2 J_i, so J_i = span(T) + pJ_i and span(T) = J_i by Nakayama's lemma.
-    Hence sum(e_k) = log|Z_p^d : J_i|, the numerator log|J_i : term_i| is
-    log_det(term_i) - sum(e_k), and lower_level(J_i) <= l passes the guard.
-    The join is therefore guarded only when term_i has no cached level of
-    at most N - 2 (lower_p_series caches one; a hand-built trace may not);
-    a join that passes the guard contains p^(N-2) Z_p^d, and the same
-    argument applies to it.
+    Hence sum(e_k) = log|Z_p^d : J_i|, and the numerator log|J_i : term_i|
+    is log_det(term_i) - sum(e_k).  So each term inserted is guarded first
+    (`Lattice.guard`): for a term of `lower_p_series` that reads the level
+    the series cached, and a hand-built trace whose term fails it raises
+    PrecisionExhausted.
 
     Stationary join.  Let F be the sum of the pivot exponents of
     `hermite_rows(H)`, plus N for each column without a pivot.  Those rows,
@@ -198,12 +196,12 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     a sublattice of Hbar = H + p^N Z_p^d, so F >= log|Z_p^d : Hbar|.  The
     terms descend (lower_p_series builds each inside the one before; a
     hand-built SeriesTrace must descend too), so for j > i, Hbar lies in
-    J_j and J_j in J_i.  Suppose the join J_i passed the guard and
-    sum(e_k) = F.  Then log|Z_p^d : J_i| = F >= log|Z_p^d : Hbar| while
-    J_i contains Hbar, so the two are equal, and so is every later J_j.
-    From there each numerator is log_det(term_j) - F, with no insertion and
-    no guard: J_j is the join that already passed it.  Since Hbar then
-    passes the guard, the exit fires only for a full-rank H.
+    J_j and J_j in J_i.  Suppose term_i passed the guard and sum(e_k) = F.
+    Then log|Z_p^d : J_i| = F >= log|Z_p^d : Hbar| while J_i contains Hbar,
+    so the two are equal, and so is every later J_j.  From there each
+    numerator is log_det(term_j) - F, with no insertion and no guard.
+    Hbar = J_i then contains term_i, hence p^(N-2) Z_p^d, so the exit fires
+    only for a full-rank H.
 
     Cycle.  Call H saturated when every pivot of `hermite_rows(H)` is 1,
     that is F = N (d - r) with r pivots.  Then Hbar = S + p^N C, a direct
@@ -217,14 +215,13 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     and the modular law gives Hbar cap p^n T = p^n ((S cap T) + p^(N-n) C)
     and Hbar cap T = (S cap T) + p^N C.  The first has index p^(n r) |S :
     S cap T| in Hbar, the second |S : S cap T|.  When the trace has a cycle
-    (j, m, n) (`SeriesTrace.cycle`, shared with run_stratification),
-    term_i = p^n term_(i-m) for every i >= j + m (`strata.detect_cycle`),
-    so numerator_i = numerator_(i-m) + n r, with numerator_0 = 0 as every
-    series starts at Z_p^d.  Only terms 1 .. j + m - 1 are inserted; a
-    later term is inserted only when it has no cached level of at most
-    N - 2, which a trace from lower_p_series never lacks.  An H that is not
-    saturated, or a trace with no cycle, goes through the insertion loop
-    above, stationary exit and guard included.
+    (j, m, n) (`SeriesTrace.cycle`, which only lower_p_series sets, and
+    whose terms all pass the guard), term_i = p^n term_(i-m) for every
+    i >= j + m (`strata.detect_cycle`), so numerator_i = numerator_(i-m) +
+    n r, with numerator_0 = 0 as every series starts at Z_p^d.  Only terms
+    1 .. j + m - 1 are inserted.  An H that is not saturated, or a trace
+    with no cycle, hand-built ones included, goes through the insertion
+    loop above, stationary exit and guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
@@ -237,14 +234,12 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     joined = None
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
-        level_cached = lam.__dict__.get("lower_level", N) <= N - 2
-        if cycle is not None and i >= cycle.j + cycle.m and level_cached:
+        if cycle is not None and i >= cycle.j + cycle.m:
             numerators.append(numerators[i - cycle.m] + cycle.n * r)
             continue
         if joined != bound:
-            tri, exps = hermite_insert(lam.basis, amb, p, N, lam.diag_exponents)
-            if not level_cached:
-                Lattice.unguarded(p, N, d, tri).guard()
+            lam.guard()
+            _, exps = hermite_insert(lam.basis, amb, p, N, lam.diag_exponents)
             joined = sum(exps)
         numerators.append(lam.log_det - joined)
     pairs = list(zip(numerators[1:], trace.log_indices[1:]))

@@ -23,7 +23,7 @@ within the bound wins whose shift, read at the window's end, holds back
 over at least 2m steps and half the window; without the half-window
 floor, m = 1 would pass on any two equal steps.
 run_stratification tries one rate vector: the cycle's rates when the
-trace has a cycle (detect_cycle reads it; the series presets it), the
+trace has a cycle (detect_cycle reads it; the series sets it), the
 periods' rates otherwise.
 """
 
@@ -182,7 +182,7 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64) -> RateVector:
 def _check_length(trace: SeriesTrace) -> None:
     """ValueError unless the fit window 1..i_max holds at least two steps."""
     if trace.i_max < 2:
-        raise ValueError(f"bad window (1, {trace.i_max}) for a trace of length {trace.i_max}")
+        raise ValueError(f"i_max must be at least 2 to read a rate, got {trace.i_max}")
 
 
 # -- cycle detection ----------------------------------------------------
@@ -191,9 +191,9 @@ def _check_length(trace: SeriesTrace) -> None:
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     """The first exact repetition term(j + m) == p^n term(j), 0 <= n <= m, or None.
 
-    The search (`SeriesTrace.cycle`) runs once per trace, and
-    `gmodule.lower_p_series` presets its result while it builds the terms;
-    run_stratification and `hausdorff.hdim_numeric` share it.  One hit
+    `gmodule.lower_p_series` reads it off the first hits of the action's
+    coordinate blocks and sets `SeriesTrace.cycle`; a hand-built trace has
+    None.  run_stratification and `hausdorff.hdim_numeric` share it.  One hit
     extends to every i >= j: the step M -> pM + sum_t M(g_t - 1) is
     Z_p-linear, so it sends p^n M to p^n times its image, and
     term(i + m) == p^n term(i) for each i >= j by induction on i.

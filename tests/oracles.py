@@ -259,7 +259,7 @@ def run_stratification_eager(trace, denom_bound=64):
     from pstrata import strata
 
     if trace.i_max < 2:
-        raise ValueError(f"bad window (1, {trace.i_max}) for a trace of length {trace.i_max}")
+        raise ValueError(f"i_max must be at least 2 to read a rate, got {trace.i_max}")
     if denom_bound < 1:
         raise ValueError(f"denominator bound {denom_bound} is below 1")
     cert = detect_cycle_by_coordinates(trace)
@@ -284,8 +284,11 @@ def lower_p_series_stepwise(L, action, i_max):
     """Reference for gmodule.lower_p_series: every term by a step, none copied.
 
     Checks the index growth and caches each term's level from its profile,
-    as the library does; the trace's cycle is left to the lazy search.
+    as the library does; the trace's cycle is the first repetition found by
+    coordinates (`detect_cycle_by_coordinates`).
     """
+    from dataclasses import replace
+
     from pstrata.errors import PstrataError
     from pstrata.gmodule import SeriesTrace, _step
     from pstrata.lattice import divisor_profile
@@ -301,4 +304,5 @@ def lower_p_series_stepwise(L, action, i_max):
             raise PstrataError(f"series index grew too slowly at step {i}")
         terms.append(cur)
         profiles.append(prof)
-    return SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max)
+    trace = SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max)
+    return replace(trace, cycle=detect_cycle_by_coordinates(trace))

@@ -15,6 +15,8 @@ from pstrata.gmodule import (
     CycleCertificate,
     GroupAction,
     SeriesTrace,
+    _block_series,
+    _joint_cycle,
     _step,
     check_invariance,
     lower_p_series,
@@ -181,8 +183,9 @@ def series_instances(draw):
 @given(series_instances())
 def test_tail_copies_match_the_stepwise_series(instance):
     # past its cycle the series copies p^n term(i - m) instead of stepping;
-    # every term, pivot, level, profile, index and the cycle are those of
-    # the series that runs every step
+    # every term, pivot, level, profile and index is that of the series
+    # that runs every step, and the cycle read off the blocks is the first
+    # repetition of those terms found by coordinates
     act, i_max = instance
     tr = lower_p_series(Lattice.standard(act.p, act.N, act.d), act, i_max)
     ref = oracles.lower_p_series_stepwise(Lattice.standard(act.p, act.N, act.d), act, i_max)
@@ -230,7 +233,7 @@ def test_a_split_series_steps_each_block_until_its_own_cycle(monkeypatch, name, 
 def test_a_one_block_series_without_a_cycle_steps_every_term(monkeypatch):
     calls = _count_steps(monkeypatch)
     b = random_block_action((2, 2), 0, p=2, N=42)
-    assert b.action._blocks == ()  # one block: the loop of the whole series
+    assert b.action._blocks == ((0, b.action),)  # one block: the action itself
     tr = lower_p_series(b.lattice, b.action, 40)
     assert tr.cycle is None
     assert len(calls) == 40
@@ -259,14 +262,41 @@ def test_the_index_check_reads_the_whole_profile():
 
 @pytest.mark.parametrize("name", ["eisenstein1", "eisenstein3", "Gm1", "Gm2", "remark27"])
 def test_the_preset_cycle_is_the_lazy_search(name):
+    # the cycle the series sets from its blocks' hits is the one a search
+    # over the finished terms finds
     b = get_bundle(name, p=3, N=42)
     tr = lower_p_series(b.lattice, b.action, 40)
-    assert "cycle" in vars(tr)  # preset by the series, not searched on first use
-    lazy = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
-    assert "cycle" not in vars(lazy)
-    assert lazy.cycle == tr.cycle
+    assert tr.cycle == oracles.detect_cycle_by_coordinates(tr)
     expected = b.expected_cycle
     assert tr.cycle == (None if expected is None else CycleCertificate(*expected))
+    # only lower_p_series sets the cycle: a trace built by hand has none
+    assert SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max).cycle is None
+
+
+@pytest.mark.parametrize("p,blocks,whole", [
+    (3, [(0, 1, 1), (0, 1, 1), (2, 1, 1)], (2, 1, 1)),
+    (2, [(0, 1, 1), (0, 1, 1), (1, 1, 1)], (1, 1, 1)),
+])
+def test_blocks_that_cycle_from_different_j(p, blocks, whole):
+    # the whole series cycles from the latest block's j
+    b = random_block_action((1, 4, 1), 6, p=p, N=42)
+    hits = [_block_series(act, 40)[2] for _, act in b.action._blocks]
+    assert hits == [CycleCertificate(*h) for h in blocks]
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert tr.cycle == CycleCertificate(*whole) == oracles.detect_cycle_by_coordinates(tr)
+
+
+@pytest.mark.parametrize("hits,i_max,joint", [
+    ([(1, 2, 1), (0, 4, 2)], 40, (1, 4, 2)),  # equal rates 1/2: max j, lcm m, rate times lcm
+    ([(0, 4, 2), (1, 6, 3)], 40, (1, 12, 6)),  # the lcm of 4 and 6 is not their max
+    ([(0, 2, 1), (0, 3, 1)], 40, None),  # rates 1/2 and 1/3
+    ([(1, 2, 1), (0, 4, 2)], 4, None),  # j + m = 5 > i_max
+    ([(1, 2, 1), (0, 4, 2)], 5, (1, 4, 2)),
+    ([(0, 1, 1), None], 40, None),  # a block without a hit
+])
+def test_the_joint_cycle_of_block_hits(hits, i_max, joint):
+    hits = [None if h is None else CycleCertificate(*h) for h in hits]
+    assert _joint_cycle(hits, i_max) == (None if joint is None else CycleCertificate(*joint))
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):

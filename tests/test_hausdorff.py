@@ -12,7 +12,7 @@ import oracles
 from pstrata.catalog import build_Gm_lattice, get_bundle, random_block_action
 from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficient
 from pstrata.gmodule import SeriesTrace, lower_p_series
-from pstrata import hausdorff
+from pstrata import hausdorff, lattice
 from pstrata.lattice import Lattice
 from pstrata.padic import hermite_rows, int_valuation, mat_mul, smith_rows
 from pstrata.hausdorff import (
@@ -278,29 +278,31 @@ class TestNumericAgainstJoinReference:
         assert (q, strong) == oracles.join_quotients(H, tr, st)
 
     def test_no_lattice_is_built_when_every_term_has_a_level(self, monkeypatch):
-        # lower_p_series caches each term's level, so no join is guarded:
-        # hdim_numeric builds no Lattice, its only way to reach hermite_rows
+        # lower_p_series caches each term's level, so the term guard reads
+        # it and takes no divisor profile; no join lattice is built either
         tr, st = _random_instance((2, 1), 0, 2)
         H = SubgroupSpec(2, tr.precision, ((1, 0, 0), (0, 2, 1)))
         expected = oracles.join_quotients(H, tr, st)
-        monkeypatch.setattr(hausdorff, "Lattice", None)
+        monkeypatch.setattr(lattice, "divisor_profile", None)
+        monkeypatch.setattr(Lattice, "_canonical", None)
         assert hdim_numeric(H, tr, st) == expected
 
     def test_guard_still_fires_on_a_hand_built_trace(self):
-        # the term's level 5 exceeds N - 2 = 4 and nothing cached it, so the
-        # join is guarded as Lattice.from_rows guards it
+        # the term's level 5 exceeds N - 2 = 4, so the Nakayama argument
+        # does not cover its joins: the term guard refuses every H
         L = Lattice.standard(2, 6, 2)
         deep = Lattice(2, 6, 2, ((1, 0), (0, 32)))
         tr = SeriesTrace(L, None, (L, deep), ((0, 0), (0, 5)), 1)
         st = Stratification(((1, 0), (0, 1)), RateVector((F(1), F(1))), 0, (1, 1), "")
+        for rows in [(), ((2, 0),), ((0, 1),)]:
+            with pytest.raises(PrecisionExhausted):
+                hdim_numeric(SubgroupSpec(2, 6, rows), tr, st)
+        # the reference guards each join instead: it refuses the first two
+        # and accepts (0, 1), whose join with the term is all of Z_p^2
         for rows in [(), ((2, 0),)]:
-            H = SubgroupSpec(2, 6, rows)
             with pytest.raises(PrecisionExhausted):
-                oracles.join_quotients(H, tr, st)
-            with pytest.raises(PrecisionExhausted):
-                hdim_numeric(H, tr, st)
-        H = SubgroupSpec(2, 6, ((0, 1),))
-        assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st) == ([F(1)], True)
+                oracles.join_quotients(SubgroupSpec(2, 6, rows), tr, st)
+        assert oracles.join_quotients(SubgroupSpec(2, 6, ((0, 1),)), tr, st) == ([F(1)], True)
 
 
 def _count_inserts(monkeypatch) -> list:
@@ -372,14 +374,15 @@ class TestNumericCycle:
             assert len(calls) == inserts
 
     def test_a_cycle_on_a_hand_built_trace_skips_no_guard(self):
-        # terms 2 and 3 repeat term 1 times 2 and 4, but nothing cached their
-        # levels, and term 3's level 3 exceeds N - 2 = 2: it is inserted and
-        # its join guarded, as without the cycle
+        # terms 2 and 3 repeat term 1 times 2 and 4, but only lower_p_series
+        # sets a cycle, and term 3's level 3 exceeds N - 2 = 2: it is
+        # inserted and guarded, as on any trace without a cycle
         L = Lattice.standard(2, 4, 2)
         terms = [L] + [Lattice(2, 4, 2, ((2**k, 0), (0, 2 ** (k + 1)))) for k in range(3)]
         tr = SeriesTrace(L, None, tuple(terms), ((0, 0), (0, 1), (1, 2), (2, 3)), 3)
         st = Stratification(((1, 0), (0, 1)), RateVector((F(1), F(1))), 0, (1, 3), "")
-        assert tr.cycle == CycleCertificate(1, 1, 1)
+        assert tr.cycle is None
+        assert oracles.detect_cycle_by_coordinates(tr) == CycleCertificate(1, 1, 1)
         H = SubgroupSpec(2, 4, ((1, 0),))
         with pytest.raises(PrecisionExhausted):
             oracles.join_quotients(H, tr, st)

@@ -683,8 +683,8 @@ def test_bad_window_is_refused_when_a_cycle_certifies():
         for i_max in (0, 1):
             tr = lower_p_series(b.lattice, b.action, i_max)
             assert (tr.cycle is not None) == (i_max == 1)
-            with pytest.raises(ValueError, match=fr"^bad window \(1, {i_max}\) for a trace "
-                                                 fr"of length {i_max}$"):
+            with pytest.raises(ValueError, match=fr"^i_max must be at least 2 to read a rate, "
+                                                 fr"got {i_max}$"):
                 run_stratification(tr, denom_bound=1)
 
 
