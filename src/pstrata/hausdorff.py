@@ -42,7 +42,6 @@ from .padic import (
     hermite_rows,
     int_valuation,
     mat_mul,
-    smith_rows,
     unimodular_inverse,
 )
 from .strata import RateVector, Stratification
@@ -119,31 +118,53 @@ def echelon_pivots(spec: SubgroupSpec) -> tuple:
     certifying order.
 
     When none does, the error raised does not depend on the order: the
-    generators are dependent at this precision, RankDeficient, when
-    `smith_rows` gives fewer exponents than there are rows, and otherwise
-    PrecisionExhausted is raised; a larger N may certify them.  The Smith
-    rank is at most the number of pivots of any echelon form, so an order
-    with fewer pivots than rows is RankDeficient with no Smith form taken.
-    A certifying order has sum(a_k) < N, so the Smith rank of its rows is
-    their number: the rule never calls rows dependent that some order
-    certifies.
+    rows as given are dependent, RankDeficient, when their exact rank over
+    Q (`_rank_over_q`) is below their number, and otherwise
+    PrecisionExhausted is raised; a larger N may certify them.  A Smith
+    form mod p^N cannot tell a divisor that is 0 from one that is only
+    >= p^N, so it does not decide this.  The Smith rank mod p^N is at most
+    the number of pivots of any echelon form, and a certifying order has
+    sum(a_k) < N and so full Smith rank; an order with fewer pivots than
+    rows therefore ends the search.  Rows that some order certifies are
+    independent over Z_p, hence over Q, so the exact rank is taken only
+    on refusal.
     """
     p, N = spec.p, spec.N
     reversed_rows = [row[::-1] for row in spec.rows]
-    dependent = "generator rows are dependent at this precision"
     for r in range(max(len(reversed_rows), 1)):
         red, piv, _ = hermite_rows(reversed_rows[r:] + reversed_rows[:r], p, N)
         if len(piv) < len(reversed_rows):
-            raise RankDeficient(dependent)
+            break
         if sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) < N:
             d = len(reversed_rows[0]) if reversed_rows else 0
             return tuple(sorted(d - 1 - c for c in piv))
-    if len(smith_rows(reversed_rows, p, N)[0]) < len(reversed_rows):
-        raise RankDeficient(dependent)
+    if _rank_over_q(spec.rows) < len(spec.rows):
+        raise RankDeficient("generator rows are dependent over Q")
     raise PrecisionExhausted(
         f"the pivot exponents of the generator rows reach the precision {N}; "
         "their pivots are not certified"
     )
+
+
+def _rank_over_q(rows) -> int:
+    """The rank over Q of integer rows, by fraction-free (Bareiss) elimination.
+
+    After k pivots every remaining entry is, up to sign, a (k + 1)-minor
+    of the rows, so the division by the last pivot, a k-minor, is exact.
+    """
+    a = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        r = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        a[rank], a[r] = a[r], a[rank]
+        top = a[rank]
+        for k in range(rank + 1, len(a)):
+            a[k] = [(top[c] * x - a[k][c] * y) // prev for x, y in zip(a[k], top)]
+        prev = top[c]
+        rank += 1
+    return rank
 
 
 def hdim_exact(H: SubgroupSpec, strat: Stratification, extra_weights=()) -> Fraction:

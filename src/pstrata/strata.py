@@ -24,7 +24,9 @@ over at least 2m steps and half the window; without the half-window
 floor, m = 1 would pass on any two equal steps.
 run_stratification tries one rate vector: the cycle's rates when the
 trace has a cycle (detect_cycle reads it; the series sets it), the
-periods' rates otherwise.
+periods' rates otherwise.  Under a scalar cycle, with the cycle's rates,
+the window constant is read off its base period, terms 1 .. j + m - 1:
+from j on, each term and each model term is p^n times the one m before.
 """
 
 from __future__ import annotations
@@ -349,8 +351,26 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     binds, and a zero entry, whose v_p is at least N, never decides the
     minimum or the maximum.  Any other term, such as most terms of a
     conjugated series, takes the product and the solves.
+
+    Under a scalar cycle the constant is read off the base period: when
+    trace.cycle is (j, m, n) and every rate is n/m, only terms
+    1 .. max(1, j + m - 1) are read.  Lemma: c_(i+m) = c_i for i >= j,
+    c_i the least c for term i alone.  Proof: floor((i + m) n/m) =
+    floor(i n/m) + n, so model_(i+m) = p^n model_i, and lambda_(i+m) =
+    p^n lambda_i + p^N Z_p^d (detect_cycle).  Both lattices at i contain
+    p^(N-n) Z_p^d: a_k(i) + n = a_k(i + m) <= i + m <= i_max <= N - 2, and
+    lambda_i contains p^i Z_p^d with i <= N - n - 2.  So lambda_(i+m) =
+    p^n lambda_i, and p^c lambda_(i+m) lies in model_(i+m) iff p^c lambda_i
+    lies in model_i, and likewise the other way round.  Every i in
+    [j + m, i_max] thus reduces to some i' in [j, j + m - 1], and c_0 = 0,
+    term 0 and model 0 both being the start.  Any other trace or rate
+    vector, a hand-built trace (cycle None) included, reads every term.
     """
     p, N = trace.ambient.p, trace.ambient.N
+    cyc = trace.cycle
+    last = trace.i_max
+    if cyc is not None and all(xi == cyc.rate for xi in rates.rates):
+        last = max(1, cyc.j + cyc.m - 1)
     pN = p**N
     inv = inv if inv is not None else unimodular_inverse(frame, p, N)
     inv_cols = [[(r, int_valuation(x, p, N)) for r, x in enumerate(col) if x]
@@ -360,7 +380,7 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     inv = row_entries(inv)
     pairs = [(xi.numerator, xi.denominator) for xi in rates.rates]
     c = 0
-    for i in range(1, trace.i_max + 1):
+    for i in range(1, last + 1):
         lam = trace.terms[i]
         a = [i * n // m for n, m in pairs]
         if not any(any(row[k + 1:]) for k, row in enumerate(lam.basis)):

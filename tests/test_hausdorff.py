@@ -48,6 +48,22 @@ def eis2():
     return b, tr, st
 
 
+def _rank_by_fractions(rows) -> int:
+    """Gaussian elimination over Q with Fraction entries."""
+    a = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        r = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        a[rank], a[r] = a[r], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] / a[rank][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
 class TestPivots:
     def test_frozen_cases(self):
         assert echelon_pivots(SubgroupSpec(2, 8, ((1, 2), (0, 4)))) == (0, 1)
@@ -67,19 +83,40 @@ class TestPivots:
     def test_order_dependent_rows_are_refused(self):
         # at N = 4 these rows admit pivots (1, 2, 3, 4) as well as
         # (0, 2, 3, 4), depending on the order they are eliminated in; the
-        # pivot exponents sum to 7, so every order is refused below N = 8:
-        # at N = 4 as dependent, the Smith exponents being (0, 1, 1, 4)
-        # with the last one vanishing mod 2^4, and from N = 5 on as short
-        # of precision
+        # pivot exponents sum to 7, so every order is refused below N = 8,
+        # as short of precision: the rows are independent over Q, though at
+        # N = 4 their Smith exponents (0, 1, 1, 4) lose the last one mod 2^4
         rows = [(4, 0, 0, 2, 2), (1, -15, 4, 1, -9), (0, 0, 0, 2, 2), (0, 2, 0, -10, 2)]
         assert smith_rows(rows, 2, 4)[0] == [0, 1, 1]
+        assert hausdorff._rank_over_q(rows) == 4
         for order in itertools.permutations(rows):
-            with pytest.raises(RankDeficient):
-                echelon_pivots(SubgroupSpec(2, 4, order))
-            for N in (5, 6, 7):
+            for N in (4, 5, 6, 7):
                 with pytest.raises(PrecisionExhausted):
                     echelon_pivots(SubgroupSpec(2, N, order))
             assert echelon_pivots(SubgroupSpec(2, 8, order)) == (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rows_dependent_over_q_are_rank_deficient_in_every_order(self, p):
+        # a repeated row, and a row that is the sum of two others: no
+        # precision certifies them, so every order at every N says dependent
+        a, b, c = (4, 0, 0, 2, 2), (1, -15, 4, 1, -9), (0, 2, 0, -10, 2)
+        total = tuple(x + y for x, y in zip(a, c))
+        for rows in ([a, b, a], [a, b, c, total]):
+            for order in itertools.permutations(rows):
+                for N in range(1, 13):
+                    with pytest.raises(RankDeficient):
+                        echelon_pivots(SubgroupSpec(p, N, order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.integers(1, 5), hst.integers(1, 5), hst.data())
+    def test_rank_over_q_matches_elimination_over_fractions(self, n, d, data):
+        entry = hst.one_of(hst.sampled_from([0, 1, -1, 2]), hst.integers(-50, 50))
+        rows = data.draw(hst.lists(hst.tuples(*[entry] * d), min_size=n, max_size=n))
+        # some draws get a row that is a combination of two earlier ones
+        if n >= 3 and data.draw(hst.booleans()):
+            u, v = data.draw(hst.integers(-3, 3)), data.draw(hst.integers(-3, 3))
+            rows[-1] = tuple(u * x + v * y for x, y in zip(rows[0], rows[1]))
+        assert hausdorff._rank_over_q(rows) == _rank_by_fractions(rows)
 
     def test_an_order_with_a_small_exponent_sum_is_certified(self):
         # the Hermite form from the right has pivots (1, 3, 4), exponents
@@ -97,10 +134,12 @@ class TestPivots:
 
     def test_dependent_rows_are_rank_deficient_in_every_order(self):
         # three of the six orders give 2 Hermite pivots, the others 3 with
-        # exponents reaching N; the Smith form has 2 exponents, so every
-        # order is refused as dependent, not as short of precision
+        # exponents reaching N; the third row is 3 times the first plus the
+        # second, so every order is refused as dependent over Q, not as
+        # short of precision
         rows = [(-2, 2, 1), (4, -2, 1), (-2, 4, 4)]
         assert len(smith_rows(rows, 2, 3)[0]) == 2
+        assert hausdorff._rank_over_q(rows) == 2
         for order in itertools.permutations(rows):
             with pytest.raises(RankDeficient):
                 echelon_pivots(SubgroupSpec(2, 3, order))

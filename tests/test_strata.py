@@ -11,7 +11,9 @@ from hypothesis import Phase, find, given, settings, strategies as st
 import oracles
 from test_lattice import _conjugated
 from pstrata import strata
-from pstrata.catalog import build_Gm_lattice, catalog_names, get_bundle, random_block_action
+from pstrata.catalog import (
+    build_Gm_lattice, catalog_names, get_bundle, random_block_action, random_sizes,
+)
 from pstrata.errors import (
     FrameRejected,
     NoStableFit,
@@ -480,6 +482,78 @@ def test_window_draws_reach_diagonal_and_non_diagonal_terms():
 
     find(window_draws, mixed, settings=settings(max_examples=100, phases=[Phase.generate],
                                                 database=None, deadline=None))
+
+
+def _cycled_case(name):
+    """A pinned cycled trace, with its cycle and certified c."""
+    if name == "random seed 6":  # pstrata stratify --catalog random --seed 6 --p 3 --imax 40
+        b = random_block_action(random_sizes(random.Random(6)), 6, p=3, N=42)
+        return lower_p_series(b.lattice, b.action, 40), CycleCertificate(2, 1, 1), 1
+    if name == "eisenstein2":
+        b = get_bundle("eisenstein2")
+        return lower_p_series(b.lattice, b.action, 16), CycleCertificate(0, 2, 1), 1
+    if name == "battery slot 40":  # as perfbench's battery builds it, j + m = 4
+        b = random_block_action(random_sizes(random.Random(40 * 7919 + 13)), 40, p=2, N=66)
+        return lower_p_series(b.lattice, b.action, 64), CycleCertificate(2, 2, 1), 2
+    # terms 1 and 2 are not diagonal, so they take the product and the solves
+    b, act = _conjugated("eisenstein3", 3, 18, 2)
+    tr = lower_p_series(b.lattice, act, 16)
+    assert not any(map(_is_diagonal, tr.terms[1:3]))
+    return tr, CycleCertificate(0, 3, 1), 1
+
+
+cycled_cases = ["random seed 6", "eisenstein2", "battery slot 40", "conjugated eisenstein3"]
+
+
+class _RecordedTerms(tuple):
+    """A trace's terms that record which indexes are read."""
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def _reads(tr, frame, rates):
+    """The window constant and the indexes of the terms it read."""
+    terms = _RecordedTerms(tr.terms)
+    terms.read = set()
+    return strata._window_constant(replace(tr, terms=terms), frame, rates), terms.read
+
+
+@pytest.mark.parametrize("name", cycled_cases)
+def test_the_base_period_gives_the_window_constant(name):
+    # read off terms 1 .. j + m - 1, c equals the definition over the whole
+    # window, for the certified frame and for a random one
+    tr, cycle, c = _cycled_case(name)
+    strat, cert = run_stratification(tr)
+    assert (cert, strat.c, strat.status) == (cycle, c, "exact-cycle")
+    assert certify_equivalence(tr, strat) == c
+    frame = _unimodular(random.Random(0), tr.ambient.d, tr.ambient.p, tr.precision)
+    for f in (strat.frame, frame):
+        got, read = _reads(tr, f, strat.rates)
+        assert read == set(range(1, max(1, cycle.j + cycle.m - 1) + 1))
+        assert got == oracles.window_constant_by_lattices(tr, f, strat.rates)
+
+
+def test_a_unit_cycle_from_term_0_reads_term_1():
+    b = get_bundle("trivial")
+    tr = lower_p_series(b.lattice, b.action, 8)
+    assert tr.cycle == CycleCertificate(0, 1, 1)
+    d = tr.ambient.d
+    assert _reads(tr, identity(d), RateVector((F(1),) * d)) == (0, {1})
+
+
+@pytest.mark.parametrize("name", cycled_cases)
+def test_other_rates_or_no_cycle_read_the_whole_window(name):
+    tr, cycle, c = _cycled_case(name)
+    strat, _ = run_stratification(tr)
+    d, window = tr.ambient.d, set(range(1, tr.i_max + 1))
+    mixed = RateVector((F(1, d),) * (d - 1) + (F(1),))
+    got, read = _reads(tr, strat.frame, mixed)
+    assert read == window
+    assert got == oracles.window_constant_by_lattices(tr, strat.frame, mixed)
+    # a trace with no cycle reads every term, and the lemma gives the same c
+    assert _reads(replace(tr, cycle=None), strat.frame, strat.rates) == (c, window)
 
 
 @settings(max_examples=120, deadline=None)
