@@ -78,23 +78,30 @@ V_s is invariant.
   elementary divisors are the blocks' together.  Term i contains
   p^i Z_p^d, so every exponent is below N and certified; sorted, they are
   `divisor_profile` of term i, and the last is its lower level.
-- The whole cycle is read off the blocks' first hits.  Each block steps
-  from its own Z_p^(I_s) until its first hit (j_s, m_s, n_s) or i_max.
-  Lemma: the whole series has a cycle ending by term i_max iff every block
-  hit and all rates n_s/m_s are equal to one rate r; its first is then
-  (j, m, n) = (max j_s, lcm m_s, r m), provided j + m <= i_max.  Proof: a
-  block's terms before j_s + m_s are pairwise non-proportional, as its
-  first hit is the least such pair; from j_s on it repeats with period
-  m_s, so a later term is p^(k n_s) times one of its terms j_s ..
-  j_s + m_s - 1.  Hence term_s(i) = p^n term_s(j) with j < i holds iff
-  j >= j_s, m_s divides i - j and n = (i - j) n_s/m_s.  Term i of the sum
-  is p^n times term j iff that holds in every block with the same n, that
-  is iff the rates are equal, j >= max j_s and lcm m_s divides i - j; the
-  least such i is max j_s + lcm m_s, and a block that did not hit by
-  i_max has no such pair there.  So the terms up to j + m are assembled
-  from the blocks' (a block's term past its own hit is the scaled copy
-  above), the later ones are copied as p^n term(i - m), and a one-block
-  action's terms are its own.  The index growth check reads every profile
+- The graded period is read off the blocks' first hits.  Each block steps
+  from its own Z_p^(I_s) until its first hit (j_s, m_s, n_s) or i_max.  Let
+  j = max j_s and m = lcm m_s.  From j_s on block s repeats with period
+  m_s and shift n_s, and m_s divides m, so term_s(i + m) = p^(n_s m/m_s)
+  term_s(i) for i >= j.  Summed over the blocks, term(i + m) = term(i) D
+  for every i >= j, with D the diagonal matrix of the p^shift_r and
+  shift_r = n_s m/m_s for r in I_s: the graded period (j, m, shifts),
+  which exists when every block hit and j + m <= i_max.  Every shift is at
+  most m, as n_s <= m_s.
+  Lemma: the whole series has a cycle ending by term i_max iff it has a
+  graded period whose shifts are all equal; its first cycle is then
+  (j, m, n), n the common shift.  Proof: a block's terms before j_s + m_s
+  are pairwise non-proportional, as its first hit is the least such pair;
+  from j_s on it repeats with period m_s, so a later term is p^(k n_s)
+  times one of its terms j_s .. j_s + m_s - 1.  Hence term_s(i) = p^n
+  term_s(j) with j < i holds iff j >= j_s, m_s divides i - j and
+  n = (i - j) n_s/m_s.  Term i of the sum is p^n times term j iff that
+  holds in every block with the same n, that is iff the rates n_s/m_s are
+  equal (so are the shifts), j >= max j_s and lcm m_s divides i - j; the
+  least such i is max j_s + lcm m_s, and a block that did not hit by i_max
+  has no such pair there.  So under a cycle the terms up to j + m (with
+  none, every term) are assembled from the blocks' (a block's term past
+  its own hit is the scaled copy above), the later ones are copied as
+  p^n term(i - m), and a one-block action's terms are its own.  The index growth check reads every profile
   of the sum, so a stalled block passes when the sum grows a digit per
   step.
 """
@@ -279,10 +286,14 @@ class CycleCertificate:
 class SeriesTrace:
     """The computed prefix of a lower p-series with divisor bookkeeping.
 
-    log_indices is computed on first use and kept.  cycle is the series'
-    first certificate term(j + m) == p^n term(j) with j + m <= i_max, set
-    by `lower_p_series` only; a trace built by hand has None, as if its
-    terms never repeated.
+    log_indices is computed on first use and kept.  graded is the series'
+    graded period (j, m, shifts): term(i + m) == term(i) D for every i >= j,
+    with D the diagonal matrix of the p^shifts[r], j + m <= i_max and every
+    shift at most m.  cycle is the series' first certificate
+    term(j + m) == p^n term(j) with j + m <= i_max: (j, m, n) when every
+    shift of graded is n, None otherwise.  Both are set by `lower_p_series`
+    only, from the blocks' first hits; a trace built by hand has None for
+    both, as if its terms never repeated.
     """
 
     ambient: Lattice
@@ -291,6 +302,7 @@ class SeriesTrace:
     profiles: tuple
     i_max: int
     cycle: CycleCertificate | None = None
+    graded: tuple | None = None
 
     @property
     def precision(self) -> int:
@@ -359,18 +371,28 @@ def _block_series(act: GroupAction, i_max: int) -> tuple:
     return terms, profiles, hit
 
 
-def _joint_cycle(hits, i_max: int) -> CycleCertificate | None:
-    """The whole series' first cycle from its blocks' first hits, or None (module docstring)."""
+def _graded_period(hits, sizes, i_max: int) -> tuple | None:
+    """The graded period (j, m, shifts) from the blocks' first hits and sizes, or None.
+
+    j = max j_s, m = lcm m_s, and coordinate r of block s shifts by
+    n_s m/m_s; None when a block has no hit or j + m > i_max (module
+    docstring).
+    """
     if None in hits:
-        return None
-    first = hits[0]
-    if any(h.n * first.m != first.n * h.m for h in hits):  # the rates n_s/m_s differ
         return None
     j = max(h.j for h in hits)
     m = math.lcm(*(h.m for h in hits))
     if j + m > i_max:
         return None
-    return CycleCertificate(j=j, m=m, n=first.n * (m // first.m))
+    return j, m, tuple(h.n * (m // h.m) for h, size in zip(hits, sizes) for _ in range(size))
+
+
+def _scalar_cycle(graded) -> CycleCertificate | None:
+    """The first cycle (j, m, n) of a graded period whose shifts all equal n, or None."""
+    if graded is None or len(set(graded[2])) != 1:
+        return None
+    j, m, shifts = graded
+    return CycleCertificate(j=j, m=m, n=shifts[0])
 
 
 def _assembled(L: Lattice, blocks, i: int) -> tuple:
@@ -406,10 +428,11 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     asserts the trivial index bound log_p |L : term_i| >= i; a violation
     means the group is not pro-p and raises PstrataError with the index.
     Each coordinate block of the action (one when it does not split) steps
-    until its own first cycle hit or i_max; the trace's cycle (j, m, n) is
-    read off those hits, the terms up to j + m (or i_max) are assembled
-    from the blocks, and every later term is p^n times the term m before it
-    (module docstring).
+    until its own first cycle hit or i_max; the trace's graded period
+    (j, m, shifts) is read off those hits, and its cycle (j, m, n) is that
+    period when every shift is n.  The terms up to j + m (or i_max) are
+    assembled from the blocks, and under a cycle every later term is p^n
+    times the term m before it (module docstring).
     """
     _check_context(L, action)
     if L.log_det:
@@ -419,7 +442,9 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
             f"precision {L.N} cannot certify {i_max} steps; need at least {i_max + 2}"
         )
     blocks = [(a, *_block_series(act, i_max)) for a, act in action._blocks]
-    cycle = _joint_cycle([hit for *_, hit in blocks], i_max)
+    hits = [hit for *_, hit in blocks]
+    graded = _graded_period(hits, [act.d for _, act in action._blocks], i_max)
+    cycle = _scalar_cycle(graded)
     last = i_max if cycle is None else cycle.j + cycle.m
     if len(blocks) == 1:  # the one block is the action: its terms are the series'
         _, terms, profiles, _ = blocks[0]
@@ -437,7 +462,7 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
-    return SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max, cycle)
+    return SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max, cycle, graded)
 
 
 def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:

@@ -24,9 +24,11 @@ over at least 2m steps and half the window; without the half-window
 floor, m = 1 would pass on any two equal steps.
 run_stratification tries one rate vector: the cycle's rates when the
 trace has a cycle (detect_cycle reads it; the series sets it), the
-periods' rates otherwise.  Under a scalar cycle, with the cycle's rates,
-the window constant is read off its base period, terms 1 .. j + m - 1:
-from j on, each term and each model term is p^n times the one m before.
+periods' rates otherwise.  Under the series' graded period (j, m, shifts),
+when every frame row lies in one shift class and grows by it, m rate_k =
+shift, the window constant is read off its base period, terms
+1 .. j + m - 1: from j on, each term and each model term is the one m
+before times the diagonal D = diag(p^shift).
 """
 
 from __future__ import annotations
@@ -169,8 +171,7 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64) -> RateVector:
     idx = range(1, trace.i_max + 1)
     fits = {}  # equal profile columns have equal rates
     fitted = []
-    for k in range(trace.ambient.d):
-        col = tuple(trace.profiles[i][k] for i in idx)
+    for k, col in enumerate(zip(*trace.profiles[1:])):
         if col not in fits:
             try:
                 fits[col], _ = fit_rational(list(zip(idx, col)), denom_bound)
@@ -352,25 +353,29 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     minimum or the maximum.  Any other term, such as most terms of a
     conjugated series, takes the product and the solves.
 
-    Under a scalar cycle the constant is read off the base period: when
-    trace.cycle is (j, m, n) and every rate is n/m, only terms
-    1 .. max(1, j + m - 1) are read.  Lemma: c_(i+m) = c_i for i >= j,
-    c_i the least c for term i alone.  Proof: floor((i + m) n/m) =
-    floor(i n/m) + n, so model_(i+m) = p^n model_i, and lambda_(i+m) =
-    p^n lambda_i + p^N Z_p^d (detect_cycle).  Both lattices at i contain
-    p^(N-n) Z_p^d: a_k(i) + n = a_k(i + m) <= i + m <= i_max <= N - 2, and
-    lambda_i contains p^i Z_p^d with i <= N - n - 2.  So lambda_(i+m) =
-    p^n lambda_i, and p^c lambda_(i+m) lies in model_(i+m) iff p^c lambda_i
-    lies in model_i, and likewise the other way round.  Every i in
-    [j + m, i_max] thus reduces to some i' in [j, j + m - 1], and c_0 = 0,
-    term 0 and model 0 both being the start.  Any other trace or rate
-    vector, a hand-built trace (cycle None) included, reads every term.
+    Under a graded period the constant is read off the base period: when
+    trace.graded is (j, m, shifts) and, for every frame row x_k, m rate_k is
+    an integer equal to shifts[r] at every coordinate r where x_k is
+    nonzero, only terms 1 .. max(1, j + m - 1) are read.  Under a scalar
+    cycle (every shift n; every frame row is nonzero) that is every rate
+    being n/m.  Lemma: c_(i+m) = c_i for i >= j, c_i the least c for term i
+    alone.  Proof, with D the diagonal matrix of the p^shifts[r]:
+    1. lambda_(i+m) = lambda_i D for i >= j: each block repeats
+       term_s(i + m) = p^shift_s term_s(i), as m_s divides m
+       (`gmodule`, SeriesTrace.graded).
+    2. x_k D = p^(m rate_k) x_k, and floor((i + m) rate_k) =
+       floor(i rate_k) + m rate_k, so model_(i+m) = model_i D.
+    3. Both lattices at i contain p^i Z_p^d, i + m <= i_max <= N - 2 and
+       every shift is at most m; so p^N Z_p^d lies in lambda_i D and in
+       model_i D, and the equalities hold exactly, not only mod p^N.
+    4. D is invertible over Q_p, so p^c lambda lies in model at i + m iff
+       it does at i, and likewise the other way round.  Hence c_(i+m) = c_i.
+    Every i in [j + m, i_max] thus reduces to some i' in [j, j + m - 1],
+    and c_0 = 0, term 0 and model 0 both being the start.  Any other trace,
+    frame or rate vector, a hand-built trace (graded None) included, reads
+    every term.
     """
     p, N = trace.ambient.p, trace.ambient.N
-    cyc = trace.cycle
-    last = trace.i_max
-    if cyc is not None and all(xi == cyc.rate for xi in rates.rates):
-        last = max(1, cyc.j + cyc.m - 1)
     pN = p**N
     inv = inv if inv is not None else unimodular_inverse(frame, p, N)
     inv_cols = [[(r, int_valuation(x, p, N)) for r, x in enumerate(col) if x]
@@ -379,6 +384,13 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
                   for row in frame]
     inv = row_entries(inv)
     pairs = [(xi.numerator, xi.denominator) for xi in rates.rates]
+    last = trace.i_max
+    if trace.graded is not None:
+        j, m, shifts = trace.graded
+        # every frame row x_k lies in one shift class and grows by it: m rate_k = shifts[r]
+        if all(m * n == shifts[r] * den
+               for (n, den), row in zip(pairs, frame_rows) for r, _ in row):
+            last = max(1, j + m - 1)
     c = 0
     for i in range(1, last + 1):
         lam = trace.terms[i]

@@ -1,6 +1,7 @@
 """Group actions and the descending series they generate."""
 
 import json
+import random
 from argparse import Namespace
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pstrata import gmodule, lattice
-from pstrata.catalog import catalog_names, get_bundle, random_block_action
+from pstrata.catalog import catalog_names, get_bundle, random_block_action, random_sizes
 from pstrata.cli import _instance_block, _load_instance
 from pstrata.errors import NotInvariant, PrecisionExhausted, PstrataError
 from pstrata.gmodule import (
@@ -16,7 +17,8 @@ from pstrata.gmodule import (
     GroupAction,
     SeriesTrace,
     _block_series,
-    _joint_cycle,
+    _graded_period,
+    _scalar_cycle,
     _step,
     check_invariance,
     lower_p_series,
@@ -269,8 +271,10 @@ def test_the_preset_cycle_is_the_lazy_search(name):
     assert tr.cycle == oracles.detect_cycle_by_coordinates(tr)
     expected = b.expected_cycle
     assert tr.cycle == (None if expected is None else CycleCertificate(*expected))
-    # only lower_p_series sets the cycle: a trace built by hand has none
-    assert SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max).cycle is None
+    # only lower_p_series sets the cycle and the graded period: a trace
+    # built by hand has neither
+    hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
+    assert (hand.cycle, hand.graded) == (None, None)
 
 
 @pytest.mark.parametrize("p,blocks,whole", [
@@ -295,8 +299,49 @@ def test_blocks_that_cycle_from_different_j(p, blocks, whole):
     ([(0, 1, 1), None], 40, None),  # a block without a hit
 ])
 def test_the_joint_cycle_of_block_hits(hits, i_max, joint):
+    # the scalar cycle is the graded period when all its shifts are equal
     hits = [None if h is None else CycleCertificate(*h) for h in hits]
-    assert _joint_cycle(hits, i_max) == (None if joint is None else CycleCertificate(*joint))
+    graded = _graded_period(hits, [1] * len(hits), i_max)
+    assert _scalar_cycle(graded) == (None if joint is None else CycleCertificate(*joint))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_graded_period_scales_each_column(p):
+    # from j on, term i + m is term i with column r scaled by p^shifts[r],
+    # entry by entry; a scalar cycle is the period with equal shifts
+    graded = scalar = 0
+    for seed in range(40):
+        b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=42)
+        tr = lower_p_series(b.lattice, b.action, 40)
+        assert tr.cycle == _scalar_cycle(tr.graded)
+        if tr.graded is None:
+            continue
+        j, m, shifts = tr.graded
+        assert len(shifts) == tr.ambient.d and j + m <= tr.i_max and max(shifts) <= m
+        for i in range(j, tr.i_max - m + 1):
+            scaled = [tuple(x * p**s for x, s in zip(row, shifts)) for row in tr.terms[i].basis]
+            assert tr.terms[i + m].basis == tuple(scaled)
+        graded += 1
+        scalar += tr.cycle is not None
+    assert graded > scalar > 0
+
+
+@pytest.mark.parametrize("case,period", [
+    # blocks 0-7 and 8-15 hit at (1, 4, 1) and (1, 2, 1)
+    (("remark27", 2, 128), (1, 4, (1,) * 8 + (2,) * 8)),
+    # blocks of sizes 2, 3 and 5 hit at (0, 2, 1), (0, 3, 1) and (0, 5, 1)
+    (("Gm3", 2, 64), (0, 30, (15, 15, 10, 10, 10) + (6,) * 5)),
+    # perfbench's battery slot 3: blocks of sizes 1 and 4
+    (("battery slot 3", 2, 64), (0, 2, (2, 1, 1, 1, 1))),
+])
+def test_pinned_graded_periods(case, period):
+    name, p, i_max = case
+    if name == "battery slot 3":
+        b = random_block_action((4, 1), seed=3, p=p, N=i_max + 2)
+    else:
+        b = get_bundle(name, p=p, N=i_max + 2)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    assert (tr.graded, tr.cycle) == (period, None)
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):

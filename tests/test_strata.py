@@ -552,8 +552,54 @@ def test_other_rates_or_no_cycle_read_the_whole_window(name):
     got, read = _reads(tr, strat.frame, mixed)
     assert read == window
     assert got == oracles.window_constant_by_lattices(tr, strat.frame, mixed)
-    # a trace with no cycle reads every term, and the lemma gives the same c
-    assert _reads(replace(tr, cycle=None), strat.frame, strat.rates) == (c, window)
+    # a trace with no graded period reads every term, and the lemma gives the same c
+    assert _reads(replace(tr, graded=None), strat.frame, strat.rates) == (c, window)
+
+
+def _graded_case(name):
+    """A pinned trace with a graded period but no scalar cycle, and its period bound."""
+    if name.startswith("battery slot"):  # as perfbench's battery builds it
+        k = int(name.split()[-1])
+        sizes = random_sizes(random.Random(k * 7919 + 13))
+        b = random_block_action(sizes, k, p=2, N=66)
+        return lower_p_series(b.lattice, b.action, 64), max(sizes + (2,))
+    i_max = 128 if name == "remark27" else 64
+    b = get_bundle(name, p=2, N=i_max + 2)
+    return lower_p_series(b.lattice, b.action, i_max), 63
+
+
+@pytest.mark.parametrize("name", [
+    "remark27", "Gm3", "battery slot 3", "battery slot 30", "battery slot 31", "battery slot 37",
+])
+def test_a_graded_period_gives_the_window_constant(name):
+    # every certified frame row lies in one shift class and grows by it, so
+    # only terms 1 .. j + m - 1 are read; c equals the definition over the
+    # whole window
+    tr, bound = _graded_case(name)
+    strat, cert = run_stratification(tr, bound)
+    assert cert is None and tr.graded is not None
+    j, m, _ = tr.graded
+    got, read = _reads(tr, strat.frame, strat.rates)
+    assert read == set(range(1, max(1, j + m - 1) + 1))
+    assert got == strat.c == oracles.window_constant_by_lattices(tr, strat.frame, strat.rates)
+
+
+def test_frames_or_rates_off_the_shift_classes_read_the_whole_window():
+    tr, bound = _graded_case("remark27")
+    strat, _ = run_stratification(tr, bound)
+    assert tr.graded == (1, 4, (1,) * 8 + (2,) * 8)
+    d, window = tr.ambient.d, set(range(1, tr.i_max + 1))
+    # row 0 = e_0 + e_8 keeps a Z_p-basis, as rows 0 and 8 are e_0 and e_8,
+    # but spans coordinates of shifts 1 and 2
+    assert [list(strat.frame[0]), list(strat.frame[8])] == [identity(d)[0], identity(d)[8]]
+    spanning = [[int(r in (0, 8)) for r in range(d)]] + [list(x) for x in strat.frame[1:]]
+    # 4 * 1/3 is not an integer
+    thirds = RateVector((F(1, 3),) * 8 + (F(1, 2),) * 8)
+    for trace, frame, rates in [(tr, spanning, strat.rates), (tr, strat.frame, thirds),
+                                (replace(tr, graded=None), strat.frame, strat.rates)]:
+        got, read = _reads(trace, frame, rates)
+        assert read == window
+        assert got == oracles.window_constant_by_lattices(tr, frame, rates)
 
 
 @settings(max_examples=120, deadline=None)
