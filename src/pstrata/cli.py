@@ -125,6 +125,8 @@ def _load_instance(args):
             )
         if not isinstance(obj.get("extra_weights", []), list):
             raise ValueError("extra_weights must be a JSON list")
+        if "generators" not in obj:
+            raise ValueError(f'{args.input} has no "generators" field')
         action = GroupAction.build(p, n, obj["generators"])
         if "lattice" in obj:
             lat = Lattice.from_rows(p, n, action.d, _freeze(obj["lattice"]))
@@ -288,6 +290,8 @@ def _load_subgroup(path: str, lat: Lattice, N: int, strat):
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"{path} does not hold a JSON object")
+    if "rows" not in obj:
+        raise ValueError(f'{path} has no "rows" field')
     rows = _freeze(obj["rows"])
     coords = obj.get("coordinates", "ambient")
     if coords == "frame":
@@ -384,7 +388,9 @@ def main(argv=None) -> int:
         print(f"pstrata: precision exhausted: {err}", file=sys.stderr)
         return _EXIT_PRECISION
     except _INPUT_ERRORS as err:
-        print(f"pstrata: invalid input: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"pstrata: invalid input: {msg}", file=sys.stderr)
         return _EXIT_INPUT
     except PstrataError as err:
         print(f"pstrata: {type(err).__name__}: {err}", file=sys.stderr)

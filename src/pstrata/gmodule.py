@@ -98,12 +98,23 @@ V_s is invariant.
   holds in every block with the same n, that is iff the rates n_s/m_s are
   equal (so are the shifts), j >= max j_s and lcm m_s divides i - j; the
   least such i is max j_s + lcm m_s, and a block that did not hit by i_max
-  has no such pair there.  So under a cycle the terms up to j + m (with
-  none, every term) are assembled from the blocks' (a block's term past
-  its own hit is the scaled copy above), the later ones are copied as
-  p^n term(i - m), and a one-block action's terms are its own.  The index growth check reads every profile
-  of the sum, so a stalled block passes when the sum grows a digit per
-  step.
+  has no such pair there.
+- The tail past the base period.  Let base = j + m under a graded period
+  and i_max with none.  Terms 0 .. base are built at once: a one-block
+  action's are its own stepped terms, the others are assembled from the
+  blocks' (a block's term past its own hit is the scaled copy above).  A
+  later term i is the copy term(b) D^k of the base-period term
+  b = j + (i - j) mod m, k = (i - b)/m, scalar cycle or not: its part in
+  block s is p^(k n_s m/m_s) times block s's part of term b, which the
+  assembly takes straight from block s's own terms j_s .. j_s + m_s - 1, so
+  no copy reads another.  Its diagonal exponents, lower level and profile
+  are those of the parts, shifted blockwise, and are set at once; its basis
+  rows are built on their first read (`Lattice._deferred`) and kept.  B D^k
+  is canonical whenever B is, by the lemma for p^n B above applied to each
+  block, whose rows and columns D^k scales alike, and a full-rank canonical
+  basis is unique, so the rows built late are those an eager build gives.
+  The index growth check reads every profile of the sum, so a stalled block
+  passes when the sum grows a digit per step.
 """
 
 from __future__ import annotations
@@ -111,7 +122,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
@@ -293,7 +304,9 @@ class SeriesTrace:
     term(j + m) == p^n term(j) with j + m <= i_max: (j, m, n) when every
     shift of graded is n, None otherwise.  Both are set by `lower_p_series`
     only, from the blocks' first hits; a trace built by hand has None for
-    both, as if its terms never repeated.
+    both, as if its terms never repeated.  Under a graded period every term
+    past j + m is a copy whose basis is built on its first read; its pivots,
+    level and profile, and so profiles and log_indices, are set at once.
     """
 
     ambient: Lattice
@@ -344,15 +357,6 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | Non
     return None
 
 
-def _scaled(M: Lattice, n: int) -> Lattice:
-    """p^n M on the basis p^n B, canonical with B, pivots and level cached (module docstring)."""
-    f = M.p**n
-    lat = Lattice._canonical(M.p, M.N, M.d, tuple([tuple([f * x for x in row]) for row in M.basis]))
-    lat.__dict__.update(diag_exponents=tuple([e + n for e in M.diag_exponents]),
-                        lower_level=M.lower_level + n)
-    return lat
-
-
 def _block_series(act: GroupAction, i_max: int) -> tuple:
     """A block's terms from Z_p^act.d to its first cycle hit or i_max: (terms, profiles, hit)."""
     zero = (0,) * act.d
@@ -396,26 +400,31 @@ def _scalar_cycle(graded) -> CycleCertificate | None:
 
 
 def _assembled(L: Lattice, blocks, i: int) -> tuple:
-    """Term i stacked from its blocks' parts, with its profile; pivots and level cached.
+    """Term i's parts by block, as (start, block term, p^n), with its pivots and profile.
 
     Past its prefix, a block's term i is p^(k n_s) times its term
     i - k m_s, which lies in j_s .. j_s + m_s - 1 (module docstring).
     """
-    basis, exps, merged = [], [], []
+    parts, exps, merged = [], [], []
     for a, terms, profiles, hit in blocks:
         t, n = i, 0
         if i >= len(terms):
             k = (i - hit.j) // hit.m
             t, n = i - k * hit.m, k * hit.n
-        src, f = terms[t], L.p**n
-        pad_l, pad_r = (0,) * a, (0,) * (L.d - a - src.d)
-        basis += [pad_l + tuple([f * x for x in row]) + pad_r for row in src.basis]
+        src = terms[t]
+        parts.append((a, src, L.p**n))
         exps += [e + n for e in src.diag_exponents]
         merged += [e + n for e in profiles[t]]
-    prof = tuple(sorted(merged))
-    lat = Lattice._canonical(L.p, L.N, L.d, tuple(basis))
-    lat.__dict__.update(diag_exponents=tuple(exps), lower_level=prof[-1])
-    return lat, prof
+    return parts, tuple(exps), tuple(sorted(merged))
+
+
+def _stacked(d: int, parts) -> tuple:
+    """The rows of the parts p^n B, each padded with zeros outside its block's interval."""
+    rows = []
+    for a, src, f in parts:
+        pad_l, pad_r = (0,) * a, (0,) * (d - a - src.d)
+        rows += [pad_l + tuple([f * x for x in row]) + pad_r for row in src.basis]
+    return tuple(rows)
 
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
@@ -431,8 +440,9 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     until its own first cycle hit or i_max; the trace's graded period
     (j, m, shifts) is read off those hits, and its cycle (j, m, n) is that
     period when every shift is n.  The terms up to j + m (or i_max) are
-    assembled from the blocks, and under a cycle every later term is p^n
-    times the term m before it (module docstring).
+    built from the blocks; every later term is a copy of a base-period term
+    scaled by D^k, whose pivots, level and profile are set at once and whose
+    rows are built on first read (module docstring).
     """
     _check_context(L, action)
     if L.log_det:
@@ -445,18 +455,20 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     hits = [hit for *_, hit in blocks]
     graded = _graded_period(hits, [act.d for _, act in action._blocks], i_max)
     cycle = _scalar_cycle(graded)
-    last = i_max if cycle is None else cycle.j + cycle.m
-    if len(blocks) == 1:  # the one block is the action: its terms are the series'
-        _, terms, profiles, _ = blocks[0]
-    else:
-        terms, profiles = [], []
-        for i in range(last + 1):
-            term, prof = _assembled(L, blocks, i)
-            terms.append(term)
-            profiles.append(prof)
-    for i in range(last + 1, i_max + 1):  # term(i) = p^n term(i - m): a copy, not a step
-        terms.append(_scaled(terms[i - cycle.m], cycle.n))
-        profiles.append(tuple([e + cycle.n for e in profiles[i - cycle.m]]))
+    base = i_max if graded is None else graded[0] + graded[1]
+    terms, profiles = [], []
+    if len(blocks) == 1:  # the one block is the action: its terms up to base are the series'
+        terms, profiles = list(blocks[0][1]), list(blocks[0][2])
+    for i in range(len(terms), i_max + 1):
+        parts, exps, prof = _assembled(L, blocks, i)
+        rows = partial(_stacked, L.d, parts)
+        if i > base:  # a copy of a base-period term: its rows are built on first read
+            term = Lattice._deferred(L.p, L.N, L.d, rows)
+        else:
+            term = Lattice._canonical(L.p, L.N, L.d, rows())
+        term.__dict__.update(diag_exponents=exps, lower_level=prof[-1])
+        terms.append(term)
+        profiles.append(prof)
     for i, prof in enumerate(profiles):
         if sum(prof) < i:
             raise PstrataError(

@@ -240,9 +240,10 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     whose terms all pass the guard), term_i = p^n term_(i-m) for every
     i >= j + m (`strata.detect_cycle`), so numerator_i = numerator_(i-m) +
     n r, with numerator_0 = 0 as every series starts at Z_p^d.  Only terms
-    1 .. j + m - 1 are inserted.  An H that is not saturated, or a trace
-    with no cycle, hand-built ones included, goes through the insertion
-    loop above, stationary exit and guard included.
+    1 .. j + m - 1 are read and inserted, so no copy past j + m has its rows
+    built (`gmodule`).  An H that is not saturated, or a trace with no
+    cycle, hand-built ones included, goes through the insertion loop above,
+    stationary exit and guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
@@ -254,10 +255,10 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     numerators = [0]
     joined = None
     for i in range(1, trace.i_max + 1):
-        lam = trace.terms[i]
         if cycle is not None and i >= cycle.j + cycle.m:
             numerators.append(numerators[i - cycle.m] + cycle.n * r)
             continue
+        lam = trace.terms[i]
         if joined != bound:
             lam.guard()
             _, exps = hermite_insert(lam.basis, amb, p, N, lam.diag_exponents)

@@ -51,6 +51,26 @@ def test_catalog_export(capsys):
     assert len(payload["generators"][0]) == 5
 
 
+def test_an_unknown_catalog_entry_is_named_without_quotes(capsys):
+    # the message of the KeyError, not its repr
+    assert main(["series", "--catalog", "nosuch", "--imax", "3"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "pstrata: invalid input: unknown catalog entry 'nosuch'; available: ")
+
+
+@pytest.mark.parametrize("verb,flag,field", [
+    ("series", "--input", "generators"), ("hdim", "--subgroup", "rows"),
+])
+def test_a_missing_field_is_named(tmp_path, capsys, verb, flag, field):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps({"p": 2, "N": 8}))
+    argv = [verb, flag, str(path), "--imax", "4"]
+    if verb == "hdim":
+        argv += ["--catalog", "eisenstein2", "--denom-bound", "4"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f'pstrata: invalid input: {path} has no "{field}" field\n'
+
+
 def test_catalog_export_has_no_csv_form(capsys):
     # the flags clash, the input is not at fault: a usage error, exit 2
     with pytest.raises(SystemExit) as exc:

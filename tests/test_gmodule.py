@@ -26,6 +26,7 @@ from pstrata.gmodule import (
 )
 from pstrata.lattice import Lattice, divisor_profile
 from pstrata.padic import identity, smith_rows
+from pstrata.strata import run_stratification
 
 
 def test_build_validates_generators():
@@ -342,6 +343,79 @@ def test_pinned_graded_periods(case, period):
         b = get_bundle(name, p=p, N=i_max + 2)
     tr = lower_p_series(b.lattice, b.action, i_max)
     assert (tr.graded, tr.cycle) == (period, None)
+
+
+def _built_past(tr) -> list:
+    """The indices past the base period j + m whose basis has been built."""
+    j, m, _ = tr.graded
+    return [i for i, term in enumerate(tr.terms) if i > j + m and "basis" in vars(term)]
+
+
+def _non_scalar_periods(p: int) -> list:
+    """Random split actions at p whose graded period is not a scalar cycle."""
+    found = []
+    for seed in range(40):
+        b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=42)
+        tr = lower_p_series(b.lattice, b.action, 40)
+        if tr.graded is not None and tr.cycle is None:
+            found.append(b)
+    return found
+
+
+@pytest.mark.parametrize("case", [
+    ("remark27", 2, 40), ("Gm3", 2, 64), ("eisenstein2", 2, 40),
+    ("random", 2, 40), ("random", 3, 40), ("random", 5, 40),
+])
+def test_the_deferred_tail_reads_in_any_order(case):
+    # past j + m each term is a copy whose rows are built on first read; read
+    # last to first, or shuffled, every term equals the series that runs
+    # every step, and so do the pivots, levels and profiles set at once
+    name, p, i_max = case
+    bundles = _non_scalar_periods(p)[:3] if name == "random" else [
+        get_bundle(name, p=p, N=i_max + 2)]
+    assert bundles
+    for seed, b in enumerate(bundles):
+        L = b.lattice
+        ref = oracles.lower_p_series_stepwise(L, b.action, i_max)
+        first = lower_p_series(L, b.action, i_max)
+        j, m, _ = first.graded
+        assert j + m < i_max and _built_past(first) == []
+        assert first.profiles == ref.profiles
+        assert [t.diag_exponents for t in first.terms] == [t.diag_exponents for t in ref.terms]
+        assert [t.lower_level for t in first.terms] == [t.lower_level for t in ref.terms]
+        order = list(range(i_max + 1))
+        random.Random(seed).shuffle(order)
+        for tr, reads in [(first, reversed(range(i_max + 1))),
+                          (lower_p_series(L, b.action, i_max), order)]:
+            for i in reads:
+                assert tr.terms[i].basis == ref.terms[i].basis
+            assert _built_past(tr) == list(range(j + m + 1, i_max + 1))
+
+
+def test_a_tail_term_is_an_ordinary_lattice():
+    # a copy is a Lattice like any other: == and hash read its basis, and
+    # repr shows it
+    b = get_bundle("remark27", p=2, N=42)
+    tr, again = (lower_p_series(b.lattice, b.action, 40) for _ in range(2))
+    fresh = [Lattice.from_rows(2, 42, 16, t.basis) for t in again.terms]
+    assert all(type(t) is Lattice and "basis" not in vars(t) for t in tr.terms[38:])
+    assert tr.terms[40] == fresh[40]
+    assert hash(tr.terms[39]) == hash(fresh[39])
+    shown = repr(tr.terms[38])
+    assert shown == f"Lattice(p=2, N=42, d=16, basis={fresh[38].basis!r})"
+    for term, ref in zip(tr.terms[38:], fresh[38:]):
+        assert (term.diag_exponents, term.lower_level) == (ref.diag_exponents, ref.lower_level)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stratify_builds_one_basis_past_the_base_period(p):
+    # remark27 at imax 128: the series builds no copy's rows, and stratify
+    # reads terms 1 .. j + m - 1 and one anchor, term 128
+    b = get_bundle("remark27", p=p, N=130)
+    tr = lower_p_series(b.lattice, b.action, 128)
+    assert _built_past(tr) == []
+    run_stratification(tr, 63)
+    assert _built_past(tr) == [128]
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):
