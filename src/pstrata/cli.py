@@ -67,24 +67,24 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, default=2, help="prime (default 2)")
         sp.add_argument("--precision", type=int, default=None, help="digits p^N (default imax+2)")
         sp.add_argument("--imax", type=int, default=64, help="series window length")
-        sp.add_argument("--denom-bound", type=int, default=None,
-                        help="bound on the profile period m (the rate denominator) "
-                             "(default min(64, (imax-2)//2))")
-        sp.add_argument("--tolerance", type=float, default=0.01,
-                        help="numeric agreement tolerance")
         sp.add_argument("--seed", type=int, default=0, help="seed for --catalog random")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="output file (default stdout)")
 
     common(sub.add_parser("series", help="compute the lower p-series"))
-    common(sub.add_parser("stratify", help="rates, frame and certificate"))
+    stf = sub.add_parser("stratify", help="rates, frame and certificate")
     hd = sub.add_parser("hdim", help="Hausdorff dimension of a subgroup")
-    common(hd)
+    spv = sub.add_parser("spectrum", help="all straight-subgroup dimensions")
+    for sp in (stf, hd, spv):  # the verbs that fit rates
+        common(sp)
+        sp.add_argument("--denom-bound", type=int, default=None,
+                        help="bound on the profile period m (the rate denominator) "
+                             "(default min(64, (imax-2)//2))")
+    hd.add_argument("--tolerance", type=float, default=0.01,
+                    help="numeric agreement tolerance")
     hd.add_argument("--subgroup", required=True, help="subgroup JSON file")
     hd.add_argument("--lattice-only", action="store_true",
                     help="ignore extra weights attached to the instance")
-    spv = sub.add_parser("spectrum", help="all straight-subgroup dimensions")
-    common(spv)
     spv.add_argument("--lattice-only", action="store_true",
                      help="ignore extra weights attached to the instance")
     cat = sub.add_parser("catalog", help="list or export built-in instances")
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     for flag in ("imax", "tolerance"):
-        if not getattr(args, flag) >= 0:  # NaN fails too
+        if not getattr(args, flag, 0) >= 0:  # NaN fails too; 0 for a verb without the flag
             ap.error(f"--{flag} must be at least 0")
     if args.verb == "catalog" and args.catalog and args.format == "csv":
         ap.error("a catalog export has no CSV form; drop --format csv")

@@ -107,22 +107,24 @@ V_s is invariant.
   b = j + (i - j) mod m, k = (i - b)/m, scalar cycle or not: its part in
   block s is p^(k n_s m/m_s) times block s's part of term b, which the
   assembly takes straight from block s's own terms j_s .. j_s + m_s - 1, so
-  no copy reads another.  Its diagonal exponents, lower level and profile
-  are those of the parts, shifted blockwise, and are set at once; its basis
-  rows are built on their first read (`Lattice._deferred`) and kept.  B D^k
-  is canonical whenever B is, by the lemma for p^n B above applied to each
-  block, whose rows and columns D^k scales alike, and a full-rank canonical
-  basis is unique, so the rows built late are those an eager build gives.
-  The index growth check reads every profile of the sum, so a stalled block
-  passes when the sum grows a digit per step.
+  no copy reads another.  Its profile is the parts', shifted blockwise, and
+  is all the series computes of it; the trace builds the copy, with its
+  diagonal exponents and lower level, on its first index and keeps it
+  (`_Terms`).  B D^k is canonical whenever B is, by the lemma for p^n B
+  above applied to each block, whose rows and columns D^k scales alike,
+  and a full-rank canonical basis is unique, so a copy built late is the
+  term an eager build gives.  The index growth check reads every profile
+  of the sum, so a stalled block passes when the sum grows a digit per
+  step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import NotInvariant, PrecisionExhausted, PstrataError
 from .lattice import Lattice, divisor_profile
@@ -300,21 +302,20 @@ class SeriesTrace:
     log_indices is computed on first use and kept.  graded is the series'
     graded period (j, m, shifts): term(i + m) == term(i) D for every i >= j,
     with D the diagonal matrix of the p^shifts[r], j + m <= i_max and every
-    shift at most m.  cycle is the series' first certificate
-    term(j + m) == p^n term(j) with j + m <= i_max: (j, m, n) when every
-    shift of graded is n, None otherwise.  Both are set by `lower_p_series`
-    only, from the blocks' first hits; a trace built by hand has None for
-    both, as if its terms never repeated.  Under a graded period every term
-    past j + m is a copy whose basis is built on its first read; its pivots,
-    level and profile, and so profiles and log_indices, are set at once.
+    shift at most m.  Only `lower_p_series` sets it, from the blocks' first
+    hits; a trace built by hand has None, as if its terms never repeated.
+    cycle is read off graded and kept: the series' first certificate
+    term(j + m) == p^n term(j), (j, m, n) when every shift is n, None
+    otherwise.  Under a graded period every term past j + m is a copy that
+    terms builds on its first index (`_Terms`); profiles, and so
+    log_indices, are set at once.
     """
 
     ambient: Lattice
     action: GroupAction
-    terms: tuple
+    terms: Sequence
     profiles: tuple
     i_max: int
-    cycle: CycleCertificate | None = None
     graded: tuple | None = None
 
     @property
@@ -324,6 +325,14 @@ class SeriesTrace:
     @cached_property
     def log_indices(self) -> tuple:
         return tuple(sum(prof) for prof in self.profiles)
+
+    @cached_property
+    def cycle(self) -> CycleCertificate | None:
+        """The graded period (j, m, shifts) as the cycle (j, m, n) when every shift is n."""
+        if self.graded is None or len(set(self.graded[2])) != 1:
+            return None
+        j, m, shifts = self.graded
+        return CycleCertificate(j=j, m=m, n=shifts[0])
 
 
 def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | None:
@@ -337,11 +346,13 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | Non
     within a bucket are compared.  The first entry u_i is the content
     depth: the least elementary divisor d_1 of a matrix is the gcd of its
     entries, so p^u_i is the gcd of B_i's, and n = u_i - u_j.  The terms
-    descend, so n >= 0.  For each term the earliest such j is taken, and a
-    hit (j, j+m) with n <= m is the certificate term(j + m) == p^n term(j)
-    itself; the tests re-check it.  Term i joins its bucket unless it
-    repeats an earlier term; called for i = 0, 1, ... in turn, the first
-    hit is the first certificate of the series.
+    descend, so n >= 0.  And n <= m: every step contains p times its input,
+    so term(j + m) = p^n term(j) contains p^m term(j), which has full rank.
+    For each term the earliest such j is taken, and a hit (j, j+m) is the
+    certificate term(j + m) == p^n term(j) itself; the tests re-check it.
+    Term i joins its bucket unless it repeats an earlier term; called for
+    i = 0, 1, ... in turn, the first hit is the first certificate of the
+    series.
     """
     term, prof = terms[i], profiles[i]
     u = prof[0]
@@ -351,8 +362,7 @@ def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | Non
         f = term.p**n
         if all(f * x == y for rj, ri in zip(terms[j].basis, term.basis)
                for x, y in zip(rj, ri)):
-            m = i - j
-            return CycleCertificate(j=j, m=m, n=n) if n <= m else None
+            return CycleCertificate(j=j, m=i - j, n=n)
     bucket.append(i)
     return None
 
@@ -391,40 +401,69 @@ def _graded_period(hits, sizes, i_max: int) -> tuple | None:
     return j, m, tuple(h.n * (m // h.m) for h, size in zip(hits, sizes) for _ in range(size))
 
 
-def _scalar_cycle(graded) -> CycleCertificate | None:
-    """The first cycle (j, m, n) of a graded period whose shifts all equal n, or None."""
-    if graded is None or len(set(graded[2])) != 1:
-        return None
-    j, m, shifts = graded
-    return CycleCertificate(j=j, m=m, n=shifts[0])
-
-
-def _assembled(L: Lattice, blocks, i: int) -> tuple:
-    """Term i's parts by block, as (start, block term, p^n), with its pivots and profile.
+def _parts(blocks, i: int) -> list:
+    """Term i's parts by block, as (start, block term, its profile, n): p^n times that term.
 
     Past its prefix, a block's term i is p^(k n_s) times its term
     i - k m_s, which lies in j_s .. j_s + m_s - 1 (module docstring).
     """
-    parts, exps, merged = [], [], []
+    parts = []
     for a, terms, profiles, hit in blocks:
         t, n = i, 0
         if i >= len(terms):
             k = (i - hit.j) // hit.m
             t, n = i - k * hit.m, k * hit.n
-        src = terms[t]
-        parts.append((a, src, L.p**n))
-        exps += [e + n for e in src.diag_exponents]
-        merged += [e + n for e in profiles[t]]
-    return parts, tuple(exps), tuple(sorted(merged))
+        parts.append((a, terms[t], profiles[t], n))
+    return parts
 
 
-def _stacked(d: int, parts) -> tuple:
-    """The rows of the parts p^n B, each padded with zeros outside its block's interval."""
-    rows = []
-    for a, src, f in parts:
-        pad_l, pad_r = (0,) * a, (0,) * (d - a - src.d)
+def _profile(parts) -> tuple:
+    """The profile of the parts' term: the blocks' profiles, each shifted by its n, merged."""
+    return tuple(sorted([e + n for _, _, prof, n in parts for e in prof]))
+
+
+def _assembled(L: Lattice, parts, level: int) -> Lattice:
+    """The parts' term, rows p^n B padded with zeros outside each block, pivots and level set."""
+    rows, exps = [], []
+    for a, src, _, n in parts:
+        f = L.p**n
+        pad_l, pad_r = (0,) * a, (0,) * (L.d - a - src.d)
         rows += [pad_l + tuple([f * x for x in row]) + pad_r for row in src.basis]
-    return tuple(rows)
+        exps += [e + n for e in src.diag_exponents]
+    term = Lattice._canonical(L.p, L.N, L.d, tuple(rows))
+    term.__dict__.update(diag_exponents=tuple(exps), lower_level=level)
+    return term
+
+
+class _Terms(Sequence):
+    """A series' terms: those held, and each later one assembled on its first index and kept.
+
+    Slices are tuples of terms, and == and hash read the terms as a tuple,
+    so a trace stays a value.
+    """
+
+    def __init__(self, held: list, L: Lattice, blocks, profiles: tuple):
+        self._terms = held + [None] * (len(profiles) - len(held))
+        self._L, self._blocks, self._profiles = L, blocks, profiles
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple([self[k] for k in range(len(self._terms))[i]])
+        term = self._terms[i]
+        if term is None:
+            i %= len(self._terms)
+            term = self._terms[i] = _assembled(self._L, _parts(self._blocks, i),
+                                               self._profiles[i][-1])
+        return term
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, _Terms)) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
@@ -441,8 +480,8 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     (j, m, shifts) is read off those hits, and its cycle (j, m, n) is that
     period when every shift is n.  The terms up to j + m (or i_max) are
     built from the blocks; every later term is a copy of a base-period term
-    scaled by D^k, whose pivots, level and profile are set at once and whose
-    rows are built on first read (module docstring).
+    scaled by D^k, whose profile is set at once and which the trace's terms
+    build on first index (module docstring).
     """
     _check_context(L, action)
     if L.log_det:
@@ -454,27 +493,25 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     blocks = [(a, *_block_series(act, i_max)) for a, act in action._blocks]
     hits = [hit for *_, hit in blocks]
     graded = _graded_period(hits, [act.d for _, act in action._blocks], i_max)
-    cycle = _scalar_cycle(graded)
     base = i_max if graded is None else graded[0] + graded[1]
     terms, profiles = [], []
     if len(blocks) == 1:  # the one block is the action: its terms up to base are the series'
         terms, profiles = list(blocks[0][1]), list(blocks[0][2])
-    for i in range(len(terms), i_max + 1):
-        parts, exps, prof = _assembled(L, blocks, i)
-        rows = partial(_stacked, L.d, parts)
-        if i > base:  # a copy of a base-period term: its rows are built on first read
-            term = Lattice._deferred(L.p, L.N, L.d, rows)
-        else:
-            term = Lattice._canonical(L.p, L.N, L.d, rows())
-        term.__dict__.update(diag_exponents=exps, lower_level=prof[-1])
-        terms.append(term)
-        profiles.append(prof)
+    for i in range(len(terms), base + 1):
+        parts = _parts(blocks, i)
+        profiles.append(_profile(parts))
+        terms.append(_assembled(L, parts, profiles[-1][-1]))
+    # past base every term is a copy of a base-period term: the trace builds it on first index
+    profiles += [_profile(_parts(blocks, i)) for i in range(base + 1, i_max + 1)]
     for i, prof in enumerate(profiles):
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
-    return SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max, cycle, graded)
+    profiles = tuple(profiles)
+    # with no copy to build, a tuple: a read then costs an index, not a Python call
+    terms = tuple(terms) if base == i_max else _Terms(terms, L, blocks, profiles)
+    return SeriesTrace(L, action, terms, profiles, i_max, graded)
 
 
 def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:

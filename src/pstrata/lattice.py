@@ -26,19 +26,6 @@ certified constant of a diagonal term off its exponents and valuation
 tables of the frame, with no product and no `solve`.  Every series term
 of the catalog is diagonal, and nearly every term of a random block
 action; most terms of a conjugated action are not.
-
-A basis can be deferred (`Lattice._deferred`): the lattice holds a
-zero-argument builder of its canonical rows, and the first read of
-`.basis` builds them and keeps them.  A class-level descriptor does this
-(`_DeferredBasis`).  It is a non-data descriptor, so the basis in an
-ordinary lattice's own dict shadows it, and no other attribute goes
-through it.  A `__getattr__` hook would do the same job but costs every
-lattice: defining it turns off CPython's specialized attribute reads for
-the class, and on CPython 3.11 every read of p, N, d or a cached
-property then took about 2.5 times as long.  A deferred lattice is the
-same class, so `==`, `hash` and `repr`, which read the basis, compare,
-hash and show it as they would an eager one.  The series' copies past
-its base period are built this way (`gmodule`).
 """
 
 from __future__ import annotations
@@ -136,13 +123,6 @@ class Lattice:
         lat.__dict__.update(p=p, N=N, d=d, basis=basis)
         return lat
 
-    @classmethod
-    def _deferred(cls, p: int, N: int, d: int, build) -> "Lattice":
-        """The lattice whose canonical basis is build(), built on the first read of .basis."""
-        lat = object.__new__(cls)  # skips __post_init__
-        lat.__dict__.update(p=p, N=N, d=d, _build=build)
-        return lat
-
     def guard(self) -> None:
         """The operation guard: PrecisionExhausted unless lower_level <= N - 2."""
         if self.lower_level > self.N - 2:
@@ -200,27 +180,6 @@ class Lattice:
     def _compat(self, other: "Lattice") -> None:
         if (self.p, self.N, self.d) != (other.p, other.N, other.d):
             raise ValueError("lattices live in different ambient contexts")
-
-
-class _DeferredBasis:
-    """Lattice.basis when the instance holds none: build it, keep it, drop the builder.
-
-    A non-data descriptor, so an instance's own basis shadows it.
-    """
-
-    def __get__(self, lat, owner=None):
-        if lat is None:
-            return self
-        build = lat.__dict__.get("_build")
-        if build is None:
-            raise AttributeError("'Lattice' object has no attribute 'basis'")
-        basis = lat.__dict__["basis"] = build()
-        del lat.__dict__["_build"]
-        return basis
-
-
-# set after the class: in its body the dataclass would read it as the field's default
-Lattice.basis = _DeferredBasis()
 
 
 def log_index(A: Lattice, B: Lattice) -> int:

@@ -23,7 +23,7 @@ within the bound wins whose shift, read at the window's end, holds back
 over at least 2m steps and half the window; without the half-window
 floor, m = 1 would pass on any two equal steps.
 run_stratification tries one rate vector: the cycle's rates when the
-trace has a cycle (detect_cycle reads it; the series sets it), the
+trace has a cycle (detect_cycle, read off the series' graded period), the
 periods' rates otherwise.  Under the series' graded period (j, m, shifts),
 when every frame row lies in one shift class and grows by it, m rate_k =
 shift, the window constant is read off its base period, terms
@@ -194,9 +194,9 @@ def _check_length(trace: SeriesTrace) -> None:
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     """The first exact repetition term(j + m) == p^n term(j), 0 <= n <= m, or None.
 
-    `gmodule.lower_p_series` reads it off the first hits of the action's
-    coordinate blocks and sets `SeriesTrace.cycle`; a hand-built trace has
-    None.  run_stratification and `hausdorff.hdim_numeric` share it.  One hit
+    `SeriesTrace.cycle` reads it off the graded period that
+    `gmodule.lower_p_series` sets from the first hits of the action's
+    coordinate blocks; a hand-built trace has none.  run_stratification and `hausdorff.hdim_numeric` share it.  One hit
     extends to every i >= j: the step M -> pM + sum_t M(g_t - 1) is
     Z_p-linear, so it sends p^n M to p^n times its image, and
     term(i + m) == p^n term(i) for each i >= j by induction on i.

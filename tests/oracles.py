@@ -284,8 +284,9 @@ def lower_p_series_stepwise(L, action, i_max):
     """Reference for gmodule.lower_p_series: every term by a step, none copied.
 
     Checks the index growth and caches each term's level from its profile,
-    as the library does; the trace's cycle is the first repetition found by
-    coordinates (`detect_cycle_by_coordinates`).
+    as the library does; the trace's graded period is the first repetition
+    found by coordinates (`detect_cycle_by_coordinates`), every shift its n,
+    so its cycle is that repetition.
     """
     from dataclasses import replace
 
@@ -305,4 +306,5 @@ def lower_p_series_stepwise(L, action, i_max):
         terms.append(cur)
         profiles.append(prof)
     trace = SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max)
-    return replace(trace, cycle=detect_cycle_by_coordinates(trace))
+    cycle = detect_cycle_by_coordinates(trace)
+    return trace if cycle is None else replace(trace, graded=(cycle.j, cycle.m, (cycle.n,) * L.d))

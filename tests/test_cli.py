@@ -272,6 +272,22 @@ def test_usage_errors(flags, capsys):
     assert "must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--catalog", "eisenstein2", "--imax", "24", "--tolerance", "5"],
+    ["series", "--catalog", "eisenstein2", "--imax", "24", "--denom-bound", "4"],
+    ["stratify", "--catalog", "eisenstein2", "--imax", "24", "--tolerance", "5"],
+    ["spectrum", "--catalog", "Gm2", "--imax", "24", "--tolerance", "5"],
+    ["catalog", "--catalog", "Gm2", "--denom-bound", "4"],
+    ["catalog", "--tolerance", "5"],
+])
+def test_a_verb_refuses_a_flag_it_does_not_read(argv, capsys):
+    # each of these flags used to be accepted and silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
 def test_denom_bound_is_checked_before_the_series(monkeypatch, capsys):
     def no_series(*args):
         raise AssertionError("the series ran before the bound was checked")

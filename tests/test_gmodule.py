@@ -18,7 +18,6 @@ from pstrata.gmodule import (
     SeriesTrace,
     _block_series,
     _graded_period,
-    _scalar_cycle,
     _step,
     check_invariance,
     lower_p_series,
@@ -240,6 +239,7 @@ def test_a_one_block_series_without_a_cycle_steps_every_term(monkeypatch):
     tr = lower_p_series(b.lattice, b.action, 40)
     assert tr.cycle is None
     assert len(calls) == 40
+    assert type(tr.terms) is tuple  # no copy to build: every term is held
 
 
 _SL2_F2 = ([[1, 1], [0, 1]], [[1, 0], [1, 1]])  # generate SL_2(F_2) mod 2: the series stalls
@@ -303,7 +303,8 @@ def test_the_joint_cycle_of_block_hits(hits, i_max, joint):
     # the scalar cycle is the graded period when all its shifts are equal
     hits = [None if h is None else CycleCertificate(*h) for h in hits]
     graded = _graded_period(hits, [1] * len(hits), i_max)
-    assert _scalar_cycle(graded) == (None if joint is None else CycleCertificate(*joint))
+    cycle = SeriesTrace(None, None, (), (), i_max, graded=graded).cycle
+    assert cycle == (None if joint is None else CycleCertificate(*joint))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -314,10 +315,11 @@ def test_the_graded_period_scales_each_column(p):
     for seed in range(40):
         b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=42)
         tr = lower_p_series(b.lattice, b.action, 40)
-        assert tr.cycle == _scalar_cycle(tr.graded)
         if tr.graded is None:
+            assert tr.cycle is None
             continue
         j, m, shifts = tr.graded
+        assert tr.cycle == (CycleCertificate(j, m, shifts[0]) if len(set(shifts)) == 1 else None)
         assert len(shifts) == tr.ambient.d and j + m <= tr.i_max and max(shifts) <= m
         for i in range(j, tr.i_max - m + 1):
             scaled = [tuple(x * p**s for x, s in zip(row, shifts)) for row in tr.terms[i].basis]
@@ -346,9 +348,9 @@ def test_pinned_graded_periods(case, period):
 
 
 def _built_past(tr) -> list:
-    """The indices past the base period j + m whose basis has been built."""
+    """The indices past the base period j + m whose term the trace has built."""
     j, m, _ = tr.graded
-    return [i for i, term in enumerate(tr.terms) if i > j + m and "basis" in vars(term)]
+    return [i for i, term in enumerate(tr.terms._terms) if i > j + m and term is not None]
 
 
 def _non_scalar_periods(p: int) -> list:
@@ -393,12 +395,13 @@ def test_the_deferred_tail_reads_in_any_order(case):
 
 
 def test_a_tail_term_is_an_ordinary_lattice():
-    # a copy is a Lattice like any other: == and hash read its basis, and
-    # repr shows it
+    # a copy is a Lattice like any other, its basis in its own dict: == and
+    # hash read the basis, and repr shows it
     b = get_bundle("remark27", p=2, N=42)
     tr, again = (lower_p_series(b.lattice, b.action, 40) for _ in range(2))
     fresh = [Lattice.from_rows(2, 42, 16, t.basis) for t in again.terms]
-    assert all(type(t) is Lattice and "basis" not in vars(t) for t in tr.terms[38:])
+    assert _built_past(tr) == []
+    assert all(type(t) is Lattice and "basis" in vars(t) for t in tr.terms[38:])
     assert tr.terms[40] == fresh[40]
     assert hash(tr.terms[39]) == hash(fresh[39])
     shown = repr(tr.terms[38])
@@ -407,9 +410,45 @@ def test_a_tail_term_is_an_ordinary_lattice():
         assert (term.diag_exponents, term.lower_level) == (ref.diag_exponents, ref.lower_level)
 
 
+def test_the_terms_index_and_slice_as_a_tuple():
+    # negative indices and slices read the same terms as the series that
+    # runs every step, build only the copies they hand out, and every term
+    # handed out holds its basis in its own dict
+    b = get_bundle("remark27", p=2, N=42)
+    ref = [t.basis for t in oracles.lower_p_series_stepwise(b.lattice, b.action, 40).terms]
+    tr = lower_p_series(b.lattice, b.action, 40)
+    assert len(tr.terms) == 41 and tr.graded[:2] == (1, 4)
+    for i in (-1, -3, -36, -41):
+        assert tr.terms[i].basis == ref[i]
+    assert _built_past(tr) == [38, 40]
+    for cut in [slice(None, None, -3), slice(-5, -1), slice(2, 30, 7), slice(38, None),
+                slice(50, 60), slice(None)]:
+        got = tr.terms[cut]
+        assert type(got) is tuple and [t.basis for t in got] == ref[cut]
+    for i in (41, -42):
+        with pytest.raises(IndexError):
+            tr.terms[i]
+    assert [t.basis for t in reversed(tr.terms)] == ref[::-1]
+    assert all("basis" in vars(t) for t in tr.terms)
+    # == and hash read the terms, so a trace is a value as its terms are
+    again = lower_p_series(b.lattice, b.action, 40)
+    assert again == tr and hash(again) == hash(tr) and again.terms == tuple(tr.terms)
+
+
+def test_the_cycle_is_read_off_the_graded_period():
+    # cycle is graded with equal shifts, on any trace, built by hand or not,
+    # and computed once
+    b = get_bundle("remark27", p=2, N=42)
+    tr = lower_p_series(b.lattice, b.action, 40)
+    for shifts, cycle in [((1,) * 8 + (2,) * 8, None), ((2,) * 16, CycleCertificate(1, 4, 2))]:
+        hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max,
+                           graded=(1, 4, shifts))
+        assert hand.cycle == cycle and hand.cycle is hand.cycle
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_stratify_builds_one_basis_past_the_base_period(p):
-    # remark27 at imax 128: the series builds no copy's rows, and stratify
+    # remark27 at imax 128: the series builds no copy, and stratify
     # reads terms 1 .. j + m - 1 and one anchor, term 128
     b = get_bundle("remark27", p=p, N=130)
     tr = lower_p_series(b.lattice, b.action, 128)

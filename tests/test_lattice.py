@@ -260,17 +260,3 @@ def test_incompatible_ambients_rejected():
     B = Lattice.standard(3, 6, 2)
     with pytest.raises(ValueError):
         log_index(A, B)
-
-
-def test_a_deferred_basis_is_built_once_on_first_read():
-    calls = []
-
-    def build():
-        calls.append(1)
-        return ((1, 1), (0, 4))
-
-    M = Lattice._deferred(2, 6, 2, build)
-    assert calls == [] and "basis" not in vars(M)
-    assert M == Lattice(2, 6, 2, ((1, 1), (0, 4)))  # == reads the basis
-    assert M.basis is M.basis and calls == [1]
-    assert "_build" not in vars(M)  # built once, the builder is dropped
