@@ -465,6 +465,9 @@ class _Terms(Sequence):
     def __hash__(self):
         return hash(tuple(self))
 
+    def __repr__(self):
+        return repr(tuple(self))
+
 
 def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     """Terms 0..i_max of the lower p-series of Z_p^d under the action.
@@ -509,9 +512,7 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
     profiles = tuple(profiles)
-    # with no copy to build, a tuple: a read then costs an index, not a Python call
-    terms = tuple(terms) if base == i_max else _Terms(terms, L, blocks, profiles)
-    return SeriesTrace(L, action, terms, profiles, i_max, graded)
+    return SeriesTrace(L, action, _Terms(terms, L, blocks, profiles), profiles, i_max, graded)
 
 
 def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:

@@ -241,9 +241,10 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     p^n term_(i-m) for every i >= j + m (`strata.detect_cycle`), so
     numerator_i = numerator_(i-m) + n r, with numerator_0 = 0 as every
     series starts at Z_p^d.  Only terms 1 .. j + m - 1 are read and
-    inserted, so the trace builds no copy past j + m (`gmodule`).  An H that is not saturated, or a trace with no
-    cycle, hand-built ones included, goes through the insertion loop above,
-    stationary exit and guard included.
+    inserted, so the trace builds no copy past j + m (`gmodule`).  An H
+    that is not saturated, or a trace with no cycle, hand-built ones
+    included, goes through the insertion loop above, stationary exit and
+    guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d

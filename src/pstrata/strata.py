@@ -196,10 +196,11 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
 
     `SeriesTrace.cycle` reads it off the graded period that
     `gmodule.lower_p_series` sets from the first hits of the action's
-    coordinate blocks; a hand-built trace has none.  run_stratification and `hausdorff.hdim_numeric` share it.  One hit
-    extends to every i >= j: the step M -> pM + sum_t M(g_t - 1) is
-    Z_p-linear, so it sends p^n M to p^n times its image, and
-    term(i + m) == p^n term(i) for each i >= j by induction on i.
+    coordinate blocks; a hand-built trace has none.  run_stratification
+    and `hausdorff.hdim_numeric` share it.  One hit extends to every
+    i >= j: the step M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends
+    p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
+    i >= j by induction on i.
     """
     return trace.cycle
 

@@ -239,7 +239,6 @@ def test_a_one_block_series_without_a_cycle_steps_every_term(monkeypatch):
     tr = lower_p_series(b.lattice, b.action, 40)
     assert tr.cycle is None
     assert len(calls) == 40
-    assert type(tr.terms) is tuple  # no copy to build: every term is held
 
 
 _SL2_F2 = ([[1, 1], [0, 1]], [[1, 0], [1, 1]])  # generate SL_2(F_2) mod 2: the series stalls
@@ -430,9 +429,11 @@ def test_the_terms_index_and_slice_as_a_tuple():
             tr.terms[i]
     assert [t.basis for t in reversed(tr.terms)] == ref[::-1]
     assert all("basis" in vars(t) for t in tr.terms)
-    # == and hash read the terms, so a trace is a value as its terms are
+    # ==, hash and repr read the terms, so a trace is a value as its terms are
     again = lower_p_series(b.lattice, b.action, 40)
     assert again == tr and hash(again) == hash(tr) and again.terms == tuple(tr.terms)
+    assert repr(again) == repr(tr) and repr(again.terms) == repr(tuple(tr.terms))
+    assert "terms=(Lattice(" in repr(again) and " at 0x" not in repr(again)
 
 
 def test_the_cycle_is_read_off_the_graded_period():
