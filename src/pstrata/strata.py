@@ -9,32 +9,37 @@ each other up to p^c across the whole window.
 Everything here is exact.  Rates are fractions, the frame is an integer
 matrix invertible over Z_p, and c is read off in frame coordinates, with
 no model lattice built (tests/oracles.py keeps the definition by model
-lattices).  So is the invariance of each rate-boundary prefix P_e of the
-frame F: P_e is invariant iff every block (F (g - 1) F^-1)[:e, e:] is 0
-mod p^N, and a prefix that is not is deformed by _graph_repair.  The
-only non-rigorous ingredient is the choice of candidate rates and frames;
-every candidate must pass invariance checks and the window-wide
-equivalence test, and failures fall back to other anchors.  A rate is
-read off the exact period of a profile column (fit_rational): the
-invariants are rational and the series descends regularly in strata, so
-each column eventually repeats with a shift, P[i + m][k] - P[i][k] = n,
-and its rate is n/m.  Only integers are compared.  The least period m
-within the bound wins whose shift, read at the window's end, holds back
-over at least 2m steps and half the window; without the half-window
-floor, m = 1 would pass on any two equal steps.
-run_stratification tries one rate vector: the cycle's rates when the
-trace has a cycle (detect_cycle, read off the series' graded period), the
-periods' rates otherwise.  Under the series' graded period (j, m, shifts),
-when every frame row lies in one shift class and grows by it, m rate_k =
-shift, the window constant is read off its base period, terms
-1 .. j + m - 1: from j on, each term and each model term is the one m
-before times the diagonal D = diag(p^shift).
+lattices).  run_stratification takes one of two paths.
+
+- Off the graded period.  A trace with a graded period (j, m, shifts)
+  (`SeriesTrace.graded`, read off the first hits of the action's
+  coordinate blocks) already states its stratification: coordinate r
+  grows at the exact rate shifts[r]/m, and the coordinate unit vectors,
+  ordered by rate, are a frame whose every rate-boundary prefix is
+  invariant.  Nothing is fitted, searched or repaired; c is computed off
+  the base period, terms 1 .. j + m - 1 (_graded_stratification).
+- Off the profile periods.  Any other trace, one whose blocks do not all
+  repeat within the window or a hand-built one, reads a rate off the exact
+  period of each profile column (fit_rational): the invariants are
+  rational and the series descends regularly in strata, so each column
+  eventually repeats with a shift, P[i + m][k] - P[i][k] = n, and its rate
+  is n/m.  Only integers are compared.  The least period m within the
+  bound wins whose shift, read at the window's end, holds back over at
+  least 2m steps and half the window; without the half-window floor,
+  m = 1 would pass on any two equal steps.  A frame is then taken from
+  the Smith basis of an anchor term (extract_frame).  Each rate-boundary
+  prefix P_e of the frame F is checked: P_e is invariant iff every block
+  (F (g - 1) F^-1)[:e, e:] is 0 mod p^N, and a prefix that is not is
+  deformed by _graph_repair.  The choice of rates and anchors is the only
+  non-rigorous ingredient; every candidate must pass the invariance checks
+  and the window-wide equivalence test, and failures fall back to other
+  anchors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -196,11 +201,14 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
 
     `SeriesTrace.cycle` reads it off the graded period that
     `gmodule.lower_p_series` sets from the first hits of the action's
-    coordinate blocks; a hand-built trace has none.  run_stratification
-    and `hausdorff.hdim_numeric` share it.  One hit extends to every
-    i >= j: the step M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends
-    p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
-    i >= j by induction on i.
+    coordinate blocks: it is that period when every shift is n, and a
+    hand-built trace has none.  One hit extends to every i >= j: the step
+    M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends p^n M to p^n
+    times its image, and term(i + m) == p^n term(i) for each i >= j by
+    induction on i.  So every rate is n/m.  run_stratification reports
+    it with the stratification it reads off the graded period (its status
+    is "exact-cycle" then), and `hausdorff.hdim_numeric` reads its
+    quotients off it.
     """
     return trace.cycle
 
@@ -530,29 +538,69 @@ def extract_frame(trace: SeriesTrace, rates) -> Stratification:
     raise FrameRejected("; ".join(reasons))
 
 
-def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
-    """Full pipeline: cycle detection, rates, frame, certification.
+def _graded_stratification(trace: SeriesTrace, cert) -> Stratification:
+    """The stratification a graded period (j, m, shifts) states: exact rates, coordinate frame.
 
-    Returns (stratification, cycle_certificate_or_None) for one rate
-    vector.  A verified cycle term(j + m) = p^n term(j) pins every rate to
-    n/m exactly (the step is Z_p-linear, detect_cycle), so no period is
-    read; its frame is returned with status "exact-cycle", since exact
-    self-similarity extends the window to every later index.  With no
-    cycle, the rates are read off the period of each profile column
-    (estimate_rates).  Either way frame extraction certifies c over the
-    whole window, so the periods add no unsoundness.
+    Coordinate r has rate shifts[r]/m, and the frame is the unit vectors
+    ordered by (rate, coordinate), a permutation whose inverse is its
+    transpose.  No check is needed:
+    - Each coordinate block's span V_s is invariant (`gmodule` docstring),
+      and all coordinates of a block share one shift, n_s m/m_s.  So every
+      rate-boundary prefix of the frame is a sum of blocks' spans and is
+      invariant, and so is every model term (_try_frame).
+    - The rates are exact: block s repeats, term_s(i + m_s) = p^n_s
+      term_s(i) from j_s on, so its terms lie within a bounded distance of
+      p^floor(i n_s/m_s) Z_p^(V_s), as detect_cycle argues for a whole
+      series' cycle.
+    - c is still computed exactly, off terms 1 .. j + m - 1: every frame
+      row is a unit vector e_r with m rate = shifts[r], the graded short
+      read of _window_constant.  Above the cap, FrameRejected.
+    The status is "exact-cycle" when every shift is equal (cert is the
+    cycle, detect_cycle), "certified-window" otherwise.
+    """
+    j, m, shifts = trace.graded
+    d = len(shifts)
+    order = sorted(range(d), key=shifts.__getitem__)  # a stable sort: ties by coordinate
+    frame = [[int(r == k) for r in range(d)] for k in order]
+    rates = RateVector(tuple(Fraction(shifts[k], m) for k in order))
+    c = _window_constant(trace, frame, rates, list(zip(*frame)))
+    cap = _cap(trace)
+    if c > cap:
+        raise FrameRejected(f"graded period (j={j}, m={m}): window constant {c} of the "
+                            f"coordinate frame exceeds cap {cap}")
+    return Stratification(
+        frame=tuple(map(tuple, frame)),
+        rates=rates,
+        c=c,
+        window=(0, trace.i_max),
+        status="certified-window" if cert is None else "exact-cycle",
+    )
+
+
+def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
+    """Full pipeline: rates, frame, certification, on one of two paths.
+
+    Returns (stratification, cycle_certificate_or_None).
+    - Off the graded period.  When the trace has one (`SeriesTrace.graded`),
+      its rates, frame and status are read off it and c computed
+      (_graded_stratification); denom_bound is not read.  The cycle
+      (detect_cycle) is returned with it, and is None unless every shift
+      is equal.
+    - Off the profile periods.  Otherwise the rates are read off the
+      period of each profile column within denom_bound (estimate_rates),
+      and extract_frame finds a frame and certifies c over the whole
+      window, so the periods add no unsoundness.  The cycle is None.
     Errors, in this order: a trace shorter than two steps, then a period
     bound below 1, raise ValueError whatever the trace holds; then the
-    candidate's rate error (NoStableFit, RateOutOfRange) or FrameRejected
-    is raised as is.
+    rate error (NoStableFit, RateOutOfRange) or FrameRejected is raised as
+    is.
     """
     _check_length(trace)
     _check_bound(denom_bound)
-    cert = detect_cycle(trace)
-    if cert is None:
+    if trace.graded is None:
         return extract_frame(trace, estimate_rates(trace, denom_bound)), None
-    strat = extract_frame(trace, RateVector((cert.rate,) * trace.ambient.d))
-    return replace(strat, status="exact-cycle"), cert
+    cert = detect_cycle(trace)
+    return _graded_stratification(trace, cert), cert
 
 
 # -- splitting along a stratum boundary ---------------------------------

@@ -10,7 +10,7 @@ here), and `approximate_term`, the model lattice the latter builds; and
 the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
 (the cycle key by a Hermite form), `run_stratification_eager` (the
-one rate candidate picked before any frame is tried),
+anchor pipeline, which also ran on a trace with a graded period),
 `step_by_full_stack` (the series step on every image, zero or not) and
 `lower_p_series_stepwise` (the series with every step run, no tail copied).  The
 definitions `valuation` and `mat_mul_dense` pin the kernels.
@@ -247,12 +247,13 @@ def detect_cycle_by_coordinates(trace):
 
 
 def run_stratification_eager(trace, denom_bound=64):
-    """Reference for strata.run_stratification: the one candidate picked up front.
+    """Reference for strata.run_stratification: the anchor pipeline on every trace.
 
     Checks the trace length and the bound, then takes the cycle by
     coordinates (`detect_cycle_by_coordinates`): with a cycle its rates
-    are the candidate, otherwise the rate fit's.  Only then is a frame
-    tried, and every error is raised as is.
+    are the candidate, otherwise the rate fit's, graded period or not.
+    Only then is a frame tried from the Smith basis of an anchor term
+    (`strata.extract_frame`), and every error is raised as is.
     """
     from dataclasses import replace
 

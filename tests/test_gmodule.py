@@ -449,13 +449,14 @@ def test_the_cycle_is_read_off_the_graded_period():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_stratify_builds_one_basis_past_the_base_period(p):
-    # remark27 at imax 128: the series builds no copy, and stratify
-    # reads terms 1 .. j + m - 1 and one anchor, term 128
+    # remark27 at imax 128: the series builds no copy, and stratify reads
+    # its rates and frame off the graded period and c off terms
+    # 1 .. j + m - 1, so it builds none either (no anchor term is read)
     b = get_bundle("remark27", p=p, N=130)
     tr = lower_p_series(b.lattice, b.action, 128)
     assert _built_past(tr) == []
     run_stratification(tr, 63)
-    assert _built_past(tr) == [128]
+    assert _built_past(tr) == []
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):

@@ -675,14 +675,90 @@ def _pipeline(run, tr, **kwargs):
 @given(instances, st.sampled_from([2, 3]), st.integers(4, 24), st.sampled_from([0, 1, 2]),
        st.data())
 def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
-    """Same result or same error as picking the one candidate up front, from any start."""
+    """The anchor pipeline's result wherever it succeeds, from any start.
+
+    Under a graded period the pipeline reads no period, so where the anchor
+    pipeline's period fit finds none within the bound or the window, the
+    rates are the period's shifts over m and c is the definition's for the
+    coordinate frame; a rejection names the graded period.
+    """
     tr = _series(instance, p, i_max, start)
     bound = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
     expected = _pipeline(oracles.run_stratification_eager, tr, denom_bound=bound)
-    assert _pipeline(run_stratification, tr, denom_bound=bound) == expected
+    got = _pipeline(run_stratification, tr, denom_bound=bound)
+    if tr.graded is None or expected[0] not in ("NoStableFit", "FrameRejected"):
+        assert got == expected
+    elif expected[0] == "FrameRejected":
+        assert got[0] == "FrameRejected" and got[1].startswith("graded period (j=")
+    else:
+        strat, cert = got
+        _, m, shifts = tr.graded
+        assert strat.rates.rates == tuple(sorted(F(n, m) for n in shifts))
+        assert strat.c == oracles.window_constant_by_lattices(tr, strat.frame, strat.rates)
+
+
+def test_a_graded_period_calls_no_fit_and_no_smith_form(monkeypatch):
+    """The graded path reads its rates and frame off the period, for a cycle or not."""
+    traces = [_graded_case("remark27")[0], _cycled_case("eisenstein2")[0],
+              _cycled_case("conjugated eisenstein3")[0]]
+    calls = []
+
+    def forbidden(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for name in ("extract_frame", "estimate_rates", "fit_rational", "smith_rows"):
+        monkeypatch.setattr(strata, name, forbidden(name))
+    monkeypatch.setattr("pstrata.lattice.smith_rows", forbidden("lattice.smith_rows"))
+    for tr in traces:
+        strat, cert = run_stratification(tr, denom_bound=1)
+        assert strat.c == 1 and (cert is None) == (strat.status == "certified-window")
+    assert calls == []
+
+
+def test_a_coordinate_frame_above_the_cap_is_rejected():
+    # random seed 41 at p 2 and imax 7: the cycle term(i + 1) = p term(i)
+    # from i = 3 on, and the cap is 1.  The coordinate frame needs c = 2;
+    # under equal rates c does not depend on the frame, and the anchor
+    # pipeline rejects these rates too
+    b = random_block_action(random_sizes(random.Random(41)), 41, p=2, N=9)
+    tr = lower_p_series(b.lattice, b.action, 7)
+    assert tr.cycle == CycleCertificate(3, 1, 1)
+    with pytest.raises(FrameRejected, match=r"^graded period \(j=3, m=1\): window constant 2 "
+                                            r"of the coordinate frame exceeds cap 1$"):
+        run_stratification(tr, denom_bound=8)
+    d = tr.ambient.d
+    rates = RateVector((F(1),) * d)
+    assert oracles.window_constant_by_lattices(tr, identity(d), rates) == 2
+    with pytest.raises(FrameRejected):
+        extract_frame(tr, rates)
+
+
+def test_a_cycle_in_moved_coordinates_takes_the_coordinate_frame():
+    # random seed 0 at p 3 moved by U: one block, term(i + 1) = p term(i)
+    # from i = 1 on.  Under equal rates model_i is p^a Z_p^d for any frame
+    # that is a Z_p-basis, so c does not depend on the frame: the anchor
+    # pipeline's Smith frame and the coordinate frame give the same c
+    p, N = 3, 18
+    b = random_block_action(random_sizes(random.Random(0)), 0, p=p, N=N)
+    U = [[1, 2, 3, 1, -2], [-1, -3, 2, -3, 3], [2, -1, 0, 1, -3], [-1, 0, -1, 1, 2],
+         [-2, 1, 0, 0, 3]]
+    U_inv = unimodular_inverse(U, p, N)
+    act = GroupAction.build(p, N, [mat_mul(mat_mul(U_inv, g, p**N), U, p**N)
+                                   for g in b.action.generators])
+    tr = lower_p_series(Lattice.standard(p, N, 5), act, 16)
+    assert tr.cycle == CycleCertificate(1, 1, 1)
+    anchored, cert = oracles.run_stratification_eager(tr, 8)
+    strat, got = run_stratification(tr, 8)
+    assert strat.frame == tuple(map(tuple, identity(5))) != anchored.frame
+    assert replace(strat, frame=anchored.frame) == anchored and got == cert
+    for frame in (strat.frame, anchored.frame):
+        assert oracles.window_constant_by_lattices(tr, frame, strat.rates) == strat.c == 1
 
 
 def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
+    # only a trace with no graded period reads its rates off the profile
+    # periods, with the caller's bound: Gm3 at imax 24, whose 1/5 blocks
+    # have not hit by then
     calls = []
 
     def counting(*args):
@@ -690,55 +766,13 @@ def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
         return fit_rational(*args)
 
     monkeypatch.setattr(strata, "fit_rational", counting)
-    b = get_bundle("eisenstein2")
-    strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 16), denom_bound=8)
-    assert strat.status == "exact-cycle"
-    assert calls == []
-    b = get_bundle("Gm3")
-    strat, cert = run_stratification(lower_p_series(b.lattice, b.action, 40), denom_bound=8)
+    b = get_bundle("Gm3", N=26)
+    tr = lower_p_series(b.lattice, b.action, 24)
+    assert tr.graded is None
+    strat, cert = run_stratification(tr, denom_bound=8)
     assert cert is None
     assert strat.rates.rates == (F(1, 5),) * 5 + (F(1, 3),) * 3 + (F(1, 2),) * 2
     assert calls and all(bound == 8 for _, bound in calls)
-
-
-def _cycled_trace():
-    b = get_bundle("eisenstein2")
-    tr = lower_p_series(b.lattice, b.action, 16)
-    assert detect_cycle(tr) is not None
-    return tr
-
-
-@pytest.mark.parametrize("fit_error", [NoStableFit, RateOutOfRange])
-def test_a_failed_fit_after_a_rejected_cycle_reports_the_cycle(fit_error, monkeypatch):
-    def reject(trace, rates, c_cap=None):
-        raise FrameRejected("cycle frame rejected")
-
-    def no_fit(*args):
-        raise fit_error("no fit")
-
-    tr = _cycled_trace()
-    monkeypatch.setattr(strata, "extract_frame", reject)
-    monkeypatch.setattr(strata, "estimate_rates", no_fit)
-    with pytest.raises(FrameRejected) as exc:
-        run_stratification(tr, denom_bound=8)
-    assert str(exc.value) == "cycle frame rejected"
-
-
-def test_a_fit_equal_to_the_cycle_rates_is_not_tried_again(monkeypatch):
-    tr = _cycled_trace()
-    cycle = RateVector((detect_cycle(tr).rate,) * tr.ambient.d)
-    calls = []
-
-    def reject(trace, rates, c_cap=None):
-        calls.append(rates)
-        raise FrameRejected(f"rejection {len(calls)}")
-
-    monkeypatch.setattr(strata, "extract_frame", reject)
-    monkeypatch.setattr(strata, "estimate_rates", lambda *args: cycle)
-    with pytest.raises(FrameRejected) as exc:
-        run_stratification(tr, denom_bound=8)
-    assert str(exc.value) == "rejection 1"
-    assert calls == [cycle]
 
 
 def test_gm4_certifies_its_true_rates():
@@ -806,31 +840,6 @@ def test_bad_window_is_refused_when_a_cycle_certifies():
             with pytest.raises(ValueError, match=fr"^i_max must be at least 2 to read a rate, "
                                                  fr"got {i_max}$"):
                 run_stratification(tr, denom_bound=1)
-
-
-def test_a_rejected_cycle_is_the_answer(monkeypatch):
-    # the cycle's rates are the rates: rejected, they end the run, and no
-    # period is read for rates that some other frame might certify
-    tr = _cycled_trace()
-    cycle = RateVector((detect_cycle(tr).rate,) * tr.ambient.d)
-    other = Stratification(frame=((1, 0), (0, 1)), rates=RateVector((F(1, 2), F(1))), c=0,
-                           window=(0, tr.i_max), status="certified-window")
-    fits = []
-
-    def extract(trace, rates, **_):
-        if rates == cycle:
-            raise FrameRejected("cycle frame rejected")
-        return other
-
-    def fit(*args):
-        fits.append(args)
-        return other.rates
-
-    monkeypatch.setattr(strata, "extract_frame", extract)
-    monkeypatch.setattr(strata, "estimate_rates", fit)
-    with pytest.raises(FrameRejected, match="^cycle frame rejected$"):
-        run_stratification(tr, denom_bound=8)
-    assert fits == []
 
 
 def _unimodular_signed(data, d, entry, diagonal):
