@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--denom-bound", type=int, default=None,
                         help="bound on the profile period m (the rate denominator), "
-                             "read only when the series has no graded period in the "
-                             "window (default min(64, (imax-2)//2))")
+                             "read only when some coordinate block has not repeated "
+                             "by imax (default min(64, (imax-2)//2))")
     hd.add_argument("--tolerance", type=float, default=0.01,
                     help="numeric agreement tolerance")
     hd.add_argument("--subgroup", required=True, help="subgroup JSON file")

@@ -99,23 +99,16 @@ V_s is invariant.
   equal (so are the shifts), j >= max j_s and lcm m_s divides i - j; the
   least such i is max j_s + lcm m_s, and a block that did not hit by i_max
   has no such pair there.
-- The tail past the base period.  Let base = j + m under a graded period
-  and i_max with none.  Terms 0 .. base are built at once: a one-block
-  action's are its own stepped terms, the others are assembled from the
-  blocks' (a block's term past its own hit is the scaled copy above).  A
-  later term i is the copy term(b) D^k of the base-period term
-  b = j + (i - j) mod m, k = (i - b)/m, scalar cycle or not: its part in
-  block s is p^(k n_s m/m_s) times block s's part of term b, which the
-  assembly takes straight from block s's own terms j_s .. j_s + m_s - 1, so
-  no copy reads another.  Its profile is the parts', shifted blockwise, and
-  is all the series computes of it; the trace builds the copy, with its
-  diagonal exponents and lower level, on its first index and keeps it
-  (`_Terms`).  B D^k is canonical whenever B is, by the lemma for p^n B
-  above applied to each block, whose rows and columns D^k scales alike,
-  and a full-rank canonical basis is unique, so a copy built late is the
-  term an eager build gives.  The index growth check reads every profile
-  of the sum, so a stalled block passes when the sum grows a digit per
-  step.
+- Terms on first index.  A one-block action's stepped terms and profiles
+  are the series' own.  Every other term i is assembled on its first
+  index and kept (`_Terms`) from its parts: block s's term i, or, past the
+  block's own hit, p^(k n_s) times its term i - k m_s, which lies in
+  j_s .. j_s + m_s - 1 (the copy above), so no term reads another.  Each
+  part is canonical by the lemma for p^n B, so the assembly is the term's
+  canonical basis, and a term built late is the one an eager build gives.
+  Every other profile is the parts', shifted blockwise, and is set at
+  once.  The index growth check reads every profile of the sum, so a
+  stalled block passes when the sum grows a digit per step.
 """
 
 from __future__ import annotations
@@ -299,16 +292,19 @@ class CycleCertificate:
 class SeriesTrace:
     """The computed prefix of a lower p-series with divisor bookkeeping.
 
-    log_indices is computed on first use and kept.  graded is the series'
-    graded period (j, m, shifts): term(i + m) == term(i) D for every i >= j,
-    with D the diagonal matrix of the p^shifts[r], j + m <= i_max and every
-    shift at most m.  Only `lower_p_series` sets it, from the blocks' first
-    hits; a trace built by hand has None, as if its terms never repeated.
-    cycle is read off graded and kept: the series' first certificate
-    term(j + m) == p^n term(j), (j, m, n) when every shift is n, None
-    otherwise.  Under a graded period every term past j + m is a copy that
-    terms builds on its first index (`_Terms`); profiles, and so
-    log_indices, are set at once.
+    log_indices is computed on first use and kept.  blocks holds one record
+    (start, terms, profiles, hit) per coordinate block of the action: the
+    block's coordinates begin at start, and its terms and profiles run from
+    its own Z_p^d_s to its first cycle hit, the certificate
+    term_s(j_s + m_s) == p^n_s term_s(j_s), or to i_max, where hit is None.
+    Only `lower_p_series` and the tests' references set it; a trace built by
+    hand has (), as if its terms never repeated.  graded is read off the
+    hits (`_graded_period`): the series' graded period (j, m, shifts),
+    term(i + m) == term(i) D for every i >= j, with D the diagonal matrix of
+    the p^shifts[r], j + m <= i_max and every shift at most m; None when a
+    block has no hit or j + m > i_max.  cycle is read off graded: the
+    series' first certificate term(j + m) == p^n term(j), (j, m, n) when
+    every shift is n, None otherwise.  Both are kept.
     """
 
     ambient: Lattice
@@ -316,7 +312,7 @@ class SeriesTrace:
     terms: Sequence
     profiles: tuple
     i_max: int
-    graded: tuple | None = None
+    blocks: tuple = field(default=(), repr=False)
 
     @property
     def precision(self) -> int:
@@ -325,6 +321,11 @@ class SeriesTrace:
     @cached_property
     def log_indices(self) -> tuple:
         return tuple(sum(prof) for prof in self.profiles)
+
+    @cached_property
+    def graded(self) -> tuple | None:
+        """The graded period (j, m, shifts) of the blocks' hits, or None."""
+        return _graded_period(self.blocks, self.i_max)
 
     @cached_property
     def cycle(self) -> CycleCertificate | None:
@@ -382,23 +383,24 @@ def _block_series(act: GroupAction, i_max: int) -> tuple:
         terms.append(cur)
         profiles.append(prof)
         hit = _cycle_hit(terms, profiles, buckets, len(terms) - 1)
-    return terms, profiles, hit
+    return tuple(terms), tuple(profiles), hit
 
 
-def _graded_period(hits, sizes, i_max: int) -> tuple | None:
-    """The graded period (j, m, shifts) from the blocks' first hits and sizes, or None.
+def _graded_period(blocks, i_max: int) -> tuple | None:
+    """The graded period (j, m, shifts) of the block records' hits, or None.
 
     j = max j_s, m = lcm m_s, and coordinate r of block s shifts by
-    n_s m/m_s; None when a block has no hit or j + m > i_max (module
-    docstring).
+    n_s m/m_s; None when there is no block, a block has no hit or
+    j + m > i_max (module docstring).
     """
-    if None in hits:
+    hits = [hit for *_, hit in blocks]
+    if not hits or None in hits:
         return None
     j = max(h.j for h in hits)
     m = math.lcm(*(h.m for h in hits))
     if j + m > i_max:
         return None
-    return j, m, tuple(h.n * (m // h.m) for h, size in zip(hits, sizes) for _ in range(size))
+    return j, m, tuple(h.n * (m // h.m) for _, terms, _, h in blocks for _ in range(terms[0].d))
 
 
 def _parts(blocks, i: int) -> list:
@@ -436,7 +438,7 @@ def _assembled(L: Lattice, parts, level: int) -> Lattice:
 
 
 class _Terms(Sequence):
-    """A series' terms: those held, and each later one assembled on its first index and kept.
+    """A series' terms: those held, and each other one assembled on its first index and kept.
 
     Slices are tuples of terms, and == and hash read the terms as a tuple,
     so a trace stays a value.
@@ -479,12 +481,12 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     asserts the trivial index bound log_p |L : term_i| >= i; a violation
     means the group is not pro-p and raises PstrataError with the index.
     Each coordinate block of the action (one when it does not split) steps
-    until its own first cycle hit or i_max; the trace's graded period
-    (j, m, shifts) is read off those hits, and its cycle (j, m, n) is that
-    period when every shift is n.  The terms up to j + m (or i_max) are
-    built from the blocks; every later term is a copy of a base-period term
-    scaled by D^k, whose profile is set at once and which the trace's terms
-    build on first index (module docstring).
+    until its own first cycle hit or i_max; the trace keeps those records
+    (`SeriesTrace.blocks`), and its graded period and cycle are read off
+    their hits.  A one-block action's stepped terms and profiles are the
+    series' own; every other profile is read off the blocks at once, and
+    every other term is assembled from them on its first index (module
+    docstring).
     """
     _check_context(L, action)
     if L.log_det:
@@ -493,26 +495,16 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
         raise PrecisionExhausted(
             f"precision {L.N} cannot certify {i_max} steps; need at least {i_max + 2}"
         )
-    blocks = [(a, *_block_series(act, i_max)) for a, act in action._blocks]
-    hits = [hit for *_, hit in blocks]
-    graded = _graded_period(hits, [act.d for _, act in action._blocks], i_max)
-    base = i_max if graded is None else graded[0] + graded[1]
-    terms, profiles = [], []
-    if len(blocks) == 1:  # the one block is the action: its terms up to base are the series'
-        terms, profiles = list(blocks[0][1]), list(blocks[0][2])
-    for i in range(len(terms), base + 1):
-        parts = _parts(blocks, i)
-        profiles.append(_profile(parts))
-        terms.append(_assembled(L, parts, profiles[-1][-1]))
-    # past base every term is a copy of a base-period term: the trace builds it on first index
-    profiles += [_profile(_parts(blocks, i)) for i in range(base + 1, i_max + 1)]
+    blocks = tuple((a, *_block_series(act, i_max)) for a, act in action._blocks)
+    held = list(blocks[0][1]) if len(blocks) == 1 else []  # the one block is the action
+    profiles = blocks[0][2][:len(held)] + tuple(
+        _profile(_parts(blocks, i)) for i in range(len(held), i_max + 1))
     for i, prof in enumerate(profiles):
         if sum(prof) < i:
             raise PstrataError(
                 f"series index grew too slowly at step {i}; the action is not pro-p"
             )
-    profiles = tuple(profiles)
-    return SeriesTrace(L, action, _Terms(terms, L, blocks, profiles), profiles, i_max, graded)
+    return SeriesTrace(L, action, _Terms(held, L, blocks, profiles), profiles, i_max, blocks)
 
 
 def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:

@@ -236,12 +236,12 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     and the modular law gives Hbar cap p^n T = p^n ((S cap T) + p^(N-n) C)
     and Hbar cap T = (S cap T) + p^N C.  The first has index p^(n r) |S :
     S cap T| in Hbar, the second |S : S cap T|.  When the trace has a cycle
-    (j, m, n) (`SeriesTrace.cycle`, read off the graded period that only
-    lower_p_series sets, and whose terms all pass the guard), term_i =
-    p^n term_(i-m) for every i >= j + m (`strata.detect_cycle`), so
-    numerator_i = numerator_(i-m) + n r, with numerator_0 = 0 as every
+    (j, m, n) (`SeriesTrace.cycle`, read off the hits of its coordinate
+    blocks, whose terms all pass the guard; a hand-built trace has none),
+    term_i = p^n term_(i-m) for every i >= j + m (`strata.detect_cycle`),
+    so numerator_i = numerator_(i-m) + n r, with numerator_0 = 0 as every
     series starts at Z_p^d.  Only terms 1 .. j + m - 1 are read and
-    inserted, so the trace builds no copy past j + m (`gmodule`).  An H
+    inserted, so the trace builds no term past j + m (`gmodule`).  An H
     that is not saturated, or a trace with no cycle, hand-built ones
     included, goes through the insertion loop above, stationary exit and
     guard included.

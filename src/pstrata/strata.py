@@ -11,15 +11,15 @@ matrix invertible over Z_p, and c is read off in frame coordinates, with
 no model lattice built (tests/oracles.py keeps the definition by model
 lattices).  run_stratification takes one of two paths.
 
-- Off the graded period.  A trace with a graded period (j, m, shifts)
-  (`SeriesTrace.graded`, read off the first hits of the action's
-  coordinate blocks) already states its stratification: coordinate r
-  grows at the exact rate shifts[r]/m, and the coordinate unit vectors,
-  ordered by rate, are a frame whose every rate-boundary prefix is
-  invariant.  Nothing is fitted, searched or repaired; c is computed off
-  the base period, terms 1 .. j + m - 1 (_graded_stratification).
-- Off the profile periods.  Any other trace, one whose blocks do not all
-  repeat within the window or a hand-built one, reads a rate off the exact
+- Off the blocks' hits.  A trace whose coordinate blocks all hit their
+  first cycle (`SeriesTrace.blocks`) already states its stratification:
+  every coordinate of block s grows at the exact rate n_s/m_s, and the
+  coordinate unit vectors, ordered by rate, are a frame whose every
+  rate-boundary prefix is invariant.  Nothing is fitted, searched or
+  repaired, and c is read off the blocks' profiles in integers, with no
+  term read (_block_stratification).
+- Off the profile periods.  Any other trace, one with a block that does
+  not repeat within the window or a hand-built one, reads a rate off the exact
   period of each profile column (fit_rational): the invariants are
   rational and the series descends regularly in strata, so each column
   eventually repeats with a shift, P[i + m][k] - P[i][k] = n, and its rate
@@ -199,14 +199,14 @@ def _check_length(trace: SeriesTrace) -> None:
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     """The first exact repetition term(j + m) == p^n term(j), 0 <= n <= m, or None.
 
-    `SeriesTrace.cycle` reads it off the graded period that
-    `gmodule.lower_p_series` sets from the first hits of the action's
-    coordinate blocks: it is that period when every shift is n, and a
-    hand-built trace has none.  One hit extends to every i >= j: the step
-    M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends p^n M to p^n
-    times its image, and term(i + m) == p^n term(i) for each i >= j by
-    induction on i.  So every rate is n/m.  run_stratification reports
-    it with the stratification it reads off the graded period (its status
+    `SeriesTrace.cycle` reads it off the graded period of the first hits
+    of the action's coordinate blocks (`SeriesTrace.blocks`, which
+    `gmodule.lower_p_series` records): it is that period when every shift
+    is n, and a hand-built trace has none.  One hit extends to every
+    i >= j: the step M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends
+    p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
+    i >= j by induction on i.  So every rate is n/m.  run_stratification
+    reports it with the stratification it reads off the blocks (its status
     is "exact-cycle" then), and `hausdorff.hdim_numeric` reads its
     quotients off it.
     """
@@ -361,28 +361,6 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     binds, and a zero entry, whose v_p is at least N, never decides the
     minimum or the maximum.  Any other term, such as most terms of a
     conjugated series, takes the product and the solves.
-
-    Under a graded period the constant is read off the base period: when
-    trace.graded is (j, m, shifts) and, for every frame row x_k, m rate_k is
-    an integer equal to shifts[r] at every coordinate r where x_k is
-    nonzero, only terms 1 .. max(1, j + m - 1) are read.  Under a scalar
-    cycle (every shift n; every frame row is nonzero) that is every rate
-    being n/m.  Lemma: c_(i+m) = c_i for i >= j, c_i the least c for term i
-    alone.  Proof, with D the diagonal matrix of the p^shifts[r]:
-    1. lambda_(i+m) = lambda_i D for i >= j: each block repeats
-       term_s(i + m) = p^shift_s term_s(i), as m_s divides m
-       (`gmodule`, SeriesTrace.graded).
-    2. x_k D = p^(m rate_k) x_k, and floor((i + m) rate_k) =
-       floor(i rate_k) + m rate_k, so model_(i+m) = model_i D.
-    3. Both lattices at i contain p^i Z_p^d, i + m <= i_max <= N - 2 and
-       every shift is at most m; so p^N Z_p^d lies in lambda_i D and in
-       model_i D, and the equalities hold exactly, not only mod p^N.
-    4. D is invertible over Q_p, so p^c lambda lies in model at i + m iff
-       it does at i, and likewise the other way round.  Hence c_(i+m) = c_i.
-    Every i in [j + m, i_max] thus reduces to some i' in [j, j + m - 1],
-    and c_0 = 0, term 0 and model 0 both being the start.  Any other trace,
-    frame or rate vector, a hand-built trace (graded None) included, reads
-    every term.
     """
     p, N = trace.ambient.p, trace.ambient.N
     pN = p**N
@@ -393,15 +371,8 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
                   for row in frame]
     inv = row_entries(inv)
     pairs = [(xi.numerator, xi.denominator) for xi in rates.rates]
-    last = trace.i_max
-    if trace.graded is not None:
-        j, m, shifts = trace.graded
-        # every frame row x_k lies in one shift class and grows by it: m rate_k = shifts[r]
-        if all(m * n == shifts[r] * den
-               for (n, den), row in zip(pairs, frame_rows) for r, _ in row):
-            last = max(1, j + m - 1)
     c = 0
-    for i in range(1, last + 1):
+    for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
         a = [i * n // m for n, m in pairs]
         if not any(any(row[k + 1:]) for k, row in enumerate(lam.basis)):
@@ -538,42 +509,51 @@ def extract_frame(trace: SeriesTrace, rates) -> Stratification:
     raise FrameRejected("; ".join(reasons))
 
 
-def _graded_stratification(trace: SeriesTrace, cert) -> Stratification:
-    """The stratification a graded period (j, m, shifts) states: exact rates, coordinate frame.
+def _block_stratification(trace: SeriesTrace) -> Stratification:
+    """The stratification the blocks' hits state: exact rates, coordinate frame, c in integers.
 
-    Coordinate r has rate shifts[r]/m, and the frame is the unit vectors
-    ordered by (rate, coordinate), a permutation whose inverse is its
-    transpose.  No check is needed:
-    - Each coordinate block's span V_s is invariant (`gmodule` docstring),
-      and all coordinates of a block share one shift, n_s m/m_s.  So every
+    Every coordinate of block s, whose first hit is (j_s, m_s, n_s), has
+    rate n_s/m_s, and the frame is the unit vectors ordered by (rate,
+    coordinate), a permutation.  No check is needed:
+    - Each block's span V_s is invariant (`gmodule` docstring), so every
       rate-boundary prefix of the frame is a sum of blocks' spans and is
       invariant, and so is every model term (_try_frame).
     - The rates are exact: block s repeats, term_s(i + m_s) = p^n_s
       term_s(i) from j_s on, so its terms lie within a bounded distance of
       p^floor(i n_s/m_s) Z_p^(V_s), as detect_cycle argues for a whole
       series' cycle.
-    - c is still computed exactly, off terms 1 .. j + m - 1: every frame
-      row is a unit vector e_r with m rate = shifts[r], the graded short
-      read of _window_constant.  Above the cap, FrameRejected.
-    The status is "exact-cycle" when every shift is equal (cert is the
-    cycle, detect_cycle), "certified-window" otherwise.
+    - c is exact.  Term and model term are direct sums over the blocks, and
+      block s's model term is p^a Z_p^(V_s), a = floor(i n_s/m_s).  So
+      p^c term_s(i) lies in it iff c >= a - u, u the content (the first
+      profile exponent), and p^c of it lies in term_s(i) iff c >= l - a, l
+      the lower level (the last).  Lemma: from j_s on, a step of m_s adds
+      n_s to a, u and l alike, so this block's c at i + m_s is its c at i.
+      Hence the window's c, and c at every index, is the largest over the
+      blocks and i in 1 .. j_s + m_s - 1 (c_0 = 0).  Above the cap,
+      FrameRejected.
+    The status is "exact-cycle" when the series has a cycle (detect_cycle),
+    "certified-window" otherwise.
     """
-    j, m, shifts = trace.graded
-    d = len(shifts)
-    order = sorted(range(d), key=shifts.__getitem__)  # a stable sort: ties by coordinate
-    frame = [[int(r == k) for r in range(d)] for k in order]
-    rates = RateVector(tuple(Fraction(shifts[k], m) for k in order))
-    c = _window_constant(trace, frame, rates, list(zip(*frame)))
+    blocks = trace.blocks
+    coords = [hit.rate for _, terms, _, hit in blocks for _ in range(terms[0].d)]
+    d = len(coords)
+    order = sorted(range(d), key=coords.__getitem__)  # a stable sort: ties by coordinate
+    c = 0
+    for _, _, profiles, hit in blocks:
+        for i in range(1, hit.j + hit.m):
+            a = i * hit.n // hit.m
+            c = max(c, a - profiles[i][0], profiles[i][-1] - a)
     cap = _cap(trace)
     if c > cap:
-        raise FrameRejected(f"graded period (j={j}, m={m}): window constant {c} of the "
+        hits = ", ".join(f"(j={h.j}, m={h.m}, n={h.n})" for *_, h in blocks)
+        raise FrameRejected(f"block hits {hits}: window constant {c} of the "
                             f"coordinate frame exceeds cap {cap}")
     return Stratification(
-        frame=tuple(map(tuple, frame)),
-        rates=rates,
+        frame=tuple(tuple(int(r == k) for r in range(d)) for k in order),
+        rates=RateVector(tuple(coords[k] for k in order)),
         c=c,
         window=(0, trace.i_max),
-        status="certified-window" if cert is None else "exact-cycle",
+        status="certified-window" if trace.cycle is None else "exact-cycle",
     )
 
 
@@ -581,11 +561,11 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
     """Full pipeline: rates, frame, certification, on one of two paths.
 
     Returns (stratification, cycle_certificate_or_None).
-    - Off the graded period.  When the trace has one (`SeriesTrace.graded`),
-      its rates, frame and status are read off it and c computed
-      (_graded_stratification); denom_bound is not read.  The cycle
-      (detect_cycle) is returned with it, and is None unless every shift
-      is equal.
+    - Off the blocks' hits.  When every coordinate block of the trace hit
+      its first cycle (`SeriesTrace.blocks`), its rates, frame, c and
+      status are read off them (_block_stratification); denom_bound is not
+      read.  The cycle (detect_cycle) is returned with it, and is None
+      unless the blocks give the whole series one.
     - Off the profile periods.  Otherwise the rates are read off the
       period of each profile column within denom_bound (estimate_rates),
       and extract_frame finds a frame and certifies c over the whole
@@ -597,10 +577,9 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
     """
     _check_length(trace)
     _check_bound(denom_bound)
-    if trace.graded is None:
+    if not trace.blocks or any(hit is None for *_, hit in trace.blocks):
         return extract_frame(trace, estimate_rates(trace, denom_bound)), None
-    cert = detect_cycle(trace)
-    return _graded_stratification(trace, cert), cert
+    return _block_stratification(trace), detect_cycle(trace)
 
 
 # -- splitting along a stratum boundary ---------------------------------

@@ -10,7 +10,7 @@ here), and `approximate_term`, the model lattice the latter builds; and
 the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
 (the cycle key by a Hermite form), `run_stratification_eager` (the
-anchor pipeline, which also ran on a trace with a graded period),
+anchor pipeline, which also ran on a trace whose blocks all hit),
 `step_by_full_stack` (the series step on every image, zero or not) and
 `lower_p_series_stepwise` (the series with every step run, no tail copied).  The
 definitions `valuation` and `mat_mul_dense` pin the kernels.
@@ -285,9 +285,10 @@ def lower_p_series_stepwise(L, action, i_max):
     """Reference for gmodule.lower_p_series: every term by a step, none copied.
 
     Checks the index growth and caches each term's level from its profile,
-    as the library does; the trace's graded period is the first repetition
-    found by coordinates (`detect_cycle_by_coordinates`), every shift its n,
-    so its cycle is that repetition.
+    as the library does.  The trace holds one block record, the whole
+    series with the first repetition found by coordinates
+    (`detect_cycle_by_coordinates`) as its hit, so its graded period has
+    every shift n and its cycle is that repetition.
     """
     from dataclasses import replace
 
@@ -307,5 +308,5 @@ def lower_p_series_stepwise(L, action, i_max):
         terms.append(cur)
         profiles.append(prof)
     trace = SeriesTrace(L, action, tuple(terms), tuple(profiles), i_max)
-    cycle = detect_cycle_by_coordinates(trace)
-    return trace if cycle is None else replace(trace, graded=(cycle.j, cycle.m, (cycle.n,) * L.d))
+    hit = detect_cycle_by_coordinates(trace)
+    return replace(trace, blocks=((0, trace.terms, trace.profiles, hit),))

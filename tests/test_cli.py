@@ -373,22 +373,25 @@ def test_domain_errors_exit_4_with_their_name(error, monkeypatch, capsys):
 
 
 def test_no_period_within_the_bound_exits_4_naming_the_column(capsys):
-    # Gm3's 1/5 blocks have not repeated by imax 24, so it has no graded
-    # period and its rates are read off the profile periods; bound 1 reads
-    # none of them
-    assert main(["stratify", "--catalog", "Gm3", "--imax", "24", "--denom-bound", "1"]) == 4
+    # random seed 8 at imax 24 is one block with no hit, so its rates are
+    # read off the profile periods; bound 1 reads none of them
+    assert main(["stratify", "--catalog", "random", "--seed", "8", "--imax", "24",
+                 "--denom-bound", "1"]) == 4
     assert capsys.readouterr().err == (
         "pstrata: NoStableFit: coordinate 0: no period m <= 1 holds over the last 12 of 24 "
-        "samples (best: m = 1 over 4)\n")
+        "samples (best: m = 1 over 1)\n")
 
 
 def test_a_graded_period_certifies_below_its_period(capsys):
-    # Gm2 at imax 64 has a graded period, so the bound is not read: bound 1
-    # still gives its rates, 1/3 and 1/2 with periods 3 and 2
-    assert main(["stratify", "--catalog", "Gm2", "--imax", "64", "--denom-bound", "1"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert [r["fraction"] for r in out["rates"]] == ["1/3"] * 3 + ["1/2"] * 2
-    assert (out["c"], out["status"], out["cycle"]) == (1, "certified-window", None)
+    # every coordinate block repeats by imax, so the bound is not read:
+    # bound 1 still gives the blocks' rates, with periods up to 5; Gm3's
+    # blocks all hit by imax 16, although the lcm of their periods is 30
+    for name, imax, rates in [("Gm2", "64", ["1/3"] * 3 + ["1/2"] * 2),
+                              ("Gm3", "16", ["1/5"] * 5 + ["1/3"] * 3 + ["1/2"] * 2)]:
+        assert main(["stratify", "--catalog", name, "--imax", imax, "--denom-bound", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [r["fraction"] for r in out["rates"]] == rates
+        assert (out["c"], out["status"], out["cycle"]) == (1, "certified-window", None)
 
 
 def test_malformed_input_json_is_invalid_input(tmp_path, capsys):

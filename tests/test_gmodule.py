@@ -17,7 +17,6 @@ from pstrata.gmodule import (
     GroupAction,
     SeriesTrace,
     _block_series,
-    _graded_period,
     _step,
     check_invariance,
     lower_p_series,
@@ -271,10 +270,10 @@ def test_the_preset_cycle_is_the_lazy_search(name):
     assert tr.cycle == oracles.detect_cycle_by_coordinates(tr)
     expected = b.expected_cycle
     assert tr.cycle == (None if expected is None else CycleCertificate(*expected))
-    # only lower_p_series sets the cycle and the graded period: a trace
-    # built by hand has neither
+    # the cycle and the graded period are read off the block records that
+    # lower_p_series keeps: a trace built by hand has none, so neither
     hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
-    assert (hand.cycle, hand.graded) == (None, None)
+    assert (hand.blocks, hand.cycle, hand.graded) == ((), None, None)
 
 
 @pytest.mark.parametrize("p,blocks,whole", [
@@ -299,11 +298,13 @@ def test_blocks_that_cycle_from_different_j(p, blocks, whole):
     ([(0, 1, 1), None], 40, None),  # a block without a hit
 ])
 def test_the_joint_cycle_of_block_hits(hits, i_max, joint):
-    # the scalar cycle is the graded period when all its shifts are equal
-    hits = [None if h is None else CycleCertificate(*h) for h in hits]
-    graded = _graded_period(hits, [1] * len(hits), i_max)
-    cycle = SeriesTrace(None, None, (), (), i_max, graded=graded).cycle
-    assert cycle == (None if joint is None else CycleCertificate(*joint))
+    # the scalar cycle is the graded period when all its shifts are equal;
+    # each record is a block of one coordinate
+    one = Lattice.standard(2, 8, 1)
+    blocks = tuple((k, (one,), ((0,),), None if h is None else CycleCertificate(*h))
+                   for k, h in enumerate(hits))
+    assert SeriesTrace(None, None, (), (), i_max, blocks).cycle == (
+        None if joint is None else CycleCertificate(*joint))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -437,26 +438,31 @@ def test_the_terms_index_and_slice_as_a_tuple():
 
 
 def test_the_cycle_is_read_off_the_graded_period():
-    # cycle is graded with equal shifts, on any trace, built by hand or not,
-    # and computed once
+    # graded is read off the block records' hits and cycle is graded with
+    # equal shifts, on any trace, built by hand or not, each computed once
     b = get_bundle("remark27", p=2, N=42)
     tr = lower_p_series(b.lattice, b.action, 40)
-    for shifts, cycle in [((1,) * 8 + (2,) * 8, None), ((2,) * 16, CycleCertificate(1, 4, 2))]:
+    first, second = tr.blocks
+    assert (first[3], second[3]) == (CycleCertificate(1, 4, 1), CycleCertificate(1, 2, 1))
+    for hit, shifts, cycle in [(second[3], (1,) * 8 + (2,) * 8, None),
+                               (first[3], (1,) * 16, CycleCertificate(1, 4, 1))]:
         hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max,
-                           graded=(1, 4, shifts))
-        assert hand.cycle == cycle and hand.cycle is hand.cycle
+                           (first, second[:3] + (hit,)))
+        assert (hand.graded, hand.cycle) == ((1, 4, shifts), cycle)
+        assert hand.graded is hand.graded and hand.cycle is hand.cycle
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_stratify_builds_one_basis_past_the_base_period(p):
-    # remark27 at imax 128: the series builds no copy, and stratify reads
-    # its rates and frame off the graded period and c off terms
-    # 1 .. j + m - 1, so it builds none either (no anchor term is read)
-    b = get_bundle("remark27", p=p, N=130)
-    tr = lower_p_series(b.lattice, b.action, 128)
-    assert _built_past(tr) == []
-    run_stratification(tr, 63)
-    assert _built_past(tr) == []
+def test_stratify_builds_no_term(p):
+    # remark27 and Gm3 at imax 128 split into blocks, so the series holds
+    # no term of its own, and stratify reads its rates, frame and c off the
+    # blocks' hits and profiles: every term stays unbuilt
+    for name in ("remark27", "Gm3"):
+        b = get_bundle(name, p=p, N=130)
+        tr = lower_p_series(b.lattice, b.action, 128)
+        assert len(tr.blocks) > 1
+        run_stratification(tr, 63)
+        assert tr.terms._terms == [None] * 129
 
 
 def test_split_terms_need_no_smith_form(monkeypatch):

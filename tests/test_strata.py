@@ -495,6 +495,9 @@ def _cycled_case(name):
     if name == "battery slot 40":  # as perfbench's battery builds it, j + m = 4
         b = random_block_action(random_sizes(random.Random(40 * 7919 + 13)), 40, p=2, N=66)
         return lower_p_series(b.lattice, b.action, 64), CycleCertificate(2, 2, 1), 2
+    if name == "trivial":  # a unit cycle from term 0: term i is p^i Z_p^d
+        b = get_bundle("trivial")
+        return lower_p_series(b.lattice, b.action, 8), CycleCertificate(0, 1, 1), 0
     # terms 1 and 2 are not diagonal, so they take the product and the solves
     b, act = _conjugated("eisenstein3", 3, 18, 2)
     tr = lower_p_series(b.lattice, act, 16)
@@ -502,58 +505,37 @@ def _cycled_case(name):
     return tr, CycleCertificate(0, 3, 1), 1
 
 
-cycled_cases = ["random seed 6", "eisenstein2", "battery slot 40", "conjugated eisenstein3"]
-
-
-class _RecordedTerms(tuple):
-    """A trace's terms that record which indexes are read."""
-
-    def __getitem__(self, i):
-        self.read.add(i)
-        return super().__getitem__(i)
-
-
-def _reads(tr, frame, rates):
-    """The window constant and the indexes of the terms it read."""
-    terms = _RecordedTerms(tr.terms)
-    terms.read = set()
-    return strata._window_constant(replace(tr, terms=terms), frame, rates), terms.read
+cycled_cases = ["random seed 6", "eisenstein2", "battery slot 40", "conjugated eisenstein3",
+                "trivial"]
 
 
 @pytest.mark.parametrize("name", cycled_cases)
 def test_the_base_period_gives_the_window_constant(name):
-    # read off terms 1 .. j + m - 1, c equals the definition over the whole
-    # window, for the certified frame and for a random one
+    # c read off each block's profiles over its own terms 1 .. j_s + m_s - 1
+    # is the definition's over the whole window; _window_constant, which
+    # reads every term, gives the same c for the certified frame and for a
+    # random one
     tr, cycle, c = _cycled_case(name)
     strat, cert = run_stratification(tr)
     assert (cert, strat.c, strat.status) == (cycle, c, "exact-cycle")
     assert certify_equivalence(tr, strat) == c
+    # under equal rates model_i is p^a Z_p^d for any frame, so both give c
     frame = _unimodular(random.Random(0), tr.ambient.d, tr.ambient.p, tr.precision)
     for f in (strat.frame, frame):
-        got, read = _reads(tr, f, strat.rates)
-        assert read == set(range(1, max(1, cycle.j + cycle.m - 1) + 1))
-        assert got == oracles.window_constant_by_lattices(tr, f, strat.rates)
-
-
-def test_a_unit_cycle_from_term_0_reads_term_1():
-    b = get_bundle("trivial")
-    tr = lower_p_series(b.lattice, b.action, 8)
-    assert tr.cycle == CycleCertificate(0, 1, 1)
-    d = tr.ambient.d
-    assert _reads(tr, identity(d), RateVector((F(1),) * d)) == (0, {1})
+        assert _constants_agree(tr, f, strat.rates) == c
 
 
 @pytest.mark.parametrize("name", cycled_cases)
 def test_other_rates_or_no_cycle_read_the_whole_window(name):
+    # other rates are certified term by term over the window; a trace with
+    # no block records takes the period fit and the anchor frame, and under
+    # equal rates certifies the blocks' c
     tr, cycle, c = _cycled_case(name)
     strat, _ = run_stratification(tr)
-    d, window = tr.ambient.d, set(range(1, tr.i_max + 1))
-    mixed = RateVector((F(1, d),) * (d - 1) + (F(1),))
-    got, read = _reads(tr, strat.frame, mixed)
-    assert read == window
-    assert got == oracles.window_constant_by_lattices(tr, strat.frame, mixed)
-    # a trace with no graded period reads every term, and the lemma gives the same c
-    assert _reads(replace(tr, graded=None), strat.frame, strat.rates) == (c, window)
+    d = tr.ambient.d
+    _constants_agree(tr, strat.frame, RateVector((F(1, d),) * (d - 1) + (F(1),)))
+    fitted, cert = run_stratification(replace(tr, blocks=()))
+    assert (cert, fitted.rates, fitted.c) == (None, strat.rates, c)
 
 
 def _graded_case(name):
@@ -572,34 +554,48 @@ def _graded_case(name):
     "remark27", "Gm3", "battery slot 3", "battery slot 30", "battery slot 31", "battery slot 37",
 ])
 def test_a_graded_period_gives_the_window_constant(name):
-    # every certified frame row lies in one shift class and grows by it, so
-    # only terms 1 .. j + m - 1 are read; c equals the definition over the
-    # whole window
+    # c read off the blocks' profiles equals the definition over the whole
+    # window, which _window_constant reads term by term
     tr, bound = _graded_case(name)
     strat, cert = run_stratification(tr, bound)
     assert cert is None and tr.graded is not None
-    j, m, _ = tr.graded
-    got, read = _reads(tr, strat.frame, strat.rates)
-    assert read == set(range(1, max(1, j + m - 1) + 1))
-    assert got == strat.c == oracles.window_constant_by_lattices(tr, strat.frame, strat.rates)
+    assert strat.c == _constants_agree(tr, strat.frame, strat.rates)
 
 
 def test_frames_or_rates_off_the_shift_classes_read_the_whole_window():
+    # frames and rates other than the blocks' are certified term by term
     tr, bound = _graded_case("remark27")
     strat, _ = run_stratification(tr, bound)
     assert tr.graded == (1, 4, (1,) * 8 + (2,) * 8)
-    d, window = tr.ambient.d, set(range(1, tr.i_max + 1))
+    d = tr.ambient.d
     # row 0 = e_0 + e_8 keeps a Z_p-basis, as rows 0 and 8 are e_0 and e_8,
-    # but spans coordinates of shifts 1 and 2
+    # but spans coordinates of both blocks
     assert [list(strat.frame[0]), list(strat.frame[8])] == [identity(d)[0], identity(d)[8]]
     spanning = [[int(r in (0, 8)) for r in range(d)]] + [list(x) for x in strat.frame[1:]]
-    # 4 * 1/3 is not an integer
+    # rates other than the blocks' n_s/m_s
     thirds = RateVector((F(1, 3),) * 8 + (F(1, 2),) * 8)
-    for trace, frame, rates in [(tr, spanning, strat.rates), (tr, strat.frame, thirds),
-                                (replace(tr, graded=None), strat.frame, strat.rates)]:
-        got, read = _reads(trace, frame, rates)
-        assert read == window
-        assert got == oracles.window_constant_by_lattices(tr, frame, rates)
+    for frame, rates in [(spanning, strat.rates), (strat.frame, thirds)]:
+        _constants_agree(tr, frame, rates)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_block_constant_holds_past_the_window(p):
+    # c certified at imax 32 off the blocks is the definition's over the
+    # imax-96 series with the same frame and rates: every block repeats, so
+    # c holds at every index, not only in the window
+    checked = 0
+    for seed in range(40):
+        sizes = random_sizes(random.Random(seed))
+        b = random_block_action(sizes, seed, p=p, N=34)
+        tr = lower_p_series(b.lattice, b.action, 32)
+        if any(hit is None for *_, hit in tr.blocks):
+            continue
+        strat, _ = run_stratification(tr)
+        b = random_block_action(sizes, seed, p=p, N=98)
+        deep = lower_p_series(b.lattice, b.action, 96)
+        assert oracles.window_constant_by_lattices(deep, strat.frame, strat.rates) == strat.c
+        checked += 1
+    assert checked >= 30  # 32 at p 2, 33 at p 3
 
 
 @settings(max_examples=120, deadline=None)
@@ -664,6 +660,14 @@ def test_a_random_cycle_holds_at_every_later_index(instance, p, i_max):
     _assert_cycle_holds_from_j_on(_series(instance, p, i_max))
 
 
+def _coordinate_frame(tr):
+    """The coordinate frame ordered by the blocks' rates n_s/m_s, and those rates, ascending."""
+    coords = [hit.rate for _, terms, _, hit in tr.blocks for _ in range(terms[0].d)]
+    order = sorted(range(len(coords)), key=coords.__getitem__)
+    return (tuple(tuple(identity(len(coords))[k]) for k in order),
+            RateVector(tuple(coords[k] for k in order)))
+
+
 def _pipeline(run, tr, **kwargs):
     try:
         return run(tr, **kwargs)
@@ -677,28 +681,34 @@ def _pipeline(run, tr, **kwargs):
 def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
     """The anchor pipeline's result wherever it succeeds, from any start.
 
-    Under a graded period the pipeline reads no period, so where the anchor
-    pipeline's period fit finds none within the bound or the window, the
-    rates are the period's shifts over m and c is the definition's for the
-    coordinate frame; a rejection names the graded period.
+    When every coordinate block hits, the pipeline reads no period, so
+    where the anchor pipeline's period fit finds none within the bound or
+    the window, the rates are the blocks' n_s/m_s, the frame the
+    coordinate one, and c the definition's for them, or FrameRejected,
+    naming the blocks, when that c exceeds the cap.  A rejection by the
+    anchor pipeline is a rejection here too.
     """
     tr = _series(instance, p, i_max, start)
     bound = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
     expected = _pipeline(oracles.run_stratification_eager, tr, denom_bound=bound)
     got = _pipeline(run_stratification, tr, denom_bound=bound)
-    if tr.graded is None or expected[0] not in ("NoStableFit", "FrameRejected"):
+    hits = [hit for *_, hit in tr.blocks]
+    if None in hits or expected[0] not in ("NoStableFit", "FrameRejected"):
         assert got == expected
     elif expected[0] == "FrameRejected":
-        assert got[0] == "FrameRejected" and got[1].startswith("graded period (j=")
+        assert got[0] == "FrameRejected" and got[1].startswith("block hits (j=")
     else:
-        strat, cert = got
-        _, m, shifts = tr.graded
-        assert strat.rates.rates == tuple(sorted(F(n, m) for n in shifts))
-        assert strat.c == oracles.window_constant_by_lattices(tr, strat.frame, strat.rates)
+        frame, rates = _coordinate_frame(tr)
+        c = oracles.window_constant_by_lattices(tr, frame, rates)
+        if c > strata._cap(tr):
+            assert got[0] == "FrameRejected" and got[1].startswith("block hits (j=")
+        else:
+            strat, cert = got
+            assert (strat.frame, strat.rates, strat.c) == (frame, rates, c)
 
 
 def test_a_graded_period_calls_no_fit_and_no_smith_form(monkeypatch):
-    """The graded path reads its rates and frame off the period, for a cycle or not."""
+    """The block path reads its rates, frame and c off the hits, for a cycle or not."""
     traces = [_graded_case("remark27")[0], _cycled_case("eisenstein2")[0],
               _cycled_case("conjugated eisenstein3")[0]]
     calls = []
@@ -706,7 +716,8 @@ def test_a_graded_period_calls_no_fit_and_no_smith_form(monkeypatch):
     def forbidden(name):
         return lambda *args, **kwargs: calls.append(name)
 
-    for name in ("extract_frame", "estimate_rates", "fit_rational", "smith_rows"):
+    for name in ("extract_frame", "estimate_rates", "fit_rational", "smith_rows",
+                 "_window_constant", "unimodular_inverse"):
         monkeypatch.setattr(strata, name, forbidden(name))
     monkeypatch.setattr("pstrata.lattice.smith_rows", forbidden("lattice.smith_rows"))
     for tr in traces:
@@ -723,7 +734,7 @@ def test_a_coordinate_frame_above_the_cap_is_rejected():
     b = random_block_action(random_sizes(random.Random(41)), 41, p=2, N=9)
     tr = lower_p_series(b.lattice, b.action, 7)
     assert tr.cycle == CycleCertificate(3, 1, 1)
-    with pytest.raises(FrameRejected, match=r"^graded period \(j=3, m=1\): window constant 2 "
+    with pytest.raises(FrameRejected, match=r"^block hits \(j=3, m=1, n=1\): window constant 2 "
                                             r"of the coordinate frame exceeds cap 1$"):
         run_stratification(tr, denom_bound=8)
     d = tr.ambient.d
@@ -756,9 +767,9 @@ def test_a_cycle_in_moved_coordinates_takes_the_coordinate_frame():
 
 
 def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
-    # only a trace with no graded period reads its rates off the profile
-    # periods, with the caller's bound: Gm3 at imax 24, whose 1/5 blocks
-    # have not hit by then
+    # only a trace with a block that has not hit reads its rates off the
+    # profile periods, with the caller's bound: random seed 9 at p 2 and
+    # imax 24, whose second block has no hit by then
     calls = []
 
     def counting(*args):
@@ -766,12 +777,12 @@ def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
         return fit_rational(*args)
 
     monkeypatch.setattr(strata, "fit_rational", counting)
-    b = get_bundle("Gm3", N=26)
+    b = random_block_action(random_sizes(random.Random(9)), 9, p=2, N=26)
     tr = lower_p_series(b.lattice, b.action, 24)
-    assert tr.graded is None
+    assert [hit for *_, hit in tr.blocks] == [CycleCertificate(0, 1, 1), None]
     strat, cert = run_stratification(tr, denom_bound=8)
     assert cert is None
-    assert strat.rates.rates == (F(1, 5),) * 5 + (F(1, 3),) * 3 + (F(1, 2),) * 2
+    assert strat.rates.rates == (F(1, 2),) * 2 + (F(1),) * 3
     assert calls and all(bound == 8 for _, bound in calls)
 
 
@@ -808,14 +819,18 @@ def test_gm3_certifies_at_imax_24(p):
     assert strat.rates.rates == b.expected_rates
 
 
-def test_gm6_at_imax_64_names_the_column_with_no_period():
-    b = build_Gm_lattice(6)
-    tr = lower_p_series(b.lattice, b.action, 64)
-    with pytest.raises(NoStableFit, match=r"^coordinate 7: no period m <= 31 holds over the "
-                                          r"last 32 of 64 samples \(best: m = \d+ over \d+\)$"
-                       ) as exc:
-        run_stratification(tr, denom_bound=_cli_bound(64))
-    assert exc.value.coordinate == 7
+@pytest.mark.parametrize("m, i_max", [(4, 16), (5, 16), (6, 64)])
+def test_wide_gm_entries_certify_off_their_block_hits(m, i_max):
+    # each block hits by i = 13, although the lcm of the periods (210 for
+    # Gm4, 2,310 for Gm5, 30,030 for Gm6) is past the window: the rates are
+    # the blocks' 1/q, in the coordinate frame, with c = 1
+    b = build_Gm_lattice(m, N=i_max + 2)
+    tr = lower_p_series(b.lattice, b.action, i_max)
+    assert tr.graded is None and None not in [hit for *_, hit in tr.blocks]
+    strat, cert = run_stratification(tr, denom_bound=_cli_bound(i_max))
+    assert (cert, strat.c, strat.status) == (None, 1, "certified-window")
+    assert strat.rates.rates == b.expected_rates
+    assert (strat.frame, strat.rates) == _coordinate_frame(tr)
 
 
 def test_denominator_bound_is_refused_when_a_cycle_certifies():
