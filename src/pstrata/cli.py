@@ -24,6 +24,7 @@ from . import __version__
 from .catalog import catalog_names, get_bundle, random_block_action, random_sizes
 from .errors import (
     InvalidShape,
+    NoStableFit,
     NotContained,
     NotInvariant,
     PrecisionExhausted,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--denom-bound", type=int, default=None,
                         help="bound on the profile period m (the rate denominator), "
                              "read only when some coordinate block has not repeated "
-                             "by imax (default min(64, (imax-2)//2))")
+                             "by imax (default min(64, (imax-2)//2), at least 1)")
     hd.add_argument("--tolerance", type=float, default=0.01,
                     help="numeric agreement tolerance")
     hd.add_argument("--subgroup", required=True, help="subgroup JSON file")
@@ -192,12 +193,10 @@ def _frac(f: Fraction):
 
 
 def _denom_bound(args) -> int:
+    """--denom-bound, refused below 1, or by default min(64, (imax - 2) // 2), maybe below 1."""
     bound = args.denom_bound
     if bound is None:
-        bound = min(64, (args.imax - 2) // 2)
-        if bound < 1:
-            raise ValueError(f"imax {args.imax} is too short to fit a rate; "
-                             f"--imax must be at least 4")
+        return min(64, (args.imax - 2) // 2)
     if bound < 1:
         raise ValueError(f"denominator bound {bound} is below 1")
     return bound
@@ -252,10 +251,21 @@ def _envelope_check(trace, strat) -> dict:
 
 
 def _stratified(args):
-    """(lattice, action, extra_weights, source, trace, strat, cert) of the instance."""
+    """(lattice, action, extra_weights, source, trace, strat, cert) of the instance.
+
+    A default bound below 1 runs as 1: a trace whose blocks all hit reads
+    no bound, and a short one may fit with it.  Only when that fit finds
+    no period is the window blamed on --imax.
+    """
     bound = _denom_bound(args)
     lat, action, extras, source, trace = _series(args)
-    strat, cert = run_stratification(trace, denom_bound=bound)
+    try:
+        strat, cert = run_stratification(trace, denom_bound=max(bound, 1))
+    except NoStableFit:
+        if bound >= 1:
+            raise
+        raise ValueError(f"imax {args.imax} is too short to fit a rate; "
+                         f"--imax must be at least 4") from None
     return lat, action, extras, source, trace, strat, cert
 
 

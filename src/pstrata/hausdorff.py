@@ -19,9 +19,13 @@ H + p^N Z_p^d.  One Hermite form of H bounds the index of H + p^N Z_p^d
 from above; once a join's index reaches that bound, every later join is
 the same lattice and no further insertion is made.  When that form has
 only unit pivots (H + p^N Z_p^d is saturated, r pivots) and the series
-repeats, term(i + m) = p^n term(i) for i >= j, the numerator grows by
-exactly n r per cycle, so only terms 1 .. j + m - 1 are inserted; any
-other H, or a series with no cycle, inserts as before.  Extra weights account
+has a graded period, term(i + m) = term(i) D for i >= j with D the
+diagonal matrix of the p^shift, and the pivot rows split along the shift
+classes (restricted to the coordinates of shift t they have rank r_t, and
+these sum to r), the numerator grows by exactly sum_t t r_t per period,
+so only terms 1 .. j + m - 1 are inserted.  A scalar cycle is the case of
+one class, where the growth is n r.  Any other H, or a series with no
+graded period, inserts as before.  Extra weights account
 for direct factors carrying mass but no lattice coordinates (they enlarge
 the denominator, and enter subset sums in the spectrum).  Rows, frame
 and series share one coordinate system, that of the series' start Z_p^d.
@@ -224,27 +228,41 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     Hbar = J_i then contains term_i, hence p^(N-2) Z_p^d, so the exit fires
     only for a full-rank H.
 
-    Cycle.  Call H saturated when every pivot of `hermite_rows(H)` is 1,
-    that is F = N (d - r) with r pivots.  Then Hbar = S + p^N C, a direct
-    sum, where S is the span of those rows and C that of the e_c over the
-    columns c without a pivot: the rows and these e_c are a unitriangular
-    basis of Z_p^d.  The numerator is log|J_i : term_i| = log|Hbar : Hbar
-    cap term_i|.  Lemma: if T' = p^n T has level <= N - 2, then
-    log|Hbar : Hbar cap T'| = n r + log|Hbar : Hbar cap T|.  Proof: T
-    contains p^(N-n) Z_p^d, as T' contains p^N Z_p^d, so p^N C lies in T
-    and in p^n T.  S is a direct summand, so S cap p^n T = p^n (S cap T),
-    and the modular law gives Hbar cap p^n T = p^n ((S cap T) + p^(N-n) C)
-    and Hbar cap T = (S cap T) + p^N C.  The first has index p^(n r) |S :
-    S cap T| in Hbar, the second |S : S cap T|.  When the trace has a cycle
-    (j, m, n) (`SeriesTrace.cycle`, read off the hits of its coordinate
-    blocks, whose terms all pass the guard; a hand-built trace has none),
-    term_i = p^n term_(i-m) for every i >= j + m (`strata.detect_cycle`),
-    so numerator_i = numerator_(i-m) + n r, with numerator_0 = 0 as every
-    series starts at Z_p^d.  Only terms 1 .. j + m - 1 are read and
-    inserted, so the trace builds no term past j + m (`gmodule`).  An H
-    that is not saturated, or a trace with no cycle, hand-built ones
-    included, goes through the insertion loop above, stationary exit and
-    guard included.
+    Graded period.  Call H saturated when every pivot of `hermite_rows(H)`
+    is a unit, that is F = N (d - r) with r pivots.  Then Hbar = S + p^N C,
+    a direct sum, where S is the span of those rows and C that of the e_c
+    over the columns c without a pivot: the rows and these e_c are a
+    triangular basis of Z_p^d with unit pivots, so S is a direct summand,
+    S = S_Q cap Z_p^d for its span S_Q over Q_p.  Let the trace have the
+    graded period (j, m, shifts) (`SeriesTrace.graded`, read off the hits
+    of its coordinate blocks, whose terms all pass the guard; a hand-built
+    trace has none): term_(i+m) = term_i D for every i >= j, with D the
+    diagonal matrix of the p^shifts[k].  For each shift value t let V_t be
+    the span of the coordinates of shift t, and r_t the rank over Q
+    (`_rank_over_q`) of the rows of S restricted to those coordinates.
+    Lemma: if sum_t r_t = r, then numerator_(i+m) = numerator_i +
+    sum_t t r_t for every i >= j.  Proof, for a term T = term_i, whose
+    level and that of T D are at most N - 2:
+    1. T contains p^(N-2) Z_p^d, hence p^N C, so the modular law gives
+       Hbar cap T = (S cap T) + p^N C; as S cap p^N C = 0, the numerator
+       log|Hbar : Hbar cap T| is log|S : S cap T|.
+    2. S_Q lies in the sum of its projections onto the V_t, of dimension
+       sum_t r_t >= r, so sum_t r_t = r holds iff S_Q is the direct sum of
+       the S_Q cap V_t.  D is p^t on V_t, so then S_Q D = S_Q, and the
+       valuation of det(D on S_Q) is sum_t t r_t.
+    3. D has integer entries, so S D lies in S_Q cap Z_p^d = S; and x lies
+       in S cap T D iff x D^-1 lies in S_Q cap T = S cap T (T lies in
+       Z_p^d).  So S cap T D = (S cap T) D.
+    4. Hence |S : S cap T D| = |S : S D| |S D : (S cap T) D| =
+       p^(sum_t t r_t) |S : S cap T|.
+    Under a scalar cycle (j, m, n) there is one class, r_n = r, and the
+    increment is n r.  So numerator_i = numerator_(i-m) + sum_t t r_t for
+    every i >= j + m, with numerator_0 = 0 as every series starts at
+    Z_p^d.  Only terms 1 .. j + m - 1 are read and inserted, so the trace
+    builds no term past j + m (`gmodule`).  An H that is not saturated or
+    whose rows cross the classes (sum_t r_t > r), or a trace with no graded
+    period, hand-built ones included, goes through the insertion loop
+    above, stationary exit and guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
@@ -252,19 +270,24 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     red, piv, _ = hermite_rows(amb, p, N)
     r = len(piv)
     bound = sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) + N * (d - r)
-    cycle = trace.cycle if bound == N * (d - r) else None
+    stop, m, step = trace.i_max + 1, 0, 0  # stop: the first numerator read off the period
+    if bound == N * (d - r) and trace.graded is not None:
+        j, m, shifts = trace.graded
+        ranks = {t: _rank_over_q([[x for x, s in zip(row, shifts) if s == t] for row in red[:r]])
+                 for t in set(shifts)}
+        if sum(ranks.values()) == r:
+            stop, step = j + m, sum(t * r_t for t, r_t in ranks.items())
     numerators = [0]
     joined = None
-    for i in range(1, trace.i_max + 1):
-        if cycle is not None and i >= cycle.j + cycle.m:
-            numerators.append(numerators[i - cycle.m] + cycle.n * r)
-            continue
+    for i in range(1, stop):
         lam = trace.terms[i]
         if joined != bound:
             lam.guard()
             _, exps = hermite_insert(lam.basis, amb, p, N, lam.diag_exponents)
             joined = sum(exps)
         numerators.append(lam.log_det - joined)
+    for i in range(stop, trace.i_max + 1):
+        numerators.append(numerators[i - m] + step)
     pairs = list(zip(numerators[1:], trace.log_indices[1:]))
     quotients = [Fraction(num, den) for num, den in pairs]
     # the tail's extremes by cross-multiplication: every log index is positive

@@ -207,8 +207,8 @@ def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
     i >= j by induction on i.  So every rate is n/m.  run_stratification
     reports it with the stratification it reads off the blocks (its status
-    is "exact-cycle" then), and `hausdorff.hdim_numeric` reads its
-    quotients off it.
+    is "exact-cycle" then); `hausdorff.hdim_numeric` reads its quotients
+    off the graded period, of which the cycle is the one-class case.
     """
     return trace.cycle
 

@@ -307,6 +307,21 @@ def test_defaulted_denom_bound_blames_imax(capsys):
     assert "denominator bound" not in err
 
 
+def test_a_short_window_runs_at_the_default_bound_of_one(tmp_path, capsys):
+    # below imax 4 the default bound runs as 1: eisenstein2's blocks repeat
+    # by imax 2, so its rates are read off them and no bound is read
+    payload = run_json(capsys, "stratify", "--catalog", "eisenstein2", "--imax", "2")
+    assert (payload["c"], payload["status"], payload["cycle"]) == (
+        1, "exact-cycle", {"j": 0, "m": 2, "n": 1})
+    assert [r["fraction"] for r in payload["rates"]] == ["1/2", "1/2"]
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"rows": [[1, 0]], "coordinates": "frame"}))
+    payload = run_json(capsys, "hdim", "--catalog", "eisenstein2", "--imax", "2",
+                       "--subgroup", str(sub))
+    assert payload["exact"] == payload["last_quotient"] == {"fraction": "1/2", "value": 0.5}
+    assert payload["strong"] is True
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -357,15 +357,19 @@ def _count_inserts(monkeypatch) -> list:
     return calls
 
 
-def _unimodular(rng, d, pN):
-    """A random lower times upper unitriangular matrix mod p^N."""
-    lower = [[rng.randrange(pN) if j < i else int(j == i) for j in range(d)] for i in range(d)]
+def _unimodular(rng, d, pN, upper_only=False):
+    """A random lower times upper unitriangular matrix mod p^N, or the upper factor alone."""
+    lower = [[rng.randrange(pN) if j < i and not upper_only else int(j == i) for j in range(d)]
+             for i in range(d)]
     upper = [[rng.randrange(pN) if j > i else int(j == i) for j in range(d)] for i in range(d)]
     return mat_mul(lower, upper, pN)
 
 
 class TestNumericCycle:
-    """A saturated H on a cycled series: numerators from the cycle, not insertions."""
+    """A saturated H on a cycled series: numerators from the cycle, not insertions.
+
+    A scalar cycle is the one-class case of the graded period.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(block_sizes, hst.integers(0, 9), hst.sampled_from([2, 3, 5]),
@@ -397,14 +401,18 @@ class TestNumericCycle:
 
     def test_insertion_counts(self, monkeypatch):
         calls = _count_inserts(monkeypatch)
-        no_cycle, st0 = _random_instance((2, 1), 1, 2)
-        assert no_cycle.cycle is None
-        late, st1 = _random_instance((2, 3), 0, 3)
+        no_hit, st0 = _random_instance((2, 1), 8, 2)
+        assert no_hit.graded is None  # its one block has no hit by i_max
+        graded, st1 = _random_instance((2, 1), 1, 2)
+        assert graded.graded == (0, 2, (2, 1, 1))
+        late, st2 = _random_instance((2, 3), 0, 3)
         saturated = [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
         for tr, st, rows, inserts in [
-            (no_cycle, st0, unit_rows(3, (0, 2)), no_cycle.i_max),
-            (late, st1, saturated, 2),  # terms 1 and 2 of the cycle (1, 2, 1)
-            (late, st1, [[3 * x for x in row] for row in saturated], late.i_max),
+            (no_hit, st0, unit_rows(3, (0, 2)), no_hit.i_max),
+            (graded, st1, [[0, 1, 1], [0, 0, 1]], 1),  # inside the class of shift 1: term 1
+            (graded, st1, [[1, 1, 0]], graded.i_max),  # across the classes of shifts 2 and 1
+            (late, st2, saturated, 2),  # terms 1 and 2 of the cycle (1, 2, 1)
+            (late, st2, [[3 * x for x in row] for row in saturated], late.i_max),
         ]:
             calls.clear()
             p = tr.ambient.p
@@ -439,6 +447,88 @@ class TestNumericCycle:
             oracles.join_quotients(H, tr, st)
         with pytest.raises(PrecisionExhausted):
             hdim_numeric(H, tr, st)
+
+
+# random block actions whose graded period is not scalar: (sizes, seed, p)
+GRADED = [((1, 2), 2, 3), ((1, 3), 0, 2), ((1, 3), 9, 5), ((2, 1), 1, 2), ((2, 2), 9, 3),
+          ((2, 3), 1, 2), ((2, 1, 3), 2, 5), ((3, 1, 2), 1, 3), ((3, 2), 8, 2),
+          ((3, 2), 5, 3), ((2, 4), 9, 2), ((4, 2), 5, 5)]
+
+
+def _no_copy_past_the_period(name, imax, rows):
+    """Frame rows on a catalog entry at p 2: hdim's quotients, and the copies built past j + m."""
+    b = get_bundle(name, p=2, N=imax + 2)
+    st, _ = run_stratification(lower_p_series(b.lattice, b.action, imax), denom_bound=4)
+    tr = lower_p_series(b.lattice, b.action, imax)
+    j, m, _ = tr.graded
+    H = SubgroupSpec(2, imax + 2, rows)
+    quotients = hdim_numeric(H, tr, st)
+    built = [i for i, t in enumerate(tr.terms._terms) if i > j + m and t is not None]
+    return tr, st, H, quotients, built
+
+
+class TestNumericGraded:
+    """A saturated H whose span splits along the shift classes: numerators off the period."""
+
+    def test_instances_have_a_graded_period_that_is_not_scalar(self):
+        for key in GRADED:
+            tr = _random_instance(*key)[0]
+            assert tr.cycle is None and len(set(tr.graded[2])) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.sampled_from(GRADED), hst.randoms(use_true_random=False))
+    @example(((2, 1, 3), 2, 5), random.Random(0))  # two blocks share the shift 2
+    @example(((2, 2), 9, 3), random.Random(1))  # j = 1
+    def test_matches_the_join_reference(self, key, rng):
+        # a subset of each class's coordinates, rotated within the class and
+        # the rows then mixed: the span is D-stable.  An upper unitriangular
+        # rotation keeps unit pivots, so at most terms 1 .. j + m - 1 are
+        # inserted; a unimodular one can leave a pivot on a non-unit entry,
+        # and then H is taken as not saturated and inserted into every term
+        tr, st = _random_instance(*key)
+        j, m, shifts = tr.graded
+        p, N = key[2], tr.precision
+        pN = p**N
+        for upper in (True, False):
+            rows = []
+            for t in set(shifts):
+                cls = [k for k, s in enumerate(shifts) if s == t]
+                rot = _unimodular(rng, len(cls), pN, upper)
+                for a in rng.sample(range(len(cls)), rng.randint(0, len(cls))):
+                    row = [0] * len(shifts)
+                    for k, x in zip(cls, rot[a]):
+                        row[k] = x
+                    rows.append(row)
+            if rows:
+                rows = mat_mul(_unimodular(rng, len(rows), pN), rows, pN)
+            H = SubgroupSpec.from_ambient(p, N, rows, st)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _count_inserts(mp)
+                assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+            assert len(calls) <= j + m - 1 or not upper
+
+    @pytest.mark.parametrize("name,imax,graded", [
+        ("Gm2", 64, (0, 6, (3, 3, 2, 2, 2))),
+        ("remark27", 40, (1, 4, (1,) * 8 + (2,) * 8)),
+    ])
+    def test_no_copy_past_the_period_is_built(self, name, imax, graded):
+        # frame rows 0 and 1 (the lowest rates) lie in one shift class, so
+        # hdim reads terms 1 .. j + m - 1 only and builds no copy past j + m
+        d = len(graded[2])
+        tr, st, H, quotients, built = _no_copy_past_the_period(name, imax, unit_rows(d, (0, 1)))
+        assert tr.graded == graded
+        assert built == []
+        assert quotients == oracles.join_quotients(H, tr, st)
+
+    def test_rows_across_the_classes_are_inserted(self, monkeypatch):
+        # on Gm2, frame coordinates 0 and 4 have rates 1/3 and 1/2, so the
+        # row (1, 0, 0, 0, 1) crosses the classes of shifts 2 and 3: every
+        # term is inserted
+        calls = _count_inserts(monkeypatch)
+        tr, st, H, quotients, _ = _no_copy_past_the_period(
+            "Gm2", 64, ((1, 0, 0, 0, 1), (0, 1, 0, 0, 0)))
+        assert len(calls) == tr.i_max
+        assert quotients == oracles.join_quotients(H, tr, st)
 
 
 class TestSpectrum:
