@@ -99,6 +99,30 @@ V_s is invariant.
   equal (so are the shifts), j >= max j_s and lcm m_s divides i - j; the
   least such i is max j_s + lcm m_s, and a block that did not hit by i_max
   has no such pair there.
+- The window period holds up to i_max only.  A block with no hit has
+  stepped terms B_0 .. B_(i_max).  Its period is the least j_s + m_s
+  (least m_s among equals) with B_(i+m_s) == B_i D_s entry by entry for
+  every i in [j_s, i_max - m_s], D_s the diagonal matrix of the p^s_r,
+  s = e(i_max) - e(i_max - m_s) its pivot exponents' growth over the last
+  m_s steps (`_stepped_period`).  Each s_r >= 0: e_r is the valuation of
+  the projection onto coordinate r of the term's meet with the
+  coordinates r, r + 1, .., and that meet shrinks as the terms descend.
+  A block with a hit gives (j_s, m_s, (n_s,) * d_s).  Joined as the hits
+  are (`_join`: j = max j_s, m = lcm m_s, block s's shifts times m/m_s),
+  they give the window period (j, m, shifts): term(i + m) == term(i) D
+  for every j <= i <= i_max - m, or None when j + m > i_max.  Soundness:
+  equal bases span equal lattices, so block s's term i + m_s is its term
+  i times D_s for j_s <= i <= i_max - m_s; chained m/m_s times from any
+  i in [j, i_max - m] it stays in that range, and the blocks' terms sum
+  to term i.  Completeness: B D_s is canonical with B (its pivots are
+  p^(e_r + s_r), and an entry x in [0, p^e_c) above a pivot becomes
+  x p^(s_c) in [0, p^(e_c + s_c))), and a canonical basis is unique, so
+  when term_s(i + m_s) = term_s(i) D for a diagonal D of p-powers at
+  every i in the range, the check finds it; at i = i_max - m_s the pivots
+  pin D = D_s.  D need not commute with the action, and nothing is said
+  past i_max, so `graded`, `cycle` and stratify never read it; only
+  `hausdorff.hdim_numeric`, whose indices stop at i_max, does.  It reads
+  the blocks' records only, and assembles no term.
 - Terms on first index.  A one-block action's stepped terms and profiles
   are the series' own.  Every other term i is assembled on its first
   index and kept (`_Terms`) from its parts: block s's term i, or, past the
@@ -304,7 +328,11 @@ class SeriesTrace:
     the p^shifts[r], j + m <= i_max and every shift at most m; None when a
     block has no hit or j + m > i_max.  cycle is read off graded: the
     series' first certificate term(j + m) == p^n term(j), (j, m, n) when
-    every shift is n, None otherwise.  Both are kept.
+    every shift is n, None otherwise.  window_period is (j, m, shifts)
+    with term(i + m) == term(i) D for j <= i <= i_max - m only: graded
+    when that exists, else joined from each block's hit or the period of
+    its own stepped terms; None on a hand-built trace or when no such
+    period fits by i_max.  All three are kept.
     """
 
     ambient: Lattice
@@ -325,7 +353,17 @@ class SeriesTrace:
     @cached_property
     def graded(self) -> tuple | None:
         """The graded period (j, m, shifts) of the blocks' hits, or None."""
-        return _graded_period(self.blocks, self.i_max)
+        return _join([_hit_period(terms, hit) for _, terms, _, hit in self.blocks], self.i_max)
+
+    @cached_property
+    def window_period(self) -> tuple | None:
+        """(j, m, shifts) with term(i + m) == term(i) D for j <= i <= i_max - m, or None.
+
+        A block's hit, or else the period of its own stepped terms
+        (`_stepped_period`), joined as the hits are; graded when it exists.
+        """
+        return _join([_hit_period(terms, hit) or _stepped_period(terms, self.i_max)
+                      for _, terms, _, hit in self.blocks], self.i_max)
 
     @cached_property
     def cycle(self) -> CycleCertificate | None:
@@ -386,21 +424,49 @@ def _block_series(act: GroupAction, i_max: int) -> tuple:
     return tuple(terms), tuple(profiles), hit
 
 
-def _graded_period(blocks, i_max: int) -> tuple | None:
-    """The graded period (j, m, shifts) of the block records' hits, or None.
+def _join(periods, i_max: int) -> tuple | None:
+    """The join (j, m, shifts) of the blocks' periods (j_s, m_s, shifts_s), or None.
 
-    j = max j_s, m = lcm m_s, and coordinate r of block s shifts by
-    n_s m/m_s; None when there is no block, a block has no hit or
-    j + m > i_max (module docstring).
+    j = max j_s, m = lcm m_s, and block s's shifts are scaled by m/m_s;
+    None when there is no block, a block has no period or j + m > i_max
+    (module docstring).
     """
-    hits = [hit for *_, hit in blocks]
-    if not hits or None in hits:
+    if not periods or None in periods:
         return None
-    j = max(h.j for h in hits)
-    m = math.lcm(*(h.m for h in hits))
+    j = max(q[0] for q in periods)
+    m = math.lcm(*(q[1] for q in periods))
     if j + m > i_max:
         return None
-    return j, m, tuple(h.n * (m // h.m) for _, terms, _, h in blocks for _ in range(terms[0].d))
+    return j, m, tuple(s * (m // m_s) for _, m_s, shifts in periods for s in shifts)
+
+
+def _hit_period(terms, hit) -> tuple | None:
+    """A block's hit (j_s, m_s, n_s) as its period (j_s, m_s, (n_s,) * d_s), or None."""
+    return None if hit is None else (hit.j, hit.m, (hit.n,) * terms[0].d)
+
+
+def _stepped_period(terms, i_max: int) -> tuple | None:
+    """The window period (j, m, shifts) of a block's terms 0 .. i_max, or None.
+
+    The least j + m (least m among equals) such that B_(i+m) == B_i D
+    entry by entry for every i in [j, i_max - m], D the diagonal matrix
+    of the p^shifts with shifts = e(i_max) - e(i_max - m) >= 0 (module
+    docstring).  Only an m below the best j + m so far can improve on it.
+    """
+    p, best = terms[0].p, None
+    for m in range(1, i_max + 1):
+        if best is not None and m >= best[0] + best[1]:
+            break
+        shifts = tuple([a - b for a, b in zip(terms[i_max].diag_exponents,
+                                              terms[i_max - m].diag_exponents)])
+        f = [p**s for s in shifts]
+        i = i_max - m
+        while i >= 0 and all(x * fc == y for row, later in zip(terms[i].basis, terms[i + m].basis)
+                             for x, fc, y in zip(row, f, later)):
+            i -= 1
+        if i < i_max - m and (best is None or i + 1 + m < best[0] + best[1]):
+            best = (i + 1, m, shifts)
+    return best
 
 
 def _parts(blocks, i: int) -> list:

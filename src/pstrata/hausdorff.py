@@ -19,13 +19,16 @@ H + p^N Z_p^d.  One Hermite form of H bounds the index of H + p^N Z_p^d
 from above; once a join's index reaches that bound, every later join is
 the same lattice and no further insertion is made.  When that form has
 only unit pivots (H + p^N Z_p^d is saturated, r pivots) and the series
-has a graded period, term(i + m) = term(i) D for i >= j with D the
-diagonal matrix of the p^shift, and the pivot rows split along the shift
-classes (restricted to the coordinates of shift t they have rank r_t, and
-these sum to r), the numerator grows by exactly sum_t t r_t per period,
-so only terms 1 .. j + m - 1 are inserted.  A scalar cycle is the case of
-one class, where the growth is n r.  Any other H, or a series with no
-graded period, inserts as before.  Extra weights account
+has a window period, term(i + m) = term(i) D for j <= i <= i_max - m
+with D the diagonal matrix of the p^shift, and the pivot rows split
+along the shift classes (restricted to the coordinates of shift t they
+have rank r_t, and these sum to r), the numerator grows by exactly
+sum_t t r_t per period, so only terms 1 .. j + m - 1 are inserted.  The
+window period is the graded period when the series has one, and is read
+off the stepped terms of a block that never hits otherwise; D need not
+commute with the action.  A scalar cycle is the case of one class, where
+the growth is n r.  Any other H, or a series with no window period,
+inserts as before.  Extra weights account
 for direct factors carrying mass but no lattice coordinates (they enlarge
 the denominator, and enter subset sums in the spectrum).  Rows, frame
 and series share one coordinate system, that of the series' start Z_p^d.
@@ -228,21 +231,24 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     Hbar = J_i then contains term_i, hence p^(N-2) Z_p^d, so the exit fires
     only for a full-rank H.
 
-    Graded period.  Call H saturated when every pivot of `hermite_rows(H)`
+    Window period.  Call H saturated when every pivot of `hermite_rows(H)`
     is a unit, that is F = N (d - r) with r pivots.  Then Hbar = S + p^N C,
     a direct sum, where S is the span of those rows and C that of the e_c
     over the columns c without a pivot: the rows and these e_c are a
     triangular basis of Z_p^d with unit pivots, so S is a direct summand,
     S = S_Q cap Z_p^d for its span S_Q over Q_p.  Let the trace have the
-    graded period (j, m, shifts) (`SeriesTrace.graded`, read off the hits
-    of its coordinate blocks, whose terms all pass the guard; a hand-built
-    trace has none): term_(i+m) = term_i D for every i >= j, with D the
-    diagonal matrix of the p^shifts[k].  For each shift value t let V_t be
-    the span of the coordinates of shift t, and r_t the rank over Q
+    window period (j, m, shifts) (`SeriesTrace.window_period`, read off
+    its coordinate blocks' records, whose terms all pass the guard; a
+    hand-built trace has none): term_(i+m) = term_i D for every
+    j <= i <= i_max - m, with D the diagonal matrix of the p^shifts[k].
+    The lemma below reads one pair of terms at a time and never the
+    action, so it needs the identity on that range only, and D need not
+    commute with the action.  For each shift value t let V_t be the span
+    of the coordinates of shift t, and r_t the rank over Q
     (`_rank_over_q`) of the rows of S restricted to those coordinates.
     Lemma: if sum_t r_t = r, then numerator_(i+m) = numerator_i +
-    sum_t t r_t for every i >= j.  Proof, for a term T = term_i, whose
-    level and that of T D are at most N - 2:
+    sum_t t r_t for every j <= i <= i_max - m.  Proof, for a term
+    T = term_i, whose level and that of T D are at most N - 2:
     1. T contains p^(N-2) Z_p^d, hence p^N C, so the modular law gives
        Hbar cap T = (S cap T) + p^N C; as S cap p^N C = 0, the numerator
        log|Hbar : Hbar cap T| is log|S : S cap T|.
@@ -257,12 +263,12 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
        p^(sum_t t r_t) |S : S cap T|.
     Under a scalar cycle (j, m, n) there is one class, r_n = r, and the
     increment is n r.  So numerator_i = numerator_(i-m) + sum_t t r_t for
-    every i >= j + m, with numerator_0 = 0 as every series starts at
-    Z_p^d.  Only terms 1 .. j + m - 1 are read and inserted, so the trace
-    builds no term past j + m (`gmodule`).  An H that is not saturated or
-    whose rows cross the classes (sum_t r_t > r), or a trace with no graded
-    period, hand-built ones included, goes through the insertion loop
-    above, stationary exit and guard included.
+    every j + m <= i <= i_max, with numerator_0 = 0 as every series starts
+    at Z_p^d.  Only terms 1 .. j + m - 1 are read and inserted, so the
+    trace builds no term past j + m (`gmodule`).  An H that is not
+    saturated or whose rows cross the classes (sum_t r_t > r), or a trace
+    with no window period, hand-built ones included, goes through the
+    insertion loop above, stationary exit and guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
@@ -271,8 +277,8 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     r = len(piv)
     bound = sum(int_valuation(red[k][c], p, N) for k, c in enumerate(piv)) + N * (d - r)
     stop, m, step = trace.i_max + 1, 0, 0  # stop: the first numerator read off the period
-    if bound == N * (d - r) and trace.graded is not None:
-        j, m, shifts = trace.graded
+    if bound == N * (d - r) and trace.window_period is not None:
+        j, m, shifts = trace.window_period
         ranks = {t: _rank_over_q([[x for x, s in zip(row, shifts) if s == t] for row in red[:r]])
                  for t in set(shifts)}
         if sum(ranks.values()) == r:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_lattice import _conjugated
 from pstrata import gmodule, lattice
 from pstrata.catalog import catalog_names, get_bundle, random_block_action, random_sizes
 from pstrata.cli import _instance_block, _load_instance
@@ -435,6 +436,74 @@ def test_the_terms_index_and_slice_as_a_tuple():
     assert again == tr and hash(again) == hash(tr) and again.terms == tuple(tr.terms)
     assert repr(again) == repr(tr) and repr(again.terms) == repr(tuple(tr.terms))
     assert "terms=(Lattice(" in repr(again) and " at 0x" not in repr(again)
+
+
+def _least_window(terms, i_max: int) -> int:
+    """The least j + m with B_(i+m) == B_i diag(p^s) for j <= i <= i_max - m, any s >= 0."""
+    p = terms[0].p
+    for end in range(1, i_max + 1):
+        for m in range(1, end + 1):
+            shifts = [a - b for a, b in zip(terms[i_max].diag_exponents,
+                                            terms[i_max - m].diag_exponents)]
+            if min(shifts) >= 0 and all(
+                    terms[i + m].basis == tuple(tuple(x * p**s for x, s in zip(row, shifts))
+                                                for row in terms[i].basis)
+                    for i in range(end - m, i_max - m + 1)):
+                return end
+    return None
+
+
+@pytest.mark.parametrize("i_max", [24, 40])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_window_period_scales_each_column_up_to_i_max(p, i_max):
+    # term i + m is term i with column r scaled by p^shifts[r], entry by
+    # entry, for every j <= i <= i_max - m; the window period is the graded
+    # period whenever that exists, and a block with no hit gives the least
+    # j + m its own stepped terms repeat with
+    windows = 0
+    for seed in range(40):
+        b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=i_max + 2)
+        tr = lower_p_series(b.lattice, b.action, i_max)
+        if tr.graded is not None:
+            assert tr.window_period == tr.graded
+        if tr.window_period is None:
+            continue
+        j, m, shifts = tr.window_period
+        assert len(shifts) == tr.ambient.d and j + m <= i_max and min(shifts) >= 0
+        for i in range(j, i_max - m + 1):
+            scaled = [tuple(x * p**s for x, s in zip(row, shifts)) for row in tr.terms[i].basis]
+            assert tr.terms[i + m].basis == tuple(scaled)
+        if tr.graded is None:
+            windows += 1
+            if len(tr.blocks) == 1:
+                assert j + m == _least_window(tr.terms, i_max)
+    assert windows > 0
+
+
+def test_no_window_period_on_a_hand_built_trace_or_a_conjugated_one():
+    # a hand-built trace has no block records to read; conjugated Gm2 is one
+    # block with no hit, and its terms repeat under no diagonal D
+    b = get_bundle("Gm2", p=2, N=26)
+    tr = lower_p_series(b.lattice, b.action, 24)
+    assert tr.window_period == tr.graded == (0, 6, (3, 3, 2, 2, 2))
+    hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
+    assert hand.window_period is None
+    _, act = _conjugated("Gm2", 2, 26, 0)
+    conj = lower_p_series(Lattice.standard(2, 26, act.d), act, 24)
+    assert (conj.graded, conj.window_period) == (None, None)
+    assert conj.profiles == tr.profiles
+
+
+def test_the_window_period_assembles_no_term():
+    # battery slot 4: a unit block that hits beside a block of size 5 that
+    # does not; the window period is read off the blocks' own records, so
+    # the trace, which holds no term of its own, assembles none
+    b = random_block_action(random_sizes(random.Random(4 * 7919 + 13)), seed=4, p=2, N=66)
+    tr = lower_p_series(b.lattice, b.action, 64)
+    assert [(a, terms[0].d, hit) for a, terms, _, hit in tr.blocks] == [
+        (0, 1, CycleCertificate(0, 1, 1)), (1, 5, None)]
+    assert (tr.graded, tr.window_period) == (None, (2, 2, (2, 2, 1, 1, 1, 1)))
+    assert set(tr.terms._terms) == {None}
 
 
 def test_the_cycle_is_read_off_the_graded_period():

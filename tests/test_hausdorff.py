@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 import oracles
+from test_lattice import _conjugated
 from pstrata.catalog import build_Gm_lattice, get_bundle, random_block_action
 from pstrata.errors import EnumerationTooLarge, PrecisionExhausted, RankDeficient
 from pstrata.gmodule import SeriesTrace, lower_p_series
@@ -344,6 +345,15 @@ class TestNumericAgainstJoinReference:
         assert oracles.join_quotients(SubgroupSpec(2, 6, ((0, 1),)), tr, st) == ([F(1)], True)
 
 
+@lru_cache(maxsize=None)
+def _conjugated_gm2():
+    """Gm2 at p 2, imax 24, conjugated so its terms repeat under no diagonal D."""
+    _, act = _conjugated("Gm2", 2, 26, 0)
+    tr = lower_p_series(Lattice.standard(2, 26, act.d), act, 24)
+    st, _ = run_stratification(tr, denom_bound=8)
+    return tr, st
+
+
 def _count_inserts(monkeypatch) -> list:
     """Route hausdorff's hermite_insert through a counter; returns the call list."""
     insert = hausdorff.hermite_insert
@@ -402,13 +412,17 @@ class TestNumericCycle:
     def test_insertion_counts(self, monkeypatch):
         calls = _count_inserts(monkeypatch)
         no_hit, st0 = _random_instance((2, 1), 8, 2)
-        assert no_hit.graded is None  # its one block has no hit by i_max
+        # its one block has no hit by i_max, but its stepped terms repeat
+        assert (no_hit.graded, no_hit.window_period) == (None, (0, 2, (2, 1, 1)))
+        conj, stc = _conjugated_gm2()
+        assert conj.window_period is None
         graded, st1 = _random_instance((2, 1), 1, 2)
         assert graded.graded == (0, 2, (2, 1, 1))
         late, st2 = _random_instance((2, 3), 0, 3)
         saturated = [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
         for tr, st, rows, inserts in [
-            (no_hit, st0, unit_rows(3, (0, 2)), no_hit.i_max),
+            (no_hit, st0, unit_rows(3, (0, 2)), 1),  # inside the class of shift 1: term 1
+            (conj, stc, unit_rows(5, (0, 1)), conj.i_max),  # no window period
             (graded, st1, [[0, 1, 1], [0, 0, 1]], 1),  # inside the class of shift 1: term 1
             (graded, st1, [[1, 1, 0]], graded.i_max),  # across the classes of shifts 2 and 1
             (late, st2, saturated, 2),  # terms 1 and 2 of the cycle (1, 2, 1)
@@ -449,6 +463,37 @@ class TestNumericCycle:
             hdim_numeric(H, tr, st)
 
 
+def _check_rows_inside_the_classes(tr, st, period, p, rng):
+    """hdim on rows inside the shift classes of a period, against the join reference.
+
+    A subset of each class's coordinates, rotated within the class and the
+    rows then mixed: the span is D-stable.  An upper unitriangular rotation
+    keeps unit pivots, so at most terms 1 .. j + m - 1 are inserted; a
+    unimodular one can leave a pivot on a non-unit entry, and then H is
+    taken as not saturated and inserted into every term.
+    """
+    j, m, shifts = period
+    N = tr.precision
+    pN = p**N
+    for upper in (True, False):
+        rows = []
+        for t in set(shifts):
+            cls = [k for k, s in enumerate(shifts) if s == t]
+            rot = _unimodular(rng, len(cls), pN, upper)
+            for a in rng.sample(range(len(cls)), rng.randint(0, len(cls))):
+                row = [0] * len(shifts)
+                for k, x in zip(cls, rot[a]):
+                    row[k] = x
+                rows.append(row)
+        if rows:
+            rows = mat_mul(_unimodular(rng, len(rows), pN), rows, pN)
+        H = SubgroupSpec.from_ambient(p, N, rows, st)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_inserts(mp)
+            assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+        assert len(calls) <= j + m - 1 or not upper
+
+
 # random block actions whose graded period is not scalar: (sizes, seed, p)
 GRADED = [((1, 2), 2, 3), ((1, 3), 0, 2), ((1, 3), 9, 5), ((2, 1), 1, 2), ((2, 2), 9, 3),
           ((2, 3), 1, 2), ((2, 1, 3), 2, 5), ((3, 1, 2), 1, 3), ((3, 2), 8, 2),
@@ -480,32 +525,8 @@ class TestNumericGraded:
     @example(((2, 1, 3), 2, 5), random.Random(0))  # two blocks share the shift 2
     @example(((2, 2), 9, 3), random.Random(1))  # j = 1
     def test_matches_the_join_reference(self, key, rng):
-        # a subset of each class's coordinates, rotated within the class and
-        # the rows then mixed: the span is D-stable.  An upper unitriangular
-        # rotation keeps unit pivots, so at most terms 1 .. j + m - 1 are
-        # inserted; a unimodular one can leave a pivot on a non-unit entry,
-        # and then H is taken as not saturated and inserted into every term
         tr, st = _random_instance(*key)
-        j, m, shifts = tr.graded
-        p, N = key[2], tr.precision
-        pN = p**N
-        for upper in (True, False):
-            rows = []
-            for t in set(shifts):
-                cls = [k for k, s in enumerate(shifts) if s == t]
-                rot = _unimodular(rng, len(cls), pN, upper)
-                for a in rng.sample(range(len(cls)), rng.randint(0, len(cls))):
-                    row = [0] * len(shifts)
-                    for k, x in zip(cls, rot[a]):
-                        row[k] = x
-                    rows.append(row)
-            if rows:
-                rows = mat_mul(_unimodular(rng, len(rows), pN), rows, pN)
-            H = SubgroupSpec.from_ambient(p, N, rows, st)
-            with pytest.MonkeyPatch.context() as mp:
-                calls = _count_inserts(mp)
-                assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
-            assert len(calls) <= j + m - 1 or not upper
+        _check_rows_inside_the_classes(tr, st, tr.graded, key[2], rng)
 
     @pytest.mark.parametrize("name,imax,graded", [
         ("Gm2", 64, (0, 6, (3, 3, 2, 2, 2))),
@@ -529,6 +550,51 @@ class TestNumericGraded:
             "Gm2", 64, ((1, 0, 0, 0, 1), (0, 1, 0, 0, 0)))
         assert len(calls) == tr.i_max
         assert quotients == oracles.join_quotients(H, tr, st)
+
+
+# random block actions with a block that never hits by imax 24, but with a
+# window period: (sizes, seed, p); j > 0, m = 6, and a hit block beside a
+# block with none are among them
+WINDOW = [((2, 1), 8, 2), ((1, 3), 6, 3), ((1, 4), 6, 5), ((2, 3), 0, 2), ((2, 3), 3, 3),
+          ((3, 2), 3, 5), ((3, 2), 4, 2), ((3, 2), 7, 3), ((2, 2), 0, 3), ((1, 1, 2), 9, 5)]
+
+
+class TestNumericWindow:
+    """Traces whose blocks do not all hit: numerators off the window period."""
+
+    def test_instances_have_a_window_period_but_no_graded_one(self):
+        for key in WINDOW:
+            tr = _random_instance(*key)[0]
+            assert tr.graded is None and tr.window_period is not None
+            assert None in [hit for *_, hit in tr.blocks]
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.sampled_from(WINDOW), hst.randoms(use_true_random=False))
+    @example(((3, 2), 4, 2), random.Random(0))  # a hit block beside one with none, j = 1
+    @example(((2, 3), 0, 2), random.Random(1))  # m = 6
+    def test_rows_inside_the_classes(self, key, rng):
+        tr, st = _random_instance(*key)
+        _check_rows_inside_the_classes(tr, st, tr.window_period, key[2], rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.sampled_from(WINDOW), hst.randoms(use_true_random=False))
+    def test_rows_across_the_classes(self, key, rng):
+        # a unit row on two coordinates of different shifts spans no D-stable
+        # line, so alone it is inserted into every term; other rows beside it
+        # may or may not make the span D-stable, and either way hdim must
+        # give the reference's quotients
+        tr, st = _random_instance(*key)
+        p, N, shifts = key[2], tr.precision, tr.window_period[2]
+        a = rng.randrange(len(shifts))
+        b = rng.choice([k for k, s in enumerate(shifts) if s != shifts[a]])
+        cross = [int(k in (a, b)) for k in range(len(shifts))]
+        others = [[rng.randrange(p**2) for _ in shifts] for _ in range(rng.randint(0, 2))]
+        for rows in ([cross], [cross] + others):
+            H = SubgroupSpec.from_ambient(p, N, rows, st)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _count_inserts(mp)
+                assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
+            assert len(calls) == tr.i_max or len(rows) > 1
 
 
 class TestSpectrum:
