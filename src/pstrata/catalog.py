@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InvalidShape
 from .gmodule import GroupAction
 from .lattice import Lattice
-from .padic import identity, mul_entries, row_entries
+from .padic import _freeze, identity, mul_entries, row_entries
 
 __all__ = [
     "ExampleBundle",
@@ -190,7 +190,10 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66) -> Exam
     mod p.  Total dimension is capped at 8 to keep rate denominators small
     enough that windows of moderate length pin them down.
     """
-    sizes = tuple(int(b) for b in block_sizes)
+    try:
+        sizes = _freeze([block_sizes])[0]  # 2.7 is refused, not truncated to 2
+    except ValueError:
+        sizes = ()
     if not sizes or any(b < 1 for b in sizes):
         raise InvalidShape("block sizes must be positive integers")
     d = sum(sizes)

@@ -41,14 +41,15 @@ input only: the standard start, the precision, and index growth of a
 digit per step, which fails when unipotent generators generate a group
 that is not pro-p.
 
-A series searches for its own cycle as it grows (`_cycle_hit`, one bucket
-check per term).  From its first certificate term(j + m) == p^n term(j) on
-it repeats: term i = p^n term(i - m).  The step is Z_p-linear,
-step(p^n M) = p^n step(M), so term(i + m) == p^n term(i) for every i >= j
-by induction.  The copy's basis is p^n B, which is canonical whenever B
-is: it stays upper triangular, its pivots are p^(e_k + n), and an entry x
-in [0, p^e) above a pivot becomes p^n x in [0, p^(e + n)); a canonical
-basis is unique, so p^n B is the basis a step would have given.  Term i
+Each coordinate block of the action (below) steps until its own first
+cycle certificate term(j + m) == p^n term(j) (`_block_series`, one
+`_cycle_hit` bucket check per term).  From it on the block repeats:
+term i = p^n term(i - m).  The step is Z_p-linear, step(p^n M) =
+p^n step(M), so term(i + m) == p^n term(i) for every i >= j by
+induction.  The copy's basis is p^n B, which is canonical whenever B is:
+it stays upper triangular, its pivots are p^(e_k + n), and an entry x in
+[0, p^e) above a pivot becomes p^n x in [0, p^(e + n)); a canonical basis
+is unique, so p^n B is the basis a step would have given.  Term i
 contains p^i Z_p^d, so its pivots, which are at most p^(lower level),
 stay at most p^i < p^N.  The elementary divisors of p^n B are p^n times
 those of B, so the copy's diagonal exponents, profile and lower level are
@@ -78,51 +79,50 @@ V_s is invariant.
   elementary divisors are the blocks' together.  Term i contains
   p^i Z_p^d, so every exponent is below N and certified; sorted, they are
   `divisor_profile` of term i, and the last is its lower level.
-- The graded period is read off the blocks' first hits.  Each block steps
-  from its own Z_p^(I_s) until its first hit (j_s, m_s, n_s) or i_max.  Let
-  j = max j_s and m = lcm m_s.  From j_s on block s repeats with period
-  m_s and shift n_s, and m_s divides m, so term_s(i + m) = p^(n_s m/m_s)
-  term_s(i) for i >= j.  Summed over the blocks, term(i + m) = term(i) D
-  for every i >= j, with D the diagonal matrix of the p^shift_r and
-  shift_r = n_s m/m_s for r in I_s: the graded period (j, m, shifts),
-  which exists when every block hit and j + m <= i_max.  Every shift is at
-  most m, as n_s <= m_s.
-  Lemma: the whole series has a cycle ending by term i_max iff it has a
-  graded period whose shifts are all equal; its first cycle is then
-  (j, m, n), n the common shift.  Proof: a block's terms before j_s + m_s
-  are pairwise non-proportional, as its first hit is the least such pair;
-  from j_s on it repeats with period m_s, so a later term is p^(k n_s)
-  times one of its terms j_s .. j_s + m_s - 1.  Hence term_s(i) = p^n
-  term_s(j) with j < i holds iff j >= j_s, m_s divides i - j and
-  n = (i - j) n_s/m_s.  Term i of the sum is p^n times term j iff that
-  holds in every block with the same n, that is iff the rates n_s/m_s are
-  equal (so are the shifts), j >= max j_s and lcm m_s divides i - j; the
-  least such i is max j_s + lcm m_s, and a block that did not hit by i_max
-  has no such pair there.
-- The window period holds up to i_max only.  A block with no hit has
-  stepped terms B_0 .. B_(i_max).  Its period is the least j_s + m_s
-  (least m_s among equals) with B_(i+m_s) == B_i D_s entry by entry for
-  every i in [j_s, i_max - m_s], D_s the diagonal matrix of the p^s_r,
-  s = e(i_max) - e(i_max - m_s) its pivot exponents' growth over the last
-  m_s steps (`_stepped_period`).  Each s_r >= 0: e_r is the valuation of
-  the projection onto coordinate r of the term's meet with the
-  coordinates r, r + 1, .., and that meet shrinks as the terms descend.
-  A block with a hit gives (j_s, m_s, (n_s,) * d_s).  Joined as the hits
-  are (`_join`: j = max j_s, m = lcm m_s, block s's shifts times m/m_s),
-  they give the window period (j, m, shifts): term(i + m) == term(i) D
-  for every j <= i <= i_max - m, or None when j + m > i_max.  Soundness:
-  equal bases span equal lattices, so block s's term i + m_s is its term
-  i times D_s for j_s <= i <= i_max - m_s; chained m/m_s times from any
-  i in [j, i_max - m] it stays in that range, and the blocks' terms sum
-  to term i.  Completeness: B D_s is canonical with B (its pivots are
-  p^(e_r + s_r), and an entry x in [0, p^e_c) above a pivot becomes
-  x p^(s_c) in [0, p^(e_c + s_c))), and a canonical basis is unique, so
-  when term_s(i + m_s) = term_s(i) D for a diagonal D of p-powers at
-  every i in the range, the check finds it; at i = i_max - m_s the pivots
-  pin D = D_s.  D need not commute with the action, and nothing is said
-  past i_max, so `graded`, `cycle` and stratify never read it; only
-  `hausdorff.hdim_numeric`, whose indices stop at i_max, does.  It reads
-  the blocks' records only, and assembles no term.
+- The window period joins the blocks' periods.  Each block steps from
+  its own Z_p^(I_s) until its first hit (j_s, m_s, n_s) or i_max, and
+  gives its period (j_s, m_s, shifts_s): (j_s, m_s, (n_s,) * d_s) when it
+  hit, else the period of its stepped terms B_0 .. B_(i_max), the least
+  j_s + m_s (least m_s among equals) with B_(i+m_s) == B_i D_s entry by
+  entry for every i in [j_s, i_max - m_s], D_s the diagonal matrix of the
+  p^s_r, s = e(i_max) - e(i_max - m_s) its pivot exponents' growth over
+  the last m_s steps (`_stepped_period`).  Each s_r >= 0: e_r is the
+  valuation of the projection onto coordinate r of the term's meet with
+  the coordinates r, r + 1, .., and that meet shrinks as the terms
+  descend.  Joined (`_join`: j = max j_s, m = lcm m_s, block s's shifts
+  times m/m_s), they give the window period (j, m, shifts): term(i + m)
+  == term(i) D for every j <= i <= i_max - m, D the diagonal matrix of
+  the p^shifts, or None when j + m > i_max.  Soundness: equal bases span
+  equal lattices, so block s's term i + m_s is its term i times D_s for
+  j_s <= i <= i_max - m_s, by the copy above when it hit; chained m/m_s
+  times from any i in [j, i_max - m] it stays in that range, and the
+  blocks' terms sum to term i.  Completeness: B D_s is canonical with B
+  (its pivots are p^(e_r + s_r), and an entry x in [0, p^e_c) above a
+  pivot becomes x p^(s_c) in [0, p^(e_c + s_c))), and a canonical basis
+  is unique, so when term_s(i + m_s) = term_s(i) D for a diagonal D of
+  p-powers at every i in the range, the check finds it; at
+  i = i_max - m_s the pivots pin D = D_s.  The period reads the blocks'
+  records only, and assembles no term.
+  When every block hit, the join holds for every i >= j: from j_s on
+  block s repeats with period m_s and shift n_s, and m_s divides m, so
+  term_s(i + m) = p^(n_s m/m_s) term_s(i) for i >= j, and the blocks'
+  terms sum to term i.  Every shift is then at most m, as n_s <= m_s.
+  Otherwise nothing is said past i_max, and D need not commute with the
+  action, so `cycle` reads the period only when every block hit;
+  `hausdorff.hdim_numeric`, whose indices stop at i_max, reads it on any
+  trace.
+  Lemma: the whole series has a cycle ending by term i_max iff every
+  block hit and the window period's shifts are all equal; its first
+  cycle is then (j, m, n), n the common shift.  Proof: a block's terms
+  before j_s + m_s are pairwise non-proportional, as its first hit is the
+  least such pair; from j_s on it repeats with period m_s, so a later
+  term is p^(k n_s) times one of its terms j_s .. j_s + m_s - 1.  Hence
+  term_s(i) = p^n term_s(j) with j < i holds iff j >= j_s, m_s divides
+  i - j and n = (i - j) n_s/m_s.  Term i of the sum is p^n times term j
+  iff that holds in every block with the same n, that is iff the rates
+  n_s/m_s are equal (so are the shifts), j >= max j_s and lcm m_s
+  divides i - j; the least such i is max j_s + lcm m_s, and a block that
+  did not hit by i_max has no such pair there.
 - Terms on first index.  A one-block action's stepped terms and profiles
   are the series' own.  Every other term i is assembled on its first
   index and kept (`_Terms`) from its parts: block s's term i, or, past the
@@ -322,17 +322,15 @@ class SeriesTrace:
     its own Z_p^d_s to its first cycle hit, the certificate
     term_s(j_s + m_s) == p^n_s term_s(j_s), or to i_max, where hit is None.
     Only `lower_p_series` and the tests' references set it; a trace built by
-    hand has (), as if its terms never repeated.  graded is read off the
-    hits (`_graded_period`): the series' graded period (j, m, shifts),
-    term(i + m) == term(i) D for every i >= j, with D the diagonal matrix of
-    the p^shifts[r], j + m <= i_max and every shift at most m; None when a
-    block has no hit or j + m > i_max.  cycle is read off graded: the
-    series' first certificate term(j + m) == p^n term(j), (j, m, n) when
-    every shift is n, None otherwise.  window_period is (j, m, shifts)
-    with term(i + m) == term(i) D for j <= i <= i_max - m only: graded
-    when that exists, else joined from each block's hit or the period of
-    its own stepped terms; None on a hand-built trace or when no such
-    period fits by i_max.  All three are kept.
+    hand has (), as if its terms never repeated.  window_period is joined
+    from each block's hit or the period of its own stepped terms: the
+    series' period (j, m, shifts), term(i + m) == term(i) D for
+    j <= i <= i_max - m, with D the diagonal matrix of the p^shifts[r]; it
+    holds for every i >= j, with every shift at most m, when every block
+    hit; None on a hand-built trace or when no such period fits by i_max.
+    cycle is read off it: the series' first certificate term(j + m) ==
+    p^n term(j), (j, m, n) when every block hit and every shift is n, None
+    otherwise.  Both are kept.
     """
 
     ambient: Lattice
@@ -351,27 +349,23 @@ class SeriesTrace:
         return tuple(sum(prof) for prof in self.profiles)
 
     @cached_property
-    def graded(self) -> tuple | None:
-        """The graded period (j, m, shifts) of the blocks' hits, or None."""
-        return _join([_hit_period(terms, hit) for _, terms, _, hit in self.blocks], self.i_max)
-
-    @cached_property
     def window_period(self) -> tuple | None:
         """(j, m, shifts) with term(i + m) == term(i) D for j <= i <= i_max - m, or None.
 
         A block's hit, or else the period of its own stepped terms
-        (`_stepped_period`), joined as the hits are; graded when it exists.
+        (`_stepped_period`), joined (`_join`).
         """
-        return _join([_hit_period(terms, hit) or _stepped_period(terms, self.i_max)
+        return _join([_stepped_period(terms, self.i_max) if hit is None
+                      else (hit.j, hit.m, (hit.n,) * terms[0].d)
                       for _, terms, _, hit in self.blocks], self.i_max)
 
     @cached_property
     def cycle(self) -> CycleCertificate | None:
-        """The graded period (j, m, shifts) as the cycle (j, m, n) when every shift is n."""
-        if self.graded is None or len(set(self.graded[2])) != 1:
+        """The window period as the cycle (j, m, n) when every block hit and every shift is n."""
+        if None in [hit for *_, hit in self.blocks] or self.window_period is None:
             return None
-        j, m, shifts = self.graded
-        return CycleCertificate(j=j, m=m, n=shifts[0])
+        j, m, shifts = self.window_period
+        return CycleCertificate(j=j, m=m, n=shifts[0]) if len(set(shifts)) == 1 else None
 
 
 def _cycle_hit(terms, profiles, buckets: dict, i: int) -> CycleCertificate | None:
@@ -438,11 +432,6 @@ def _join(periods, i_max: int) -> tuple | None:
     if j + m > i_max:
         return None
     return j, m, tuple(s * (m // m_s) for _, m_s, shifts in periods for s in shifts)
-
-
-def _hit_period(terms, hit) -> tuple | None:
-    """A block's hit (j_s, m_s, n_s) as its period (j_s, m_s, (n_s,) * d_s), or None."""
-    return None if hit is None else (hit.j, hit.m, (hit.n,) * terms[0].d)
 
 
 def _stepped_period(terms, i_max: int) -> tuple | None:
@@ -548,8 +537,8 @@ def lower_p_series(L: Lattice, action: GroupAction, i_max: int) -> SeriesTrace:
     means the group is not pro-p and raises PstrataError with the index.
     Each coordinate block of the action (one when it does not split) steps
     until its own first cycle hit or i_max; the trace keeps those records
-    (`SeriesTrace.blocks`), and its graded period and cycle are read off
-    their hits.  A one-block action's stepped terms and profiles are the
+    (`SeriesTrace.blocks`), and its window period and cycle are read off
+    them.  A one-block action's stepped terms and profiles are the
     series' own; every other profile is read off the blocks at once, and
     every other term is assembled from them on its first index (module
     docstring).

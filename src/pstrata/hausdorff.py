@@ -24,14 +24,14 @@ with D the diagonal matrix of the p^shift, and the pivot rows split
 along the shift classes (restricted to the coordinates of shift t they
 have rank r_t, and these sum to r), the numerator grows by exactly
 sum_t t r_t per period, so only terms 1 .. j + m - 1 are inserted.  The
-window period is the graded period when the series has one, and is read
-off the stepped terms of a block that never hits otherwise; D need not
-commute with the action.  A scalar cycle is the case of one class, where
-the growth is n r.  Any other H, or a series with no window period,
-inserts as before.  Extra weights account
-for direct factors carrying mass but no lattice coordinates (they enlarge
-the denominator, and enter subset sums in the spectrum).  Rows, frame
-and series share one coordinate system, that of the series' start Z_p^d.
+window period joins each block's hit, or the period of the stepped
+terms of a block that never hits; D need not commute with the action.  A
+scalar cycle is the case of one class, where the growth is n r.  Any
+other H, or a series with no window period, inserts as before.  Extra
+weights account for direct factors carrying mass but no lattice
+coordinates (they enlarge the denominator, and enter subset sums in the
+spectrum).  Rows, frame and series share one coordinate system, that of
+the series' start Z_p^d.
 """
 
 from __future__ import annotations

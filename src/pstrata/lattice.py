@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotContained, PrecisionExhausted
-from .padic import _freeze, _is_prime, hermite_rows, identity, int_valuation, smith_rows
+from .padic import _freeze, _integer, _is_prime, hermite_rows, identity, int_valuation, smith_rows
 
 __all__ = [
     "Lattice",
@@ -156,11 +156,12 @@ class Lattice:
     def solve(self, vec) -> list | None:
         """Exact integer coordinates of vec in this basis, or None.
 
-        vec is read as an integer lift; membership is well defined because
-        the lattice contains p^N Z_p^d.
+        vec is read as an integer lift, and a float entry such as 2.9 is
+        refused with ValueError, not truncated; membership is well defined
+        because the lattice contains p^N Z_p^d.
         """
         b = self.basis
-        rem = [int(x) for x in vec]
+        rem = [_integer(x, "a vector entry") for x in vec]
         coords = [0] * self.d
         for j in range(self.d):
             q, r = divmod(rem[j], b[j][j])

@@ -51,7 +51,8 @@ from .errors import (
 )
 from .gmodule import CycleCertificate, GroupAction, SeriesTrace
 from .padic import (
-    hermite_rows, int_valuation, mat_mul, mul_entries, row_entries, smith_rows, unimodular_inverse,
+    _integer, hermite_rows, int_valuation, mat_mul, mul_entries, row_entries, smith_rows,
+    unimodular_inverse,
 )
 
 __all__ = [
@@ -140,13 +141,14 @@ def fit_rational(samples, denom_bound: int):
     [j, i_hi - m]; the first m with i_hi - j >= max(2m, L // 2) gives
     (Fraction(n, m), j).  So the bound is a bound on the period, and the
     rate's reduced denominator divides the period.  Raises ValueError for
-    indices that are not consecutive or a bound below 1, and NoStableFit,
+    indices that are not consecutive, a value that is not an integer (1.5
+    is refused, not truncated) or a bound below 1, and NoStableFit,
     naming the longest tail over which some m held, when no m passes.
     """
     if any(b[0] != a[0] + 1 for a, b in zip(samples, samples[1:])):
         raise ValueError("sample indices must be consecutive")
     _check_bound(denom_bound)
-    col = [int(v) for _, v in samples]
+    col = [_integer(v, "a sample") for _, v in samples]
     last, half = len(col) - 1, len(col) // 2
     best = (0, 0)  # (tail, -m) of the longest tail, least m first
     for m in range(1, min(denom_bound, last) + 1):
@@ -199,16 +201,17 @@ def _check_length(trace: SeriesTrace) -> None:
 def detect_cycle(trace: SeriesTrace) -> CycleCertificate | None:
     """The first exact repetition term(j + m) == p^n term(j), 0 <= n <= m, or None.
 
-    `SeriesTrace.cycle` reads it off the graded period of the first hits
-    of the action's coordinate blocks (`SeriesTrace.blocks`, which
-    `gmodule.lower_p_series` records): it is that period when every shift
-    is n, and a hand-built trace has none.  One hit extends to every
-    i >= j: the step M -> pM + sum_t M(g_t - 1) is Z_p-linear, so it sends
-    p^n M to p^n times its image, and term(i + m) == p^n term(i) for each
-    i >= j by induction on i.  So every rate is n/m.  run_stratification
-    reports it with the stratification it reads off the blocks (its status
-    is "exact-cycle" then); `hausdorff.hdim_numeric` reads its quotients
-    off the graded period, of which the cycle is the one-class case.
+    `SeriesTrace.cycle` reads it off the window period of the action's
+    coordinate blocks when every block hit its first cycle
+    (`SeriesTrace.blocks`, which `gmodule.lower_p_series` records): it is
+    that period when every shift is n, and a hand-built trace has none.
+    One hit extends to every i >= j: the step M -> pM + sum_t M(g_t - 1) is
+    Z_p-linear, so it sends p^n M to p^n times its image, and term(i + m)
+    == p^n term(i) for each i >= j by induction on i.  So every rate is
+    n/m.  run_stratification reports it with the stratification it reads
+    off the blocks (its status is "exact-cycle" then);
+    `hausdorff.hdim_numeric` reads its quotients off the window period, of
+    which the cycle is the one-class case.
     """
     return trace.cycle
 

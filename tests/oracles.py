@@ -251,7 +251,8 @@ def run_stratification_eager(trace, denom_bound=64):
 
     Checks the trace length and the bound, then takes the cycle by
     coordinates (`detect_cycle_by_coordinates`): with a cycle its rates
-    are the candidate, otherwise the rate fit's, graded period or not.
+    are the candidate, otherwise the rate fit's, whether the blocks all
+    hit or not.
     Only then is a frame tried from the Smith basis of an anchor term
     (`strata.extract_frame`), and every error is raised as is.
     """
@@ -287,8 +288,8 @@ def lower_p_series_stepwise(L, action, i_max):
     Checks the index growth and caches each term's level from its profile,
     as the library does.  The trace holds one block record, the whole
     series with the first repetition found by coordinates
-    (`detect_cycle_by_coordinates`) as its hit, so its graded period has
-    every shift n and its cycle is that repetition.
+    (`detect_cycle_by_coordinates`) as its hit; with a hit its window
+    period has every shift n, and its cycle is that repetition.
     """
     from dataclasses import replace
 

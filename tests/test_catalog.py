@@ -85,6 +85,12 @@ def test_random_block_action_rejects_bad_shapes():
         random_block_action((0, 2), seed=0)
 
 
+def test_random_block_action_refuses_a_fractional_size():
+    # 2.7 is not truncated to a block of size 2
+    with pytest.raises(InvalidShape, match="positive integers"):
+        random_block_action((2.7, 1), seed=0)
+
+
 def test_random_actions_are_unipotent_and_triangular():
     for seed in range(8):
         bundle = random_block_action((2, 2, 1), seed=seed)

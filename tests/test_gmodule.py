@@ -271,10 +271,10 @@ def test_the_preset_cycle_is_the_lazy_search(name):
     assert tr.cycle == oracles.detect_cycle_by_coordinates(tr)
     expected = b.expected_cycle
     assert tr.cycle == (None if expected is None else CycleCertificate(*expected))
-    # the cycle and the graded period are read off the block records that
+    # the cycle and the window period are read off the block records that
     # lower_p_series keeps: a trace built by hand has none, so neither
     hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
-    assert (hand.blocks, hand.cycle, hand.graded) == ((), None, None)
+    assert (hand.blocks, hand.cycle, hand.window_period) == ((), None, None)
 
 
 @pytest.mark.parametrize("p,blocks,whole", [
@@ -299,35 +299,15 @@ def test_blocks_that_cycle_from_different_j(p, blocks, whole):
     ([(0, 1, 1), None], 40, None),  # a block without a hit
 ])
 def test_the_joint_cycle_of_block_hits(hits, i_max, joint):
-    # the scalar cycle is the graded period when all its shifts are equal;
-    # each record is a block of one coordinate
+    # the scalar cycle is the window period of the hits when all its shifts
+    # are equal; each record is a block of one coordinate and one term, so
+    # a record without a hit must give None before a period of its terms
+    # is looked for
     one = Lattice.standard(2, 8, 1)
     blocks = tuple((k, (one,), ((0,),), None if h is None else CycleCertificate(*h))
                    for k, h in enumerate(hits))
     assert SeriesTrace(None, None, (), (), i_max, blocks).cycle == (
         None if joint is None else CycleCertificate(*joint))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_the_graded_period_scales_each_column(p):
-    # from j on, term i + m is term i with column r scaled by p^shifts[r],
-    # entry by entry; a scalar cycle is the period with equal shifts
-    graded = scalar = 0
-    for seed in range(40):
-        b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=42)
-        tr = lower_p_series(b.lattice, b.action, 40)
-        if tr.graded is None:
-            assert tr.cycle is None
-            continue
-        j, m, shifts = tr.graded
-        assert tr.cycle == (CycleCertificate(j, m, shifts[0]) if len(set(shifts)) == 1 else None)
-        assert len(shifts) == tr.ambient.d and j + m <= tr.i_max and max(shifts) <= m
-        for i in range(j, tr.i_max - m + 1):
-            scaled = [tuple(x * p**s for x, s in zip(row, shifts)) for row in tr.terms[i].basis]
-            assert tr.terms[i + m].basis == tuple(scaled)
-        graded += 1
-        scalar += tr.cycle is not None
-    assert graded > scalar > 0
 
 
 @pytest.mark.parametrize("case,period", [
@@ -345,22 +325,24 @@ def test_pinned_graded_periods(case, period):
     else:
         b = get_bundle(name, p=p, N=i_max + 2)
     tr = lower_p_series(b.lattice, b.action, i_max)
-    assert (tr.graded, tr.cycle) == (period, None)
+    assert None not in [hit for *_, hit in tr.blocks]
+    assert (tr.window_period, tr.cycle) == (period, None)
 
 
 def _built_past(tr) -> list:
     """The indices past the base period j + m whose term the trace has built."""
-    j, m, _ = tr.graded
+    j, m, _ = tr.window_period
     return [i for i, term in enumerate(tr.terms._terms) if i > j + m and term is not None]
 
 
 def _non_scalar_periods(p: int) -> list:
-    """Random split actions at p whose graded period is not a scalar cycle."""
+    """Random split actions at p whose blocks all hit, with a window period but no scalar cycle."""
     found = []
     for seed in range(40):
         b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=42)
         tr = lower_p_series(b.lattice, b.action, 40)
-        if tr.graded is not None and tr.cycle is None:
+        if (None not in [hit for *_, hit in tr.blocks] and tr.window_period is not None
+                and tr.cycle is None):
             found.append(b)
     return found
 
@@ -381,7 +363,7 @@ def test_the_deferred_tail_reads_in_any_order(case):
         L = b.lattice
         ref = oracles.lower_p_series_stepwise(L, b.action, i_max)
         first = lower_p_series(L, b.action, i_max)
-        j, m, _ = first.graded
+        j, m, _ = first.window_period
         assert j + m < i_max and _built_past(first) == []
         assert first.profiles == ref.profiles
         assert [t.diag_exponents for t in first.terms] == [t.diag_exponents for t in ref.terms]
@@ -418,7 +400,7 @@ def test_the_terms_index_and_slice_as_a_tuple():
     b = get_bundle("remark27", p=2, N=42)
     ref = [t.basis for t in oracles.lower_p_series_stepwise(b.lattice, b.action, 40).terms]
     tr = lower_p_series(b.lattice, b.action, 40)
-    assert len(tr.terms) == 41 and tr.graded[:2] == (1, 4)
+    assert len(tr.terms) == 41 and tr.window_period[:2] == (1, 4)
     for i in (-1, -3, -36, -41):
         assert tr.terms[i].basis == ref[i]
     assert _built_past(tr) == [38, 40]
@@ -457,15 +439,17 @@ def _least_window(terms, i_max: int) -> int:
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_window_period_scales_each_column_up_to_i_max(p, i_max):
     # term i + m is term i with column r scaled by p^shifts[r], entry by
-    # entry, for every j <= i <= i_max - m; the window period is the graded
-    # period whenever that exists, and a block with no hit gives the least
-    # j + m its own stepped terms repeat with
-    windows = 0
+    # entry, for every j <= i <= i_max - m; when every block hit, every
+    # shift is at most m and the cycle is the period with equal shifts,
+    # and a block with no hit gives the least j + m its own stepped terms
+    # repeat with and no cycle
+    windows = hit = scalar = 0
     for seed in range(40):
         b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=i_max + 2)
         tr = lower_p_series(b.lattice, b.action, i_max)
-        if tr.graded is not None:
-            assert tr.window_period == tr.graded
+        all_hit = None not in [h for *_, h in tr.blocks]
+        if tr.window_period is None or not all_hit:
+            assert tr.cycle is None
         if tr.window_period is None:
             continue
         j, m, shifts = tr.window_period
@@ -473,11 +457,37 @@ def test_the_window_period_scales_each_column_up_to_i_max(p, i_max):
         for i in range(j, i_max - m + 1):
             scaled = [tuple(x * p**s for x, s in zip(row, shifts)) for row in tr.terms[i].basis]
             assert tr.terms[i + m].basis == tuple(scaled)
-        if tr.graded is None:
+        if all_hit:
+            assert tr.cycle == (CycleCertificate(j, m, shifts[0]) if len(set(shifts)) == 1
+                                else None)
+            assert max(shifts) <= m
+            hit += 1
+            scalar += tr.cycle is not None
+        else:
             windows += 1
             if len(tr.blocks) == 1:
                 assert j + m == _least_window(tr.terms, i_max)
-    assert windows > 0
+    assert windows > 0 and hit > scalar > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_window_period_of_hits_holds_past_i_max(p):
+    # when every block hits by imax 24, the period read there holds for
+    # every i >= j: checked to imax 80 on the series that runs every step,
+    # whose copies do not come from the hits
+    checked = 0
+    for seed in range(40):
+        b = random_block_action(random_sizes(random.Random(seed)), seed, p=p, N=82)
+        tr = lower_p_series(b.lattice, b.action, 24)
+        if None in [hit for *_, hit in tr.blocks] or tr.window_period is None:
+            continue
+        j, m, shifts = tr.window_period
+        ref = oracles.lower_p_series_stepwise(b.lattice, b.action, 80)
+        for i in range(j, 80 - m + 1):
+            scaled = [tuple(x * p**s for x, s in zip(row, shifts)) for row in ref.terms[i].basis]
+            assert ref.terms[i + m].basis == tuple(scaled)
+        checked += 1
+    assert checked > 0
 
 
 def test_no_window_period_on_a_hand_built_trace_or_a_conjugated_one():
@@ -485,12 +495,13 @@ def test_no_window_period_on_a_hand_built_trace_or_a_conjugated_one():
     # block with no hit, and its terms repeat under no diagonal D
     b = get_bundle("Gm2", p=2, N=26)
     tr = lower_p_series(b.lattice, b.action, 24)
-    assert tr.window_period == tr.graded == (0, 6, (3, 3, 2, 2, 2))
+    assert tr.window_period == (0, 6, (3, 3, 2, 2, 2))
+    assert None not in [hit for *_, hit in tr.blocks]
     hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max)
     assert hand.window_period is None
     _, act = _conjugated("Gm2", 2, 26, 0)
     conj = lower_p_series(Lattice.standard(2, 26, act.d), act, 24)
-    assert (conj.graded, conj.window_period) == (None, None)
+    assert ([hit for *_, hit in conj.blocks], conj.window_period) == ([None], None)
     assert conj.profiles == tr.profiles
 
 
@@ -502,13 +513,14 @@ def test_the_window_period_assembles_no_term():
     tr = lower_p_series(b.lattice, b.action, 64)
     assert [(a, terms[0].d, hit) for a, terms, _, hit in tr.blocks] == [
         (0, 1, CycleCertificate(0, 1, 1)), (1, 5, None)]
-    assert (tr.graded, tr.window_period) == (None, (2, 2, (2, 2, 1, 1, 1, 1)))
+    assert tr.window_period == (2, 2, (2, 2, 1, 1, 1, 1))
     assert set(tr.terms._terms) == {None}
 
 
 def test_the_cycle_is_read_off_the_graded_period():
-    # graded is read off the block records' hits and cycle is graded with
-    # equal shifts, on any trace, built by hand or not, each computed once
+    # the window period is read off the block records' hits and cycle is
+    # that period with equal shifts, on any trace, built by hand or not,
+    # each computed once
     b = get_bundle("remark27", p=2, N=42)
     tr = lower_p_series(b.lattice, b.action, 40)
     first, second = tr.blocks
@@ -517,8 +529,8 @@ def test_the_cycle_is_read_off_the_graded_period():
                                (first[3], (1,) * 16, CycleCertificate(1, 4, 1))]:
         hand = SeriesTrace(tr.ambient, tr.action, tr.terms, tr.profiles, tr.i_max,
                            (first, second[:3] + (hit,)))
-        assert (hand.graded, hand.cycle) == ((1, 4, shifts), cycle)
-        assert hand.graded is hand.graded and hand.cycle is hand.cycle
+        assert (hand.window_period, hand.cycle) == ((1, 4, shifts), cycle)
+        assert hand.window_period is hand.window_period and hand.cycle is hand.cycle
 
 
 @pytest.mark.parametrize("p", [2, 3])

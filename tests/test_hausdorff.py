@@ -378,7 +378,7 @@ def _unimodular(rng, d, pN, upper_only=False):
 class TestNumericCycle:
     """A saturated H on a cycled series: numerators from the cycle, not insertions.
 
-    A scalar cycle is the one-class case of the graded period.
+    A scalar cycle is the one-class case of the window period.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -413,18 +413,21 @@ class TestNumericCycle:
         calls = _count_inserts(monkeypatch)
         no_hit, st0 = _random_instance((2, 1), 8, 2)
         # its one block has no hit by i_max, but its stepped terms repeat
-        assert (no_hit.graded, no_hit.window_period) == (None, (0, 2, (2, 1, 1)))
+        assert [hit for *_, hit in no_hit.blocks] == [None]
+        assert no_hit.window_period == (0, 2, (2, 1, 1))
         conj, stc = _conjugated_gm2()
         assert conj.window_period is None
-        graded, st1 = _random_instance((2, 1), 1, 2)
-        assert graded.graded == (0, 2, (2, 1, 1))
+        all_hit, st1 = _random_instance((2, 1), 1, 2)
+        # its blocks both hit, and their hits give the same period
+        assert None not in [hit for *_, hit in all_hit.blocks]
+        assert all_hit.window_period == (0, 2, (2, 1, 1))
         late, st2 = _random_instance((2, 3), 0, 3)
         saturated = [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
         for tr, st, rows, inserts in [
             (no_hit, st0, unit_rows(3, (0, 2)), 1),  # inside the class of shift 1: term 1
             (conj, stc, unit_rows(5, (0, 1)), conj.i_max),  # no window period
-            (graded, st1, [[0, 1, 1], [0, 0, 1]], 1),  # inside the class of shift 1: term 1
-            (graded, st1, [[1, 1, 0]], graded.i_max),  # across the classes of shifts 2 and 1
+            (all_hit, st1, [[0, 1, 1], [0, 0, 1]], 1),  # inside the class of shift 1: term 1
+            (all_hit, st1, [[1, 1, 0]], all_hit.i_max),  # across the classes of shifts 2 and 1
             (late, st2, saturated, 2),  # terms 1 and 2 of the cycle (1, 2, 1)
             (late, st2, [[3 * x for x in row] for row in saturated], late.i_max),
         ]:
@@ -494,8 +497,9 @@ def _check_rows_inside_the_classes(tr, st, period, p, rng):
         assert len(calls) <= j + m - 1 or not upper
 
 
-# random block actions whose graded period is not scalar: (sizes, seed, p)
-GRADED = [((1, 2), 2, 3), ((1, 3), 0, 2), ((1, 3), 9, 5), ((2, 1), 1, 2), ((2, 2), 9, 3),
+# random block actions whose blocks all hit, with a window period that is not
+# scalar: (sizes, seed, p)
+ALL_HIT = [((1, 2), 2, 3), ((1, 3), 0, 2), ((1, 3), 9, 5), ((2, 1), 1, 2), ((2, 2), 9, 3),
           ((2, 3), 1, 2), ((2, 1, 3), 2, 5), ((3, 1, 2), 1, 3), ((3, 2), 8, 2),
           ((3, 2), 5, 3), ((2, 4), 9, 2), ((4, 2), 5, 5)]
 
@@ -505,7 +509,7 @@ def _no_copy_past_the_period(name, imax, rows):
     b = get_bundle(name, p=2, N=imax + 2)
     st, _ = run_stratification(lower_p_series(b.lattice, b.action, imax), denom_bound=4)
     tr = lower_p_series(b.lattice, b.action, imax)
-    j, m, _ = tr.graded
+    j, m, _ = tr.window_period
     H = SubgroupSpec(2, imax + 2, rows)
     quotients = hdim_numeric(H, tr, st)
     built = [i for i, t in enumerate(tr.terms._terms) if i > j + m and t is not None]
@@ -516,17 +520,18 @@ class TestNumericGraded:
     """A saturated H whose span splits along the shift classes: numerators off the period."""
 
     def test_instances_have_a_graded_period_that_is_not_scalar(self):
-        for key in GRADED:
+        for key in ALL_HIT:
             tr = _random_instance(*key)[0]
-            assert tr.cycle is None and len(set(tr.graded[2])) > 1
+            assert None not in [hit for *_, hit in tr.blocks]
+            assert tr.cycle is None and len(set(tr.window_period[2])) > 1
 
     @settings(max_examples=60, deadline=None)
-    @given(hst.sampled_from(GRADED), hst.randoms(use_true_random=False))
+    @given(hst.sampled_from(ALL_HIT), hst.randoms(use_true_random=False))
     @example(((2, 1, 3), 2, 5), random.Random(0))  # two blocks share the shift 2
     @example(((2, 2), 9, 3), random.Random(1))  # j = 1
     def test_matches_the_join_reference(self, key, rng):
         tr, st = _random_instance(*key)
-        _check_rows_inside_the_classes(tr, st, tr.graded, key[2], rng)
+        _check_rows_inside_the_classes(tr, st, tr.window_period, key[2], rng)
 
     @pytest.mark.parametrize("name,imax,graded", [
         ("Gm2", 64, (0, 6, (3, 3, 2, 2, 2))),
@@ -537,7 +542,7 @@ class TestNumericGraded:
         # hdim reads terms 1 .. j + m - 1 only and builds no copy past j + m
         d = len(graded[2])
         tr, st, H, quotients, built = _no_copy_past_the_period(name, imax, unit_rows(d, (0, 1)))
-        assert tr.graded == graded
+        assert tr.window_period == graded and None not in [hit for *_, hit in tr.blocks]
         assert built == []
         assert quotients == oracles.join_quotients(H, tr, st)
 
@@ -565,7 +570,7 @@ class TestNumericWindow:
     def test_instances_have_a_window_period_but_no_graded_one(self):
         for key in WINDOW:
             tr = _random_instance(*key)[0]
-            assert tr.graded is None and tr.window_period is not None
+            assert tr.window_period is not None
             assert None in [hit for *_, hit in tr.blocks]
 
     @settings(max_examples=40, deadline=None)

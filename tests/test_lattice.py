@@ -147,6 +147,13 @@ def test_solve_and_contains():
     assert not pM.contains(M)
 
 
+def test_solve_refuses_a_fractional_entry():
+    # 2.9 is not truncated to 2, which 2Z_p^2 would contain
+    M = Lattice.from_rows(2, 6, 2, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="must be an integer, got 2.9"):
+        M.solve((2.9, 0))
+
+
 def test_log_index_and_profile():
     L = Lattice.standard(2, 8, 2)
     M = Lattice.from_rows(2, 8, 2, [[2, 2], [0, 4]])

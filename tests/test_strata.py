@@ -76,6 +76,11 @@ class TestFitRational:
         with pytest.raises(ValueError, match="consecutive"):
             fit_rational(seq(lambda i: i // 2) + [(14, 7)], 4)
 
+    def test_fractional_values_are_refused(self):
+        # 1.5, 2.5, .. are not truncated to the rate-1 column 1, 2, ..
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            fit_rational([(1, 1.5), (2, 2.5), (3, 3.5), (4, 4.5)], 2)
+
     def test_displaced_block_fits_its_true_rate(self):
         # Gm4's 1/7 block lags floor(i/7) by up to 6/7; its columns still
         # repeat with period 7 and shift 1
@@ -538,8 +543,9 @@ def test_other_rates_or_no_cycle_read_the_whole_window(name):
     assert (cert, fitted.rates, fitted.c) == (None, strat.rates, c)
 
 
-def _graded_case(name):
-    """A pinned trace with a graded period but no scalar cycle, and its period bound."""
+def _all_hit_case(name):
+    """A pinned trace whose blocks all hit, with a window period but no scalar cycle, and its
+    period bound."""
     if name.startswith("battery slot"):  # as perfbench's battery builds it
         k = int(name.split()[-1])
         sizes = random_sizes(random.Random(k * 7919 + 13))
@@ -556,17 +562,18 @@ def _graded_case(name):
 def test_a_graded_period_gives_the_window_constant(name):
     # c read off the blocks' profiles equals the definition over the whole
     # window, which _window_constant reads term by term
-    tr, bound = _graded_case(name)
+    tr, bound = _all_hit_case(name)
     strat, cert = run_stratification(tr, bound)
-    assert cert is None and tr.graded is not None
+    assert cert is None and tr.window_period is not None
+    assert None not in [hit for *_, hit in tr.blocks]
     assert strat.c == _constants_agree(tr, strat.frame, strat.rates)
 
 
 def test_frames_or_rates_off_the_shift_classes_read_the_whole_window():
     # frames and rates other than the blocks' are certified term by term
-    tr, bound = _graded_case("remark27")
+    tr, bound = _all_hit_case("remark27")
     strat, _ = run_stratification(tr, bound)
-    assert tr.graded == (1, 4, (1,) * 8 + (2,) * 8)
+    assert tr.window_period == (1, 4, (1,) * 8 + (2,) * 8)
     d = tr.ambient.d
     # row 0 = e_0 + e_8 keeps a Z_p-basis, as rows 0 and 8 are e_0 and e_8,
     # but spans coordinates of both blocks
@@ -709,7 +716,7 @@ def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
 
 def test_a_graded_period_calls_no_fit_and_no_smith_form(monkeypatch):
     """The block path reads its rates, frame and c off the hits, for a cycle or not."""
-    traces = [_graded_case("remark27")[0], _cycled_case("eisenstein2")[0],
+    traces = [_all_hit_case("remark27")[0], _cycled_case("eisenstein2")[0],
               _cycled_case("conjugated eisenstein3")[0]]
     calls = []
 
@@ -826,7 +833,7 @@ def test_wide_gm_entries_certify_off_their_block_hits(m, i_max):
     # the blocks' 1/q, in the coordinate frame, with c = 1
     b = build_Gm_lattice(m, N=i_max + 2)
     tr = lower_p_series(b.lattice, b.action, i_max)
-    assert tr.graded is None and None not in [hit for *_, hit in tr.blocks]
+    assert tr.window_period is None and None not in [hit for *_, hit in tr.blocks]
     strat, cert = run_stratification(tr, denom_bound=_cli_bound(i_max))
     assert (cert, strat.c, strat.status) == (None, 1, "certified-window")
     assert strat.rates.rates == b.expected_rates
