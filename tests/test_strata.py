@@ -688,33 +688,20 @@ def _pipeline(run, tr, **kwargs):
 def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
     """The anchor pipeline's result wherever it succeeds, from any start.
 
-    When every coordinate block hits, the pipeline reads no period and the
-    frame is the coordinate one.  Where the anchor pipeline succeeds, its
-    rates, c, window, status and cycle are the same, and so is model_i at
-    every i: under tied rates the anchor's Smith frame may be another
-    Z_p-basis of the same spans.  Where its period fit finds none within
-    the bound or the window, the rates are the blocks' n_s/m_s and c the
-    definition's for them, or FrameRejected, naming the blocks, when that
-    c exceeds the cap.  A rejection by the anchor pipeline is a rejection
-    here too.
+    When every coordinate block hits, the pipeline reads no period, so
+    where the anchor pipeline's period fit finds none within the bound or
+    the window, the rates are the blocks' n_s/m_s, the frame the
+    coordinate one, and c the definition's for them, or FrameRejected,
+    naming the blocks, when that c exceeds the cap.  A rejection by the
+    anchor pipeline is a rejection here too.
     """
     tr = _series(instance, p, i_max, start)
     bound = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
     expected = _pipeline(oracles.run_stratification_eager, tr, denom_bound=bound)
     got = _pipeline(run_stratification, tr, denom_bound=bound)
     hits = [hit for *_, hit in tr.blocks]
-    if None in hits:
+    if None in hits or expected[0] not in ("NoStableFit", "FrameRejected"):
         assert got == expected
-    elif expected[0] not in ("NoStableFit", "FrameRejected"):
-        (strat, cert), (want, want_cert) = got, expected
-        assert (strat.frame, strat.rates) == _coordinate_frame(tr)
-        assert cert == want_cert
-        assert (strat.rates, strat.c, strat.window, strat.status) == (
-            want.rates, want.c, want.window, want.status)
-        N = tr.ambient.N
-        for i in range(1, tr.i_max + 1):
-            assert (oracles.approximate_term(strat.frame, strat.rates, i, p, N)
-                    == oracles.approximate_term(want.frame, want.rates, i, p, N))
     elif expected[0] == "FrameRejected":
         assert got[0] == "FrameRejected" and got[1].startswith("block hits (j=")
     else:
