@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InvalidShape
 from .gmodule import GroupAction
 from .lattice import Lattice
-from .padic import _freeze, identity, mul_entries, row_entries
+from .padic import _integer, identity, mul_entries, row_entries
 
 __all__ = [
     "ExampleBundle",
@@ -191,9 +191,9 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66) -> Exam
     enough that windows of moderate length pin them down.
     """
     try:
-        sizes = _freeze([block_sizes])[0]  # 2.7 is refused, not truncated to 2
+        sizes = tuple(_integer(b, "a block size") for b in block_sizes)  # 2.7 is not truncated
     except ValueError:
-        sizes = ()
+        raise InvalidShape("block sizes must be positive integers") from None
     if not sizes or any(b < 1 for b in sizes):
         raise InvalidShape("block sizes must be positive integers")
     d = sum(sizes)
