@@ -69,13 +69,11 @@ def _mat_pow(M, a: int, m: int):
     return R
 
 
-def _place_block(G, block, r0: int, c0: int, add: bool = False):
+def _place_block(G, block, r0: int, c0: int):
+    """Add block into G with its top-left entry at (r0, c0), in place."""
     for i, row in enumerate(block):
         for j, x in enumerate(row):
-            if add:
-                G[r0 + i][c0 + j] += x
-            else:
-                G[r0 + i][c0 + j] = x
+            G[r0 + i][c0 + j] += x
 
 
 def build_trivial(d: int = 3, p: int = 2, N: int = 66) -> ExampleBundle:
@@ -99,7 +97,7 @@ def build_eisenstein(e: int, p: int = 2, N: int = 66) -> ExampleBundle:
     if e < 1:
         raise ValueError("block size must be positive")
     g = identity(e)
-    _place_block(g, _companion(e, p), 0, 0, add=True)
+    _place_block(g, _companion(e, p), 0, 0)
     return ExampleBundle(
         name=f"eisenstein{e}",
         description=f"1 + pi acting on a degree-{e} totally ramified ring over Z_{p}",
@@ -126,7 +124,7 @@ def build_Gm_lattice(m: int, p: int = 2, N: int = 66) -> ExampleBundle:
     g = identity(d)
     off = 0
     for q in sizes:
-        _place_block(g, _companion(q, p), off, off, add=True)
+        _place_block(g, _companion(q, p), off, off)
         off += q
     rates = sorted(Fraction(1, q) for q in sizes for _ in range(q))
     return ExampleBundle(
@@ -153,13 +151,13 @@ def build_remark_module(p: int = 2, N: int = 66) -> ExampleBundle:
     lattice = Lattice.standard(p, N, d)  # validates p before any arithmetic mod p^N
     Pi = _companion(4, p)
     g1 = identity(d)
-    _place_block(g1, Pi, 0, 0, add=True)
+    _place_block(g1, Pi, 0, 0)
     g2 = identity(d)
-    _place_block(g2, identity(4), 0, 4, add=True)
+    _place_block(g2, identity(4), 0, 4)
     g3 = identity(d)
-    _place_block(g3, _mat_pow(Pi, 2, p**N), 8, 8, add=True)
+    _place_block(g3, _mat_pow(Pi, 2, p**N), 8, 8)
     g4 = identity(d)
-    _place_block(g4, identity(4), 8, 12, add=True)
+    _place_block(g4, identity(4), 8, 12)
     rates = (Fraction(1, 4),) * 8 + (Fraction(1, 2),) * 8
     return ExampleBundle(
         name="remark27",
@@ -241,7 +239,7 @@ def random_block_action(block_sizes, seed: int, p: int = 2, N: int = 66) -> Exam
             b, o = laid[pos], offsets[pos]
             it = gplan[j]
             if it[0] == "power":
-                _place_block(g, _mat_pow(_companion(b, p), it[1], p**N), o, o, add=True)
+                _place_block(g, _mat_pow(_companion(b, p), it[1], p**N), o, o)
             elif it[0] == "shear":
                 _, r, s, amt = it
                 g[o + r][o + s] += amt

@@ -33,13 +33,9 @@ class NoStableFit(PstrataError):
 
     No period m up to the bound repeats its shift back over 2m steps and
     half the window: the window is too short or the bound too small.  The
-    message names the longest tail over which some m held; the offending
-    coordinate index, when known, is on the ``coordinate`` attribute.
+    message names the longest tail over which some m held and, from
+    `strata.estimate_rates`, the offending coordinate.
     """
-
-    def __init__(self, message: str, coordinate: int | None = None):
-        super().__init__(message)
-        self.coordinate = coordinate
 
 
 class RateOutOfRange(PstrataError):

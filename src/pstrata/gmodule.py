@@ -577,8 +577,6 @@ def restrict_action(sub: Lattice, action: GroupAction) -> GroupAction:
         if None in rows:
             raise NotInvariant("restrict_action requires an invariant lattice")
         grids.append(rows)
-    new_N = action.N - sub.lower_level
-    if new_N < 1:
-        raise PrecisionExhausted("no digits left after dividing out the sublattice basis")
-    return GroupAction.build(action.p, new_N, grids)
+    # at least 1: a certified divisor exponent, so lower_level, is below N
+    return GroupAction.build(action.p, action.N - sub.lower_level, grids)
 

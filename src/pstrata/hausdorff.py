@@ -347,9 +347,7 @@ def spectrum(rates: RateVector, extra_weights=()) -> tuple:
     weights = list(rates.rates) + [Fraction(w) for w in extra_weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    total = sum(weights, Fraction(0))
-    if total == 0:
-        raise ValueError("total weight must be positive")
+    total = sum(weights, Fraction(0))  # positive: a RateVector holds a rate, each >= 1/d
     counts = Counter(weights)
     choices = math.prod(c + 1 for c in counts.values())
     limit = 1_500_000

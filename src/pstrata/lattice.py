@@ -87,23 +87,14 @@ class Lattice:
         """Canonicalize a generating set; requires certifiable full rank.
 
         The result's lower level must stay below N - 1 (operation guard).
+        A full-rank Hermite form is canonical by construction, so it is not
+        validated again; only a non-integer entry, which survives the
+        reduction, is refused, by the type of the sum of the entries.
         """
         if not rows:
             raise ValueError("empty generating set")
         if any(len(r) != d for r in rows):
             raise ValueError(f"generators must have length {d}")
-        lat = cls.unguarded(p, N, d, rows)
-        lat.guard()
-        return lat
-
-    @classmethod
-    def unguarded(cls, p: int, N: int, d: int, rows) -> "Lattice":
-        """The span of integer rows of length d, full rank certified, no level guard.
-
-        A full-rank Hermite form is canonical by construction, so it is not
-        validated again; only a non-integer entry, which survives the
-        reduction, is refused, by the type of the sum of the entries.
-        """
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         red, piv, _ = hermite_rows(rows, p, N)
@@ -114,6 +105,7 @@ class Lattice:
         lat = cls._canonical(p, N, d, tuple(tuple(red[i]) for i in range(d)))
         if type(sum(map(sum, lat.basis))) is not int:
             raise ValueError("generating set holds a non-integer entry")
+        lat.guard()
         return lat
 
     @classmethod
@@ -157,10 +149,13 @@ class Lattice:
         """Exact integer coordinates of vec in this basis, or None.
 
         vec is read as an integer lift, and a float entry such as 2.9 is
-        refused with ValueError, not truncated; membership is well defined
-        because the lattice contains p^N Z_p^d.
+        refused with ValueError, not truncated, and so is a vector whose
+        length is not d; membership is well defined because the lattice
+        contains p^N Z_p^d.
         """
         b = self.basis
+        if len(vec) != self.d:
+            raise ValueError(f"a vector of length {len(vec)} in a lattice of dimension {self.d}")
         rem = [_integer(x, "a vector entry") for x in vec]
         coords = [0] * self.d
         for j in range(self.d):
@@ -184,8 +179,7 @@ class Lattice:
 
 
 def log_index(A: Lattice, B: Lattice) -> int:
-    """log_p |A : B| for B inside A."""
-    A._compat(B)
+    """log_p |A : B| for B inside A; `contains` refuses different ambient contexts."""
     if not A.contains(B):
         raise NotContained("log_index requires the second lattice inside the first")
     return B.log_det - A.log_det

@@ -229,13 +229,13 @@ def _reduce_above(R, piv_rows, piv_cols, pN: int, T=None) -> None:
                     T[i] = [(xi - q * pi) % pN for xi, pi in zip(T[i], T[r])]
 
 
-def hermite_insert(basis, rows, p: int, N: int, exps=None):
+def hermite_insert(basis, rows, p: int, N: int, exps):
     """Eliminate new rows against an upper-triangular basis mod p^N.
 
     basis is d x d, upper triangular, with exact p-power pivots p^e_k,
-    e_k < N, and entries in [0, p^N) (a Lattice basis); exps, when given,
-    are the e_k (a Lattice's cached `diag_exponents`).  The new rows are
-    residues in [0, p^N) too.  Returns (triangular_rows, diag_exponents):
+    e_k < N, and entries in [0, p^N) (a Lattice basis); exps are the e_k
+    (a Lattice's cached `diag_exponents`).  The new rows are residues in
+    [0, p^N) too.  Returns (triangular_rows, diag_exponents):
     an upper-triangular basis with p-power pivots whose span plus p^N Z^d
     is that of basis and rows together.  Each new row is reduced column by
     column; where it has the smaller valuation it is scaled to an exact
@@ -249,10 +249,7 @@ def hermite_insert(basis, rows, p: int, N: int, exps=None):
     pN = p**N
     d = len(basis)
     tri = list(basis)
-    if exps is None:
-        exps = [int_valuation(row[k], p, N) for k, row in enumerate(tri)]
-    else:
-        exps = list(exps)
+    exps = list(exps)
     for row in rows:
         x = list(row)
         for k in range(d):

@@ -132,23 +132,20 @@ def _check_bound(denom_bound: int) -> None:
         raise ValueError(f"denominator bound {denom_bound} is below 1")
 
 
-def fit_rational(samples, denom_bound: int):
+def fit_rational(column, denom_bound: int):
     """The rate n/m of a column read off its exact period, and where the period starts.
 
-    samples are (i, m_i) at consecutive indices i_lo..i_hi, L of them.  For
-    m = 1, 2, ..., denom_bound the shift n = m_(i_hi) - m_(i_hi - m) is
-    followed back to the least j with m_(i + m) - m_i = n for every i in
-    [j, i_hi - m]; the first m with i_hi - j >= max(2m, L // 2) gives
-    (Fraction(n, m), j).  So the bound is a bound on the period, and the
-    rate's reduced denominator divides the period.  Raises ValueError for
-    indices that are not consecutive, a value that is not an integer (1.5
-    is refused, not truncated) or a bound below 1, and NoStableFit,
-    naming the longest tail over which some m held, when no m passes.
+    column holds the integers m_1..m_L.  For m = 1, 2, ..., denom_bound
+    the shift n = m_L - m_(L - m) is followed back to the least j with
+    m_(i + m) - m_i = n for every i in [j, L - m]; the first m with
+    L - j >= max(2m, L // 2) gives (Fraction(n, m), j).  So the bound is a
+    bound on the period, and the rate's reduced denominator divides the
+    period.  Raises ValueError for a bound below 1 or a value that is not
+    an integer (1.5 is refused, not truncated), and NoStableFit, naming the
+    longest tail over which some m held, when no m passes.
     """
-    if any(b[0] != a[0] + 1 for a, b in zip(samples, samples[1:])):
-        raise ValueError("sample indices must be consecutive")
     _check_bound(denom_bound)
-    col = [_integer(v, "a sample") for _, v in samples]
+    col = [_integer(v, "a sample") for v in column]
     last, half = len(col) - 1, len(col) // 2
     best = (0, 0)  # (tail, -m) of the longest tail, least m first
     for m in range(1, min(denom_bound, last) + 1):
@@ -157,7 +154,7 @@ def fit_rational(samples, denom_bound: int):
         while t and col[t - 1 + m] - col[t - 1] == n:
             t -= 1
         if last - t >= max(2 * m, half):
-            return Fraction(n, m), samples[t][0]
+            return Fraction(n, m), t + 1
         best = max(best, (last - t, -m))
     tail, m = best
     held = f"m = {-m} over {tail}" if tail else "none"
@@ -171,19 +168,18 @@ def estimate_rates(trace: SeriesTrace, denom_bound: int = 64) -> RateVector:
     Each distinct profile column over the window 1..i_max is read once, by
     fit_rational with the period bound denom_bound.  Raises ValueError for
     a trace shorter than two steps or a bound below 1, RateOutOfRange when
-    a rate escapes [1/d, 1] and NoStableFit (with the coordinate) when a
+    a rate escapes [1/d, 1] and NoStableFit (naming the coordinate) when a
     column has no period within the bound.
     """
     _check_length(trace)
-    idx = range(1, trace.i_max + 1)
     fits = {}  # equal profile columns have equal rates
     fitted = []
     for k, col in enumerate(zip(*trace.profiles[1:])):
         if col not in fits:
             try:
-                fits[col], _ = fit_rational(list(zip(idx, col)), denom_bound)
+                fits[col], _ = fit_rational(col, denom_bound)
             except NoStableFit as err:
-                raise NoStableFit(f"coordinate {k}: {err}", coordinate=k) from err
+                raise NoStableFit(f"coordinate {k}: {err}") from err
         fitted.append(fits[col])
     fitted.sort()
     return RateVector(tuple(fitted))
@@ -287,10 +283,7 @@ def _graph_repair(frame, e: int, action: GroupAction):
     nf = e * (d - e)
     cur = [list(r) for r in frame]
     for _ in range(4):
-        try:
-            inv = unimodular_inverse(cur, p, N)
-        except ValueError:
-            return None
+        inv = unimodular_inverse(cur, p, N)  # never raises: cur is a Z_p-basis (_try_frame)
         n_eq = len(action.generators) * nf
         sys_rows = [[0] * n_eq for _ in range(nf)]
         rhs = [0] * n_eq
@@ -424,12 +417,15 @@ def _boundaries(rates: RateVector):
 def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     """A certified frame from the Smith basis of the anchor term, or (None, reason).
 
-    Every rate-boundary prefix P_e of the frame is checked invariant and the
-    frame a Z_p-basis; with ascending rates that makes each model term
-    invariant, so none is checked.  If x_k's stratum ends at e(k), x_k g
-    lies in P_e(k) (all of Z_p^d for the last stratum), and a_j <= a_k for
-    j <= e(k), a_j = floor(i rate_j); so p^a_k x_k g lies in the span of
-    the p^a_j x_j plus p^N Z_p^d, the model term at i.
+    The frame is a Z_p-basis by construction: its rows are those of the
+    Smith transform W, which `smith_rows` builds from I by row swaps and
+    row additions, and a repair multiplies it by another such W.  Every
+    rate-boundary prefix P_e of the frame is checked invariant; with
+    ascending rates that makes each model term invariant, so none is
+    checked.  If x_k's stratum ends at e(k), x_k g lies in P_e(k) (all of
+    Z_p^d for the last stratum), and a_j <= a_k for j <= e(k), a_j =
+    floor(i rate_j); so p^a_k x_k g lies in the span of the p^a_j x_j plus
+    p^N Z_p^d, the model term at i.
 
     A prefix that is not invariant goes to _graph_repair, which deforms it
     onto a nearby invariant graph.  No other repair is tried: P_e is
@@ -453,10 +449,7 @@ def _try_frame(trace: SeriesTrace, rates: RateVector, i2: int, cap: int):
     frame = [W[k] for k in order]
     action = trace.action
     bounds = _boundaries(rates)
-    try:
-        inv = unimodular_inverse(frame, p, N)
-    except ValueError:  # F^-1 exists exactly when the frame is a Z_p-basis
-        return None, f"anchor {i2}: frame is not invertible over Z_p"
+    inv = unimodular_inverse(frame, p, N)  # never raises: the frame is a Z_p-basis
     for _ in range(2):
         dirty = False
         for e in bounds:

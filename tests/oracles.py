@@ -94,17 +94,17 @@ def brute_smith_2x2(rows, p, N, span=None):
 def brute_period(samples, denom_bound):
     """Reference for strata.fit_rational, with its messages.
 
-    For each m <= denom_bound, reads the shift n at the window's end and
-    tries every start j in turn, checking the shift at every i from j to
-    i_hi - m; the least such j gives the tail i_hi - j.  The first m whose
-    tail reaches max(2m, L // 2) gives (Fraction(n, m), j).  Otherwise
-    raises NoStableFit naming the longest tail, least m first.
+    samples are (i, m_i) at consecutive indices i_lo..i_hi; fit_rational
+    reads the column of the m_i alone and returns j - i_lo + 1.  For each
+    m <= denom_bound, reads the shift n at the window's end and tries every
+    start j in turn, checking the shift at every i from j to i_hi - m; the
+    least such j gives the tail i_hi - j.  The first m whose tail reaches
+    max(2m, L // 2) gives (Fraction(n, m), j).  Otherwise raises
+    NoStableFit naming the longest tail, least m first.
     """
     from pstrata.errors import NoStableFit
 
     idx = [i for i, _ in samples]
-    if idx and idx != list(range(idx[0], idx[0] + len(idx))):
-        raise ValueError("sample indices must be consecutive")
     if denom_bound < 1:
         raise ValueError(f"denominator bound {denom_bound} is below 1")
     P, L = dict(samples), len(samples)

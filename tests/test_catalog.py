@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from pstrata.catalog import (
+    build_eisenstein,
+    build_Gm_lattice,
     build_remark_module,
     catalog_names,
     get_bundle,
@@ -83,6 +85,13 @@ def test_random_block_action_rejects_bad_shapes():
         random_block_action((), seed=0)
     with pytest.raises(InvalidShape):
         random_block_action((0, 2), seed=0)
+
+
+def test_builders_refuse_sizes_out_of_range():
+    with pytest.raises(ValueError, match="block size must be positive"):
+        build_eisenstein(0)
+    with pytest.raises(ValueError, match="m must be between 1 and 6"):
+        build_Gm_lattice(7)
 
 
 def test_random_block_action_refuses_a_fractional_size():

@@ -67,6 +67,13 @@ def test_plain_constructor_rejects(p, N, d, gens):
         GroupAction(p, N, d, gens)
 
 
+@pytest.mark.parametrize("p,N,d", [(3, 10, 2), (2, 12, 2), (2, 10, 3)])
+def test_lattice_and_action_contexts_must_agree(p, N, d):
+    act = GroupAction.build(2, 10, [[[1, 1], [0, 1]]])
+    with pytest.raises(ValueError, match="lattice and action contexts differ"):
+        check_invariance(Lattice.standard(p, N, d), act)
+
+
 def test_generators_of_a_non_pro_p_group_stall():
     # each generator is unipotent mod 2, but together they generate
     # SL_2(F_2), of order 6: the first step gives back L, and the growth

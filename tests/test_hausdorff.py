@@ -194,6 +194,11 @@ class TestExact:
         with pytest.raises(ValueError):
             hdim_exact(SubgroupSpec(2, tr.precision, ((0, 0, 1),)), st)
 
+    def test_negative_extra_weight_rejected(self, eis2):
+        b, tr, st = eis2
+        with pytest.raises(ValueError, match="extra weights must be nonnegative"):
+            hdim_exact(SubgroupSpec(2, tr.precision, ((1, 0),)), st, (F(-1, 2),))
+
 
 class TestNumeric:
     def test_full_subgroup_quotients_are_one(self, eis2):
@@ -644,6 +649,10 @@ class TestSpectrum:
         rv = RateVector(tuple(rates))
         expected = oracles.subset_spectrum(list(rv.rates) + extras)
         assert spectrum(rv, extras) == expected
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            spectrum(RateVector((F(1),) * 3), (F(1), F(-1, 2)))
 
     def test_too_many_weights(self):
         rv = RateVector((F(1),) * 3)

@@ -41,10 +41,10 @@ def test_from_rows_rank_deficient():
         Lattice.from_rows(2, 6, 2, [[2, 4], [1, 2]])
 
 
-@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("p", [0, 1, 9, 25])
 def test_from_rows_checks_p_first(p):
     # p 0 used to divide by zero in the Hermite reduction, p 1 to report
-    # a misleading PrecisionExhausted
+    # a misleading PrecisionExhausted; 9 and 25 are odd composites
     with pytest.raises(ValueError, match="p must be prime"):
         Lattice.from_rows(p, 8, 2, [[1, 0], [0, 1]])
 
@@ -54,6 +54,27 @@ def test_non_integer_basis_refused(basis):
     # a float pivot ended in a TypeError, a float above the pivot was accepted
     with pytest.raises(ValueError, match="non-integer"):
         Lattice(2, 8, 2, basis)
+
+
+@pytest.mark.parametrize("basis,error,match", [
+    (((1, 0),), ValueError, "basis must be 2x2"),
+    (((3, 0), (0, 1)), ValueError, "diagonal entry 3 at 0 is not an exact p-power"),
+    (((2**8, 0), (0, 1)), PrecisionExhausted, "diagonal exponent 8 reaches precision 8"),
+    (((1, 0), (1, 1)), ValueError, "not upper triangular"),
+    (((2, 2), (0, 2)), ValueError, r"entry \(0,1\) not reduced modulo the column pivot"),
+])
+def test_malformed_basis_refused(basis, error, match):
+    with pytest.raises(error, match=match):
+        Lattice(2, 8, 2, basis)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([], "empty generating set"),
+    ([[1, 0], [0, 1, 0]], "generators must have length 2"),
+])
+def test_from_rows_refuses_malformed_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        Lattice.from_rows(2, 8, 2, rows)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -77,14 +98,20 @@ def generating_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(generating_sets())
 def test_full_rank_hermite_output_passes_validation(case):
-    # Lattice.unguarded skips __post_init__ on a full-rank Hermite form;
-    # this is the claim that lets it
+    # Lattice.from_rows skips __post_init__ on a full-rank Hermite form;
+    # this is the claim that lets it.  The guard then refuses a deep span
     p, N, d, rows = case
     red, piv, _ = hermite_rows(rows, p, N)
     if piv != list(range(d)):
         return
-    basis = tuple(tuple(red[i]) for i in range(d))
-    assert Lattice(p, N, d, basis) == Lattice.unguarded(p, N, d, rows)
+    L = Lattice(p, N, d, tuple(tuple(red[i]) for i in range(d)))
+    try:
+        L.guard()
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            Lattice.from_rows(p, N, d, rows)
+        return
+    assert Lattice.from_rows(p, N, d, rows) == L
 
 
 def test_lower_level_is_not_the_diagonal():
@@ -154,6 +181,20 @@ def test_solve_refuses_a_fractional_entry():
         M.solve((2.9, 0))
 
 
+def test_solve_refuses_a_longer_vector():
+    # (2, 0, 5) was read as (2, 0), which 2Z_p^2 contains
+    M = Lattice.from_rows(2, 6, 2, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="length 3 in a lattice of dimension 2"):
+        M.solve((2, 0, 5))
+
+
+def test_solve_refuses_a_shorter_vector():
+    # (2,) ended in a bare IndexError
+    M = Lattice.from_rows(2, 6, 2, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="length 1 in a lattice of dimension 2"):
+        M.solve((2,))
+
+
 def test_log_index_and_profile():
     L = Lattice.standard(2, 8, 2)
     M = Lattice.from_rows(2, 8, 2, [[2, 2], [0, 4]])
@@ -161,6 +202,9 @@ def test_log_index_and_profile():
     assert divisor_profile(M) == (1, 2)
     with pytest.raises(NotContained):
         log_index(M, L)
+    # the containment test refuses another ambient context for log_index
+    with pytest.raises(ValueError, match="different ambient contexts"):
+        log_index(L, Lattice.standard(2, 9, 2))
 
 
 def _smith_profile(M):

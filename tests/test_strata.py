@@ -41,7 +41,7 @@ F = Fraction
 
 
 def seq(fn, n=12):
-    return [(i, fn(i)) for i in range(1, n + 1)]
+    return [fn(i) for i in range(1, n + 1)]
 
 
 class TestFitRational:
@@ -59,27 +59,20 @@ class TestFitRational:
         assert fit_rational(seq(lambda i: i // 3, 7), 4) == (F(1, 3), 1)
 
     def test_fewer_than_two_samples_are_refused(self):
-        for samples in ([], [(3, 1)]):
+        for column in ([], [1]):
             with pytest.raises(NoStableFit, match=r"\(best: none\)"):
-                fit_rational(samples, 1)
+                fit_rational(column, 1)
 
     def test_denominator_bound_below_one_is_refused(self):
         # at bound 0 no period is read at all
         for bound in (0, -1):
             with pytest.raises(ValueError, match=f"denominator bound {bound} is below 1"):
-                fit_rational([(1, 5), (2, 5), (3, 5)], bound)
-
-    def test_repeated_indices_are_refused(self):
-        # a period is read off consecutive samples only
-        with pytest.raises(ValueError, match="consecutive"):
-            fit_rational([(3, 1), (3, 1)], 0)
-        with pytest.raises(ValueError, match="consecutive"):
-            fit_rational(seq(lambda i: i // 2) + [(14, 7)], 4)
+                fit_rational([5, 5, 5], bound)
 
     def test_fractional_values_are_refused(self):
         # 1.5, 2.5, .. are not truncated to the rate-1 column 1, 2, ..
         with pytest.raises(ValueError, match="must be an integer, got 1.5"):
-            fit_rational([(1, 1.5), (2, 2.5), (3, 3.5), (4, 4.5)], 2)
+            fit_rational([1.5, 2.5, 3.5, 4.5], 2)
 
     def test_displaced_block_fits_its_true_rate(self):
         # Gm4's 1/7 block lags floor(i/7) by up to 6/7; its columns still
@@ -87,14 +80,14 @@ class TestFitRational:
         b = build_Gm_lattice(4)
         tr = lower_p_series(b.lattice, b.action, 64)
         for k in range(3, 7):
-            col = [(i, tr.profiles[i][k]) for i in range(1, 65)]
+            col = [tr.profiles[i][k] for i in range(1, 65)]
             rate, j = fit_rational(col, 31)
             assert rate == F(1, 7) and 64 - j >= 32
 
     def test_noise_gives_no_stable_fit(self):
         noisy = [0, 5, 0, 7, 1, 9, 0, 11, 2, 0, 1, 30]
         with pytest.raises(NoStableFit):
-            fit_rational([(i, noisy[i - 1]) for i in range(1, 13)], 4)
+            fit_rational(noisy, 4)
 
     def test_tie_prefers_smaller_denominator(self):
         # every even period holds on floor(i/2) as well; the least one wins
@@ -138,9 +131,13 @@ def _outcome(read, *args):
 @given(period_columns())
 def test_period_reader_matches_the_brute_force_oracle(case):
     # the backward scan per m returns what checking every m and every
-    # start directly returns, or raises the same error and message
+    # start directly returns, or raises the same error and message; the
+    # oracle reads indices from start on, fit_rational from 1 on
     samples, bound = case
-    assert _outcome(fit_rational, samples, bound) == _outcome(oracles.brute_period, samples, bound)
+    got = _outcome(fit_rational, [m for _, m in samples], bound)
+    if isinstance(got[0], Fraction):
+        got = got[0], got[1] + samples[0][0] - 1
+    assert got == _outcome(oracles.brute_period, samples, bound)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,9 +157,9 @@ def test_a_displaced_line_gets_its_slope(data):
     c = data.draw(st.integers(-3, 3))
     early = data.draw(st.lists(st.integers(-3, 3), min_size=i0 - start, max_size=i0 - start))
     shift = early + [c] * (i_hi - i0 + 1)
-    samples = [(i, i * n // m + e) for i, e in zip(range(start, i_hi + 1), shift)]
-    rate, j = fit_rational(samples, data.draw(st.integers(m, m + 5)))
-    assert rate == F(n, m) and j <= i0
+    column = [i * n // m + e for i, e in zip(range(start, i_hi + 1), shift)]
+    rate, j = fit_rational(column, data.draw(st.integers(m, m + 5)))
+    assert rate == F(n, m) and j + start - 1 <= i0
 
 
 def test_one_fit_per_distinct_profile_column(monkeypatch):
@@ -170,9 +167,9 @@ def test_one_fit_per_distinct_profile_column(monkeypatch):
     tr = lower_p_series(b.lattice, b.action, 24)
     fitted = []
 
-    def counting(samples, denom_bound):
-        fitted.append(tuple(m for _, m in samples))
-        return fit_rational(samples, denom_bound)
+    def counting(column, denom_bound):
+        fitted.append(tuple(column))
+        return fit_rational(column, denom_bound)
 
     monkeypatch.setattr(strata, "fit_rational", counting)
     rates = estimate_rates(tr, denom_bound=8).rates
@@ -190,6 +187,8 @@ class TestRateVector:
             RateVector((F(0), F(1)))  # rates live in (0, 1]
         with pytest.raises(RateOutOfRange):
             RateVector((F(1, 2), F(3, 2)))
+        with pytest.raises(ValueError, match="empty rate vector"):
+            RateVector(())
 
     def test_sigma(self):
         rv = RateVector((F(1, 3), F(1, 2), F(1, 2)))
@@ -263,6 +262,8 @@ class TestFrames:
         tr = lower_p_series(b.lattice, b.action, 16)
         with pytest.raises(FrameRejected):
             extract_frame(tr, RateVector((F(1), F(1))))
+        with pytest.raises(ValueError, match="rate vector has 3 entries for dimension 2"):
+            extract_frame(tr, RateVector((F(1),) * 3))
 
     def test_certification_is_independent(self):
         # run_stratification and certify_equivalence share _window_constant,
