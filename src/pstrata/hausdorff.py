@@ -20,18 +20,21 @@ from above; once a join's index reaches that bound, every later join is
 the same lattice and no further insertion is made.  When that form has
 only unit pivots (H + p^N Z_p^d is saturated, r pivots) and the series
 has a window period, term(i + m) = term(i) D for j <= i <= i_max - m
-with D the diagonal matrix of the p^shift, and the pivot rows split
-along the shift classes (restricted to the coordinates of shift t they
-have rank r_t, and these sum to r), the numerator grows by exactly
-sum_t t r_t per period, so only terms 1 .. j + m - 1 are inserted.  The
-window period joins each block's hit, or the period of the stepped
-terms of a block that never hits; D need not commute with the action.  A
-scalar cycle is the case of one class, where the growth is n r.  Any
-other H, or a series with no window period, inserts as before.  Extra
-weights account for direct factors carrying mass but no lattice
-coordinates (they enlarge the denominator, and enter subset sums in the
-spectrum).  Rows, frame and series share one coordinate system, that of
-the series' start Z_p^d.
+with D the diagonal matrix of the p^shift, and each of those unit-pivot
+echelon rows lies in one shift class (every nonzero entry has the shift
+of the row's pivot column; each pivot column is then a unit vector, so
+the span splits along the classes), the numerator grows by exactly the
+sum of the pivots' shifts per period, so only terms 1 .. j + m - 1 are
+inserted.  The window period joins each block's hit, or the period of
+the stepped terms of a block that never hits; D need not commute with
+the action.  A scalar cycle is the case of one class, where the growth
+is n r.  Any other H, or a series with no window period, inserts as
+before.  The quotients, the tolerance test and the exact dimension are
+kept in integers, and a Fraction is built only for a value returned:
+one per distinct quotient.  Extra weights account for direct factors
+carrying mass but no lattice coordinates (they enlarge the denominator,
+and enter subset sums in the spectrum).  Rows, frame and series share
+one coordinate system, that of the series' start Z_p^d.
 """
 
 from __future__ import annotations
@@ -179,21 +182,28 @@ def hdim_exact(H: SubgroupSpec, strat: Stratification, extra_weights=()) -> Frac
 
     Each echelon pivot contributes its stratum rate to the numerator; the
     denominator is the total rate mass including any extra weights from
-    factors outside the lattice.
+    factors outside the lattice.  Rows whose length is not that of the
+    frame raise ValueError; the trivial subgroup, no rows, has dimension 0.
     """
-    return _pivot_dimension(echelon_pivots(H), strat, extra_weights)
+    return _pivot_dimension(H, strat, extra_weights)[1]
 
 
-def _pivot_dimension(pivots, strat: Stratification, extra_weights) -> Fraction:
+def _pivot_dimension(H: SubgroupSpec, strat: Stratification, extra_weights):
+    """The echelon pivots of H and the dimension they give.
+
+    The rates and extra weights are summed as integers on the scale of
+    the lcm of their denominators, and one Fraction is built.
+    """
     rates = strat.rates.rates
-    if pivots and pivots[-1] >= len(rates):
-        raise ValueError("subgroup rows are wider than the frame")
-    extras = [Fraction(w) for w in extra_weights]
-    if any(w < 0 for w in extras):
+    if H.rows and len(H.rows[0]) != len(rates):
+        raise ValueError(f"subgroup rows have length {len(H.rows[0])}, the frame {len(rates)}")
+    pivots = echelon_pivots(H)
+    weights = rates + tuple(Fraction(w) for w in extra_weights)
+    if any(w < 0 for w in weights[len(rates):]):
         raise ValueError("extra weights must be nonnegative")
-    num = sum((rates[j] for j in pivots), Fraction(0))
-    den = strat.rates.sigma + sum(extras, Fraction(0))
-    return num / den
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (scale // w.denominator) for w in weights]
+    return pivots, Fraction(sum(scaled[j] for j in pivots), sum(scaled))
 
 
 def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
@@ -203,7 +213,10 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     Works on the computed series directly, with the subgroup moved to
     ambient coordinates through the frame; no model term is involved.  The
     strong flag records whether the quotients settle: spread over the last
-    third of the window at most the tolerance.
+    third of the window at most the tolerance.  The spread is compared with
+    the tolerance's numerator and denominator by cross-multiplication, and
+    equal quotients are one Fraction, built once per call from the pair
+    reduced by its gcd.
 
     The subgroup's rows are inserted into the triangular basis of term_i
     (`hermite_insert`).  Let J_i be the span of term_i and H plus p^N Z_p^d;
@@ -244,31 +257,41 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     The lemma below reads one pair of terms at a time and never the
     action, so it needs the identity on that range only, and D need not
     commute with the action.  For each shift value t let V_t be the span
-    of the coordinates of shift t, and r_t the rank over Q
-    (`_rank_over_q`) of the rows of S restricted to those coordinates.
-    Lemma: if sum_t r_t = r, then numerator_(i+m) = numerator_i +
-    sum_t t r_t for every j <= i <= i_max - m.  Proof, for a term
-    T = term_i, whose level and that of T D are at most N - 2:
+    of the coordinates of shift t, and r_t the number of pivots in columns
+    of shift t.  Lemma: if every nonzero entry of each pivot row lies in
+    the shift class of that row's pivot column, then numerator_(i+m) =
+    numerator_i + sum_t t r_t for every j <= i <= i_max - m, and sum_t t r_t
+    is the sum of the pivots' shifts.  Proof, for a term T = term_i, whose
+    level and that of T D are at most N - 2:
     1. T contains p^(N-2) Z_p^d, hence p^N C, so the modular law gives
        Hbar cap T = (S cap T) + p^N C; as S cap p^N C = 0, the numerator
        log|Hbar : Hbar cap T| is log|S : S cap T|.
-    2. S_Q lies in the sum of its projections onto the V_t, of dimension
-       sum_t r_t >= r, so sum_t r_t = r holds iff S_Q is the direct sum of
-       the S_Q cap V_t.  D is p^t on V_t, so then S_Q D = S_Q, and the
-       valuation of det(D on S_Q) is sum_t t r_t.
+    2. Every pivot is 1, so after `_reduce_above` each pivot column is
+       the unit vector of its row, and x in S_Q is the combination of the
+       rows whose coefficients are x's entries in the pivot columns.  If x
+       lies in V_t, those entries vanish outside class t, so x lies in the
+       span of the r_t rows of pivot shift t; these lie in V_t by the
+       support condition.  So S_Q is the direct sum of the S_Q cap V_t, of
+       dimensions r_t.  D is p^t on V_t, so S_Q D = S_Q, and the valuation
+       of det(D on S_Q) is sum_t t r_t.
     3. D has integer entries, so S D lies in S_Q cap Z_p^d = S; and x lies
        in S cap T D iff x D^-1 lies in S_Q cap T = S cap T (T lies in
        Z_p^d).  So S cap T D = (S cap T) D.
     4. Hence |S : S cap T D| = |S : S D| |S D : (S cap T) D| =
        p^(sum_t t r_t) |S : S cap T|.
-    Under a scalar cycle (j, m, n) there is one class, r_n = r, and the
-    increment is n r.  So numerator_i = numerator_(i-m) + sum_t t r_t for
-    every j + m <= i <= i_max, with numerator_0 = 0 as every series starts
-    at Z_p^d.  Only terms 1 .. j + m - 1 are read and inserted, so the
-    trace builds no term past j + m (`gmodule`).  An H that is not
-    saturated or whose rows cross the classes (sum_t r_t > r), or a trace
-    with no window period, hand-built ones included, goes through the
-    insertion loop above, stationary exit and guard included.
+    The support condition is the rank test that S_Q splits along the
+    classes: if a row of pivot shift t' has a nonzero entry of shift
+    t != t', its restriction to V_t is zero in the r_t pivot columns of
+    shift t but not zero, so the rows restricted to V_t have rank over Q
+    above r_t and these ranks sum to more than r.  Under a scalar cycle
+    (j, m, n) there is one class, r_n = r, and the increment is n r.  So
+    numerator_i = numerator_(i-m) + sum_t t r_t for every
+    j + m <= i <= i_max, with numerator_0 = 0 as every series starts at
+    Z_p^d.  Only terms 1 .. j + m - 1 are read and inserted, so the trace
+    builds no term past j + m (`gmodule`).  An H that is not saturated or
+    whose pivot rows cross the classes, or a trace with no window period,
+    hand-built ones included, goes through the insertion loop above,
+    stationary exit and guard included.
     """
     L = trace.ambient
     p, N, d = L.p, L.N, L.d
@@ -279,10 +302,8 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     stop, m, step = trace.i_max + 1, 0, 0  # stop: the first numerator read off the period
     if bound == N * (d - r) and trace.window_period is not None:
         j, m, shifts = trace.window_period
-        ranks = {t: _rank_over_q([[x for x, s in zip(row, shifts) if s == t] for row in red[:r]])
-                 for t in set(shifts)}
-        if sum(ranks.values()) == r:
-            stop, step = j + m, sum(t * r_t for t, r_t in ranks.items())
+        if all({s for s, x in zip(shifts, row) if x} == {shifts[k]} for row, k in zip(red, piv)):
+            stop, step = j + m, sum(shifts[k] for k in piv)
     numerators = [0]
     joined = None
     for i in range(1, stop):
@@ -295,7 +316,9 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     for i in range(stop, trace.i_max + 1):
         numerators.append(numerators[i - m] + step)
     pairs = list(zip(numerators[1:], trace.log_indices[1:]))
-    quotients = [Fraction(num, den) for num, den in pairs]
+    keys = [(num // g, den // g) for num, den in pairs for g in (math.gcd(num, den),)]
+    values = {key: Fraction(*key) for key in set(keys)}
+    quotients = [values[key] for key in keys]
     # the tail's extremes by cross-multiplication: every log index is positive
     tail = pairs[-max(1, len(pairs) // 3):]
     hn, hd = ln, ld = max(tail[:1])  # an empty window raises as max(tail) did
@@ -304,7 +327,8 @@ def hdim_numeric(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
             hn, hd = num, den
         elif num * ld < ln * den:
             ln, ld = num, den
-    strong = Fraction(hn * ld - ln * hd, hd * ld) <= Fraction(tolerance)
+    tol = Fraction(tolerance)
+    strong = (hn * ld - ln * hd) * tol.denominator <= tol.numerator * hd * ld
     return quotients, strong
 
 
@@ -317,12 +341,10 @@ def dimension_report(H: SubgroupSpec, trace: SeriesTrace, strat: Stratification,
     the heavier denominator and the quotients converge to the lattice-only
     dimension instead.
     """
-    pivots = echelon_pivots(H)
-    exact = _pivot_dimension(pivots, strat, extra_weights)
+    pivots, exact = _pivot_dimension(H, strat, extra_weights)
     quotients, strong = hdim_numeric(H, trace, strat, tolerance)
-    return DimensionReport(
-        exact=exact, pivots=pivots, quotients=tuple(quotients), strong=strong
-    )
+    return DimensionReport(exact=exact, pivots=pivots, quotients=tuple(quotients),
+                           strong=strong)
 
 
 def spectrum(rates: RateVector, extra_weights=()) -> tuple:

@@ -11,9 +11,11 @@ the former library code kept to pin its faster replacement:
 `det_valuation_is_zero` (a Hermite rank mod p), `detect_cycle_by_coordinates`
 (the cycle key by a Hermite form), `run_stratification_eager` (the
 anchor pipeline, which also ran on a trace whose blocks all hit),
-`step_by_full_stack` (the series step on every image, zero or not) and
-`lower_p_series_stepwise` (the series with every step run, no tail copied).  The
-definitions `valuation` and `mat_mul_dense` pin the kernels.
+`step_by_full_stack` (the series step on every image, zero or not),
+`lower_p_series_stepwise` (the series with every step run, no tail copied)
+and `splits_along_shift_classes` (the window-period class test by exact
+ranks over Q).  The definitions `valuation` and `mat_mul_dense` pin the
+kernels.
 """
 
 import math
@@ -141,6 +143,22 @@ def join_quotients(H, trace, strat, tolerance=Fraction(1, 100)):
         quotients.append(Fraction(log_index(joined, lam), log_index(L, lam)))
     tail = quotients[-max(1, len(quotients) // 3):]
     return quotients, (max(tail) - min(tail)) <= Fraction(tolerance)
+
+
+def splits_along_shift_classes(rows, shifts):
+    """Reference for hdim_numeric's shift-class test: (split, sum_t t r_t).
+
+    r_t is the rank over Q of the rows restricted to the coordinates of
+    shift t, and split says that these sum to the number of rows, which are
+    independent: their span is the direct sum of its parts in the classes.
+    The former library test, kept to pin the support check on unit-pivot
+    echelon rows that replaced it.
+    """
+    from pstrata.hausdorff import _rank_over_q
+
+    ranks = {t: _rank_over_q([[x for x, s in zip(row, shifts) if s == t] for row in rows])
+             for t in set(shifts)}
+    return sum(ranks.values()) == len(rows), sum(t * r_t for t, r_t in ranks.items())
 
 
 def subset_spectrum(weights):

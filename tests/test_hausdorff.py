@@ -199,6 +199,39 @@ class TestExact:
         with pytest.raises(ValueError, match="extra weights must be nonnegative"):
             hdim_exact(SubgroupSpec(2, tr.precision, ((1, 0),)), st, (F(-1, 2),))
 
+    @pytest.mark.parametrize("row", [(1,), (1, 0, 0, 0, 0, 0)])
+    def test_rows_of_another_length_than_the_frame_rejected(self, gm2, row):
+        # on Gm2 (d = 5) both rows used to give 1/6: only a pivot past d was
+        # refused, and the second row's entry past d is zero
+        b, tr, st = gm2
+        H = SubgroupSpec(2, tr.precision, (row,))
+        with pytest.raises(ValueError, match=f"length {len(row)}, the frame 5"):
+            hdim_exact(H, st)
+        with pytest.raises(ValueError, match=f"length {len(row)}, the frame 5"):
+            dimension_report(H, tr, st, b.extra_weights)
+
+    def test_no_rows_is_the_trivial_subgroup(self, gm2):
+        b, tr, st = gm2
+        H = SubgroupSpec(2, tr.precision, ())
+        assert hdim_exact(H, st, b.extra_weights) == 0
+        assert dimension_report(H, tr, st, b.extra_weights).exact == 0
+
+    @pytest.mark.parametrize("extras", [
+        (), (F(1, 1000003), F(1, 999983)), (F(0),), "Gm2", (F(1, 1000003), F(0), 1)])
+    def test_matches_the_fraction_formula(self, gm2, extras):
+        # large coprime denominators, a zero weight and Gm2's weight 1: the
+        # integer sums give sum of the pivot rates / (sigma + sum of extras)
+        b, tr, st = gm2
+        extras = b.extra_weights if extras == "Gm2" else extras
+        members = set(spectrum(st.rates, extras))
+        mass = st.rates.sigma + sum((F(w) for w in extras), F(0))
+        for rows in [(), unit_rows(5, (0,)), unit_rows(5, (4,)), unit_rows(5, (0, 1, 3)),
+                     unit_rows(5, range(5)), ((1, 1, 0, 0, 0), (0, 0, 3, 0, 2))]:
+            H = SubgroupSpec(2, tr.precision, rows)
+            exact = sum((st.rates.rates[j] for j in echelon_pivots(H)), F(0)) / mass
+            assert hdim_exact(H, st, extras) == exact
+            assert exact in members
+
 
 class TestNumeric:
     def test_full_subgroup_quotients_are_one(self, eis2):
@@ -212,6 +245,24 @@ class TestNumeric:
         q, strong = hdim_numeric(H, tr, st, tolerance=F(1, 25))
         assert abs(q[-1] - F(1, 2)) <= F(1, 25)
         assert strong
+
+    def test_strong_at_the_tail_spread(self, eis2, gm2):
+        # the exact spread s of the tail is strong and s - 1/10^9 is not;
+        # tolerance 0 and the float 0.01 follow the join reference's flag
+        flags = set()
+        for (b, tr, st), idx in [(eis2, (0,)), (eis2, (0, 1)), (gm2, (0,)), (gm2, (0, 1, 3)),
+                                 (gm2, (4,))]:
+            H = SubgroupSpec(2, tr.precision, unit_rows(tr.ambient.d, idx))
+            quotients, _ = oracles.join_quotients(H, tr, st)
+            tail = quotients[-max(1, len(quotients) // 3):]
+            spread = max(tail) - min(tail)
+            assert hdim_numeric(H, tr, st, spread)[1] is True
+            assert hdim_numeric(H, tr, st, spread - F(1, 10**9))[1] is False
+            for tol in (0, 0.01):
+                strong = oracles.join_quotients(H, tr, st, tol)[1]
+                assert hdim_numeric(H, tr, st, tol)[1] is strong
+                flags.add((tol, strong))
+        assert flags == {(0, True), (0, False), (0.01, True), (0.01, False)}
 
     def test_report_combines_both(self, gm2):
         b, tr, st = gm2
@@ -605,6 +656,59 @@ class TestNumericWindow:
                 calls = _count_inserts(mp)
                 assert hdim_numeric(H, tr, st) == oracles.join_quotients(H, tr, st)
             assert len(calls) == tr.i_max or len(rows) > 1
+
+
+def _diagonal_trace(p, N, shifts, i_max):
+    """Terms diag(p^(i shifts[k])) for i <= i_max, recorded as one block that never hits.
+
+    The block's stepped terms give the window period (0, 1, shifts).
+    """
+    d = len(shifts)
+    terms = tuple(Lattice(p, N, d, tuple(tuple(p ** (i * t) * (a == k) for a in range(d))
+                                         for k, t in enumerate(shifts)))
+                  for i in range(i_max + 1))
+    profiles = tuple(tuple(sorted(i * t for t in shifts)) for i in range(i_max + 1))
+    return SeriesTrace(terms[0], None, terms, profiles, i_max, ((0, terms, profiles, None),))
+
+
+class TestShiftClassCheck:
+    """The support check on unit-pivot echelon rows against the rank test over Q."""
+
+    def test_matches_the_rank_oracle(self, monkeypatch):
+        # seeded saturated H on diagonal traces with shifts in 1 .. 3: rows
+        # inside one class, and rows across the classes, which the echelon
+        # form may or may not separate again
+        rng = random.Random(0)
+        calls = _count_inserts(monkeypatch)
+        seen = set()
+        N, i_max = 12, 3  # every term's level is at most 9 = N - 3
+        for _ in range(300):
+            p, d = rng.choice([2, 3, 5]), rng.randint(1, 6)
+            shifts = tuple(rng.randint(1, 3) for _ in range(d))
+            tr = _diagonal_trace(p, N, shifts, i_max)
+            assert tr.window_period == (0, 1, shifts)
+            st = Stratification(unit_rows(d, range(d)), RateVector((F(1),) * d), 0, (1, i_max), "")
+            rows, across = [], False
+            for _ in range(rng.randint(0, d)):
+                t = rng.choice(shifts) if rng.random() < 0.6 else None
+                across |= t is None
+                rows.append([rng.randint(-2, 2) if t in (None, s) else 0 for s in shifts])
+            red, piv, _ = hermite_rows(rows, p, N)
+            if any(red[k][c] != 1 for k, c in enumerate(piv)):
+                continue  # not saturated
+            split, increment = oracles.splits_along_shift_classes(red[:len(piv)], shifts)
+            calls.clear()
+            H = SubgroupSpec(p, N, tuple(map(tuple, rows)))
+            quotients, strong = hdim_numeric(H, tr, st)
+            assert (quotients, strong) == oracles.join_quotients(H, tr, st)
+            # j + m = 1: a split H reads every numerator off the period
+            assert len(calls) == (0 if split else i_max)
+            if split:
+                assert increment == sum(shifts[c] for c in piv)
+                numerators = [q * n for q, n in zip(quotients, tr.log_indices[1:])]
+                assert numerators == [i * increment for i in range(1, i_max + 1)]
+            seen.add((split, across))
+        assert seen == {(True, False), (True, True), (False, True)}
 
 
 class TestSpectrum:
