@@ -80,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--denom-bound", type=int, default=None,
                         help="bound on the profile period m (the rate denominator), "
-                             "read only when some coordinate block has not repeated "
-                             "by imax (default min(64, (imax-2)//2), at least 1)")
+                             "read only when some coordinate block has no period by "
+                             "imax (default min(64, (imax-2)//2), at least 1)")
     hd.add_argument("--tolerance", type=float, default=0.01,
                     help="numeric agreement tolerance")
     hd.add_argument("--subgroup", required=True, help="subgroup JSON file")
@@ -253,9 +253,9 @@ def _envelope_check(trace, strat) -> dict:
 def _stratified(args):
     """(lattice, action, extra_weights, source, trace, strat, cert) of the instance.
 
-    A default bound below 1 runs as 1: a trace whose blocks all hit reads
-    no bound, and a short one may fit with it.  Only when that fit finds
-    no period is the window blamed on --imax.
+    A default bound below 1 runs as 1: a trace whose blocks all have a
+    period reads no bound, and a short one may fit with it.  Only when
+    that fit finds no period is the window blamed on --imax.
     """
     bound = _denom_bound(args)
     lat, action, extras, source, trace = _series(args)

@@ -110,7 +110,8 @@ V_s is invariant.
   Otherwise nothing is said past i_max, and D need not commute with the
   action, so `cycle` reads the period only when every block hit;
   `hausdorff.hdim_numeric`, whose indices stop at i_max, reads it on any
-  trace.
+  trace, and `strata.run_stratification` reads each block's own period
+  (`SeriesTrace.block_periods`, searched once per trace and shared).
   Lemma: the whole series has a cycle ending by term i_max iff every
   block hit and the window period's shifts are all equal; its first
   cycle is then (j, m, n), n the common shift.  Proof: a block's terms
@@ -322,15 +323,17 @@ class SeriesTrace:
     its own Z_p^d_s to its first cycle hit, the certificate
     term_s(j_s + m_s) == p^n_s term_s(j_s), or to i_max, where hit is None.
     Only `lower_p_series` and the tests' references set it; a trace built by
-    hand has (), as if its terms never repeated.  window_period is joined
-    from each block's hit or the period of its own stepped terms: the
-    series' period (j, m, shifts), term(i + m) == term(i) D for
-    j <= i <= i_max - m, with D the diagonal matrix of the p^shifts[r]; it
-    holds for every i >= j, with every shift at most m, when every block
-    hit; None on a hand-built trace or when no such period fits by i_max.
-    cycle is read off it: the series' first certificate term(j + m) ==
-    p^n term(j), (j, m, n) when every block hit and every shift is n, None
-    otherwise.  Both are kept.
+    hand has (), as if its terms never repeated.  block_periods holds each
+    block's period (j_s, m_s, shifts_s): its hit, or the period of its own
+    stepped terms (`_stepped_period`), None when they have none.
+    window_period is their join: the series' period (j, m, shifts),
+    term(i + m) == term(i) D for j <= i <= i_max - m, with D the diagonal
+    matrix of the p^shifts[r]; it holds for every i >= j, with every shift
+    at most m, when every block hit; None on a hand-built trace or when no
+    such period fits by i_max.  cycle is read off it: the series' first
+    certificate term(j + m) == p^n term(j), (j, m, n) when every block hit
+    and every shift is n, None otherwise.  All three are kept, so a block's
+    terms are searched for a period once per trace.
     """
 
     ambient: Lattice
@@ -349,15 +352,19 @@ class SeriesTrace:
         return tuple(sum(prof) for prof in self.profiles)
 
     @cached_property
+    def block_periods(self) -> tuple:
+        """Each block's (j_s, m_s, shifts_s): its hit, else its stepped terms' period or None."""
+        return tuple([_stepped_period(terms, self.i_max) if hit is None
+                      else (hit.j, hit.m, (hit.n,) * terms[0].d)
+                      for _, terms, _, hit in self.blocks])
+
+    @cached_property
     def window_period(self) -> tuple | None:
         """(j, m, shifts) with term(i + m) == term(i) D for j <= i <= i_max - m, or None.
 
-        A block's hit, or else the period of its own stepped terms
-        (`_stepped_period`), joined (`_join`).
+        The join (`_join`) of the block periods.
         """
-        return _join([_stepped_period(terms, self.i_max) if hit is None
-                      else (hit.j, hit.m, (hit.n,) * terms[0].d)
-                      for _, terms, _, hit in self.blocks], self.i_max)
+        return _join(self.block_periods, self.i_max)
 
     @cached_property
     def cycle(self) -> CycleCertificate | None:

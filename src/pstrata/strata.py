@@ -11,15 +11,21 @@ matrix invertible over Z_p, and c is read off in frame coordinates, with
 no model lattice built (tests/oracles.py keeps the definition by model
 lattices).  run_stratification takes one of two paths.
 
-- Off the blocks' hits.  A trace whose coordinate blocks all hit their
-  first cycle (`SeriesTrace.blocks`) already states its stratification:
-  every coordinate of block s grows at the exact rate n_s/m_s, and the
-  coordinate unit vectors, ordered by rate, are a frame whose every
-  rate-boundary prefix is invariant.  Nothing is fitted, searched or
-  repaired, and c is read off the blocks' profiles in integers, with no
-  term read (_block_stratification).
-- Off the profile periods.  Any other trace, one with a block that does
-  not repeat within the window or a hand-built one, reads a rate off the exact
+- Off the blocks' periods.  Each coordinate block of a computed trace
+  repeats from j_s on with a period m_s (`SeriesTrace.block_periods`):
+  term_s(i + m_s) == term_s(i) D_s, D_s the diagonal matrix of the
+  p^shifts_s, read off its first cycle hit (every shift n_s) or off its
+  stepped terms when it never hits.  Coordinate r of block s grows at the
+  exact rate shifts_s[r]/m_s, and the coordinate unit vectors, ordered by
+  rate, are the frame.  A rate-boundary prefix that cuts a block is
+  checked by the support of the deltas, and c is read off one period of
+  each block in integers: a_r(i + m_s) = a_r(i) + s_r, so model_s(i + m_s)
+  = model_s(i) D_s, and c at i + m_s is c at i (_period_stratification).
+  Nothing is fitted, searched or repaired.
+- Off the profile periods.  A trace whose blocks state no stratification
+  (a hand-built one, a block with no period by i_max as in most
+  conjugated inputs, or another condition that run_stratification lists)
+  reads a rate off the exact
   period of each profile column (fit_rational): the invariants are
   rational and the series descends regularly in strata, so each column
   eventually repeats with a shift, P[i + m][k] - P[i][k] = n, and its rate
@@ -330,6 +336,11 @@ def _graph_repair(frame, e: int, action: GroupAction):
 # -- frames and certification -------------------------------------------
 
 
+def _is_diagonal(term) -> bool:
+    """Whether a term's canonical basis is diagonal, diag(p^e_r)."""
+    return not any(any(row[k + 1:]) for k, row in enumerate(term.basis))
+
+
 def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> int:
     """Least c >= 0 with p^c lambda_i in model_i and p^c model_i in lambda_i, all i >= 1.
 
@@ -371,7 +382,7 @@ def _window_constant(trace: SeriesTrace, frame, rates: RateVector, inv=None) -> 
     for i in range(1, trace.i_max + 1):
         lam = trace.terms[i]
         a = [i * n // m for n, m in pairs]
-        if not any(any(row[k + 1:]) for k, row in enumerate(lam.basis)):
+        if _is_diagonal(lam):
             e = lam.diag_exponents
             for ak, col in zip(a, inv_cols):
                 if ak > c:
@@ -505,50 +516,90 @@ def extract_frame(trace: SeriesTrace, rates) -> Stratification:
     raise FrameRejected("; ".join(reasons))
 
 
-def _block_stratification(trace: SeriesTrace) -> Stratification:
-    """The stratification the blocks' hits state: exact rates, coordinate frame, c in integers.
+def _period_stratification(trace: SeriesTrace) -> Stratification | None:
+    """The stratification the blocks' periods state, or None when they state none.
 
-    Every coordinate of block s, whose first hit is (j_s, m_s, n_s), has
-    rate n_s/m_s, and the frame is the unit vectors ordered by (rate,
-    coordinate), a permutation.  No check is needed:
-    - Each block's span V_s is invariant (`gmodule` docstring), so every
-      rate-boundary prefix of the frame is a sum of blocks' spans and is
-      invariant, and so is every model term (_try_frame).
-    - The rates are exact: block s repeats, term_s(i + m_s) = p^n_s
-      term_s(i) from j_s on, so its terms lie within a bounded distance of
-      p^floor(i n_s/m_s) Z_p^(V_s), as detect_cycle argues for a whole
-      series' cycle.
-    - c is exact.  Term and model term are direct sums over the blocks, and
-      block s's model term is p^a Z_p^(V_s), a = floor(i n_s/m_s).  So
-      p^c term_s(i) lies in it iff c >= a - u, u the content (the first
+    Block s has the period (j_s, m_s, shifts_s) (`SeriesTrace.block_periods`):
+    term_s(i + m_s) == term_s(i) D_s for j_s <= i <= i_max - m_s, D_s the
+    diagonal matrix of the p^shifts_s[r]; a block that hit has every shift
+    n_s, and the identity holds for every i >= j_s.  Coordinate r of the
+    block has the rate shifts_s[r]/m_s, and the frame is the unit vectors
+    ordered by (rate, coordinate), a permutation.  A block that did not
+    hit states its rates over the window only, and c certifies them there,
+    as it does fitted rates.  Nothing is fitted or searched for:
+    - Prefixes.  x_k g = x_k + x_k (g - 1), and x_k (g - 1) is row k of the
+      delta, so a span of unit vectors is invariant iff no delta has a
+      nonzero entry (r, c) mod p^N with r inside and c outside.  The
+      rate-boundary prefixes are the coordinates of rate at most each
+      boundary's, so they are all invariant iff every nonzero entry (r, c)
+      of `delta_entries` has rate(c) <= rate(r); then so is every model
+      term (_try_frame).  No entry couples two blocks, so only a prefix that
+      cuts a block, one whose shifts differ, can fail; when every block
+      hit, none does, and nothing is checked.
+    - c.  Term and model term are direct sums over the blocks, and block
+      s's model term is the span of the p^a_r e_r, a_r(i) = floor(i
+      s_r/m_s).  For a block whose shifts are all n, it is p^a Z_p^(d_s),
+      so p^c term_s(i) lies in it iff c >= a - u, u the content (the first
       profile exponent), and p^c of it lies in term_s(i) iff c >= l - a, l
-      the lower level (the last).  Lemma: from j_s on, a step of m_s adds
-      n_s to a, u and l alike, so this block's c at i + m_s is its c at i.
-      Hence the window's c, and c at every index, is the largest over the
-      blocks and i in 1 .. j_s + m_s - 1 (c_0 = 0).  Above the cap,
-      FrameRejected.
-    The status is "exact-cycle" when the series has a cycle (detect_cycle),
+      the lower level (the last).  For a block whose shifts differ, a
+      diagonal term diag(p^e_r) needs c >= |a_r - e_r| for every r.
+      Lemma: a_r(i + m_s) = a_r(i) + s_r, so model_s(i + m_s) =
+      model_s(i) D_s; on [j_s, i_max - m_s], term_s(i + m_s) = term_s(i)
+      D_s, and D_s is invertible over Q_p, so block s's c at i + m_s is its
+      c at i.  Hence the window's c is the largest over the blocks and
+      i in 1 .. j_s + m_s - 1 (c_0 = 0), and no other term is read; when
+      every block hit it is the c at every index.
+    None, for the caller to fit rates instead, when a block has no period,
+    a block that did not hit has one with i_max - j_s < max(2 m_s,
+    i_max // 2) (fit_rational's floor, so that a period held over a few
+    steps is not read as a rate), a block whose shifts differ has a term
+    in 1 .. j_s + m_s - 1 that is not diagonal, a cut prefix is not
+    invariant, or a block did not hit and c exceeds the cap.  When every
+    block hit, a c above the cap raises FrameRejected.  The status is
+    "exact-cycle" when the series has a cycle (detect_cycle),
     "certified-window" otherwise.
     """
-    blocks = trace.blocks
-    coords = [hit.rate for _, terms, _, hit in blocks for _ in range(terms[0].d)]
+    periods, i_max = trace.block_periods, trace.i_max
+    if not periods or None in periods:
+        return None
+    all_hit = None not in [hit for *_, hit in trace.blocks]
+    if any(hit is None and i_max - j < max(2 * m, i_max // 2)
+           for (*_, hit), (j, m, _) in zip(trace.blocks, periods)):
+        return None
+    coords = []
+    for _, m, shifts in periods:
+        rate = {s: Fraction(s, m) for s in set(shifts)}
+        coords += [rate[s] for s in shifts]
     d = len(coords)
-    order = sorted(range(d), key=coords.__getitem__)  # a stable sort: ties by coordinate
     c = 0
-    for _, _, profiles, hit in blocks:
-        for i in range(1, hit.j + hit.m):
-            a = i * hit.n // hit.m
-            c = max(c, a - profiles[i][0], profiles[i][-1] - a)
+    for (_, terms, profiles, _), (j, m, shifts) in zip(trace.blocks, periods):
+        if len(set(shifts)) == 1:
+            n = shifts[0]
+            for i in range(1, j + m):
+                a = i * n // m
+                c = max(c, a - profiles[i][0], profiles[i][-1] - a)
+            continue
+        for i in range(1, j + m):
+            if not _is_diagonal(terms[i]):
+                return None
+            c = max(c, *[abs(i * s // m - e) for s, e in zip(shifts, terms[i].diag_exponents)])
+    if not all_hit and any(coords[col % d] > coords[r] for r, entries
+                           in enumerate(trace.action.delta_entries[1]) for col, _ in entries):
+        return None
     cap = _cap(trace)
     if c > cap:
-        hits = ", ".join(f"(j={h.j}, m={h.m}, n={h.n})" for *_, h in blocks)
+        if not all_hit:
+            return None
+        hits = ", ".join(f"(j={h.j}, m={h.m}, n={h.n})" for *_, h in trace.blocks)
         raise FrameRejected(f"block hits {hits}: window constant {c} of the "
                             f"coordinate frame exceeds cap {cap}")
+    order = sorted(range(d), key=coords.__getitem__)  # a stable sort: ties by coordinate
+    zero = (0,) * d
     return Stratification(
-        frame=tuple(tuple(int(r == k) for r in range(d)) for k in order),
+        frame=tuple(zero[:k] + (1,) + zero[k + 1:] for k in order),
         rates=RateVector(tuple(coords[k] for k in order)),
         c=c,
-        window=(0, trace.i_max),
+        window=(0, i_max),
         status="certified-window" if trace.cycle is None else "exact-cycle",
     )
 
@@ -557,15 +608,25 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
     """Full pipeline: rates, frame, certification, on one of two paths.
 
     Returns (stratification, cycle_certificate_or_None).
-    - Off the blocks' hits.  When every coordinate block of the trace hit
-      its first cycle (`SeriesTrace.blocks`), its rates, frame, c and
-      status are read off them (_block_stratification); denom_bound is not
-      read.  The cycle (detect_cycle) is returned with it, and is None
-      unless the blocks give the whole series one.
-    - Off the profile periods.  Otherwise the rates are read off the
-      period of each profile column within denom_bound (estimate_rates),
-      and extract_frame finds a frame and certifies c over the whole
-      window, so the periods add no unsoundness.  The cycle is None.
+    - Off the blocks' periods.  When every coordinate block of the trace
+      has a period, a hit or one of its stepped terms, that meets the
+      conditions of _period_stratification, its rates (each shift over its
+      period), coordinate frame, c and status are read off them, and
+      denom_bound is not read.  Lemma: a_r(i + m_s) = a_r(i) + s_r, so
+      model(i + m_s) = model(i) D_s; on [j_s, i_max - m_s], term(i + m_s)
+      = term(i) D_s, so c at i + m_s is c at i, and c is read over
+      i in 1 .. j_s + m_s - 1.  The cycle (detect_cycle) is returned with
+      it, and is None unless the blocks give the whole series one.
+    - Off the profile periods.  Otherwise, a trace with no block records
+      (a hand-built one), a block with no period by i_max (most conjugated
+      inputs), a block that did not hit with i_max - j_s < max(2 m_s,
+      i_max // 2), a block whose shifts differ with a term before
+      j_s + m_s that is not diagonal, a cut rate-boundary prefix that is
+      not invariant, or a c above the cap on a trace with a block that did
+      not hit: the rates are read off the period of each profile column
+      within denom_bound (estimate_rates), and extract_frame finds a frame
+      and certifies c over the whole window, so the periods add no
+      unsoundness.  The cycle is None.
     Errors, in this order: a trace shorter than two steps, then a period
     bound below 1, raise ValueError whatever the trace holds; then the
     rate error (NoStableFit, RateOutOfRange) or FrameRejected is raised as
@@ -573,9 +634,10 @@ def run_stratification(trace: SeriesTrace, denom_bound: int = 64):
     """
     _check_length(trace)
     _check_bound(denom_bound)
-    if not trace.blocks or any(hit is None for *_, hit in trace.blocks):
+    strat = _period_stratification(trace)
+    if strat is None:
         return extract_frame(trace, estimate_rates(trace, denom_bound)), None
-    return _block_stratification(trace), detect_cycle(trace)
+    return strat, detect_cycle(trace)
 
 
 # -- splitting along a stratum boundary ---------------------------------

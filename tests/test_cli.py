@@ -387,14 +387,30 @@ def test_domain_errors_exit_4_with_their_name(error, monkeypatch, capsys):
     assert capsys.readouterr().err == f"pstrata: {error.__name__}: no luck\n"
 
 
-def test_no_period_within_the_bound_exits_4_naming_the_column(capsys):
-    # random seed 8 at imax 24 is one block with no hit, so its rates are
-    # read off the profile periods; bound 1 reads none of them
-    assert main(["stratify", "--catalog", "random", "--seed", "8", "--imax", "24",
-                 "--denom-bound", "1"]) == 4
+# Gm2 at p 2 conjugated to U^-1 g U, U an integer matrix of determinant 1
+GM2_CONJUGATED = {"p": 2, "generators": [[[1, -1, 0, 0, -1], [2, 1, 0, 2, 0], [0, 1, 1, 1, 1],
+                                          [0, 2, 0, 1, 1], [-2, 0, 2, -4, 1]]]}
+
+
+def test_no_period_within_the_bound_exits_4_naming_the_column(tmp_path, capsys):
+    # conjugated Gm2 is one block whose terms have no period by imax 64, so
+    # its rates are read off the profile periods; bound 1 reads none of them
+    inst = tmp_path / "gm2-conj.json"
+    inst.write_text(json.dumps(GM2_CONJUGATED))
+    assert main(["stratify", "--input", str(inst), "--imax", "64", "--denom-bound", "1"]) == 4
     assert capsys.readouterr().err == (
-        "pstrata: NoStableFit: coordinate 0: no period m <= 1 holds over the last 12 of 24 "
+        "pstrata: NoStableFit: coordinate 0: no period m <= 1 holds over the last 32 of 64 "
         "samples (best: m = 1 over 1)\n")
+
+
+def test_a_block_that_never_hits_certifies_below_its_period(capsys):
+    # random seed 8 at imax 24 is one block with no hit, whose stepped terms
+    # have a period: the rates are its shifts over it, so bound 1 is not read
+    assert main(["stratify", "--catalog", "random", "--seed", "8", "--imax", "24",
+                 "--denom-bound", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["fraction"] for r in out["rates"]] == ["1/2", "1/2", "1/1"]
+    assert (out["c"], out["status"], out["cycle"]) == (1, "certified-window", None)
 
 
 def test_a_graded_period_certifies_below_its_period(capsys):

@@ -10,7 +10,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 import oracles
 from test_lattice import _conjugated
-from pstrata import strata
+from pstrata import gmodule, strata
 from pstrata.catalog import (
     build_Gm_lattice, catalog_names, get_bundle, random_block_action, random_sizes,
 )
@@ -22,8 +22,9 @@ from pstrata.errors import (
     RateOutOfRange,
 )
 from pstrata.gmodule import GroupAction, check_invariance, lower_p_series, restrict_action
+from pstrata.hausdorff import SubgroupSpec, hdim_numeric
 from pstrata.lattice import Lattice
-from pstrata.padic import identity, mat_mul, unimodular_inverse
+from pstrata.padic import identity, mat_mul, smith_rows, unimodular_inverse
 from pstrata.strata import (
     CycleCertificate,
     RateVector,
@@ -544,14 +545,18 @@ def test_other_rates_or_no_cycle_read_the_whole_window(name):
     assert (cert, fitted.rates, fitted.c) == (None, strat.rates, c)
 
 
+def _battery_slot(k):
+    """Battery slot k's trace, as perfbench's battery builds it, and its period bound."""
+    sizes = random_sizes(random.Random(k * 7919 + 13))
+    b = random_block_action(sizes, k, p=2, N=66)
+    return lower_p_series(b.lattice, b.action, 64), max(sizes + (2,))
+
+
 def _all_hit_case(name):
     """A pinned trace whose blocks all hit, with a window period but no scalar cycle, and its
     period bound."""
-    if name.startswith("battery slot"):  # as perfbench's battery builds it
-        k = int(name.split()[-1])
-        sizes = random_sizes(random.Random(k * 7919 + 13))
-        b = random_block_action(sizes, k, p=2, N=66)
-        return lower_p_series(b.lattice, b.action, 64), max(sizes + (2,))
+    if name.startswith("battery slot"):
+        return _battery_slot(int(name.split()[-1]))
     i_max = 128 if name == "remark27" else 64
     b = get_bundle(name, p=2, N=i_max + 2)
     return lower_p_series(b.lattice, b.action, i_max), 63
@@ -669,8 +674,9 @@ def test_a_random_cycle_holds_at_every_later_index(instance, p, i_max):
 
 
 def _coordinate_frame(tr):
-    """The coordinate frame ordered by the blocks' rates n_s/m_s, and those rates, ascending."""
-    coords = [hit.rate for _, terms, _, hit in tr.blocks for _ in range(terms[0].d)]
+    """The coordinate frame ordered by the blocks' rates, each shift over its period (n_s/m_s
+    for a hit), and those rates, ascending."""
+    coords = [F(s, m) for _, m, shifts in tr.block_periods for s in shifts]
     order = sorted(range(len(coords)), key=coords.__getitem__)
     return (tuple(tuple(identity(len(coords))[k]) for k in order),
             RateVector(tuple(coords[k] for k in order)))
@@ -694,14 +700,26 @@ def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
     the window, the rates are the blocks' n_s/m_s, the frame the
     coordinate one, and c the definition's for them, or FrameRejected,
     naming the blocks, when that c exceeds the cap.  A rejection by the
-    anchor pipeline is a rejection here too.
+    anchor pipeline is a rejection here too.  When a block does not hit,
+    the result is the pipeline's wherever the pipeline certifies; where it
+    finds no period within the bound, the result is its refusal (the
+    blocks' periods state no stratification) or the coordinate frame with
+    each shift over its block's period as the rates and the definition's
+    c for them.
     """
     tr = _series(instance, p, i_max, start)
     bound = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
     expected = _pipeline(oracles.run_stratification_eager, tr, denom_bound=bound)
     got = _pipeline(run_stratification, tr, denom_bound=bound)
     hits = [hit for *_, hit in tr.blocks]
-    if None in hits or expected[0] not in ("NoStableFit", "FrameRejected"):
+    if None in hits:
+        if expected[0] == "NoStableFit" and got != expected:
+            frame, rates = _coordinate_frame(tr)
+            c = oracles.window_constant_by_lattices(tr, frame, rates)
+            assert got == (Stratification(frame, rates, c, (0, tr.i_max), "certified-window"), None)
+        else:
+            assert got == expected
+    elif expected[0] not in ("NoStableFit", "FrameRejected"):
         assert got == expected
     elif expected[0] == "FrameRejected":
         assert got[0] == "FrameRejected" and got[1].startswith("block hits (j=")
@@ -716,22 +734,55 @@ def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
 
 
 def test_a_graded_period_calls_no_fit_and_no_smith_form(monkeypatch):
-    """The block path reads its rates, frame and c off the hits, for a cycle or not."""
+    """The period path reads its rates, frame and c off the blocks' periods, for a cycle, a
+    graded period or a block that never hits; a trace with no period still fits."""
     traces = [_all_hit_case("remark27")[0], _cycled_case("eisenstein2")[0],
-              _cycled_case("conjugated eisenstein3")[0]]
+              _cycled_case("conjugated eisenstein3")[0], _battery_slot(1)[0]]
+    assert [hit for *_, hit in traces[-1].blocks] == [None]
     calls = []
 
-    def forbidden(name):
-        return lambda *args, **kwargs: calls.append(name)
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
 
     for name in ("extract_frame", "estimate_rates", "fit_rational", "smith_rows",
                  "_window_constant", "unimodular_inverse"):
-        monkeypatch.setattr(strata, name, forbidden(name))
-    monkeypatch.setattr("pstrata.lattice.smith_rows", forbidden("lattice.smith_rows"))
+        monkeypatch.setattr(strata, name, recording(name, getattr(strata, name)))
+    monkeypatch.setattr("pstrata.lattice.smith_rows", recording("lattice.smith_rows", smith_rows))
     for tr in traces:
         strat, cert = run_stratification(tr, denom_bound=1)
         assert strat.c == 1 and (cert is None) == (strat.status == "certified-window")
     assert calls == []
+    b, act = _conjugated("Gm2", 2, 26, 0)
+    tr = lower_p_series(b.lattice, act, 24)
+    assert tr.block_periods == (None,)
+    assert run_stratification(tr, denom_bound=8)[0].c == 1
+    assert {"fit_rational", "smith_rows", "_window_constant"} <= set(calls)
+
+
+def test_the_block_periods_are_searched_once_per_trace(monkeypatch):
+    # stratify and hdim_numeric read one list of block periods off the trace
+    # (battery slot 1, one block that never hits, and random seed 9, whose
+    # second block never hits)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return stepped(*args)
+
+    stepped = gmodule._stepped_period
+    monkeypatch.setattr(gmodule, "_stepped_period", counting)
+    b = random_block_action(random_sizes(random.Random(9)), 9, p=2, N=26)
+    for tr, blocks in [(_battery_slot(1)[0], 1), (lower_p_series(b.lattice, b.action, 24), 2)]:
+        calls.clear()
+        strat, _ = run_stratification(tr)
+        H = SubgroupSpec(2, tr.precision, (tuple(strat.frame[0]),))
+        for _ in range(2):
+            hdim_numeric(H, tr, strat)
+        assert len(tr.blocks) == blocks and [hit for *_, hit in tr.blocks].count(None) == 1
+        assert len(calls) == 1
 
 
 def test_a_coordinate_frame_above_the_cap_is_rejected():
@@ -775,9 +826,9 @@ def test_a_cycle_in_moved_coordinates_takes_the_coordinate_frame():
 
 
 def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
-    # only a trace with a block that has not hit reads its rates off the
-    # profile periods, with the caller's bound: random seed 9 at p 2 and
-    # imax 24, whose second block has no hit by then
+    # only a trace whose blocks state no period reads its rates off the
+    # profile periods, with the caller's bound: Gm2 at p 2 and imax 24 in
+    # coordinates moved by U, one block whose terms have no period by then
     calls = []
 
     def counting(*args):
@@ -785,13 +836,54 @@ def test_fits_run_only_after_the_rates_before_them_are_rejected(monkeypatch):
         return fit_rational(*args)
 
     monkeypatch.setattr(strata, "fit_rational", counting)
-    b = random_block_action(random_sizes(random.Random(9)), 9, p=2, N=26)
-    tr = lower_p_series(b.lattice, b.action, 24)
-    assert [hit for *_, hit in tr.blocks] == [CycleCertificate(0, 1, 1), None]
+    b, act = _conjugated("Gm2", 2, 26, 0)
+    tr = lower_p_series(b.lattice, act, 24)
+    assert (tr.block_periods, tr.window_period) == ((None,), None)
     strat, cert = run_stratification(tr, denom_bound=8)
     assert cert is None
-    assert strat.rates.rates == (F(1, 2),) * 2 + (F(1),) * 3
+    assert strat.rates.rates == (F(1, 3),) * 3 + (F(1, 2),) * 2
     assert calls and all(bound == 8 for _, bound in calls)
+
+
+def test_a_period_below_the_floor_fits_the_rates(monkeypatch):
+    # random seed 50 at p 3 is one block that never hits, and its terms
+    # have the period (0, 6, (3, 3, 2, 2, 2)); at imax 10 it holds over
+    # fewer than 2m = 12 steps, so the rates are fitted and the frame
+    # anchored, as the pipeline does.  At imax 12 the period is read
+    sizes = random_sizes(random.Random(50))
+    b = random_block_action(sizes, 50, p=3, N=12)
+    tr = lower_p_series(b.lattice, b.action, 10)
+    assert [hit for *_, hit in tr.blocks] == [None]
+    assert tr.block_periods == ((0, 6, (3, 3, 2, 2, 2)),)
+    calls = []
+    monkeypatch.setattr(strata, "fit_rational", lambda *args: calls.append(args) or
+                        fit_rational(*args))
+    strat, cert = run_stratification(tr, denom_bound=8)
+    assert calls and (strat, cert) == oracles.run_stratification_eager(tr, 8)
+    assert strat.rates.rates == (F(1, 3),) * 3 + (F(1, 2),) * 2 and strat.c == 1
+    calls.clear()
+    b = random_block_action(sizes, 50, p=3, N=14)
+    tr = lower_p_series(b.lattice, b.action, 12)
+    assert tr.block_periods == ((0, 6, (3, 3, 2, 2, 2)),)
+    assert run_stratification(tr, denom_bound=1)[0].rates == strat.rates and calls == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_one_period_constant_is_the_window_constant(p):
+    # for a trace with a block that never hits, c read over each block's
+    # terms 1 .. j_s + m_s - 1 is the definition's over the whole window
+    checked = 0
+    for seed in range(60):
+        sizes = random_sizes(random.Random(seed))
+        b = random_block_action(sizes, seed, p=p, N=26)
+        tr = lower_p_series(b.lattice, b.action, 24)
+        if None not in [hit for *_, hit in tr.blocks]:
+            continue
+        strat, cert = run_stratification(tr, denom_bound=1)  # no period fits at bound 1
+        assert (strat.frame, strat.rates) == _coordinate_frame(tr) and cert is None
+        assert oracles.window_constant_by_lattices(tr, strat.frame, strat.rates) == strat.c
+        checked += 1
+    assert checked >= 10
 
 
 def test_gm4_certifies_its_true_rates():
