@@ -11,8 +11,8 @@ matrix invertible over Z_p, and c is read off in frame coordinates, with
 no model lattice built (tests/oracles.py keeps the definition by model
 lattices).  run_stratification takes one of two paths.
 
-- Off the blocks' periods.  Each coordinate block of a computed trace
-  repeats from j_s on with a period m_s (`SeriesTrace.block_periods`):
+- Off the blocks' periods.  A coordinate block of a computed trace
+  usually repeats from j_s on with a period m_s (`SeriesTrace.block_periods`):
   term_s(i + m_s) == term_s(i) D_s, D_s the diagonal matrix of the
   p^shifts_s, read off its first cycle hit (every shift n_s) or off its
   stepped terms when it never hits.  Coordinate r of block s grows at the

@@ -716,7 +716,8 @@ def test_lazy_candidates_match_the_eager_loop(instance, p, i_max, start, data):
         if expected[0] == "NoStableFit" and got != expected:
             frame, rates = _coordinate_frame(tr)
             c = oracles.window_constant_by_lattices(tr, frame, rates)
-            assert got == (Stratification(frame, rates, c, (0, tr.i_max), "certified-window"), None)
+            window = (0, tr.i_max)
+            assert got == (Stratification(frame, rates, c, window, "certified-window"), None)
         else:
             assert got == expected
     elif expected[0] not in ("NoStableFit", "FrameRejected"):
